@@ -6,9 +6,9 @@ their footprints drift in the hyperbolic plane, then recovers the generating
 curve by slicing the chart at a fixed height.  A chart passes as CYLINDER
 when it is doubly flat, its rulings are vertical, and a generating curve can
 be recovered; it is NOT_FLAT when the flatness scan fails; INCONSISTENT
-verdicts flag internal contradictions (flat data with tilted rulings), which
-indicate numerical failure or an invalid input rather than a genuine
-counterexample.
+verdicts flag internal contradictions (flat data with tilted rulings) and
+scans in which some grid cell failed to evaluate, which indicate numerical
+failure or an invalid input rather than a genuine counterexample.
 
 Verticality is measured as hyperbolic distance between ruling footprints and
 the seed footprint, which is chart-independent and matches the definition of
@@ -18,13 +18,12 @@ a cylinder as a vertical surface over a plane curve.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import (CurvatureGrid, DEFAULT_STENCIL_H, PARABOLIC, PLANAR,
-                        curvature_grid)
+from .curvature import CurvatureGrid, PARABOLIC, PLANAR, curvature_grid
 from .errors import (ConfigError, EmptyIntersection, GeometryError,
                      NumericalError)
 from .flows import PLANAR_HIT, TraceRecord, geodesic_deviation, trace_asymptotic
@@ -50,12 +49,11 @@ class ClassifierConfig:
     trace_step: float = 1e-3
     n_seeds: int = 8
     recovery_samples: int = 1201
-    stencil_h: float = DEFAULT_STENCIL_H
     jobs: int = 1
 
     def __post_init__(self):
         for name in ("flatness_tol", "verticality_tol", "planar_tol",
-                     "trace_length", "trace_step", "stencil_h"):
+                     "trace_length", "trace_step"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
         if self.grid_n < 8:
@@ -133,12 +131,17 @@ class CylinderVerdict:
 
 def flatness_scan(S: Surface, n: int, tol: float,
                   planar_tol: float = 1e-7,
-                  stencil_h: float = DEFAULT_STENCIL_H,
                   jobs: int = 1) -> FlatnessReport:
-    """Grid maxima of |Kint| and |Kext|; passes when both stay below tol."""
+    """Grid maxima of |Kint| and |Kext| over the cells that evaluated; passes
+    when both stay below tol.
+
+    Kint is the Gauss-relation value, so the grid skips the Brioschi stencil
+    (its rows carry NaN there).  Failed cells are left to the caller, which
+    finds them by their status.
+    """
     if n < 8:
         raise ConfigError("flatness scan needs a grid of at least 8x8")
-    grid = curvature_grid(S, n, n, tol=planar_tol, stencil_h=stencil_h, jobs=jobs)
+    grid = curvature_grid(S, n, n, tol=planar_tol, brioschi=False, jobs=jobs)
     ok = grid.valid_rows()
     if not ok:
         raise NumericalError(f"no grid point of {S.label} could be evaluated")
@@ -325,8 +328,15 @@ def classify_surface(S: Surface, config: ClassifierConfig = ClassifierConfig()) 
     """Run the full detection pipeline and assemble the verdict."""
     notes: list[str] = []
     rep = flatness_scan(S, config.grid_n, config.flatness_tol,
-                        planar_tol=config.planar_tol, stencil_h=config.stencil_h,
-                        jobs=config.jobs)
+                        planar_tol=config.planar_tol, jobs=config.jobs)
+    failed = Counter(r.status for r in rep.grid.rows if r.status != "ok")
+    if failed:
+        # the maxima cover only the cells that evaluated, so neither verdict holds
+        notes.append("flatness scan: " + ", ".join(
+            f"{count} cells failed with {code}" for code, count in sorted(failed.items())))
+        return CylinderVerdict(INCONSISTENT, None, None,
+                               VerdictEvidence(rep, None, [], notes),
+                               config.verticality_tol)
     if not rep.passed:
         return CylinderVerdict(NOT_FLAT, None, None,
                                VerdictEvidence(rep, None, [], notes),

@@ -351,11 +351,12 @@ def grid_points(S: Surface, nu_: int, nv_: int) -> list[tuple[float, float]]:
 def curvature_grid(S: Surface, nu_: int, nv_: int,
                    tol: float = DEFAULT_CLASS_TOL,
                    stencil_h: float = DEFAULT_STENCIL_H,
-                   jobs: int = 1) -> CurvatureGrid:
+                   jobs: int = 1, brioschi: bool = True) -> CurvatureGrid:
     """Curvature table over grid cell centers, row-major in (u, v).
 
     Failures at isolated points are recorded in the row's status column and
-    do not abort the scan.
+    do not abort the scan.  With ``brioschi=False`` the 5x5 stencil (25 more
+    jets per cell) is skipped and ``Kint_brioschi`` is NaN in every row.
     """
     if nu_ < 2 or nv_ < 2:
         raise ConfigError("grid needs at least 2 cells per axis")
@@ -363,7 +364,7 @@ def curvature_grid(S: Surface, nu_: int, nv_: int,
     def one(uv: tuple[float, float]) -> GridRow:
         u, v = uv
         try:
-            forms, sd = shape_at(S, u, v, stencil_h)
+            forms, sd = shape_at(S, u, v, stencil_h, brioschi)
             cls = classify_point(sd, tol)
             return GridRow(u, v, sd.k1, sd.k2, sd.H, sd.Kext, sd.Kint_gauss,
                            sd.Kint_brioschi, forms.nu, cls.tag, "ok")

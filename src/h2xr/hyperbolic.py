@@ -5,7 +5,7 @@ Points satisfy <v, v> = -1, v.x0 >= 1; tangent vectors at p satisfy
 projection are closed form:
 
     exp_p(s v) = cosh(s) p + sinh(s) v          (v unit)
-    d(p, q)    = arccosh(-<p, q>)
+    d(p, q)    = arccosh(-<p, q>) = 2 arcsinh(|p - q| / 2)
     proj_p(w)  = w + <w, p> p
 
 The covariant derivative along a curve is the tangential projection of the
@@ -19,6 +19,12 @@ with a classical fourth-order Runge-Kutta step and re-enforcement of the
 quadratic constraints after every step.  The frame is right-handed:
 n = alpha x T in the Minkowski cross product, so positive k_g turns the
 curve toward n.
+
+Dense output between samples comes one arclength at a time, memoized, for
+chart jets and traces (``H2Curve.frame_at``), or for a whole array of
+arclengths at once (``H2Curve.positions_at``), which the Hausdorff distance
+uses: the same RK4 step and Hermite formula run on triples of coordinate
+arrays.
 """
 
 from __future__ import annotations
@@ -32,13 +38,15 @@ import numpy as np
 from .errors import (BadCurvatureFunction, InsufficientSamples, NonUnitTangent,
                      NumericalError, OutOfDomain)
 from .minkowski import (SpacetimeVec, Triple, _madd, _mcomb, _mcross, _mdot,
-                        _mscale, _msub, _normalize_point, _normalize_spacelike,
+                        _mscale, _msub, _normalize_point, _normalize_points,
+                        _normalize_spacelike, _normalize_spacelikes,
                         _project_tangent, minkowski_inner)
-from .numerics import CubicSpline1D, golden_min
+from .numerics import CubicSpline1D, golden_min_batch
 
 POINT_TOL = 1e-10      # |<v,v> + 1| for points
 TANGENT_TOL = 1e-10    # |<w,p>| for tangency
 UNIT_TOL = 1e-8        # |<w,w> - 1| for unit vectors
+NEAREST_CHUNK = 128    # query rows per block of the query x sample inner products
 
 ORIGIN_T: Triple = (1.0, 0.0, 0.0)
 
@@ -117,13 +125,34 @@ def _exp_raw(p: Triple, v: Triple, s: float) -> Triple:
     return _mcomb(math.cosh(s), p, math.sinh(s), v)
 
 
+DIST_NEAR = 2.0        # -<p,q> below which the chord form replaces arccosh
+
+
 def h2_dist(p: H2Point, q: H2Point) -> float:
-    """Geodesic distance arccosh(-<p, q>), clamped against roundoff."""
+    """Geodesic distance between two points.
+
+    arccosh(-<p, q>) loses half the digits near coincident points (an
+    argument 1 + 1e-16 is already a distance of 1.5e-8), so below DIST_NEAR
+    the distance comes from the Minkowski length of the chord p - q instead,
+    which is accurate down to zero.
+    """
     return _dist_raw(p.tup, q.tup)
 
 
 def _dist_raw(p: Triple, q: Triple) -> float:
-    return math.acosh(max(1.0, -_mdot(p, q)))
+    m = -_mdot(p, q)
+    if m >= DIST_NEAR:
+        return math.acosh(m)
+    d = _msub(p, q)
+    return 2.0 * math.asinh(0.5 * math.sqrt(max(0.0, _mdot(d, d))))
+
+
+def _dists_raw(p, q):
+    """``_dist_raw`` on triples of coordinate arrays."""
+    m = -_mdot(p, q)
+    d = _msub(p, q)
+    near = 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(0.0, _mdot(d, d))))
+    return np.where(m >= DIST_NEAR, np.arccosh(np.maximum(1.0, m)), near)
 
 
 # -- curves -------------------------------------------------------------------
@@ -141,8 +170,9 @@ class H2Curve:
 
     ``normals`` and ``kg`` are optional per-sample diagnostics (Frenet normal
     and signed geodesic curvature); integrated and recovered curves carry
-    them, hand-built sample curves need not.  Curves compare by identity so
-    dense evaluations can be memoized.
+    them, hand-built sample curves need not.  ``kg_fn`` takes a float or a
+    numpy array of arclengths.  Curves compare by identity so dense
+    evaluations can be memoized.
     """
 
     s: np.ndarray
@@ -151,7 +181,7 @@ class H2Curve:
     interpolation: str
     normals: np.ndarray | None = None
     kg: np.ndarray | None = None
-    kg_fn: Callable[[float], float] | None = field(default=None, repr=False)
+    kg_fn: Callable | None = field(default=None, repr=False)
     _frame_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -226,7 +256,9 @@ class H2Curve:
                 a, t, n = _reproject_frame(a, t, n)
             out = (a, t, n, float(self.kg_fn(s)))
         else:
-            a, t = self._hermite(i, s)
+            pos, vel = self._hermite(i, s)
+            a = _normalize_point(tuple(pos))
+            t = _normalize_spacelike(_project_tangent(a, tuple(vel)))
             n = _mcross(a, t)
             kg = float(np.interp(s, self.s, self.kg)) if self.kg is not None else math.nan
             out = (a, t, n, kg)
@@ -234,20 +266,53 @@ class H2Curve:
             self._frame_cache[s] = out
         return out
 
-    def _hermite(self, i: int, s: float) -> tuple[Triple, Triple]:
-        s0, s1 = float(self.s[i]), float(self.s[i + 1])
+    def _hermite(self, i, s):
+        """Cubic Hermite position and velocity, before re-projection.
+
+        ``i`` is the sample interval holding the arclength ``s``; given
+        arrays of both, the results are coordinate-major, shape (3, len(s)).
+        """
+        s0, s1 = self.s[i], self.s[i + 1]
         h = s1 - s0
         t = (s - s0) / h
-        p0, p1 = self.points[i], self.points[i + 1]
-        m0, m1 = self.tangents[i] * h, self.tangents[i + 1] * h
+        p0, p1 = self.points[i].T, self.points[i + 1].T
+        m0, m1 = self.tangents[i].T * h, self.tangents[i + 1].T * h
         t2, t3 = t * t, t * t * t
         pos = ((2 * t3 - 3 * t2 + 1) * p0 + (t3 - 2 * t2 + t) * m0
                + (-2 * t3 + 3 * t2) * p1 + (t3 - t2) * m1)
         vel = ((6 * t2 - 6 * t) * p0 + (3 * t2 - 4 * t + 1) * m0
                + (-6 * t2 + 6 * t) * p1 + (3 * t2 - 2 * t) * m1) / h
-        a = _normalize_point(tuple(pos))
-        tv = _normalize_spacelike(_project_tangent(a, tuple(vel)))
-        return a, tv
+        return pos, vel
+
+    def positions_at(self, s: np.ndarray) -> np.ndarray:
+        """Dense positions at an array of arclengths, shape (len(s), 3).
+
+        The rule of ``frame_at`` evaluated on whole arrays, with its checks
+        (arclengths outside the curve, non-finite curvature, frames that
+        leave the hyperboloid) and without its memo.  For ``rk4`` curves the
+        curvature function is called on arrays of arclengths.
+        """
+        s = np.asarray(s, dtype=float)
+        outside = (s < self.s_min - 1e-9) | (s > self.s_max + 1e-9)
+        if outside.any():
+            raise OutOfDomain(f"s = {s[outside][0]} outside [{self.s_min}, {self.s_max}]")
+        i = np.clip(np.searchsorted(self.s, s, side="right") - 1, 0, len(self.s) - 2)
+        if self.interpolation == "hermite":
+            pos, vel = self._hermite(i, s)
+            a = _normalize_points(tuple(pos))
+            _normalize_spacelikes(_project_tangent(a, tuple(vel)))  # frame_at's tangent check
+            return np.stack(a, axis=1)
+        out = self.points[i]
+        ds = s - self.s[i]
+        moved = np.flatnonzero(ds != 0.0)  # frame_at returns samples as stored
+        if moved.size:
+            j = i[moved]
+            a, t, n = _frenet_rk4_step(tuple(self.points[j].T), tuple(self.tangents[j].T),
+                                       tuple(self.normals[j].T), self.s[j], ds[moved],
+                                       self.kg_fn)
+            a, _, _ = _reproject_frame(a, t, n, _normalize_points, _normalize_spacelikes)
+            out[moved] = np.stack(a, axis=1)
+        return out
 
     def eval(self, s: float) -> tuple[H2Point, H2Tangent]:
         a, t, _, _ = self.frame_at(s)
@@ -289,12 +354,15 @@ def _frenet_rk4_step(a, t, n, s, h, kfn):
     return a_new, t_new, n_new
 
 
-def _reproject_frame(a: Triple, t: Triple, n: Triple):
-    a = _normalize_point(a)
-    t = _normalize_spacelike(_project_tangent(a, t))
+def _reproject_frame(a: Triple, t: Triple, n: Triple,
+                     point=_normalize_point, spacelike=_normalize_spacelike):
+    """Restore the frame constraints; the array normalizations re-project
+    triples of coordinate arrays."""
+    a = point(a)
+    t = spacelike(_project_tangent(a, t))
     n = _project_tangent(a, n)
     n = _msub(n, _mscale(_mdot(n, t), t))
-    n = _normalize_spacelike(n)
+    n = spacelike(n)
     return a, t, n
 
 
@@ -305,7 +373,10 @@ def curve_from_curvature(k_g: Callable[[float], float], s_range: tuple[float, fl
 
     The curve starts at ``start`` (origin by default) heading along
     ``direction``; k_g is signed with respect to the right-handed Frenet
-    normal.  Samples land on a uniform grid covering s_range.
+    normal.  Samples land on a uniform grid covering s_range.  The build
+    calls k_g with floats; ``positions_at``, and so the Hausdorff distance,
+    calls it with numpy arrays of arclengths, which the curvature factories
+    of this module accept.
     """
     s0, s1 = float(s_range[0]), float(s_range[1])
     if not (math.isfinite(s0) and math.isfinite(s1)) or s1 <= s0:
@@ -322,8 +393,14 @@ def curve_from_curvature(k_g: Callable[[float], float], s_range: tuple[float, fl
         t = direction.tup
     n = _mcross(a, t)
 
-    def kfn(s: float) -> float:
+    def kfn(s, ndarray=np.ndarray):  # a local name keeps the scalar calls of the build fast
         k = k_g(s)
+        if type(k) is ndarray and k.ndim:  # arclength arrays, from positions_at
+            bad = ~np.isfinite(k)
+            if bad.any():
+                raise BadCurvatureFunction(
+                    f"k_g({np.broadcast_to(s, k.shape)[bad][0]}) = {k[bad][0]}")
+            return k
         if not math.isfinite(k):
             raise BadCurvatureFunction(f"k_g({s}) = {k}")
         return float(k)
@@ -429,29 +506,51 @@ def curvature_profile(curve: H2Curve) -> tuple[np.ndarray, np.ndarray]:
 
 # -- comparison helpers ---------------------------------------------------------
 
-def point_to_curve_dist(p: H2Point, curve: H2Curve) -> float:
-    """Distance from a point to the curve (continuous, not just samples)."""
-    pt = np.asarray(p.tup)
-    inner = -(curve.points[:, 0] * pt[0]) + curve.points[:, 1] * pt[1] \
-        + curve.points[:, 2] * pt[2]
-    i = int(np.argmax(inner))  # -<p,q> smallest -> nearest sample
-    lo = float(curve.s[max(0, i - 1)])
-    hi = float(curve.s[min(len(curve.s) - 1, i + 1)])
+def points_to_curve_dist(q: np.ndarray, curve: H2Curve) -> np.ndarray:
+    """Distance from each point (row of the (m, 3) array q) to the curve,
+    continuous in the curve parameter, not just over its samples.
 
-    def f(s: float) -> float:
-        a, _, _, _ = curve.frame_at(s)
-        return _dist_raw(p.tup, a)
+    Each point's nearest sample brackets a golden-section search over the
+    two sample intervals around it.  The nearest samples come from the
+    query x sample inner products, NEAREST_CHUNK query rows at a time, so
+    memory stays bounded for long curves; the searches run in lockstep, so
+    each iteration evaluates the dense curve once at an array of arclengths.
+    """
+    q = np.asarray(q, dtype=float).reshape(-1, 3)
+    pts, s = curve.points, curve.s
+    nearest = np.empty(len(q), dtype=np.intp)
+    for k in range(0, len(q), NEAREST_CHUNK):
+        blk = q[k:k + NEAREST_CHUNK]
+        inner = -(pts[:, 0] * blk[:, 0:1]) + pts[:, 1] * blk[:, 1:2] \
+            + pts[:, 2] * blk[:, 2:3]
+        nearest[k:k + len(blk)] = np.argmax(inner, axis=1)  # -<p,q> smallest -> nearest
+    lo = s[np.maximum(nearest - 1, 0)]
+    hi = s[np.minimum(nearest + 1, len(s) - 1)]
+    qc = q.T
 
-    if hi <= lo:
-        return f(lo)
-    _, d = golden_min(f, lo, hi, tol=1e-12)
+    def dist(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+        a = tuple(curve.positions_at(x).T)
+        return _dists_raw(tuple(qc[:, idx]), a)
+
+    _, d = golden_min_batch(dist, lo, hi, tol=1e-12)
     return d
 
 
+def point_to_curve_dist(p: H2Point, curve: H2Curve) -> float:
+    """Distance from a point to the curve (continuous, not just samples)."""
+    return float(points_to_curve_dist(np.array([p.tup]), curve)[0])
+
+
 def curve_hausdorff(a: H2Curve, b: H2Curve) -> float:
-    """Symmetric Hausdorff distance between two curves (hyperbolic metric)."""
-    d1 = max(point_to_curve_dist(H2Point.of(tuple(q)), b) for q in a.points)
-    d2 = max(point_to_curve_dist(H2Point.of(tuple(q)), a) for q in b.points)
+    """Symmetric Hausdorff distance between two curves (hyperbolic metric).
+
+    Every sample of each curve is measured against the dense other curve by
+    :func:`points_to_curve_dist`: two lockstep golden-section searches in
+    all, whose cost is about 50 dense evaluations of each curve at arrays of
+    as many arclengths as the other curve has samples.
+    """
+    d1 = float(np.max(points_to_curve_dist(a.points, b)))
+    d2 = float(np.max(points_to_curve_dist(b.points, a)))
     return max(d1, d2)
 
 

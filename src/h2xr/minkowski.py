@@ -7,13 +7,18 @@ The bilinear form has signature (-, +, +):
 Points of the hyperbolic plane live on the upper sheet of <x, x> = -1.
 Public code passes :class:`SpacetimeVec`; the ``_m*`` helpers operate on raw
 float triples and are what the integrators and chart evaluators use in their
-inner loops.
+inner loops.  The arithmetic helpers also take triples of numpy arrays (one
+array per coordinate); the normalizations have array twins
+``_normalize_points`` and ``_normalize_spacelikes``, so the scalar ones keep
+their plain-float branches.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NumericalError
 
@@ -104,4 +109,24 @@ def _normalize_spacelike(v: Triple) -> Triple:
     if q <= 0.0:
         raise NumericalError(f"cannot normalize non-spacelike vector {v}")
     c = 1.0 / math.sqrt(q)
+    return (c * v[0], c * v[1], c * v[2])
+
+
+def _normalize_points(v):
+    """``_normalize_point`` on a triple of coordinate arrays."""
+    q = -_mdot(v, v)
+    if np.any(q <= 0.0):
+        raise NumericalError(f"cannot normalize non-timelike vectors to the hyperboloid "
+                             f"(<v,v> = {-q[q <= 0.0][0]})")
+    c = 1.0 / np.sqrt(q)
+    c = np.where(v[0] < 0.0, -c, c)
+    return (c * v[0], c * v[1], c * v[2])
+
+
+def _normalize_spacelikes(v):
+    """``_normalize_spacelike`` on a triple of coordinate arrays."""
+    q = _mdot(v, v)
+    if np.any(q <= 0.0):
+        raise NumericalError(f"cannot normalize non-spacelike vectors (<v,v> = {q[q <= 0.0][0]})")
+    c = 1.0 / np.sqrt(q)
     return (c * v[0], c * v[1], c * v[2])

@@ -1,5 +1,6 @@
 """Small numerical utilities: bracketed root finding, golden-section
-minimization, natural cubic splines, and finite-difference stencils.
+minimization (one bracket or many in lockstep), natural cubic splines, and a
+least-squares affine fit.
 
 Nothing here knows about geometry; everything is deterministic.
 """
@@ -20,35 +21,66 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
 def golden_min(f: Callable[[float], float], a: float, b: float,
                tol: float = 1e-12, max_iter: int = 200) -> tuple[float, float]:
-    """Minimize a unimodal function on [a, b].
+    """Minimize a unimodal function on [a, b]: the one-bracket case of
+    :func:`golden_min_batch`.
 
     Returns (argmin, min).  Tolerance is on the bracket width.
     """
-    if b < a:
-        a, b = b, a
+    x, fx = golden_min_batch(lambda _idx, xs: np.array([f(float(xs[0]))]),
+                             np.array([a], dtype=float), np.array([b], dtype=float),
+                             tol, max_iter)
+    return float(x[0]), float(fx[0])
+
+
+def golden_min_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                     a: np.ndarray, b: np.ndarray, tol: float = 1e-12,
+                     max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section searches over the brackets [a[k], b[k]], in lockstep.
+
+    ``f(idx, x)`` returns, for each k in the index array ``idx``, the value
+    of the k-th unimodal function at ``x[k]``.  Every bracket keeps its own
+    state and follows the same update rule until its width reaches ``tol``
+    or it has been updated ``max_iter`` times, so each result equals a search
+    of that bracket alone bit for bit; the lockstep only lets one call of
+    ``f`` serve every bracket still open.  Returns (argmins, minima).
+    """
+    lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    a, b = np.minimum(lo, hi), np.maximum(lo, hi)
     h = b - a
-    if h <= tol:
-        x = 0.5 * (a + b)
-        return x, f(x)
+    x = 0.5 * (a + b)  # the answer where the bracket is already within tol
+    fx = np.empty_like(x)
+    short = h <= tol
+    if short.any():
+        fx[short] = f(np.flatnonzero(short), x[short])
+    idx = np.flatnonzero(~short)
+    if not idx.size:
+        return x, fx
+    a, b, h = a[idx], b[idx], h[idx]
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
-    fc, fd = f(c), f(d)
+    fc, fd = f(idx, c), f(idx, d)
     for _ in range(max_iter):
-        if h <= tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INVPHI2 * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-    if fc < fd:
-        return c, fc
-    return d, fd
+        open_ = h > tol
+        if not open_.all():
+            shut = ~open_
+            x[idx[shut]], fx[idx[shut]] = _golden_best(c[shut], d[shut], fc[shut], fd[shut])
+            idx, a, b, c, d, fc, fd, h = (v[open_] for v in (idx, a, b, c, d, fc, fd, h))
+            if not idx.size:
+                return x, fx
+        lt = fc < fd
+        a, b = np.where(lt, a, c), np.where(lt, d, b)
+        h = b - a
+        y = a + np.where(lt, _INVPHI2, _INVPHI) * h
+        fy = f(idx, y)
+        c, d, fc, fd = (np.where(lt, y, d), np.where(lt, c, y),
+                        np.where(lt, fy, fd), np.where(lt, fc, fy))
+    x[idx], fx[idx] = _golden_best(c, d, fc, fd)
+    return x, fx
+
+
+def _golden_best(c, d, fc, fd):
+    lt = fc < fd
+    return np.where(lt, c, d), np.where(lt, fc, fd)
 
 
 def bracket_root(f: Callable[[float], float], a: float, b: float,
@@ -88,7 +120,10 @@ def bracket_root(f: Callable[[float], float], a: float, b: float,
 
 
 class CubicSpline1D:
-    """Natural cubic spline through (x, y) knots, with first derivative."""
+    """Natural cubic spline through (x, y) knots, with first derivative.
+
+    Both evaluate at a float or elementwise at a numpy array of abscissae.
+    """
 
     def __init__(self, xs: Sequence[float], ys: Sequence[float]):
         x = np.asarray(xs, dtype=float)
@@ -114,55 +149,39 @@ class CubicSpline1D:
                 rhs[k] = 6.0 * ((y[i + 1] - y[i]) / h[i] - (y[i] - y[i - 1]) / h[i - 1])
             m[1:-1] = np.linalg.solve(a, rhs)
         self.x, self.y, self.h, self.m = x, y, h, m
+        # float lists for scalar calls, which sit on the curve-build and jet
+        # paths: list indexing and float arithmetic are several times faster
+        # than numpy scalars, and give the same IEEE results
+        self._lists = (x.tolist(), y.tolist(), h.tolist(), m.tolist())
 
-    def _segment(self, t: float) -> int:
-        i = bisect_right(self.x.tolist(), t) - 1
-        return min(max(i, 0), len(self.x) - 2)
+    def _segment(self, t):
+        """Interval index of t and the knot data to index with it."""
+        if isinstance(t, np.ndarray):
+            i = np.searchsorted(self.x, t, side="right") - 1
+            return np.clip(i, 0, len(self.x) - 2), self.x, self.y, self.h, self.m
+        x, y, h, m = self._lists
+        i = bisect_right(x, t) - 1
+        if i < 0:
+            i = 0
+        elif i > len(x) - 2:
+            i = len(x) - 2
+        return i, x, y, h, m
 
-    def __call__(self, t: float) -> float:
-        i = self._segment(t)
-        x, y, h, m = self.x, self.y, self.h, self.m
+    def __call__(self, t):
+        i, x, y, h, m = self._segment(t)
         dx = t - x[i]
         dx1 = x[i + 1] - t
         return (m[i] * dx1 ** 3 + m[i + 1] * dx ** 3) / (6.0 * h[i]) \
             + (y[i] / h[i] - m[i] * h[i] / 6.0) * dx1 \
             + (y[i + 1] / h[i] - m[i + 1] * h[i] / 6.0) * dx
 
-    def deriv(self, t: float) -> float:
-        i = self._segment(t)
-        x, y, h, m = self.x, self.y, self.h, self.m
+    def deriv(self, t):
+        i, x, y, h, m = self._segment(t)
         dx = t - x[i]
         dx1 = x[i + 1] - t
         return (-m[i] * dx1 ** 2 + m[i + 1] * dx ** 2) / (2.0 * h[i]) \
             - (y[i] / h[i] - m[i] * h[i] / 6.0) \
             + (y[i + 1] / h[i] - m[i + 1] * h[i] / 6.0)
-
-
-def central_diff_1(values: np.ndarray, h: float) -> np.ndarray:
-    """First derivative of uniformly sampled values, matching array length.
-
-    Fourth-order centered stencil in the interior (falling back to
-    second-order near the ends, one-sided at the very ends).
-    """
-    v = np.asarray(values, dtype=float)
-    n = v.shape[0]
-    if n < 3:
-        raise NumericalError("need at least 3 samples to differentiate")
-    d = np.empty_like(v)
-    d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    if n >= 5:
-        d[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-    return d
-
-
-def second_diff(values: np.ndarray, h: float) -> np.ndarray:
-    """Second difference of uniformly sampled values (interior points only)."""
-    v = np.asarray(values, dtype=float)
-    if v.shape[0] < 3:
-        raise NumericalError("need at least 3 samples for a second difference")
-    return (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
 
 
 def affine_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

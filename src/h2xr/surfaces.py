@@ -113,9 +113,6 @@ class Surface:
         except OverflowError as exc:
             raise NumericalError(f"overflow evaluating {self.label} at ({u}, {v})") from exc
 
-    def position(self, u: float, v: float) -> ProdPoint:
-        return self.jet(u, v).X
-
 
 def _ambient(h: Triple, t: float) -> AmbientVec:
     return AmbientVec(SpacetimeVec.of(h), t)

@@ -24,10 +24,10 @@ self-auditing.  Check identifiers:
 
 Step-halving details: traces on cylinder presets are exact in chart
 coordinates (the asymptotic direction is exactly vertical), so their
-deviations sit at the metric roundoff floor (~1e-8, from arccosh near 1)
-at every step size.  The halving sub-check therefore passes when the halved
-deviation either improves threefold or is already below 1e-6, i.e. well
-under the 1e-5 requirement and at the floor.
+deviations sit at roundoff level at every step size.  The halving
+sub-check therefore passes when the halved deviation either improves
+threefold or is already below 1e-6, i.e. well under the 1e-5 requirement
+and at the floor.
 """
 
 from __future__ import annotations

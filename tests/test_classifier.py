@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from h2xr.classifier import (CYLINDER, NOT_FLAT, classify_surface,
+from h2xr.classifier import (CYLINDER, INCONSISTENT, NOT_FLAT, classify_surface,
                              extract_rulings, flatness_scan, planar_set_map,
                              recover_generating_curve, verdict_to_json)
 from h2xr.errors import EmptyIntersection, NotParabolic
@@ -18,7 +18,7 @@ from h2xr.hyperbolic import H2Tangent
 from h2xr.minkowski import SpacetimeVec
 from h2xr.verification import parabolic_seeds
 
-from conftest import COTH1
+from conftest import COTH1, faulty_at_cell_centres
 
 
 class TestFlatnessScan:
@@ -133,6 +133,15 @@ class TestClassifySurface:
         assert v.generating_curve is not None
         _, kg = curvature_profile(v.generating_curve)
         assert np.max(np.abs(kg)) < 1e-6
+
+    @pytest.mark.parametrize("v_min, failed", [(2.8, 21), (2.0, 63)])
+    def test_failed_cells_make_the_scan_inconclusive(self, circle_cylinder, v_min, failed):
+        # the maxima over the cells that did evaluate are flat, so without
+        # the failure count this chart would pass as a cylinder
+        v = classify_surface(faulty_at_cell_centres(circle_cylinder, 21, v_min))
+        assert v.verdict == INCONSISTENT
+        assert v.evidence.notes == [f"flatness scan: {failed} cells failed with NOT_IMMERSED"]
+        assert verdict_to_json(v)["notes"] == v.evidence.notes
 
     def test_recovered_curve_hausdorff(self, circle_cylinder, circle_curve):
         v = classify_surface(circle_cylinder)

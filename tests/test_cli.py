@@ -8,6 +8,8 @@ import pytest
 from h2xr.cli import main
 from h2xr.surfaces import CORPUS_CONFIGS
 
+from conftest import faulty_at_cell_centres
+
 SLICE_CFG = {"surface": {"kind": "slice", "t0": 0.0, "radius": 2.0}}
 CIRCLE_CFG = {"surface": CORPUS_CONFIGS["cylinder_circle"]}
 INFLECTION_CFG = {"surface": CORPUS_CONFIGS["cylinder_inflection"]}
@@ -126,19 +128,17 @@ class TestClassifyCommand:
         assert main(["--config", cfg, "--out", str(tmp_path), "classify"]) == 3
 
     def test_inconsistent_exits_5(self, tmp_path, monkeypatch):
-        # valid flat charts always classify as cylinders, so force the
-        # verdict to exercise the exit-code mapping
+        # a chart that fails at some scan cells: its verdict is INCONSISTENT
         import h2xr.cli as cli
-        from h2xr.classifier import (CylinderVerdict, INCONSISTENT,
-                                     VerdictEvidence, flatness_scan)
-        from h2xr.surfaces import preset
+        from h2xr.surfaces import from_config
 
-        rep = flatness_scan(preset("cylinder_circle"), 8, 1e-6)
-        fake = CylinderVerdict(INCONSISTENT, 1.0, None,
-                               VerdictEvidence(rep, None, [], ["forced"]), 1e-6)
-        monkeypatch.setattr(cli, "classify_surface", lambda s, c: fake)
+        monkeypatch.setattr(cli, "from_config", lambda cfg: faulty_at_cell_centres(
+            from_config(cfg), 21, 2.8))
         cfg = write_cfg(tmp_path, CIRCLE_CFG)
         assert main(["--config", cfg, "--out", str(tmp_path / "out"), "classify"]) == 5
+        verdict = json.loads((tmp_path / "out" / "verdict.json").read_text())
+        assert verdict["verdict"] == "INCONSISTENT"
+        assert verdict["notes"] == ["flatness scan: 21 cells failed with NOT_IMMERSED"]
 
 
 class TestGeodesicCommand:

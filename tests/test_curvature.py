@@ -1,6 +1,9 @@
 """Fundamental forms, shape operator, the two intrinsic-curvature routes,
 point classification and the grid scanner."""
 
+import dataclasses
+import math
+
 import pytest
 
 from h2xr.curvature import (GENERIC, GRID_HEADER, PARABOLIC, PLANAR,
@@ -132,6 +135,13 @@ class TestCurvatureGrid:
     def test_grid_size_validation(self, slice_surface):
         with pytest.raises(ConfigError):
             curvature_grid(slice_surface, 1, 5)
+
+    def test_brioschi_opt_out_changes_only_its_column(self, perturbed_cylinder):
+        full = curvature_grid(perturbed_cylinder, 8, 8)
+        lean = curvature_grid(perturbed_cylinder, 8, 8, brioschi=False)
+        assert all(math.isnan(r.Kint_brioschi) for r in lean.rows)
+        assert [dataclasses.replace(r, Kint_brioschi=0.0) for r in full.rows] == \
+            [dataclasses.replace(r, Kint_brioschi=0.0) for r in lean.rows]
 
     def test_jobs_parallel_matches_serial(self, slice_surface):
         g1 = curvature_grid(slice_surface, 8, 8)

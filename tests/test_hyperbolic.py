@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 
 from h2xr.errors import (BadCurvatureFunction, NonUnitTangent, NumericalError,
                          OutOfDomain)
-from h2xr.hyperbolic import (H2Curve, H2Point, H2Tangent, curvature_profile,
-                             curve_from_curvature, h2_covariant_deriv, h2_dist,
-                             h2_exp, h2_project_tangent,
-                             measure_geodesic_curvature)
-from h2xr.minkowski import SpacetimeVec, minkowski_inner
+from h2xr.hyperbolic import (H2Curve, H2Point, H2Tangent, _dists_raw,
+                             curvature_profile, curve_from_curvature, curve_hausdorff,
+                             h2_covariant_deriv, h2_dist, h2_exp,
+                             h2_project_tangent, linear_curvature,
+                             measure_geodesic_curvature, spline_curvature)
+from h2xr.minkowski import (SpacetimeVec, _normalize_point, _normalize_points,
+                            _normalize_spacelike, _normalize_spacelikes,
+                            minkowski_inner)
 
-from conftest import COTH1, h2_points, h2_unit_tangents
+from conftest import COTH1, h2_points, h2_unit_tangents, scalar_golden_min
 
 ORIGIN = H2Point.of((1.0, 0.0, 0.0))
 E1 = H2Tangent(ORIGIN, SpacetimeVec.of((0.0, 1.0, 0.0)))
@@ -118,6 +121,21 @@ class TestDist:
     def test_triangle_inequality(self, p, q, r):
         assert h2_dist(p, r) <= h2_dist(p, q) + h2_dist(q, r) + 1e-9
 
+    @pytest.mark.parametrize("d", [1e-12, 1e-9, 6e-8, 1e-4, 1.0, 1.3, 1.4, 5.0])
+    def test_accurate_near_and_far(self, d):
+        # arccosh(-<p,q>) alone would give 0 for 1e-12 and ~5.6e-8 for 6e-8
+        p = H2Point.of((math.sqrt(1.0 + 0.125 ** 2), 0.0, 0.125))
+        v = SpacetimeVec.of((0.0, 1.0, 0.0))
+        q = h2_exp(p, H2Tangent(p, v), d)
+        assert h2_dist(p, q) == pytest.approx(d, rel=1e-12)
+        assert h2_dist(q, p) == h2_dist(p, q)
+
+    @given(h2_points(), h2_points())
+    def test_array_twin_matches_scalar(self, p, q):
+        batch = _dists_raw(tuple(np.array([x]) for x in p.tup),
+                           tuple(np.array([x]) for x in q.tup))
+        assert float(batch[0]) == pytest.approx(h2_dist(p, q), rel=1e-14, abs=1e-15)
+
 
 class TestCovariantDeriv:
     def test_geodesic_velocity_is_parallel(self):
@@ -201,3 +219,93 @@ class TestCurveFromCurvature:
         assert abs(minkowski_inner(t.w, t.w) - 1.0) < 1e-12
         assert h2_dist(H2Point.of(tuple(circle_curve.points[100])), p) == \
             pytest.approx(0.5 * circle_curve.step, abs=1e-8)
+
+
+def hyperbolic_circle(r: float, step: float) -> H2Curve:
+    """The circle of radius r about the model origin, once around."""
+    start = H2Point.of((math.cosh(r), math.sinh(r), 0.0))
+    return curve_from_curvature(lambda s: math.cosh(r) / math.sinh(r),
+                                (0.0, 2.0 * math.pi * math.sinh(r)), step, start,
+                                H2Tangent(start, SpacetimeVec.of((0.0, 0.0, 1.0))))
+
+
+def hermite_copy(c: H2Curve) -> H2Curve:
+    return H2Curve.from_samples(c.s, c.points, c.tangents, c.normals, c.kg)
+
+
+DENSE_CURVES = {
+    "constant": curve_from_curvature(lambda s: COTH1, (0.0, 3.0), 0.05),
+    "linear": curve_from_curvature(linear_curvature(2.0, -1.0), (0.0, 2.0), 0.05),
+    "spline": curve_from_curvature(spline_curvature([0.0, 0.8, 1.7, 2.5], [0.3, -1.2, 0.9, 2.0]),
+                                   (0.0, 2.5), 0.05),
+}
+DENSE_CURVES["hermite"] = hermite_copy(DENSE_CURVES["spline"])
+
+
+def reference_point_to_curve_dist(p, curve: H2Curve) -> float:
+    """One scalar golden-section search over frame_at, per point."""
+    inner = -(curve.points[:, 0] * p[0]) + curve.points[:, 1] * p[1] + curve.points[:, 2] * p[2]
+    i = int(np.argmax(inner))
+    lo = float(curve.s[max(0, i - 1)])
+    hi = float(curve.s[min(len(curve.s) - 1, i + 1)])
+    return scalar_golden_min(lambda s: h2_dist(H2Point.of(tuple(p)),
+                                               H2Point.of(curve.frame_at(s)[0])), lo, hi)[1]
+
+
+class TestDenseBatch:
+    @pytest.mark.parametrize("a, b", [(0.5, 0.8), (1.2, 0.7)])
+    @pytest.mark.parametrize("hermite", [False, True])
+    def test_concentric_circles_hausdorff(self, a, b, hermite):
+        ca, cb = hyperbolic_circle(a, 0.01), hyperbolic_circle(b, 0.01)
+        if hermite:
+            ca, cb = hermite_copy(ca), hermite_copy(cb)
+        assert curve_hausdorff(ca, cb) == pytest.approx(abs(a - b), abs=1e-9)
+
+    @given(st.sampled_from(sorted(DENSE_CURVES)),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_positions_equal_frame_at(self, name, fracs, on_samples):
+        c = DENSE_CURVES[name]
+        if on_samples:  # dense output returns the stored samples there
+            s = c.s[np.round(np.array(fracs) * (len(c.s) - 1)).astype(int)]
+        else:
+            s = c.s_min + np.array(fracs) * (c.s_max - c.s_min)
+        scalar = np.array([c.frame_at(float(x))[0] for x in s])
+        assert np.max(np.abs(c.positions_at(s) - scalar)) <= 1e-14
+
+    def test_out_of_domain_in_batch(self):
+        c = DENSE_CURVES["linear"]
+        with pytest.raises(OutOfDomain):
+            c.positions_at(np.array([0.5, c.s_max + 1e-6, 1.0]))
+
+    def test_non_finite_curvature_in_batch(self):
+        # finite on the scalar calls that build the curve, NaN on arrays
+        c = curve_from_curvature(lambda s: np.full(np.shape(s), math.nan) if np.ndim(s) else 1.0,
+                                 (0.0, 1.0), 0.1)
+        with pytest.raises(BadCurvatureFunction):
+            c.positions_at(np.array([0.25, 0.55]))
+
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+    def test_array_normalizations_match_scalar(self, v):
+        x0 = math.sqrt(1.0 + v[1] ** 2 + v[2] ** 2) + abs(v[0])
+        for scalar, array, vec in ((_normalize_point, _normalize_points, (x0, v[1], v[2])),
+                                   (_normalize_point, _normalize_points, (-x0, v[1], v[2])),
+                                   (_normalize_spacelike, _normalize_spacelikes,
+                                    (v[0], x0, v[2]))):
+            batch = array(tuple(np.array([x]) for x in vec))
+            assert tuple(float(x[0]) for x in batch) == scalar(vec)
+
+    def test_array_normalizations_reject(self):
+        with pytest.raises(NumericalError):
+            _normalize_points((np.array([2.0, 0.0]), np.array([1.0, 1.0]), np.array([0.0, 0.0])))
+        with pytest.raises(NumericalError):
+            _normalize_spacelikes((np.array([0.0, 1.0]), np.array([1.0, 0.0]),
+                                   np.array([0.0, 0.0])))
+
+    @pytest.mark.parametrize("name", ["constant", "spline"])
+    def test_hausdorff_equals_scalar_searches(self, name):
+        a = DENSE_CURVES[name]
+        b = hermite_copy(curve_from_curvature(a.kg_fn, (0.0, 2.5), 0.03))
+        ref = max(max(reference_point_to_curve_dist(p, b) for p in a.points),
+                  max(reference_point_to_curve_dist(p, a) for p in b.points))
+        assert curve_hausdorff(a, b) == pytest.approx(ref, abs=1e-15)
