@@ -27,7 +27,7 @@ from .curvature import CurvatureGrid, PARABOLIC, PLANAR, curvature_grid
 from .errors import (ConfigError, EmptyIntersection, GeometryError,
                      NumericalError)
 from .flows import PLANAR_HIT, TraceRecord, geodesic_deviation, trace_asymptotic
-from .hyperbolic import H2Curve, curvature_profile
+from .hyperbolic import H2Curve, _dists_raw, curvature_profile
 from .minkowski import _mcross, _mdot, _normalize_spacelike, _project_tangent
 from .numerics import bracket_root
 from .surfaces import Surface
@@ -49,7 +49,6 @@ class ClassifierConfig:
     trace_step: float = 1e-3
     n_seeds: int = 8
     recovery_samples: int = 1201
-    jobs: int = 1
 
     def __post_init__(self):
         for name in ("flatness_tol", "verticality_tol", "planar_tol",
@@ -130,8 +129,7 @@ class CylinderVerdict:
 # -- pipeline stages ---------------------------------------------------------------
 
 def flatness_scan(S: Surface, n: int, tol: float,
-                  planar_tol: float = 1e-7,
-                  jobs: int = 1) -> FlatnessReport:
+                  planar_tol: float = 1e-7) -> FlatnessReport:
     """Grid maxima of |Kint| and |Kext| over the cells that evaluated; passes
     when both stay below tol.
 
@@ -141,7 +139,7 @@ def flatness_scan(S: Surface, n: int, tol: float,
     """
     if n < 8:
         raise ConfigError("flatness scan needs a grid of at least 8x8")
-    grid = curvature_grid(S, n, n, tol=planar_tol, brioschi=False, jobs=jobs)
+    grid = curvature_grid(S, n, n, tol=planar_tol, brioschi=False)
     ok = grid.valid_rows()
     if not ok:
         raise NumericalError(f"no grid point of {S.label} could be evaluated")
@@ -196,10 +194,8 @@ def planar_set_map(S: Surface, n: int | None = None, tol: float = 1e-7,
 
 def _ruling_verticality(tr: TraceRecord) -> float:
     """Max hyperbolic drift of the trace footprints from the seed footprint."""
-    i0 = int(np.argmin(np.abs(tr.s)))
-    seed = tr.h[i0]
-    inner = -(tr.h[:, 0] * seed[0]) + tr.h[:, 1] * seed[1] + tr.h[:, 2] * seed[2]
-    return float(np.max(np.arccosh(np.maximum(1.0, -inner))))
+    seed = tr.h[int(np.argmin(np.abs(tr.s)))]
+    return float(np.max(_dists_raw(tuple(tr.h.T), tuple(seed))))
 
 
 def extract_rulings(S: Surface, seeds: list[tuple[float, float]], length: float,
@@ -293,7 +289,7 @@ def recover_generating_curve(S: Surface, t0: float, n: int) -> H2Curve:
         if abs(jet.Xv.t) < 1e-12:
             raise NumericalError("slice is not transversal to the chart")
         vp = -jet.Xu.t / jet.Xv.t
-        beta = jet.X.h.tup
+        beta = jet.X.htup
         bp = tuple(a + vp * b for a, b in zip(jet.Xu.htup, jet.Xv.htup))
         speed = math.sqrt(max(0.0, _mdot(bp, bp)))
         vpp = -(jet.Xuu.t + 2.0 * jet.Xuv.t * vp + jet.Xvv.t * vp * vp) / jet.Xv.t
@@ -328,7 +324,7 @@ def classify_surface(S: Surface, config: ClassifierConfig = ClassifierConfig()) 
     """Run the full detection pipeline and assemble the verdict."""
     notes: list[str] = []
     rep = flatness_scan(S, config.grid_n, config.flatness_tol,
-                        planar_tol=config.planar_tol, jobs=config.jobs)
+                        planar_tol=config.planar_tol)
     failed = Counter(r.status for r in rep.grid.rows if r.status != "ok")
     if failed:
         # the maxima cover only the cells that evaluated, so neither verdict holds

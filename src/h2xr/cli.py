@@ -10,7 +10,8 @@ Commands
 
 Global flags: ``--config PATH`` (JSON run configuration), ``--out DIR``,
 ``--tol KEY=VAL`` (repeatable; keys flatness, verticality, planar),
-``--jobs N``, ``--seed N``.
+``--seed N``.  ``--jobs N`` is accepted and ignored: every command runs in
+one thread.
 
 Exit codes: 0 success (including NOT_FLAT verdicts), 1 verification suite
 failed, 2 bad configuration, 3 numerical failure, 4 trace seeded at a
@@ -93,7 +94,6 @@ class RunConfig:
                                                 "planar": 1e-7})
     out: Path = Path(".")
     seed: int = 0
-    jobs: int = 1
     corpus: list | None = None
 
     def classifier_config(self) -> ClassifierConfig:
@@ -101,8 +101,7 @@ class RunConfig:
                                 verticality_tol=self.tols["verticality"],
                                 planar_tol=self.tols["planar"],
                                 trace_length=self.trace_length,
-                                trace_step=self.trace_step,
-                                jobs=self.jobs)
+                                trace_step=self.trace_step)
 
 
 def _positive(x, name: str) -> float:
@@ -161,7 +160,6 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("'corpus' must be a list of {surface, expect} objects")
     cfg.out = Path(args.out)
     cfg.seed = int(args.seed)
-    cfg.jobs = max(1, int(args.jobs))
     return cfg
 
 
@@ -184,8 +182,7 @@ def _dump_json(path: Path, obj) -> None:
 
 def cmd_curvature(cfg: RunConfig) -> int:
     surface = _require_surface(cfg)
-    grid = curvature_grid(surface, cfg.grid_nu, cfg.grid_nv,
-                          tol=cfg.tols["planar"], jobs=cfg.jobs)
+    grid = curvature_grid(surface, cfg.grid_nu, cfg.grid_nv, tol=cfg.tols["planar"])
     ok = grid.valid_rows()
     if not ok:
         raise NumericalError(f"no grid point of {surface.label} could be evaluated")
@@ -296,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory", default=".")
     parser.add_argument("--tol", action="append", metavar="KEY=VAL",
                         help="tolerance override (flatness, verticality, planar)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted and ignored (every command runs in one thread)")
     parser.add_argument("--seed", type=int, default=0, help="random seed for probes")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GeometryError, NotImmersed, NumericalError, OutOfDomain
-from .minkowski import SpacetimeVec, _mdot, _project_tangent
+from .minkowski import _mdot, _project_tangent
 from .product import AmbientVec
 from .surfaces import Surface, SurfaceJet, unit_normal
 
@@ -73,8 +73,8 @@ class FundamentalForms:
 
     def flipped(self) -> "FundamentalForms":
         """Same point with the opposite normal orientation."""
-        neg = AmbientVec(SpacetimeVec(-self.normal.h.x0, -self.normal.h.x1,
-                                      -self.normal.h.x2), -self.normal.t)
+        n = self.normal.htup
+        neg = AmbientVec((-n[0], -n[1], -n[2]), -self.normal.t)
         return FundamentalForms(self.E, self.F, self.G,
                                 -self.L, -self.M2, -self.N2, neg, -self.nu)
 
@@ -116,7 +116,7 @@ def forms_from_jet(jet: SurfaceJet) -> FundamentalForms:
     if E * G - F * F <= 1e-12:
         raise NotImmersed("degenerate jet")
     normal = unit_normal(jet)
-    p = jet.X.h.tup
+    p = jet.X.htup
 
     def second(w: AmbientVec) -> float:
         cov_h = _project_tangent(p, w.htup)
@@ -351,7 +351,7 @@ def grid_points(S: Surface, nu_: int, nv_: int) -> list[tuple[float, float]]:
 def curvature_grid(S: Surface, nu_: int, nv_: int,
                    tol: float = DEFAULT_CLASS_TOL,
                    stencil_h: float = DEFAULT_STENCIL_H,
-                   jobs: int = 1, brioschi: bool = True) -> CurvatureGrid:
+                   brioschi: bool = True) -> CurvatureGrid:
     """Curvature table over grid cell centers, row-major in (u, v).
 
     Failures at isolated points are recorded in the row's status column and
@@ -372,11 +372,4 @@ def curvature_grid(S: Surface, nu_: int, nv_: int,
             nan = math.nan
             return GridRow(u, v, nan, nan, nan, nan, nan, nan, nan, "", exc.code)
 
-    pts = grid_points(S, nu_, nv_)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(one, pts))
-    else:
-        rows = [one(p) for p in pts]
-    return CurvatureGrid(rows, nu_, nv_)
+    return CurvatureGrid([one(p) for p in grid_points(S, nu_, nv_)], nu_, nv_)

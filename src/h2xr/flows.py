@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import (PARABOLIC, ShapeData, classify_point, forms_from_jet,
-                        principal_curvatures)
+from .curvature import (PARABOLIC, classify_point, forms_from_jet,
+                        principal_curvatures, shape_data)
 from .errors import (DegenerateDirection, InsufficientSamples, NotParabolic,
                      NumericalError, OutOfDomain, PlanarSample)
 from .hyperbolic import H2Point, H2Tangent
@@ -199,9 +199,7 @@ def trace_asymptotic(S: Surface, u0: float, v0: float, length: float,
         return hit
 
     jet0, forms0, k1_0, k2_0, d1_0, d2_0 = eval_at(u0, v0)
-    cls = classify_point(
-        ShapeData(k1_0, k2_0, d1_0, d2_0, 0.5 * (k1_0 + k2_0), k1_0 * k2_0,
-                  k1_0 * k2_0 - forms0.nu ** 2, math.nan), tol)
+    cls = classify_point(shape_data(forms0), tol)
     if cls.tag != PARABOLIC:
         raise NotParabolic(f"seed ({u0}, {v0}) classifies {cls.tag}")
     if abs(k2_0) - abs(k1_0) < 10.0 * tol:
@@ -268,7 +266,7 @@ def trace_asymptotic(S: Surface, u0: float, v0: float, length: float,
     for i, (u, v, jet, forms, k1v, k2v, d1v, d2v) in enumerate(ordered):
         s[i] = (i - n_b) * step
         uv[i] = (u, v)
-        hpts[i] = jet.X.h.tup
+        hpts[i] = jet.X.htup
         ts[i] = jet.X.t
         k2s[i] = k2v
         hs[i] = 0.5 * (k1v + k2v)
@@ -284,7 +282,7 @@ def trace_asymptotic(S: Surface, u0: float, v0: float, length: float,
             e2_amb = -e2_amb
         e2s[i] = e2_amb
         lams[i] = _lambda_at(eval_at, S.domain, u, v, d2v, e2_amb, d1_amb,
-                             jet.X.h.tup) if with_connection else math.nan
+                             jet.X.htup) if with_connection else math.nan
 
     return TraceRecord(s, uv, hpts, ts, k2s, hs, lams, e2s, e3s, stop, step, tol)
 

@@ -51,6 +51,16 @@ NEAREST_CHUNK = 128    # query rows per block of the query x sample inner produc
 ORIGIN_T: Triple = (1.0, 0.0, 0.0)
 
 
+def _check_on_sheet(v: Triple) -> None:
+    """Raise NumericalError unless the finite triple v lies on the upper sheet,
+    at the relative tolerance :class:`H2Point` documents."""
+    q = _mdot(v, v)
+    if abs(q + 1.0) > POINT_TOL * (1.0 + v[0] * v[0]):
+        raise NumericalError(f"<v,v> = {q}, not on the hyperboloid")
+    if v[0] < 1.0 - POINT_TOL:
+        raise NumericalError("point not on the upper sheet")
+
+
 @dataclass(frozen=True, slots=True)
 class H2Point:
     """Point on the upper sheet of the hyperboloid.
@@ -64,11 +74,7 @@ class H2Point:
     v: SpacetimeVec
 
     def __post_init__(self):
-        q = minkowski_inner(self.v, self.v)
-        if abs(q + 1.0) > POINT_TOL * (1.0 + self.v.x0 * self.v.x0):
-            raise NumericalError(f"<v,v> = {q}, not on the hyperboloid")
-        if self.v.x0 < 1.0 - POINT_TOL:
-            raise NumericalError("point not on the upper sheet")
+        _check_on_sheet(self.v.tup)
 
     @property
     def tup(self) -> Triple:

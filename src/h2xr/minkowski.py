@@ -34,8 +34,7 @@ class SpacetimeVec:
     x2: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x0) and math.isfinite(self.x1) and math.isfinite(self.x2)):
-            raise NumericalError(f"non-finite coordinates {(self.x0, self.x1, self.x2)}")
+        _check_finite((self.x0, self.x1, self.x2))
 
     @property
     def tup(self) -> Triple:
@@ -52,6 +51,11 @@ def minkowski_inner(a: SpacetimeVec, b: SpacetimeVec) -> float:
 
 
 # -- raw-triple helpers ------------------------------------------------------
+
+def _check_finite(v: Triple) -> None:
+    if not (math.isfinite(v[0]) and math.isfinite(v[1]) and math.isfinite(v[2])):
+        raise NumericalError(f"non-finite coordinates {v}")
+
 
 def _mdot(a: Triple, b: Triple) -> float:
     return -a[0] * b[0] + a[1] * b[1] + a[2] * b[2]

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,16 +38,12 @@ class ProdPoint:
             raise NumericalError(f"non-finite height {self.t}")
 
 
-@dataclass(frozen=True, slots=True)
-class AmbientVec:
-    """Coordinate vector of the ambient space (not necessarily tangent)."""
+class AmbientVec(NamedTuple):
+    """Unchecked ambient coordinate vector (not necessarily tangent): a
+    horizontal triple and a height component."""
 
-    h: SpacetimeVec
+    htup: Triple
     t: float
-    htup: Triple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "htup", self.h.tup)
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,8 +13,10 @@ built.  Presets:
 * ``perturb`` - displace any chart along its unit normal by a bump
   (negative controls for the flatness tests).
 
-Charts must be immersions; every jet checks the Gram determinant of its
-first derivatives and the tangency of their horizontal parts.
+A jet is six plain ambient vectors (coordinate triple plus height), the
+first of them the point.  Building a ``SurfaceJet`` checks it once: finite
+coordinates and height, a footprint on the upper sheet, first derivatives
+tangent to it, and a Gram determinant that makes the chart an immersion.
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ import numpy as np
 
 from .errors import (ConfigError, NonUnitCurve, NotImmersed, NumericalError,
                      OutOfDomain)
-from .hyperbolic import (H2Curve, H2Point, _exp_raw, constant_curvature,
-                         curvature_profile, curve_from_curvature,
-                         linear_curvature, spline_curvature)
-from .minkowski import (SpacetimeVec, Triple, _mcomb, _mcross, _mdot,
+from .hyperbolic import (H2Curve, _check_on_sheet, _exp_raw,
+                         constant_curvature, curvature_profile,
+                         curve_from_curvature, linear_curvature,
+                         spline_curvature)
+from .minkowski import (Triple, _check_finite, _mcomb, _mcross, _mdot,
                         _mscale, _normalize_spacelike, _project_tangent)
-from .product import AmbientVec, ProdPoint
+from .product import AmbientVec
 
 DEFAULT_CYLINDER_HEIGHT = 3.0
 DEFAULT_CURVE_STEP = 1e-3
@@ -69,9 +72,11 @@ class ChartDomain:
 
 @dataclass(frozen=True, slots=True)
 class SurfaceJet:
-    """Chart point with coordinate derivatives through second order."""
+    """Chart point ``X`` (footprint triple and height) with coordinate
+    derivatives through second order; checked once, here (NumericalError,
+    or NotImmersed for a degenerate Gram determinant)."""
 
-    X: ProdPoint
+    X: AmbientVec
     Xu: AmbientVec
     Xv: AmbientVec
     Xuu: AmbientVec
@@ -79,7 +84,12 @@ class SurfaceJet:
     Xvv: AmbientVec
 
     def __post_init__(self):
-        p = self.X.h.tup
+        for w in (self.X, self.Xu, self.Xv, self.Xuu, self.Xuv, self.Xvv):
+            _check_finite(w.htup)
+        if not math.isfinite(self.X.t):
+            raise NumericalError(f"non-finite height {self.X.t}")
+        p = self.X.htup
+        _check_on_sheet(p)
         for w in (self.Xu, self.Xv):
             drift = _mdot(w.htup, p)
             if abs(drift) > 1e-8 * (1.0 + abs(_mdot(w.htup, w.htup))):
@@ -95,8 +105,7 @@ class SurfaceJet:
 class Surface:
     """Chart evaluator plus its domain and bookkeeping.
 
-    Evaluators must be pure; concurrent evaluation at distinct chart points
-    is part of the contract.
+    Evaluators must be pure.
     """
 
     chart: Callable[[float, float], SurfaceJet]
@@ -114,10 +123,6 @@ class Surface:
             raise NumericalError(f"overflow evaluating {self.label} at ({u}, {v})") from exc
 
 
-def _ambient(h: Triple, t: float) -> AmbientVec:
-    return AmbientVec(SpacetimeVec.of(h), t)
-
-
 def unit_normal(jet: SurfaceJet) -> AmbientVec:
     """Oriented unit normal of a chart jet in the product metric.
 
@@ -132,7 +137,7 @@ def unit_normal(jet: SurfaceJet) -> AmbientVec:
     Frenet normal of the generating curve, so the nonzero principal
     curvature equals the curve's signed geodesic curvature.
     """
-    p = jet.X.h.tup
+    p = jet.X.htup
     b1 = _normalize_spacelike(_project_tangent(p, (0.0, 1.0, 0.0)))
     b2 = _mcross(p, b1)
     xu = (_mdot(jet.Xu.htup, b1), _mdot(jet.Xu.htup, b2), jet.Xu.t)
@@ -154,10 +159,16 @@ def unit_normal(jet: SurfaceJet) -> AmbientVec:
         nh = _mcomb(nc[0], b1, nc[1], b2)
         sign = 1.0 if _mdot(nh, conormal) >= 0.0 else -1.0
     nc = (sign * nc[0], sign * nc[1], sign * nc[2])
-    return AmbientVec(SpacetimeVec.of(_mcomb(nc[0], b1, nc[1], b2)), nc[2])
+    nh = _mcomb(nc[0], b1, nc[1], b2)
+    _check_finite(nh)
+    return AmbientVec(nh, nc[2])
 
 
 # -- cylinders -----------------------------------------------------------------
+
+_ZERO = AmbientVec((0.0, 0.0, 0.0), 0.0)
+_VERTICAL = AmbientVec((0.0, 0.0, 0.0), 1.0)
+
 
 def make_cylinder(alpha: H2Curve, v_range: tuple[float, float] = (-DEFAULT_CYLINDER_HEIGHT, DEFAULT_CYLINDER_HEIGHT),
                   label: str = "cylinder") -> Surface:
@@ -182,15 +193,8 @@ def make_cylinder(alpha: H2Curve, v_range: tuple[float, float] = (-DEFAULT_CYLIN
         if not math.isfinite(kg):
             raise NumericalError(f"no curvature data at u = {u}")
         acc = (kg * n[0] + a[0], kg * n[1] + a[1], kg * n[2] + a[2])
-        zero = (0.0, 0.0, 0.0)
-        return SurfaceJet(
-            X=ProdPoint(H2Point.of(a), v),
-            Xu=_ambient(t, 0.0),
-            Xv=_ambient(zero, 1.0),
-            Xuu=_ambient(acc, 0.0),
-            Xuv=_ambient(zero, 0.0),
-            Xvv=_ambient(zero, 0.0),
-        )
+        return SurfaceJet(X=AmbientVec(a, v), Xu=AmbientVec(t, 0.0), Xv=_VERTICAL,
+                          Xuu=AmbientVec(acc, 0.0), Xuv=_ZERO, Xvv=_ZERO)
 
     dom = ChartDomain((curve.s_min, curve.s_max), v_range)
     return Surface(chart, dom, "analytic", label)
@@ -208,12 +212,12 @@ def make_slice(t0: float, radius: float, label: str = "slice") -> Surface:
         c, s = math.cos(th), math.sin(th)
         sigma = (ch, sh * c, sh * s)
         return SurfaceJet(
-            X=ProdPoint(H2Point.of(sigma), t0),
-            Xu=_ambient((sh, ch * c, ch * s), 0.0),
-            Xv=_ambient((0.0, -sh * s, sh * c), 0.0),
-            Xuu=_ambient(sigma, 0.0),
-            Xuv=_ambient((0.0, -ch * s, ch * c), 0.0),
-            Xvv=_ambient((0.0, -sh * c, -sh * s), 0.0),
+            X=AmbientVec(sigma, t0),
+            Xu=AmbientVec((sh, ch * c, ch * s), 0.0),
+            Xv=AmbientVec((0.0, -sh * s, sh * c), 0.0),
+            Xuu=AmbientVec(sigma, 0.0),
+            Xuv=AmbientVec((0.0, -ch * s, ch * c), 0.0),
+            Xvv=AmbientVec((0.0, -sh * c, -sh * s), 0.0),
         )
 
     dom = ChartDomain((SLICE_INNER_RADIUS, radius), (0.0, 2.0 * math.pi))
@@ -298,12 +302,12 @@ def make_graph(height: HeightFunction,
         sig_uu = (chu * chv, shu * chv, 0.0)
         sig_uv = (shu * shv, chu * shv, 0.0)
         return SurfaceJet(
-            X=ProdPoint(H2Point.of(sigma), height.f(u, v)),
-            Xu=_ambient(sig_u, height.fu(u, v)),
-            Xv=_ambient(sig_v, height.fv(u, v)),
-            Xuu=_ambient(sig_uu, height.fuu(u, v)),
-            Xuv=_ambient(sig_uv, height.fuv(u, v)),
-            Xvv=_ambient(sigma, height.fvv(u, v)),
+            X=AmbientVec(sigma, height.f(u, v)),
+            Xu=AmbientVec(sig_u, height.fu(u, v)),
+            Xv=AmbientVec(sig_v, height.fv(u, v)),
+            Xuu=AmbientVec(sig_uu, height.fuu(u, v)),
+            Xuv=AmbientVec(sig_uv, height.fuv(u, v)),
+            Xvv=AmbientVec(sigma, height.fvv(u, v)),
         )
 
     return Surface(chart, domain, "analytic", label)
@@ -348,12 +352,12 @@ def _fd_chart(pos, domain: ChartDomain, step: float):
         xuv = tuple((a - b - c + d) / (4.0 * h * h)
                     for a, b, c, d in zip(ppp, ppm, pmp, pmm))
         return SurfaceJet(
-            X=ProdPoint(H2Point.of(pc), tc),
-            Xu=_ambient(xu, (tu_p - tu_m) / (2.0 * h)),
-            Xv=_ambient(xv, (tv_p - tv_m) / (2.0 * h)),
-            Xuu=_ambient(xuu, (tu_p - 2.0 * tc + tu_m) / (h * h)),
-            Xuv=_ambient(xuv, (tpp - tpm - tmp_ + tmm) / (4.0 * h * h)),
-            Xvv=_ambient(xvv, (tv_p - 2.0 * tc + tv_m) / (h * h)),
+            X=AmbientVec(pc, tc),
+            Xu=AmbientVec(xu, (tu_p - tu_m) / (2.0 * h)),
+            Xv=AmbientVec(xv, (tv_p - tv_m) / (2.0 * h)),
+            Xuu=AmbientVec(xuu, (tu_p - 2.0 * tc + tu_m) / (h * h)),
+            Xuv=AmbientVec(xuv, (tpp - tpm - tmp_ + tmm) / (4.0 * h * h)),
+            Xvv=AmbientVec(xvv, (tv_p - 2.0 * tc + tv_m) / (h * h)),
         )
 
     return chart
@@ -365,9 +369,8 @@ def finite_difference_surface(base: Surface, step: float = FD_STEP,
     if step <= 0.0:
         raise ConfigError("finite-difference step must be positive")
 
-    def pos(u: float, v: float) -> tuple[Triple, float]:
-        p = base.chart(u, v).X
-        return p.h.tup, p.t
+    def pos(u: float, v: float) -> AmbientVec:
+        return base.chart(u, v).X
 
     return Surface(_fd_chart(pos, base.domain, step), base.domain,
                    "finite-difference", label or f"{base.label}(fd)", step)
@@ -401,7 +404,7 @@ def perturb(base: Surface, eps: float, bump: HeightFunction | None = None,
         jet = base.chart(u, v)
         n = unit_normal(jet)
         d = eps * bump.f(u, v)
-        p = jet.X.h.tup
+        p = jet.X.htup
         a_h = math.sqrt(max(0.0, _mdot(n.htup, n.htup)))
         if a_h < 1e-15:
             return p, jet.X.t + d * n.t
@@ -422,7 +425,7 @@ def rescale_chart(base: Surface, a: float, b: float) -> Surface:
         j = base.chart(a * u, b * v)
 
         def scale(w: AmbientVec, c: float) -> AmbientVec:
-            return _ambient(tuple(c * x for x in w.htup), c * w.t)
+            return AmbientVec(_mscale(c, w.htup), c * w.t)
 
         return SurfaceJet(
             X=j.X,

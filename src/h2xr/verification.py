@@ -40,8 +40,8 @@ import numpy as np
 from .classifier import (CYLINDER, ClassifierConfig, INCONSISTENT,
                          _farthest_point_seeds, classify_surface,
                          planar_set_map, recover_generating_curve)
-from .curvature import curvature_grid, forms_from_jet, principal_curvatures, shape_at
-from .errors import DivergenceNotReached, GeometryError
+from .curvature import PARABOLIC, curvature_grid, shape_at
+from .errors import DivergenceNotReached
 from .flows import (PLANAR_HIT, fit_inverse_H, frame_ode_residuals,
                     geodesic_deviation, trace_asymptotic)
 from .hyperbolic import H2Point, H2Tangent, curve_hausdorff, h2_dist
@@ -115,23 +115,11 @@ class VerificationReport:
 
 def parabolic_seeds(S: Surface, k: int, n_grid: int = 21,
                     tol: float = 1e-7) -> list[tuple[float, float]]:
-    """Deterministic well-spread parabolic chart points (forms only, fast)."""
-    (u0, u1) = S.domain.u_range
-    (v0, v1) = S.domain.v_range
-    du = (u1 - u0) / n_grid
-    dv = (v1 - v0) / n_grid
-    cells = []
-    for i in range(n_grid):
-        for j in range(n_grid):
-            u = u0 + (i + 0.5) * du
-            v = v0 + (j + 0.5) * dv
-            try:
-                forms = forms_from_jet(S.jet(u, v))
-                k1, k2, _, _ = principal_curvatures(forms)
-            except GeometryError:
-                continue
-            if abs(k1) < tol <= abs(k2) and abs(k2) - abs(k1) >= 20.0 * tol:
-                cells.append((u, v))
+    """Deterministic well-spread parabolic cell centres of an n_grid x n_grid
+    scan (forms only, fast) whose principal curvatures separate by 20 tol."""
+    grid = curvature_grid(S, n_grid, n_grid, tol=tol, brioschi=False)
+    cells = [(r.u, r.v) for r in grid.rows
+             if r.cls == PARABOLIC and abs(r.k2) - abs(r.k1) >= 20.0 * tol]
     return _farthest_point_seeds(cells, k, S.domain.center)
 
 

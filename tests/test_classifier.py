@@ -16,6 +16,7 @@ from h2xr.hyperbolic import (H2Point, curvature_profile, curve_hausdorff,
 from h2xr.product import ProdGeodesic, ProdPoint, ProdTangent
 from h2xr.hyperbolic import H2Tangent
 from h2xr.minkowski import SpacetimeVec
+from h2xr.surfaces import CYLINDER_PRESETS, preset
 from h2xr.verification import parabolic_seeds
 
 from conftest import COTH1, faulty_at_cell_centres
@@ -108,6 +109,14 @@ class TestRecovery:
 
 
 class TestClassifySurface:
+    @pytest.mark.parametrize("name", CYLINDER_PRESETS)
+    def test_rulings_exactly_vertical(self, name):
+        # ruling footprints coincide with the seed's, so the accurate
+        # distance reads zero drift, far below the classifier tolerance
+        v = classify_surface(preset(name))
+        assert v.verdict == CYLINDER
+        assert v.ruling_verticality < 1e-12
+
     def test_circle_cylinder(self, circle_cylinder):
         v = classify_surface(circle_cylinder)
         assert v.verdict == CYLINDER

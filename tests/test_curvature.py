@@ -143,11 +143,6 @@ class TestCurvatureGrid:
         assert [dataclasses.replace(r, Kint_brioschi=0.0) for r in full.rows] == \
             [dataclasses.replace(r, Kint_brioschi=0.0) for r in lean.rows]
 
-    def test_jobs_parallel_matches_serial(self, slice_surface):
-        g1 = curvature_grid(slice_surface, 8, 8)
-        g2 = curvature_grid(slice_surface, 8, 8, jobs=4)
-        assert g1.to_csv() == g2.to_csv()
-
 
 class TestGaussEquationConsistency:
     @pytest.mark.parametrize("name", ["cylinder_circle", "cylinder_inflection",
@@ -213,7 +208,7 @@ class TestWeingartenOracle:
         h = 1e-6
         forms = fundamental_forms(surface, u, v)
         jet = surface.jet(u, v)
-        base = jet.X.h.tup
+        base = jet.X.htup
 
         def n_at(uu, vv):
             n = unit_normal(surface.jet(uu, vv))

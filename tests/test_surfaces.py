@@ -1,22 +1,40 @@
 """Chart presets: jets, consistency between derivative modes, perturbation,
 and the JSON config constructor."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from h2xr.curvature import curvature_grid, fundamental_forms, shape_at
-from h2xr.errors import ConfigError, NonUnitCurve, NotImmersed, OutOfDomain
+from h2xr.curvature import (curvature_grid, fundamental_forms, grid_points,
+                            shape_at)
+from h2xr.errors import (ConfigError, NonUnitCurve, NotImmersed, NumericalError,
+                         OutOfDomain)
 from h2xr.hyperbolic import curve_from_curvature
-from h2xr.minkowski import SpacetimeVec, _mdot
-from h2xr.product import AmbientVec, ProdPoint
+from h2xr.minkowski import _mdot
+from h2xr.product import AmbientVec
 from h2xr.surfaces import (ChartDomain, SurfaceJet, bilinear_height,
                            finite_difference_surface, from_config,
                            linear_height, make_cylinder, make_graph,
                            make_slice, perturb, preset, rescale_chart,
                            zero_height)
-from h2xr.hyperbolic import H2Point
+
+# A valid jet at the origin of the hyperboloid, height 0: horizontal u-line,
+# vertical v-line.  The check tests below spoil one entry at a time.
+GOOD_JET = {
+    "X": AmbientVec((1.0, 0.0, 0.0), 0.0),
+    "Xu": AmbientVec((0.0, 1.0, 0.0), 0.0),
+    "Xv": AmbientVec((0.0, 0.0, 0.0), 1.0),
+    "Xuu": AmbientVec((1.0, 0.0, 0.0), 0.0),
+    "Xuv": AmbientVec((0.0, 0.0, 0.0), 0.0),
+    "Xvv": AmbientVec((0.0, 0.0, 0.0), 0.0),
+}
+JET_FIELDS = tuple(GOOD_JET)
+
+
+def spoiled(**entries):
+    return {**GOOD_JET, **entries}
 
 
 def probe_points(surface, n=4, inset=0.05):
@@ -159,11 +177,55 @@ class TestImmersionInvariant:
             assert forms.E * forms.G - forms.F ** 2 > 1e-12
 
     def test_degenerate_jet_rejected(self):
-        x = ProdPoint(H2Point.of((1.0, 0.0, 0.0)), 0.0)
-        w = AmbientVec(SpacetimeVec.of((0.0, 1.0, 0.0)), 0.0)
-        zero = AmbientVec(SpacetimeVec.of((0.0, 0.0, 0.0)), 0.0)
         with pytest.raises(NotImmersed):
-            SurfaceJet(X=x, Xu=w, Xv=w, Xuu=zero, Xuv=zero, Xvv=zero)
+            SurfaceJet(**spoiled(Xv=GOOD_JET["Xu"]))
+
+
+class TestJetChecks:
+    """SurfaceJet is the one place a jet is checked; each case below is
+    caught by exactly one of its checks."""
+
+    def test_valid_jet_accepted(self):
+        jet = SurfaceJet(**GOOD_JET)
+        assert jet.X == ((1.0, 0.0, 0.0), 0.0)
+
+    @pytest.mark.parametrize("field", JET_FIELDS)
+    def test_nan_coordinate_rejected(self, field):
+        h, t = GOOD_JET[field]
+        with pytest.raises(NumericalError, match="non-finite coordinates"):
+            SurfaceJet(**spoiled(**{field: AmbientVec((h[0], math.nan, h[2]), t)}))
+
+    @pytest.mark.parametrize("footprint", [(2.0, 0.0, 0.0), (-1.0, 0.0, 0.0)],
+                             ids=["off_sheet", "lower_sheet"])
+    def test_footprint_off_upper_sheet_rejected(self, footprint):
+        with pytest.raises(NumericalError):
+            SurfaceJet(**spoiled(X=AmbientVec(footprint, 0.0)))
+
+    @pytest.mark.parametrize("height", [math.nan, math.inf])
+    def test_non_finite_height_rejected(self, height):
+        with pytest.raises(NumericalError, match="non-finite height"):
+            SurfaceJet(**spoiled(X=AmbientVec((1.0, 0.0, 0.0), height)))
+
+    def test_non_tangent_first_derivative_rejected(self):
+        # <Xu, p> = -0.5 while the Gram determinant stays 0.75
+        with pytest.raises(NumericalError, match="not tangent"):
+            SurfaceJet(**spoiled(Xu=AmbientVec((0.5, 1.0, 0.0), 0.0)))
+
+    @pytest.mark.parametrize("field", ["X", "Xuu"])
+    def test_grid_records_rejected_jet_as_numerical_failure(self, circle_cylinder,
+                                                            field):
+        bad_uv = grid_points(circle_cylinder, 4, 4)[5]
+
+        def chart(u, v, base=circle_cylinder.chart):
+            jet = base(u, v)
+            if (u, v) != bad_uv:
+                return jet
+            h, t = getattr(jet, field)
+            return dataclasses.replace(jet, **{field: AmbientVec((h[0], math.nan, h[2]), t)})
+
+        S = dataclasses.replace(circle_cylinder, chart=chart)
+        rows = curvature_grid(S, 4, 4, brioschi=False).rows
+        assert [r.status for r in rows] == ["ok"] * 5 + ["NUMERICAL_FAILURE"] + ["ok"] * 10
 
 
 class TestRescale:
@@ -171,7 +233,7 @@ class TestRescale:
         r = rescale_chart(circle_cylinder, 2.0, 3.0)
         j0 = circle_cylinder.jet(1.0, 0.75)
         j1 = r.jet(0.5, 0.25)
-        assert j0.X.h.tup == j1.X.h.tup
+        assert j0.X.htup == j1.X.htup
         assert j0.X.t == j1.X.t
 
 
