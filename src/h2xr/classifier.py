@@ -151,11 +151,14 @@ def flatness_scan(S: Surface, n: int, tol: float,
 
 def planar_set_map(S: Surface, n: int | None = None, tol: float = 1e-7,
                    grid: CurvatureGrid | None = None) -> PlanarSetMap:
-    """Classify grid cells and collect 4-connected planar components."""
+    """Classify grid cells and collect 4-connected planar components.
+
+    Only the class column is read, so a grid built here skips the Brioschi
+    stencil."""
     if grid is None:
         if n is None:
             raise ConfigError("planar_set_map needs a grid size or a precomputed grid")
-        grid = curvature_grid(S, n, n, tol=tol)
+        grid = curvature_grid(S, n, n, tol=tol, brioschi=False)
     nu_, nv_ = grid.nu_, grid.nv_
     classes = np.empty((nu_, nv_), dtype=object)
     for idx, row in enumerate(grid.rows):

@@ -25,19 +25,38 @@ product).  On cylinders this makes the nonzero principal curvature equal the
 signed geodesic curvature of the generating curve.  Principal curvatures are
 ordered by absolute value, |k1| <= |k2|, so d1 is the asymptotic direction
 at parabolic points.
+
+Bulk evaluation: where the chart points are known up front (the cell
+centres and 5x5 stencils of ``curvature_grid``, the transverse connection
+samples of a trace), ``point_block`` evaluates jets, unit normals, forms and
+principal curvatures for many points at once on arrays
+(``Surface.jets``, ``unit_normals``, ``forms_from_jets``,
+``principal_curvature_arrays``), with the formulas of the scalar twins in
+the same order, so every value keeps the bits of the scalar path.  A grid
+runs in blocks of at most ``POINT_BLOCK`` chart evaluations, counting the
+nine base evaluations behind a finite-difference jet, which bounds the
+memory of a block; a cell with a point the block flags is evaluated again
+alone, so its status comes from the scalar exception.  The Brioschi value
+of a cell is the scalar ``brioschi_curvature`` of its array-sampled stencil:
+numpy sums small dot products in its BLAS kernel's fused order, which no
+array expression reproduces.  The sequential RK4 steps of asymptotic traces
+stay scalar: an array call costs several scalar jets, so a handful of points
+in lockstep does not pay for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, GeometryError, NotImmersed, NumericalError, OutOfDomain
 from .minkowski import _mdot, _project_tangent
-from .product import AmbientVec
-from .surfaces import Surface, SurfaceJet, unit_normal
+from .numerics import _sq
+from .product import AmbientVec, _prod_inner
+from .surfaces import JetBlock, Surface, SurfaceJet, unit_normal, unit_normals
 
 PLANAR = "PLANAR"
 PARABOLIC = "PARABOLIC"
@@ -47,6 +66,8 @@ DEFAULT_CLASS_TOL = 1e-7
 DEFAULT_STENCIL_H = 1e-3
 
 GRID_HEADER = "u,v,k1,k2,H,Kext,Kint_gauss,Kint_brioschi,nu,class,status"
+
+POINT_BLOCK = 936      # chart evaluations per block of bulk evaluation
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,10 +120,6 @@ class PointClass:
     tol: float
 
 
-def _prod_inner(a: AmbientVec, b: AmbientVec) -> float:
-    return _mdot(a.htup, b.htup) + a.t * b.t
-
-
 def fundamental_forms(S: Surface, u: float, v: float) -> FundamentalForms:
     """Evaluate both fundamental forms of the surface at a chart point."""
     jet = S.jet(u, v)
@@ -124,6 +141,41 @@ def forms_from_jet(jet: SurfaceJet) -> FundamentalForms:
 
     return FundamentalForms(E, F, G, second(jet.Xuu), second(jet.Xuv),
                             second(jet.Xvv), normal, normal.t)
+
+
+class FormsBlock(NamedTuple):
+    """``FundamentalForms`` of a block of jets, as arrays (``normal.t`` is
+    nu), plus the points where the jets or the scalar forms raise."""
+
+    E: np.ndarray
+    F: np.ndarray
+    G: np.ndarray
+    L: np.ndarray
+    M2: np.ndarray
+    N2: np.ndarray
+    normal: AmbientVec
+    bad: np.ndarray
+
+
+def forms_from_jets(jets: JetBlock) -> FormsBlock:
+    """:func:`forms_from_jet` on a block of jets, with the checks of
+    ``FundamentalForms`` as a mask."""
+    E = _prod_inner(jets.Xu, jets.Xu)
+    F = _prod_inner(jets.Xu, jets.Xv)
+    G = _prod_inner(jets.Xv, jets.Xv)
+    normal, bad = unit_normals(jets)
+    p = jets.X.htup
+
+    def second(w: AmbientVec) -> np.ndarray:
+        cov_h = _project_tangent(p, w.htup)
+        return _mdot(cov_h, normal.htup) + w.t * normal.t
+
+    n2 = _mdot(normal.htup, normal.htup) + _sq(normal.t)
+    bad |= (jets.bad | (E * G - F * F <= 1e-12)
+            | ~((E > 0.0) & (G > 0.0) & (E * G - _sq(F) > 0.0))
+            | (np.abs(n2 - 1.0) > 1e-9) | (np.abs(normal.t) > 1.0 + 1e-12))
+    return FormsBlock(E, F, G, second(jets.Xuu), second(jets.Xuv), second(jets.Xvv),
+                      normal, bad)
 
 
 # -- shape operator ---------------------------------------------------------------
@@ -187,6 +239,83 @@ def principal_curvatures(forms: FundamentalForms) -> tuple[float, float,
     d2 = (d2[0] - g12 * d1[0], d2[1] - g12 * d1[1])
     d2 = unit_in_form(d2)
     return k1, k2, d1, d2
+
+
+def principal_curvature_arrays(forms: FormsBlock):
+    """:func:`principal_curvatures` on a block of forms: arrays k1, k2,
+    directions d1, d2 (pairs of arrays), and the mask of the points where a
+    value is not finite (where the scalar version raises or returns NaN)."""
+    E, F, G = forms.E, forms.F, forms.G
+    L, M2, N2 = forms.L, forms.M2, forms.N2
+    det1 = E * G - F * F
+    A = det1
+    B = -(E * N2 - 2.0 * F * M2 + G * L)
+    C = L * N2 - M2 * M2
+    sq = np.sqrt(np.maximum(0.0, B * B - 4.0 * A * C))
+    q = np.where(B >= 0.0, -0.5 * (B + sq), -0.5 * (B - sq))
+    zero = q == 0.0
+    ka = np.where(zero, 0.0, q / A)
+    kb = np.where(zero, 0.0, C / q)
+    first = np.abs(ka) <= np.abs(kb)
+    k1, k2 = np.where(first, ka, kb), np.where(first, kb, ka)
+
+    def direction(k):
+        r1 = (L - k * E, M2 - k * F)
+        r2 = (M2 - k * F, N2 - k * G)
+        n1 = _sq(r1[0]) + _sq(r1[1])
+        n2 = _sq(r2[0]) + _sq(r2[1])
+        use1 = n1 >= n2
+        row = (np.where(use1, r1[0], r2[0]), np.where(use1, r1[1], r2[1]))
+        return (-row[1], row[0]), np.maximum(n1, n2) < 1e-28
+
+    def unit_in_form(d):
+        n = np.sqrt(E * _sq(d[0]) + 2.0 * F * d[0] * d[1] + G * _sq(d[1]))
+        d = (d[0] / n, d[1] / n)
+        flip = (d[0] < 0.0) | ((d[0] == 0.0) & (d[1] < 0.0))
+        return np.where(flip, -d[0], d[0]), np.where(flip, -d[1], d[1])
+
+    d1, none1 = direction(k1)
+    d1 = unit_in_form((np.where(none1, 1.0, d1[0]), np.where(none1, 0.0, d1[1])))
+    d2, none2 = direction(k2)
+    perp = none2 | (np.abs(k2 - k1) < 1e-14 * (1.0 + np.abs(k1)))
+    d2 = (np.where(perp, -F * d1[0] - G * d1[1], d2[0]),
+          np.where(perp, E * d1[0] + F * d1[1], d2[1]))
+    g12 = (E * d1[0] * d2[0] + F * (d1[0] * d2[1] + d1[1] * d2[0]) + G * d1[1] * d2[1])
+    d2 = (d2[0] - g12 * d1[0], d2[1] - g12 * d1[1])
+    d2 = unit_in_form(d2)
+    bad = ~(np.isfinite(k1) & np.isfinite(k2) & np.isfinite(d1[0]) & np.isfinite(d1[1])
+            & np.isfinite(d2[0]) & np.isfinite(d2[1]))
+    return k1, k2, d1, d2, bad
+
+
+class PointBlock(NamedTuple):
+    """Jets, forms and principal data of a block of chart points; ``bad``
+    marks the points to evaluate again on the scalar path."""
+
+    jets: JetBlock
+    forms: FormsBlock
+    k1: np.ndarray
+    k2: np.ndarray
+    d1: tuple[np.ndarray, np.ndarray]
+    d2: tuple[np.ndarray, np.ndarray]
+    bad: np.ndarray
+
+
+def point_block(S: Surface, us, vs) -> PointBlock:
+    """The scalar ``S.jet`` -> ``forms_from_jet`` -> ``principal_curvatures``
+    chain for arrays of chart points at once."""
+    with np.errstate(all="ignore"):
+        jets = S.jets(us, vs)
+        forms = forms_from_jets(jets)
+        k1, k2, d1, d2, bad = principal_curvature_arrays(forms)
+    return PointBlock(jets, forms, k1, k2, d1, d2, bad | forms.bad)
+
+
+def block_size(S: Surface, points_per_item: int) -> int:
+    """Items per block of at most POINT_BLOCK chart evaluations, for items
+    of ``points_per_item`` chart points each."""
+    cost = 9 if S.derivative_mode == "finite-difference" else 1
+    return max(1, POINT_BLOCK // (points_per_item * cost))
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,14 +420,18 @@ def shape_at(S: Surface, u: float, v: float,
 
 def classify_point(sd: ShapeData, tol: float) -> PointClass:
     """Planar, parabolic or generic, at an absolute curvature tolerance."""
+    return PointClass(_class_tag(sd.k1, sd.k2, tol), tol)
+
+
+def _class_tag(k1: float, k2: float, tol: float) -> str:
     if tol <= 0.0:
         raise ConfigError("classification tolerance must be positive")
-    lo, hi = abs(sd.k1), abs(sd.k2)
+    lo, hi = abs(k1), abs(k2)
     if hi < tol:
-        return PointClass(PLANAR, tol)
+        return PLANAR
     if lo < tol:
-        return PointClass(PARABOLIC, tol)
-    return PointClass(GENERIC, tol)
+        return PARABOLIC
+    return GENERIC
 
 
 # -- batch evaluation --------------------------------------------------------------
@@ -328,12 +461,14 @@ class CurvatureGrid:
         return [r for r in self.rows if r.status == "ok"]
 
     def to_csv(self) -> str:
+        """Rows as CSV; every number is written as a plain float (rows hold
+        numpy floats where a chart computes in them)."""
         lines = [GRID_HEADER]
         for r in self.rows:
             lines.append(",".join([
-                repr(r.u), repr(r.v), repr(r.k1), repr(r.k2), repr(r.H),
-                repr(r.Kext), repr(r.Kint_gauss), repr(r.Kint_brioschi),
-                repr(r.nu), r.cls, r.status,
+                *(repr(float(x)) for x in (r.u, r.v, r.k1, r.k2, r.H, r.Kext,
+                                           r.Kint_gauss, r.Kint_brioschi, r.nu)),
+                r.cls, r.status,
             ]))
         return "\n".join(lines) + "\n"
 
@@ -357,6 +492,10 @@ def curvature_grid(S: Surface, nu_: int, nv_: int,
     Failures at isolated points are recorded in the row's status column and
     do not abort the scan.  With ``brioschi=False`` the 5x5 stencil (25 more
     jets per cell) is skipped and ``Kint_brioschi`` is NaN in every row.
+
+    Cells are evaluated in blocks of at most POINT_BLOCK chart evaluations
+    (see the module docstring); a cell the block flags, or every cell of a
+    block that raises, is evaluated alone, as one scalar row.
     """
     if nu_ < 2 or nv_ < 2:
         raise ConfigError("grid needs at least 2 cells per axis")
@@ -372,4 +511,50 @@ def curvature_grid(S: Surface, nu_: int, nv_: int,
             nan = math.nan
             return GridRow(u, v, nan, nan, nan, nan, nan, nan, nan, "", exc.code)
 
-    return CurvatureGrid([one(p) for p in grid_points(S, nu_, nv_)], nu_, nv_)
+    points = grid_points(S, nu_, nv_)
+    size = block_size(S, 26 if brioschi else 1)
+    rows: list[GridRow] = []
+    for k in range(0, len(points), size):
+        cells = points[k:k + size]
+        try:
+            rows += _grid_block(S, cells, tol, stencil_h, brioschi, one)
+        except (GeometryError, ArithmeticError, ValueError):
+            rows += [one(p) for p in cells]
+    return CurvatureGrid(rows, nu_, nv_)
+
+
+def _grid_block(S: Surface, cells: list[tuple[float, float]], tol: float,
+                stencil_h: float, brioschi: bool, one) -> list[GridRow]:
+    """Grid rows of a block of cells from one bulk evaluation of their
+    centres (and stencils); flagged cells go to the scalar ``one``."""
+    us = np.array([u for u, _ in cells])
+    vs = np.array([v for _, v in cells])
+    pb = point_block(S, us, vs)
+    bad = pb.bad
+    kb = [math.nan] * len(cells)
+    if brioschi:
+        (u0, u1) = S.domain.u_range
+        (v0, v1) = S.domain.v_range
+        h = np.minimum.reduce([np.full(us.shape, stencil_h), 0.5 * (us - u0),
+                               0.5 * (u1 - us), 0.5 * (vs - v0), 0.5 * (v1 - vs)])
+        off = np.arange(-2.0, 3.0)
+        su, sv = np.broadcast_arrays(us[:, None, None] + off[None, :, None] * h[:, None, None],
+                                     vs[:, None, None] + off[None, None, :] * h[:, None, None])
+        with np.errstate(all="ignore"):
+            jets = S.jets(su.ravel(), sv.ravel())
+            E, F, G = (a.reshape(len(cells), 5, 5) for a in (
+                _prod_inner(jets.Xu, jets.Xu), _prod_inner(jets.Xu, jets.Xv),
+                _prod_inner(jets.Xv, jets.Xv)))
+        bad = bad | ~(h > 1e-8) | jets.bad.reshape(len(cells), 25).any(axis=1)
+        for i in np.flatnonzero(~bad):
+            kb[i] = brioschi_curvature(MetricStencil(E[i], F[i], G[i], float(h[i])))
+    k1s, k2s, nus = pb.k1.tolist(), pb.k2.tolist(), pb.forms.normal.t.tolist()
+    rows = []
+    for i, (u, v) in enumerate(cells):
+        if bad[i]:
+            rows.append(one((u, v)))
+            continue
+        k1, k2, nu = k1s[i], k2s[i], nus[i]
+        rows.append(GridRow(u, v, k1, k2, 0.5 * (k1 + k2), k1 * k2, k1 * k2 - nu ** 2,
+                            kb[i], nu, _class_tag(k1, k2, tol), "ok"))
+    return rows

@@ -11,7 +11,10 @@ Per-sample diagnostics recorded along the trace:
 
 * ``k2``, ``H`` - the nonzero principal curvature and the mean curvature;
 * ``lam`` - the connection coefficient <D_{e2} e2, e1>, measured by a short
-  transverse finite difference of the e2 field;
+  transverse finite difference of the e2 field; the two transverse points of
+  every sample are known once the trace is, so they are evaluated in bulk
+  (``curvature.point_block``), while the RK4 steps, each depending on the
+  last, stay on the scalar path;
 * ``e2``, ``e3`` - the transverse principal direction and the unit normal as
   ambient vectors.
 
@@ -28,14 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import (PARABOLIC, classify_point, forms_from_jet,
-                        principal_curvatures, shape_data)
-from .errors import (DegenerateDirection, InsufficientSamples, NotParabolic,
-                     NumericalError, OutOfDomain, PlanarSample)
-from .hyperbolic import H2Point, H2Tangent
-from .minkowski import SpacetimeVec, _mdot, _project_tangent
-from .numerics import affine_fit
-from .product import ProdGeodesic, ProdPoint, ProdTangent, prod_dist
+from .curvature import (PARABOLIC, block_size, classify_point, forms_from_jet,
+                        point_block, principal_curvatures, shape_data)
+from .errors import (DegenerateDirection, GeometryError, InsufficientSamples,
+                     NotParabolic, NumericalError, OutOfDomain, PlanarSample)
+from .hyperbolic import H2Point, H2Tangent, _dists_raw
+from .minkowski import SpacetimeVec, _mcomb, _mdot, _mscale, _project_tangent
+from .numerics import _each, _sq, affine_fit
+from .product import (AmbientVec, ProdGeodesic, ProdPoint, ProdTangent, _prod_exp_raw,
+                      _prod_inner)
 from .surfaces import Surface
 
 DOMAIN_EDGE = "DOMAIN_EDGE"
@@ -134,43 +138,69 @@ def _aligned(d: tuple[float, float], ref: tuple[float, float]) -> tuple[float, f
     return d
 
 
-def _ambient_dir(jet, d) -> np.ndarray:
-    hu, hv = jet.Xu.htup, jet.Xv.htup
-    return np.array([
-        d[0] * hu[0] + d[1] * hv[0],
-        d[0] * hu[1] + d[1] * hv[1],
-        d[0] * hu[2] + d[1] * hv[2],
-        d[0] * jet.Xu.t + d[1] * jet.Xv.t,
-    ])
+def _ambient_dir(xu: AmbientVec, xv: AmbientVec, d) -> AmbientVec:
+    """Chart direction d as the ambient vector d0 Xu + d1 Xv (floats, or
+    arrays for a block of points)."""
+    return AmbientVec(_mcomb(d[0], xu.htup, d[1], xv.htup), d[0] * xu.t + d[1] * xv.t)
 
 
-def _prod_inner4(a: np.ndarray, b: np.ndarray) -> float:
-    return float(-a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3])
+def _negated(w: AmbientVec) -> AmbientVec:
+    return AmbientVec(_mscale(-1.0, w.htup), -w.t)
 
 
-def _lambda_at(eval_at, domain, u: float, v: float, d2_chart, e2_amb, e1_amb,
-               footprint, delta: float = 1e-5) -> float:
-    """Transverse connection coefficient <D_{e2} e2, e1> at a chart point."""
-    (u0, u1) = domain.u_range
-    (v0, v1) = domain.v_range
-    room = min(u - u0, u1 - u, v - v0, v1 - v)
-    hstep = min(delta, 0.25 * room / (1e-12 + max(abs(d2_chart[0]), abs(d2_chart[1]))))
-    if hstep <= 1e-9:
-        return math.nan
+def _rows(w: AmbientVec) -> np.ndarray:
+    """(n, 4) rows of a block of ambient vectors."""
+    return np.stack([*w.htup, w.t], axis=1)
 
-    def e2_field(uu: float, vv: float) -> np.ndarray:
-        jet, _, _, _, _, d2o = eval_at(uu, vv)
-        w = _ambient_dir(jet, d2o)
-        if _prod_inner4(w, e2_amb) < 0.0:
-            w = -w
-        return w
 
-    wp = e2_field(u + hstep * d2_chart[0], v + hstep * d2_chart[1])
-    wm = e2_field(u - hstep * d2_chart[0], v - hstep * d2_chart[1])
-    der = (wp - wm) / (2.0 * hstep)
-    cov_h = _project_tangent(footprint, (der[0], der[1], der[2]))
-    cov = np.array([cov_h[0], cov_h[1], cov_h[2], der[3]])
-    return _prod_inner4(cov, e1_amb)
+def _vec(rows: np.ndarray) -> AmbientVec:
+    return AmbientVec(tuple(rows[:, :3].T), rows[:, 3])
+
+
+def _connection(S: Surface, uv: np.ndarray, d2: np.ndarray, e2: np.ndarray,
+                e1: np.ndarray, foot: np.ndarray, delta: float = 1e-5) -> np.ndarray:
+    """Transverse connection coefficient <D_{e2} e2, e1> at every sample.
+
+    The e2 field is differenced centrally across the trace, along the chart
+    direction d2, at a step that keeps both points inside the chart (NaN
+    where that step is below 1e-9).  All transverse points are evaluated in
+    blocks of POINT_BLOCK chart evaluations; a sample whose pair the block
+    flags has both points evaluated again on the scalar path, which raises
+    what a scalar trace raises.  Rows of ``d2``, ``e2``, ``e1`` and ``foot``
+    are per sample.
+    """
+    (u0, u1) = S.domain.u_range
+    (v0, v1) = S.domain.v_range
+    u, v = uv[:, 0], uv[:, 1]
+    room = np.minimum(np.minimum(u - u0, u1 - u), np.minimum(v - v0, v1 - v))
+    hstep = np.minimum(delta, 0.25 * room / (1e-12 + np.maximum(np.abs(d2[:, 0]),
+                                                                 np.abs(d2[:, 1]))))
+    lam = np.full(len(u), math.nan)
+    live = np.flatnonzero(~(hstep <= 1e-9))
+    size = block_size(S, 2)
+    for k0 in range(0, len(live), size):
+        blk = live[k0:k0 + size]
+        h = hstep[blk]
+        up, vp = u[blk] + h * d2[blk, 0], v[blk] + h * d2[blk, 1]
+        um, vm = u[blk] - h * d2[blk, 0], v[blk] - h * d2[blk, 1]
+        try:  # e2 at every transverse point, before its sign is fixed
+            pb = point_block(S, np.concatenate([up, um]), np.concatenate([vp, vm]))
+            w = _rows(_ambient_dir(pb.jets.Xu, pb.jets.Xv, pb.d2))
+            flagged = pb.bad.reshape(2, -1).any(axis=0)
+        except (GeometryError, ArithmeticError, ValueError):
+            w = np.empty((2 * len(blk), 4))
+            flagged = np.ones(len(blk), dtype=bool)
+        for k in np.flatnonzero(flagged):
+            for row, uu, vv in ((k, up[k], vp[k]), (k + len(blk), um[k], vm[k])):
+                jet, _, _, _, _, d2o = _principal_at(S, float(uu), float(vv))
+                wk = _ambient_dir(jet.Xu, jet.Xv, d2o)
+                w[row] = (*wk.htup, wk.t)
+        ref = _vec(np.concatenate([e2[blk], e2[blk]]))
+        w = np.where((_prod_inner(_vec(w), ref) < 0.0)[:, None], -w, w)
+        der = (w[:len(blk)] - w[len(blk):]) / (2.0 * h[:, None])
+        cov = AmbientVec(_project_tangent(tuple(foot[blk].T), tuple(der[:, :3].T)), der[:, 3])
+        lam[blk] = _prod_inner(cov, _vec(e1[blk]))
+    return lam
 
 
 def trace_asymptotic(S: Surface, u0: float, v0: float, length: float,
@@ -257,12 +287,15 @@ def trace_asymptotic(S: Surface, u0: float, v0: float, length: float,
     ts = np.empty(n)
     k2s = np.empty(n)
     hs = np.empty(n)
-    lams = np.empty(n)
     e2s = np.empty((n, 4))
     e3s = np.empty((n, 4))
 
+    e1s = np.empty((n, 4))
+    d2s = np.empty((n, 2))
+
     seed_entry = (u0, v0, jet0, forms0, k1_0, k2_0, d1_0, d2_0)
     ordered = [*reversed(bwd), seed_entry, *fwd]
+    e2_amb = None
     for i, (u, v, jet, forms, k1v, k2v, d1v, d2v) in enumerate(ordered):
         s[i] = (i - n_b) * step
         uv[i] = (u, v)
@@ -270,19 +303,21 @@ def trace_asymptotic(S: Surface, u0: float, v0: float, length: float,
         ts[i] = jet.X.t
         k2s[i] = k2v
         hs[i] = 0.5 * (k1v + k2v)
-        d1_amb = _ambient_dir(jet, d1v)
+        d1_amb = _ambient_dir(jet.Xu, jet.Xv, d1v)
         if i < n_b:
             # the backward leg walked against d1; flip so e1 always points
             # along increasing s
-            d1_amb = -d1_amb
-        e2_amb = _ambient_dir(jet, d2v)
+            d1_amb = _negated(d1_amb)
+        e1s[i] = (*d1_amb.htup, d1_amb.t)
+        d2s[i] = d2v
+        prev, e2_amb = e2_amb, _ambient_dir(jet.Xu, jet.Xv, d2v)
         nh = forms.normal.htup
         e3s[i] = (nh[0], nh[1], nh[2], forms.normal.t)
-        if i > 0 and _prod_inner4(e2_amb, e2s[i - 1]) < 0.0:
-            e2_amb = -e2_amb
-        e2s[i] = e2_amb
-        lams[i] = _lambda_at(eval_at, S.domain, u, v, d2v, e2_amb, d1_amb,
-                             jet.X.htup) if with_connection else math.nan
+        if prev is not None and _prod_inner(e2_amb, prev) < 0.0:
+            e2_amb = _negated(e2_amb)
+        e2s[i] = (*e2_amb.htup, e2_amb.t)
+    lams = _connection(S, uv, d2s, e2s, e1s, hpts) if with_connection \
+        else np.full(n, math.nan)
 
     return TraceRecord(s, uv, hpts, ts, k2s, hs, lams, e2s, e3s, stop, step, tol)
 
@@ -309,12 +344,12 @@ def geodesic_deviation(tr: TraceRecord) -> GeodesicDeviation:
     tangent = ProdTangent(base, H2Tangent(base.h, SpacetimeVec.of(
         tuple(c / norm for c in vh))), vt / norm)
     geo = ProdGeodesic.from_tangent(tangent)
-    max_dev, at_s = 0.0, float(tr.s[0])
-    for i in range(len(tr)):
-        d = prod_dist(geo.point(float(tr.s[i] - tr.s[0])), tr.point(i))
-        if d > max_dev:
-            max_dev, at_s = d, float(tr.s[i])
-    return GeodesicDeviation(max_dev, at_s)
+    foot, height = _prod_exp_raw(geo.p0.h.tup, geo.p0.t, geo.v0.vh.tup, geo.v0.vt,
+                                 tr.s - tr.s[0])
+    d = _each(math.hypot, _dists_raw(foot, tuple(tr.h.T)), height - tr.t)
+    d = np.where(np.isnan(d), 0.0, d)  # a NaN distance never becomes the maximum
+    i = int(np.argmax(d))  # the first sample at the maximum
+    return GeodesicDeviation(float(d[i]), float(tr.s[i]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -342,12 +377,9 @@ def frame_ode_residuals(tr: TraceRecord) -> FrameOdeResiduals:
 
     def cov_norm(rows: np.ndarray) -> float:
         der = (rows[2:] - rows[:-2]) / (2.0 * h)
-        worst = 0.0
-        for i in range(der.shape[0]):
-            ch = _project_tangent(tuple(tr.h[i + 1]), tuple(der[i, :3]))
-            n2 = max(0.0, _mdot(ch, ch)) + der[i, 3] ** 2
-            worst = max(worst, math.sqrt(n2))
-        return worst
+        ch = _project_tangent(tuple(tr.h[1:-1].T), tuple(der[:, :3].T))
+        norms = np.sqrt(np.fmax(0.0, _mdot(ch, ch)) + _sq(der[:, 3]))
+        return float(np.max(norms, initial=0.0, where=~np.isnan(norms)))
 
     return FrameOdeResiduals(r1, r2, cov_norm(tr.e2), cov_norm(tr.e3))
 

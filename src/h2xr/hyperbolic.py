@@ -22,9 +22,10 @@ curve toward n.
 
 Dense output between samples comes one arclength at a time, memoized, for
 chart jets and traces (``H2Curve.frame_at``), or for a whole array of
-arclengths at once (``H2Curve.positions_at``), which the Hausdorff distance
-uses: the same RK4 step and Hermite formula run on triples of coordinate
-arrays.
+arclengths at once (``H2Curve.frames_at``), which bulk chart jets and the
+Hausdorff distance use: the same RK4 step and Hermite formula run on triples
+of coordinate arrays (Hairer, Norsett and Wanner, *Solving Ordinary
+Differential Equations I*, on dense output).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .minkowski import (SpacetimeVec, Triple, _madd, _mcomb, _mcross, _mdot,
                         _mscale, _msub, _normalize_point, _normalize_points,
                         _normalize_spacelike, _normalize_spacelikes,
                         _project_tangent, minkowski_inner)
-from .numerics import CubicSpline1D, golden_min_batch
+from .numerics import CubicSpline1D, _each, golden_min_batch
 
 POINT_TOL = 1e-10      # |<v,v> + 1| for points
 TANGENT_TOL = 1e-10    # |<w,p>| for tangency
@@ -59,6 +60,13 @@ def _check_on_sheet(v: Triple) -> None:
         raise NumericalError(f"<v,v> = {q}, not on the hyperboloid")
     if v[0] < 1.0 - POINT_TOL:
         raise NumericalError("point not on the upper sheet")
+
+
+def _off_sheet(v) -> np.ndarray:
+    """Mask of the points of a triple of coordinate arrays that
+    :func:`_check_on_sheet` rejects."""
+    q = _mdot(v, v)
+    return (np.abs(q + 1.0) > POINT_TOL * (1.0 + v[0] * v[0])) | (v[0] < 1.0 - POINT_TOL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,6 +136,11 @@ def h2_exp(p: H2Point, v: H2Tangent, s: float) -> H2Point:
 
 
 def _exp_raw(p: Triple, v: Triple, s: float) -> Triple:
+    """exp_p(s v) on triples; given an array of arclengths (and triples of
+    floats or of coordinate arrays), cosh and sinh are taken elementwise
+    from math, so every element equals the float call."""
+    if isinstance(s, np.ndarray):
+        return _mcomb(_each(math.cosh, s), p, _each(math.sinh, s), v)
     return _mcomb(math.cosh(s), p, math.sinh(s), v)
 
 
@@ -260,14 +273,12 @@ class H2Curve:
             if ds != 0.0:
                 a, t, n = _frenet_rk4_step(a, t, n, float(self.s[i]), ds, self.kg_fn)
                 a, t, n = _reproject_frame(a, t, n)
-            out = (a, t, n, float(self.kg_fn(s)))
         else:
             pos, vel = self._hermite(i, s)
             a = _normalize_point(tuple(pos))
             t = _normalize_spacelike(_project_tangent(a, tuple(vel)))
             n = _mcross(a, t)
-            kg = float(np.interp(s, self.s, self.kg)) if self.kg is not None else math.nan
-            out = (a, t, n, kg)
+        out = (a, t, n, float(self.kg_at(s)))
         if len(self._frame_cache) < 65536:
             self._frame_cache[s] = out
         return out
@@ -290,13 +301,27 @@ class H2Curve:
                + (-6 * t2 + 6 * t) * p1 + (3 * t2 - 2 * t) * m1) / h
         return pos, vel
 
-    def positions_at(self, s: np.ndarray) -> np.ndarray:
-        """Dense positions at an array of arclengths, shape (len(s), 3).
+    def kg_at(self, s):
+        """Signed geodesic curvature at a float or an array of arclengths:
+        the curvature function for ``rk4`` curves, else the samples
+        interpolated linearly (NaN without them)."""
+        if self.interpolation == "rk4":
+            return self.kg_fn(s)
+        if self.kg is None:
+            return np.full(np.shape(s), math.nan)
+        return np.interp(s, self.s, self.kg)
+
+    def frames_at(self, s: np.ndarray):
+        """Dense position, tangent and Frenet normal at an array of
+        arclengths, each a triple of coordinate arrays.
 
         The rule of ``frame_at`` evaluated on whole arrays, with its checks
         (arclengths outside the curve, non-finite curvature, frames that
-        leave the hyperboloid) and without its memo.  For ``rk4`` curves the
-        curvature function is called on arrays of arclengths.
+        leave the hyperboloid) and without its memo; a check that fails for
+        one arclength raises for the whole array.  Where an arclength is a
+        sample's own, the stored frame is returned, as ``frame_at`` does.
+        For ``rk4`` curves the curvature function is called on arrays of
+        arclengths.
         """
         s = np.asarray(s, dtype=float)
         outside = (s < self.s_min - 1e-9) | (s > self.s_max + 1e-9)
@@ -306,19 +331,23 @@ class H2Curve:
         if self.interpolation == "hermite":
             pos, vel = self._hermite(i, s)
             a = _normalize_points(tuple(pos))
-            _normalize_spacelikes(_project_tangent(a, tuple(vel)))  # frame_at's tangent check
-            return np.stack(a, axis=1)
-        out = self.points[i]
+            t = _normalize_spacelikes(_project_tangent(a, tuple(vel)))
+            return a, t, _mcross(a, t)
+        frame = [x[i].T for x in (self.points, self.tangents, self.normals)]
         ds = s - self.s[i]
-        moved = np.flatnonzero(ds != 0.0)  # frame_at returns samples as stored
+        moved = np.flatnonzero(ds != 0.0)
         if moved.size:
-            j = i[moved]
-            a, t, n = _frenet_rk4_step(tuple(self.points[j].T), tuple(self.tangents[j].T),
-                                       tuple(self.normals[j].T), self.s[j], ds[moved],
-                                       self.kg_fn)
-            a, _, _ = _reproject_frame(a, t, n, _normalize_points, _normalize_spacelikes)
-            out[moved] = np.stack(a, axis=1)
-        return out
+            step = _frenet_rk4_step(*(tuple(x[:, moved]) for x in frame), self.s[i[moved]],
+                                    ds[moved], self.kg_fn)
+            for out, new in zip(frame, _reproject_frame(*step, _normalize_points,
+                                                        _normalize_spacelikes)):
+                out[:, moved] = new
+        return tuple(tuple(x) for x in frame)
+
+    def positions_at(self, s: np.ndarray) -> np.ndarray:
+        """Dense positions at an array of arclengths, shape (len(s), 3): the
+        first element of :meth:`frames_at`."""
+        return np.stack(self.frames_at(s)[0], axis=1)
 
     def eval(self, s: float) -> tuple[H2Point, H2Tangent]:
         a, t, _, _ = self.frame_at(s)
@@ -535,16 +564,10 @@ def points_to_curve_dist(q: np.ndarray, curve: H2Curve) -> np.ndarray:
     qc = q.T
 
     def dist(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-        a = tuple(curve.positions_at(x).T)
-        return _dists_raw(tuple(qc[:, idx]), a)
+        return _dists_raw(tuple(qc[:, idx]), curve.frames_at(x)[0])
 
     _, d = golden_min_batch(dist, lo, hi, tol=1e-12)
     return d
-
-
-def point_to_curve_dist(p: H2Point, curve: H2Curve) -> float:
-    """Distance from a point to the curve (continuous, not just samples)."""
-    return float(points_to_curve_dist(np.array([p.tup]), curve)[0])
 
 
 def curve_hausdorff(a: H2Curve, b: H2Curve) -> float:

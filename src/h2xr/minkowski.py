@@ -11,6 +11,10 @@ inner loops.  The arithmetic helpers also take triples of numpy arrays (one
 array per coordinate); the normalizations have array twins
 ``_normalize_points`` and ``_normalize_spacelikes``, so the scalar ones keep
 their plain-float branches.
+
+Array kernels that must reproduce the scalar path bit for bit take their
+transcendental functions and powers elementwise from ``math`` (see
+``numerics._each``).
 """
 
 from __future__ import annotations

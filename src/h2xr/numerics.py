@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import repeat
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -17,6 +18,33 @@ from .errors import NumericalError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+
+
+def _each(fn, x, *consts) -> np.ndarray:
+    """The scalar function ``fn`` on every element of the float array ``x``
+    (and of the same-shape arrays or floats ``consts``), each element passed
+    as a Python float.
+
+    Array code that must reproduce a scalar computation bit for bit takes
+    its transcendental functions and powers from ``math`` this way: numpy's
+    own cosh, sinh, exp and power round differently from the C library on
+    some arguments, and ``x ** 2`` on a float is the library's ``pow``, which
+    is not always ``x * x``.
+    """
+    x = np.asarray(x, dtype=float)
+    args = [c.ravel().tolist() if isinstance(c, np.ndarray) else repeat(float(c))
+            for c in consts]
+    return np.fromiter(map(fn, x.ravel().tolist(), *args), float, x.size).reshape(x.shape)
+
+
+def _array_pow(x: np.ndarray, k: float) -> np.ndarray:
+    """Elementwise ``x ** k``, rounded as the float power."""
+    return _each(math.pow, x, float(k))
+
+
+def _sq(x) -> np.ndarray:
+    """Elementwise ``x ** 2``, rounded as the float power."""
+    return _array_pow(x, 2)
 
 
 def golden_min(f: Callable[[float], float], a: float, b: float,
@@ -122,7 +150,8 @@ def bracket_root(f: Callable[[float], float], a: float, b: float,
 class CubicSpline1D:
     """Natural cubic spline through (x, y) knots, with first derivative.
 
-    Both evaluate at a float or elementwise at a numpy array of abscissae.
+    Both evaluate at a float or elementwise at a numpy array of abscissae,
+    with the same bits either way.
     """
 
     def __init__(self, xs: Sequence[float], ys: Sequence[float]):
@@ -155,31 +184,33 @@ class CubicSpline1D:
         self._lists = (x.tolist(), y.tolist(), h.tolist(), m.tolist())
 
     def _segment(self, t):
-        """Interval index of t and the knot data to index with it."""
+        """Interval index of t, the knot data to index with it, and the power
+        function (elementwise through the float power on arrays)."""
         if isinstance(t, np.ndarray):
             i = np.searchsorted(self.x, t, side="right") - 1
-            return np.clip(i, 0, len(self.x) - 2), self.x, self.y, self.h, self.m
+            return (np.clip(i, 0, len(self.x) - 2), self.x, self.y, self.h, self.m,
+                    _array_pow)
         x, y, h, m = self._lists
         i = bisect_right(x, t) - 1
         if i < 0:
             i = 0
         elif i > len(x) - 2:
             i = len(x) - 2
-        return i, x, y, h, m
+        return i, x, y, h, m, pow
 
     def __call__(self, t):
-        i, x, y, h, m = self._segment(t)
+        i, x, y, h, m, pw = self._segment(t)
         dx = t - x[i]
         dx1 = x[i + 1] - t
-        return (m[i] * dx1 ** 3 + m[i + 1] * dx ** 3) / (6.0 * h[i]) \
+        return (m[i] * pw(dx1, 3) + m[i + 1] * pw(dx, 3)) / (6.0 * h[i]) \
             + (y[i] / h[i] - m[i] * h[i] / 6.0) * dx1 \
             + (y[i + 1] / h[i] - m[i + 1] * h[i] / 6.0) * dx
 
     def deriv(self, t):
-        i, x, y, h, m = self._segment(t)
+        i, x, y, h, m, pw = self._segment(t)
         dx = t - x[i]
         dx1 = x[i + 1] - t
-        return (-m[i] * dx1 ** 2 + m[i + 1] * dx ** 2) / (2.0 * h[i]) \
+        return (-m[i] * pw(dx1, 2) + m[i + 1] * pw(dx, 2)) / (2.0 * h[i]) \
             - (y[i] / h[i] - m[i] * h[i] / 6.0) \
             + (y[i + 1] / h[i] - m[i + 1] * h[i] / 6.0)
 

@@ -46,6 +46,13 @@ class AmbientVec(NamedTuple):
     t: float
 
 
+def _prod_inner(a: AmbientVec, b: AmbientVec):
+    """Product-metric pairing of two ambient vectors, of floats or of arrays
+    alike: Minkowski pairing of the horizontal parts plus the product of the
+    heights."""
+    return _mdot(a.htup, b.htup) + a.t * b.t
+
+
 @dataclass(frozen=True, slots=True)
 class ProdTangent:
     """Tangent vector at a product point."""
@@ -75,15 +82,22 @@ def prod_metric(u: ProdTangent, v: ProdTangent) -> float:
 
 def prod_exp(p: ProdPoint, v: ProdTangent, s: float) -> ProdPoint:
     """Geodesic flow of the product space (closed form)."""
-    nh2 = max(0.0, _mdot(v.vh.tup, v.vh.tup))
-    total = nh2 + v.vt * v.vt
+    foot, t = _prod_exp_raw(p.h.tup, p.t, v.vh.tup, v.vt, s)
+    return ProdPoint(H2Point.of(foot), t)
+
+
+def _prod_exp_raw(p: Triple, t: float, vh: Triple, vt: float, s):
+    """Footprint and height at arclength s along the product geodesic from
+    (p, t) with unit velocity (vh, vt); s a float, or an array, which gives
+    triples of coordinate arrays (or p itself for a vertical geodesic)."""
+    nh2 = max(0.0, _mdot(vh, vh))
+    total = nh2 + vt * vt
     if abs(total - 1.0) > UNIT_TOL:
         raise NonUnitTangent(f"|v|^2 = {total}, expected a unit tangent")
     a_h = math.sqrt(nh2)
     if a_h < 1e-15:
-        return ProdPoint(p.h, p.t + s * v.vt)
-    direction = _mscale(1.0 / a_h, v.vh.tup)
-    return ProdPoint(H2Point.of(_exp_raw(p.h.tup, direction, s * a_h)), p.t + s * v.vt)
+        return p, t + s * vt
+    return _exp_raw(p, _mscale(1.0 / a_h, vh), s * a_h), t + s * vt
 
 
 def prod_dist(p: ProdPoint, q: ProdPoint) -> float:

@@ -15,8 +15,17 @@ built.  Presets:
 
 A jet is six plain ambient vectors (coordinate triple plus height), the
 first of them the point.  Building a ``SurfaceJet`` checks it once: finite
-coordinates and height, a footprint on the upper sheet, first derivatives
+coordinates and heights, a footprint on the upper sheet, first derivatives
 tangent to it, and a Gram determinant that makes the chart an immersion.
+
+Bulk evaluation: ``Surface.jets`` evaluates many chart points at once into a
+``JetBlock`` (struct of arrays) whose ``bad`` mask marks every point where
+the scalar path would raise.  The charts built here carry an array evaluator
+as the ``jets`` attribute of the chart function, written from the same
+formulas in the same order as the float chart, with cosh, sinh, cos, sin,
+squares and height functions taken elementwise from the scalar functions, so
+every element has the bits of the float chart; any other chart (rescaled,
+wrapped, user-supplied) is called point by point.
 """
 
 from __future__ import annotations
@@ -24,18 +33,21 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConfigError, NonUnitCurve, NotImmersed, NumericalError,
-                     OutOfDomain)
-from .hyperbolic import (H2Curve, _check_on_sheet, _exp_raw,
+from .errors import (ConfigError, GeometryError, NonUnitCurve, NotImmersed,
+                     NumericalError, OutOfDomain)
+from .hyperbolic import (H2Curve, _check_on_sheet, _exp_raw, _off_sheet,
                          constant_curvature, curvature_profile,
                          curve_from_curvature, linear_curvature,
                          spline_curvature)
-from .minkowski import (Triple, _check_finite, _mcomb, _mcross, _mdot,
-                        _mscale, _normalize_spacelike, _project_tangent)
+from .minkowski import (Triple, _check_finite, _mcomb, _mcross, _mdot, _mscale,
+                        _normalize_spacelike, _project_tangent)
+from .numerics import _each, _sq
 from .product import AmbientVec
 
 DEFAULT_CYLINDER_HEIGHT = 3.0
@@ -84,10 +96,12 @@ class SurfaceJet:
     Xvv: AmbientVec
 
     def __post_init__(self):
-        for w in (self.X, self.Xu, self.Xv, self.Xuu, self.Xuv, self.Xvv):
+        ws = (self.X, self.Xu, self.Xv, self.Xuu, self.Xuv, self.Xvv)
+        for w in ws:
             _check_finite(w.htup)
-        if not math.isfinite(self.X.t):
-            raise NumericalError(f"non-finite height {self.X.t}")
+        for w in ws:
+            if not math.isfinite(w.t):
+                raise NumericalError(f"non-finite height {w.t}")
         p = self.X.htup
         _check_on_sheet(p)
         for w in (self.Xu, self.Xv):
@@ -99,6 +113,74 @@ class SurfaceJet:
         f = _mdot(self.Xu.htup, self.Xv.htup) + self.Xu.t * self.Xv.t
         if e * g - f * f <= 1e-12:
             raise NotImmersed(f"Gram determinant {e * g - f * f} too small")
+
+
+class JetBlock(NamedTuple):
+    """Jets of many chart points, struct of arrays: the six ambient vectors
+    of ``SurfaceJet`` with float arrays for coordinates and heights, plus
+    ``bad``, the points whose scalar evaluation raises (their entries are
+    meaningless)."""
+
+    X: AmbientVec
+    Xu: AmbientVec
+    Xv: AmbientVec
+    Xuu: AmbientVec
+    Xuv: AmbientVec
+    Xvv: AmbientVec
+    bad: np.ndarray
+
+
+def _jet_block(X, Xu, Xv, Xuu, Xuv, Xvv, bad=False) -> JetBlock:
+    """JetBlock from ambient vectors of arrays or floats (broadcast to one
+    length), flagging the points that ``SurfaceJet`` would reject."""
+    cols = [np.asarray(c, dtype=float) for w in (X, Xu, Xv, Xuu, Xuv, Xvv)
+            for c in (*w.htup, w.t)]
+    n = max(c.size for c in cols)
+    cols = [c if c.shape == (n,) else np.full(n, c) for c in cols]
+    X, Xu, Xv, Xuu, Xuv, Xvv = (AmbientVec(tuple(cols[k:k + 3]), cols[k + 3])
+                                for k in range(0, 24, 4))
+    bad = bad | ~np.isfinite(np.stack(cols)).all(axis=0)
+    p = X.htup
+    bad |= _off_sheet(p)
+    for w in (Xu, Xv):
+        bad |= np.abs(_mdot(w.htup, p)) > 1e-8 * (1.0 + np.abs(_mdot(w.htup, w.htup)))
+    e = _mdot(Xu.htup, Xu.htup) + _sq(Xu.t)
+    g = _mdot(Xv.htup, Xv.htup) + _sq(Xv.t)
+    f = _mdot(Xu.htup, Xv.htup) + Xu.t * Xv.t
+    bad |= e * g - f * f <= 1e-12
+    return JetBlock(X, Xu, Xv, Xuu, Xuv, Xvv, bad)
+
+
+def _stack_jets(chart, us: np.ndarray, vs: np.ndarray) -> JetBlock:
+    """Jets of a float chart called point by point, stacked into a block;
+    a point whose call raises is bad."""
+    rows = np.full((len(us), 24), math.nan)
+    bad = np.zeros(len(us), dtype=bool)
+    for k, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+        try:
+            jet = chart(u, v)
+        except (GeometryError, ArithmeticError):
+            bad[k] = True
+            continue
+        rows[k] = [c for w in (jet.X, jet.Xu, jet.Xv, jet.Xuu, jet.Xuv, jet.Xvv)
+                   for c in (*w.htup, w.t)]
+    cols = rows.T
+    return JetBlock(*(AmbientVec(tuple(cols[k:k + 3]), cols[k + 3])
+                      for k in range(0, 24, 4)), bad)
+
+
+def _chart_jets(chart, us: np.ndarray, vs: np.ndarray) -> JetBlock:
+    """Block of jets of a chart function: through its array evaluator when it
+    has one, else (or when the evaluator fails for the whole array, say on
+    an overflow) point by point."""
+    bulk = getattr(chart, "jets", None)
+    if bulk is not None:
+        try:
+            with np.errstate(all="ignore"):
+                return bulk(us, vs)
+        except (GeometryError, ArithmeticError, ValueError):
+            pass
+    return _stack_jets(chart, us, vs)
 
 
 @dataclass(frozen=True)
@@ -121,6 +203,25 @@ class Surface:
             return self.chart(u, v)
         except OverflowError as exc:
             raise NumericalError(f"overflow evaluating {self.label} at ({u}, {v})") from exc
+
+    def jets(self, us, vs) -> JetBlock:
+        """Jets at arrays of chart points, as one block.
+
+        ``bad`` marks every point where :meth:`jet` would raise (outside the
+        domain, a failed jet check, a curve or stencil that does not reach)
+        or where a value is not finite; one bad point never makes the whole
+        call raise.  A chart without an array evaluator is evaluated point
+        by point through :meth:`jet`.
+        """
+        us = np.asarray(us, dtype=float)
+        vs = np.asarray(vs, dtype=float)
+        if getattr(self.chart, "jets", None) is None:
+            return _stack_jets(self.jet, us, vs)
+        (u0, u1), (v0, v1) = self.domain.u_range, self.domain.v_range
+        inside = ((u0 - 1e-9 <= us) & (us <= u1 + 1e-9)
+                  & (v0 - 1e-9 <= vs) & (vs <= v1 + 1e-9))
+        block = _chart_jets(self.chart, us, vs)
+        return block._replace(bad=block.bad | ~inside)
 
 
 def unit_normal(jet: SurfaceJet) -> AmbientVec:
@@ -164,6 +265,65 @@ def unit_normal(jet: SurfaceJet) -> AmbientVec:
     return AmbientVec(nh, nc[2])
 
 
+def _unit_spacelikes(v):
+    """Normalized spacelike vectors (triple of coordinate arrays) and the mask
+    of those ``_normalize_spacelike`` rejects."""
+    q = _mdot(v, v)
+    c = 1.0 / np.sqrt(q)
+    return (c * v[0], c * v[1], c * v[2]), ~(q > 0.0)
+
+
+def unit_normals(jets: JetBlock) -> tuple[AmbientVec, np.ndarray]:
+    """:func:`unit_normal` on a block of jets: the normals, as an ambient
+    vector of arrays, and the mask of the points where it raises.  The
+    orientation rule picks its branch per point."""
+    p = jets.X.htup
+    b1, bad = _unit_spacelikes(_project_tangent(p, (0.0, 1.0, 0.0)))
+    b2 = _mcross(p, b1)
+    xu = (_mdot(jets.Xu.htup, b1), _mdot(jets.Xu.htup, b2), jets.Xu.t)
+    xv = (_mdot(jets.Xv.htup, b1), _mdot(jets.Xv.htup, b2), jets.Xv.t)
+    nc = (xu[1] * xv[2] - xu[2] * xv[1],
+          xu[2] * xv[0] - xu[0] * xv[2],
+          xu[0] * xv[1] - xu[1] * xv[0])
+    nn = np.sqrt(_sq(nc[0]) + _sq(nc[1]) + _sq(nc[2]))
+    bad |= ~(nn >= 1e-12)
+    nc = (nc[0] / nn, nc[1] / nn, nc[2] / nn)
+    steep = np.abs(nc[2]) > 0.1
+    use_v = _mdot(jets.Xu.htup, jets.Xu.htup) < _mdot(jets.Xv.htup, jets.Xv.htup)
+    hu = tuple(np.where(use_v, b, a) for a, b in zip(jets.Xu.htup, jets.Xv.htup))
+    hu, flat_bad = _unit_spacelikes(hu)
+    bad |= ~steep & flat_bad
+    conormal = _mcross(p, hu)
+    nh = _mcomb(nc[0], b1, nc[1], b2)
+    sign = np.where(steep, np.where(nc[2] > 0.0, 1.0, -1.0),
+                    np.where(_mdot(nh, conormal) >= 0.0, 1.0, -1.0))
+    nc = (sign * nc[0], sign * nc[1], sign * nc[2])
+    nh = _mcomb(nc[0], b1, nc[1], b2)
+    bad |= ~(np.isfinite(nh[0]) & np.isfinite(nh[1]) & np.isfinite(nh[2]))
+    return AmbientVec(nh, nc[2]), bad
+
+
+# Float and array versions of the math a chart body calls: a chart written
+# once against ``m`` gives the float chart with ``_FLOATS`` and its array
+# evaluator with ``_ARRAYS``.
+_FLOATS = SimpleNamespace(cosh=math.cosh, sinh=math.sinh, cos=math.cos, sin=math.sin,
+                          call=lambda fn, u, v: fn(u, v), jet=SurfaceJet)
+_ARRAYS = SimpleNamespace(cosh=partial(_each, math.cosh), sinh=partial(_each, math.sinh),
+                          cos=partial(_each, math.cos), sin=partial(_each, math.sin),
+                          call=_each, jet=_jet_block)
+
+
+def _chart(body):
+    """Float chart ``body(u, v, _FLOATS)``, carrying ``body(us, vs, _ARRAYS)``
+    as its array evaluator."""
+
+    def chart(u: float, v: float) -> SurfaceJet:
+        return body(u, v, _FLOATS)
+
+    chart.jets = lambda us, vs: body(us, vs, _ARRAYS)
+    return chart
+
+
 # -- cylinders -----------------------------------------------------------------
 
 _ZERO = AmbientVec((0.0, 0.0, 0.0), 0.0)
@@ -188,14 +348,18 @@ def make_cylinder(alpha: H2Curve, v_range: tuple[float, float] = (-DEFAULT_CYLIN
         curve = H2Curve(curve.s, curve.points, curve.tangents, curve.interpolation,
                         curve.normals, kg_all, curve.kg_fn)
 
+    def body(a, t, n, kg, v, jet):
+        acc = (kg * n[0] + a[0], kg * n[1] + a[1], kg * n[2] + a[2])
+        return jet(X=AmbientVec(a, v), Xu=AmbientVec(t, 0.0), Xv=_VERTICAL,
+                   Xuu=AmbientVec(acc, 0.0), Xuv=_ZERO, Xvv=_ZERO)
+
     def chart(u: float, v: float) -> SurfaceJet:
         a, t, n, kg = curve.frame_at(u)
         if not math.isfinite(kg):
             raise NumericalError(f"no curvature data at u = {u}")
-        acc = (kg * n[0] + a[0], kg * n[1] + a[1], kg * n[2] + a[2])
-        return SurfaceJet(X=AmbientVec(a, v), Xu=AmbientVec(t, 0.0), Xv=_VERTICAL,
-                          Xuu=AmbientVec(acc, 0.0), Xuv=_ZERO, Xvv=_ZERO)
+        return body(a, t, n, kg, v, SurfaceJet)
 
+    chart.jets = lambda us, vs: body(*curve.frames_at(us), curve.kg_at(us), vs, _jet_block)
     dom = ChartDomain((curve.s_min, curve.s_max), v_range)
     return Surface(chart, dom, "analytic", label)
 
@@ -207,11 +371,11 @@ def make_slice(t0: float, radius: float, label: str = "slice") -> Surface:
     if radius <= 0.0:
         raise ConfigError("slice radius must be positive")
 
-    def chart(r: float, th: float) -> SurfaceJet:
-        ch, sh = math.cosh(r), math.sinh(r)
-        c, s = math.cos(th), math.sin(th)
+    def body(r, th, m):
+        ch, sh = m.cosh(r), m.sinh(r)
+        c, s = m.cos(th), m.sin(th)
         sigma = (ch, sh * c, sh * s)
-        return SurfaceJet(
+        return m.jet(
             X=AmbientVec(sigma, t0),
             Xu=AmbientVec((sh, ch * c, ch * s), 0.0),
             Xv=AmbientVec((0.0, -sh * s, sh * c), 0.0),
@@ -221,7 +385,7 @@ def make_slice(t0: float, radius: float, label: str = "slice") -> Surface:
         )
 
     dom = ChartDomain((SLICE_INNER_RADIUS, radius), (0.0, 2.0 * math.pi))
-    return Surface(chart, dom, "analytic", label)
+    return Surface(_chart(body), dom, "analytic", label)
 
 
 # -- graphs over a Fermi chart ----------------------------------------------------
@@ -293,34 +457,67 @@ def make_graph(height: HeightFunction,
     cosh^2(v) du^2 + dv^2.
     """
 
-    def chart(u: float, v: float) -> SurfaceJet:
-        chu, shu = math.cosh(u), math.sinh(u)
-        chv, shv = math.cosh(v), math.sinh(v)
+    def body(u, v, m):
+        chu, shu = m.cosh(u), m.sinh(u)
+        chv, shv = m.cosh(v), m.sinh(v)
         sigma = (chu * chv, shu * chv, shv)
         sig_u = (shu * chv, chu * chv, 0.0)
         sig_v = (chu * shv, shu * shv, chv)
         sig_uu = (chu * chv, shu * chv, 0.0)
         sig_uv = (shu * shv, chu * shv, 0.0)
-        return SurfaceJet(
-            X=AmbientVec(sigma, height.f(u, v)),
-            Xu=AmbientVec(sig_u, height.fu(u, v)),
-            Xv=AmbientVec(sig_v, height.fv(u, v)),
-            Xuu=AmbientVec(sig_uu, height.fuu(u, v)),
-            Xuv=AmbientVec(sig_uv, height.fuv(u, v)),
-            Xvv=AmbientVec(sigma, height.fvv(u, v)),
+        return m.jet(
+            X=AmbientVec(sigma, m.call(height.f, u, v)),
+            Xu=AmbientVec(sig_u, m.call(height.fu, u, v)),
+            Xv=AmbientVec(sig_v, m.call(height.fv, u, v)),
+            Xuu=AmbientVec(sig_uu, m.call(height.fuu, u, v)),
+            Xuv=AmbientVec(sig_uv, m.call(height.fuv, u, v)),
+            Xvv=AmbientVec(sigma, m.call(height.fvv, u, v)),
         )
 
-    return Surface(chart, domain, "analytic", label)
+    return Surface(_chart(body), domain, "analytic", label)
 
 
 # -- finite-difference jets ----------------------------------------------------------
 
-def _fd_chart(pos, domain: ChartDomain, step: float):
+def _fd_jet(h, samples, jet):
+    """Jet from positions at the centre and the eight neighbours (u +- h,
+    v +- h) of a central-difference stencil, in the order c, u+, u-, v+, v-,
+    ++, +-, -+, --; floats or arrays alike."""
+    ((pc, tc), (pu_p, tu_p), (pu_m, tu_m), (pv_p, tv_p), (pv_m, tv_m),
+     (ppp, tpp), (ppm, tpm), (pmp, tmp_), (pmm, tmm)) = samples
+
+    def d1(pp, pm):
+        return tuple((a - b) / (2.0 * h) for a, b in zip(pp, pm))
+
+    def d2(pp, pm):
+        return tuple((a - 2.0 * b + c) / (h * h) for a, b, c in zip(pp, pc, pm))
+
+    xu = _project_tangent(pc, d1(pu_p, pu_m))
+    xv = _project_tangent(pc, d1(pv_p, pv_m))
+    xuu = d2(pu_p, pu_m)
+    xvv = d2(pv_p, pv_m)
+    xuv = tuple((a - b - c + d) / (4.0 * h * h)
+                for a, b, c, d in zip(ppp, ppm, pmp, pmm))
+    return jet(
+        X=AmbientVec(pc, tc),
+        Xu=AmbientVec(xu, (tu_p - tu_m) / (2.0 * h)),
+        Xv=AmbientVec(xv, (tv_p - tv_m) / (2.0 * h)),
+        Xuu=AmbientVec(xuu, (tu_p - 2.0 * tc + tu_m) / (h * h)),
+        Xuv=AmbientVec(xuv, (tpp - tpm - tmp_ + tmm) / (4.0 * h * h)),
+        Xvv=AmbientVec(xvv, (tv_p - 2.0 * tc + tv_m) / (h * h)),
+    )
+
+
+def _fd_chart(pos, pos_arrays, domain: ChartDomain, step: float):
     """Jet evaluator from a position-only chart, by central differences.
 
     First-derivative horizontal parts are re-projected onto the hyperboloid
     tangent space; second derivatives are the raw coordinate differences.
-    The stencil shrinks near the chart boundary.
+    The stencil shrinks near the chart boundary.  ``pos(u, v)`` gives one
+    position (footprint triple, height); ``pos_arrays(us, vs)`` gives the
+    positions of arrays of points with their bad mask, and serves the array
+    evaluator, which takes the nine stencil positions of every point from
+    one call.
     """
     (u0, u1) = domain.u_range
     (v0, v1) = domain.v_range
@@ -329,37 +526,23 @@ def _fd_chart(pos, domain: ChartDomain, step: float):
         h = min(step, 0.5 * (u - u0), 0.5 * (u1 - u), 0.5 * (v - v0), 0.5 * (v1 - v))
         if h <= 0.0:
             raise OutOfDomain("finite-difference stencil does not fit at the boundary")
-        pc, tc = pos(u, v)
-        pu_p, tu_p = pos(u + h, v)
-        pu_m, tu_m = pos(u - h, v)
-        pv_p, tv_p = pos(u, v + h)
-        pv_m, tv_m = pos(u, v - h)
-        ppp, tpp = pos(u + h, v + h)
-        ppm, tpm = pos(u + h, v - h)
-        pmp, tmp_ = pos(u - h, v + h)
-        pmm, tmm = pos(u - h, v - h)
+        samples = [pos(u, v), pos(u + h, v), pos(u - h, v), pos(u, v + h), pos(u, v - h),
+                   pos(u + h, v + h), pos(u + h, v - h), pos(u - h, v + h),
+                   pos(u - h, v - h)]
+        return _fd_jet(h, samples, SurfaceJet)
 
-        def d1(pp, pm):
-            return tuple((a - b) / (2.0 * h) for a, b in zip(pp, pm))
+    def chart_arrays(us: np.ndarray, vs: np.ndarray) -> JetBlock:
+        h = np.minimum.reduce([np.full(us.shape, step), 0.5 * (us - u0), 0.5 * (u1 - us),
+                               0.5 * (vs - v0), 0.5 * (v1 - vs)])
+        up, um, vp, vm = us + h, us - h, vs + h, vs - h
+        p, t, bad = pos_arrays(np.concatenate([us, up, um, us, us, up, up, um, um]),
+                               np.concatenate([vs, vs, vs, vp, vm, vp, vm, vp, vm]))
+        n = len(us)
+        samples = [(tuple(c[k:k + n] for c in p), t[k:k + n]) for k in range(0, 9 * n, n)]
+        bad = bad.reshape(9, n).any(axis=0) | ~(h > 0.0)
+        return _fd_jet(h, samples, partial(_jet_block, bad=bad))
 
-        def d2(pp, pm):
-            return tuple((a - 2.0 * b + c) / (h * h) for a, b, c in zip(pp, pc, pm))
-
-        xu = _project_tangent(pc, d1(pu_p, pu_m))
-        xv = _project_tangent(pc, d1(pv_p, pv_m))
-        xuu = d2(pu_p, pu_m)
-        xvv = d2(pv_p, pv_m)
-        xuv = tuple((a - b - c + d) / (4.0 * h * h)
-                    for a, b, c, d in zip(ppp, ppm, pmp, pmm))
-        return SurfaceJet(
-            X=AmbientVec(pc, tc),
-            Xu=AmbientVec(xu, (tu_p - tu_m) / (2.0 * h)),
-            Xv=AmbientVec(xv, (tv_p - tv_m) / (2.0 * h)),
-            Xuu=AmbientVec(xuu, (tu_p - 2.0 * tc + tu_m) / (h * h)),
-            Xuv=AmbientVec(xuv, (tpp - tpm - tmp_ + tmm) / (4.0 * h * h)),
-            Xvv=AmbientVec(xvv, (tv_p - 2.0 * tc + tv_m) / (h * h)),
-        )
-
+    chart.jets = chart_arrays
     return chart
 
 
@@ -372,7 +555,11 @@ def finite_difference_surface(base: Surface, step: float = FD_STEP,
     def pos(u: float, v: float) -> AmbientVec:
         return base.chart(u, v).X
 
-    return Surface(_fd_chart(pos, base.domain, step), base.domain,
+    def pos_arrays(us: np.ndarray, vs: np.ndarray):
+        jets = _chart_jets(base.chart, us, vs)
+        return jets.X.htup, jets.X.t, jets.bad
+
+    return Surface(_fd_chart(pos, pos_arrays, base.domain, step), base.domain,
                    "finite-difference", label or f"{base.label}(fd)", step)
 
 
@@ -411,7 +598,18 @@ def perturb(base: Surface, eps: float, bump: HeightFunction | None = None,
         direction = _mscale(1.0 / a_h, n.htup)
         return _exp_raw(p, direction, d * a_h), jet.X.t + d * n.t
 
-    return Surface(_fd_chart(pos, base.domain, fd_step), base.domain,
+    def pos_arrays(us: np.ndarray, vs: np.ndarray):
+        jets = _chart_jets(base.chart, us, vs)
+        n, bad = unit_normals(jets)
+        d = eps * _each(bump.f, us, vs)
+        p = jets.X.htup
+        a_h = np.sqrt(np.maximum(0.0, _mdot(n.htup, n.htup)))
+        moved = _exp_raw(p, _mscale(1.0 / a_h, n.htup), d * a_h)
+        still = a_h < 1e-15
+        return (tuple(np.where(still, a, b) for a, b in zip(p, moved)),
+                jets.X.t + d * n.t, jets.bad | bad)
+
+    return Surface(_fd_chart(pos, pos_arrays, base.domain, fd_step), base.domain,
                    "finite-difference",
                    label or f"{base.label}+bump({eps})", fd_step)
 

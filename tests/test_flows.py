@@ -12,6 +12,8 @@ from h2xr.flows import (DOMAIN_EDGE, MAX_LENGTH, PLANAR_HIT, TRACE_CSV_HEADER,
                         geodesic_deviation, trace_asymptotic)
 from h2xr.hyperbolic import H2Point
 
+from conftest import loop_cov_norm, loop_geodesic_deviation
+
 # both deviations and ODE residuals on cylinder traces sit at the metric /
 # roundoff floor at every step size; step-halving assertions compare against
 # max(value / 3, floor) to stay meaningful there
@@ -126,6 +128,57 @@ class TestFrameOdeResiduals:
         for a, b in zip((r1.lambda_ode, r1.k2_ode, r1.de2, r1.de3),
                         (r2.lambda_ode, r2.k2_ode, r2.de2, r2.de3)):
             assert b <= max(a / 3.0, FLOOR)
+
+
+def _slanted_record(circle_curve, rng):
+    """Control record off every geodesic: a horizontal circle climbing at
+    slope 0.7 plus noise, with noisy frame rows, so every branch of the
+    vectorised diagnostics sees non-trivial values."""
+    n = 801
+    s = circle_curve.s[:n].copy()
+    t = 0.7 * s + 1e-6 * rng.standard_normal(n)
+    rec = control_record(s, np.stack([s, t], axis=1), circle_curve.points[:n], t,
+                         circle_curve.step)
+    frames = rng.standard_normal((2, n, 4))
+    return TraceRecord(rec.s, rec.uv, rec.h, rec.t, np.ones(n), np.full(n, 0.5),
+                       np.cumsum(rng.standard_normal(n)) * 1e-3, frames[0], frames[1],
+                       MAX_LENGTH, rec.step, rec.tol)
+
+
+class TestVectorisedDiagnostics:
+    """geodesic_deviation and frame_ode_residuals on arrays against the
+    per-sample loops they replaced (conftest)."""
+
+    def _records(self, circle_trace, inflection_trace, circle_curve):
+        return [circle_trace, inflection_trace,
+                _slanted_record(circle_curve, np.random.default_rng(7))]
+
+    def test_deviation_matches_loop(self, circle_trace, inflection_trace, circle_curve):
+        for tr in self._records(circle_trace, inflection_trace, circle_curve):
+            got, ref = geodesic_deviation(tr), loop_geodesic_deviation(tr)
+            assert abs(got.max_dev - ref.max_dev) <= 1e-15
+            assert got.at_s == ref.at_s
+
+    def test_residuals_match_loop(self, circle_trace, inflection_trace, circle_curve):
+        for tr in self._records(circle_trace, inflection_trace, circle_curve):
+            res = frame_ode_residuals(tr)
+            assert abs(res.de2 - loop_cov_norm(tr, tr.e2)) <= 1e-15
+            assert abs(res.de3 - loop_cov_norm(tr, tr.e3)) <= 1e-15
+
+    def test_nan_entries_are_treated_like_the_loop(self, circle_curve):
+        tr = _slanted_record(circle_curve, np.random.default_rng(3))
+        tr.e2[10:20] = np.nan             # skipped
+        tr.e2[40:50, :3] = np.nan         # horizontal part dropped, height kept
+        tr.e2[40:50, 3] = np.arange(10) * 1e3
+        assert frame_ode_residuals(tr).de2 == loop_cov_norm(tr, tr.e2)
+
+    def test_zero_deviation_reports_the_first_sample(self):
+        # a vertical product geodesic sampled exactly: every distance is 0.0
+        p = H2Point.of((1.0, 0.0, 0.0))
+        s = np.arange(9) * 0.25
+        tr = control_record(s, np.zeros((9, 2)), [p.tup] * 9, s, 0.25)
+        dev, ref = geodesic_deviation(tr), loop_geodesic_deviation(tr)
+        assert (dev.max_dev, dev.at_s) == (ref.max_dev, ref.at_s) == (0.0, 0.0)
 
 
 class TestFitInverseH:

@@ -273,6 +273,29 @@ class TestDenseBatch:
         scalar = np.array([c.frame_at(float(x))[0] for x in s])
         assert np.max(np.abs(c.positions_at(s) - scalar)) <= 1e-14
 
+    @given(st.sampled_from(sorted(DENSE_CURVES)),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_frames_equal_frame_at_bitwise(self, name, fracs, on_samples):
+        c = DENSE_CURVES[name]
+        if on_samples:
+            s = c.s[np.round(np.array(fracs) * (len(c.s) - 1)).astype(int)]
+        else:
+            s = c.s_min + np.array(fracs) * (c.s_max - c.s_min)
+        frames = c.frames_at(s)
+        kg = np.broadcast_to(c.kg_at(s), s.shape)
+        for k, x in enumerate(s.tolist()):
+            a, t, n, kgk = c.frame_at(x)
+            assert tuple(float(v[k]) for w in frames for v in w) == (*a, *t, *n)
+            assert float(kg[k]) == kgk
+        assert np.array_equal(c.positions_at(s), np.stack(frames[0], axis=1))
+
+    def test_frames_at_samples_are_stored(self):
+        c = DENSE_CURVES["spline"]
+        a, t, n = c.frames_at(c.s[3:9])
+        for got, stored in ((a, c.points), (t, c.tangents), (n, c.normals)):
+            assert np.array_equal(np.stack(got, axis=1), stored[3:9])
+
     def test_out_of_domain_in_batch(self):
         c = DENSE_CURVES["linear"]
         with pytest.raises(OutOfDomain):

@@ -206,6 +206,12 @@ class TestJetChecks:
         with pytest.raises(NumericalError, match="non-finite height"):
             SurfaceJet(**spoiled(X=AmbientVec((1.0, 0.0, 0.0), height)))
 
+    @pytest.mark.parametrize("field", JET_FIELDS)
+    def test_non_finite_derivative_height_rejected(self, field):
+        h, _ = GOOD_JET[field]
+        with pytest.raises(NumericalError, match="non-finite height"):
+            SurfaceJet(**spoiled(**{field: AmbientVec(h, math.nan)}))
+
     def test_non_tangent_first_derivative_rejected(self):
         # <Xu, p> = -0.5 while the Gram determinant stays 0.75
         with pytest.raises(NumericalError, match="not tangent"):
