@@ -40,8 +40,14 @@ alone, so its status comes from the scalar exception.  The Brioschi value
 of a cell is the scalar ``brioschi_curvature`` of its array-sampled stencil:
 numpy sums small dot products in its BLAS kernel's fused order, which no
 array expression reproduces.  The sequential RK4 steps of asymptotic traces
-stay scalar: an array call costs several scalar jets, so a handful of points
-in lockstep does not pay for it.
+stay scalar: an array call costs several scalar jets (an array call on 16
+cylinder points costs about as much as 16 scalar points), and a trace
+steps one seed at a time, so points in lockstep do not pay for it.
+Instead the scalar chain is kept cheap: ``forms_from_jet`` and
+``principal_curvatures`` (like ``SurfaceJet`` and ``unit_normal``) work on
+unpacked floats, with no triple helpers, closures or intermediate tuples,
+and keep the operations and their order, so the bits, checks and messages
+stay those of the helper-based formulas.
 """
 
 from __future__ import annotations
@@ -84,9 +90,11 @@ class FundamentalForms:
     nu: float
 
     def __post_init__(self):
-        if not (self.E > 0.0 and self.G > 0.0 and self.E * self.G - self.F ** 2 > 0.0):
+        E, G = self.E, self.G
+        if not (E > 0.0 and G > 0.0 and E * G - self.F ** 2 > 0.0):
             raise NotImmersed("first form is not positive definite")
-        n2 = _mdot(self.normal.htup, self.normal.htup) + self.normal.t ** 2
+        (h0, h1, h2), nt = self.normal
+        n2 = -h0 * h0 + h1 * h1 + h2 * h2 + nt ** 2
         if abs(n2 - 1.0) > 1e-9:
             raise NumericalError(f"normal norm^2 = {n2}")
         if abs(self.nu) > 1.0 + 1e-12:
@@ -127,20 +135,21 @@ def fundamental_forms(S: Surface, u: float, v: float) -> FundamentalForms:
 
 
 def forms_from_jet(jet: SurfaceJet) -> FundamentalForms:
-    E = _prod_inner(jet.Xu, jet.Xu)
-    F = _prod_inner(jet.Xu, jet.Xv)
-    G = _prod_inner(jet.Xv, jet.Xv)
+    (p0, p1, p2), _ = jet.X
+    (u0, u1, u2), ut = jet.Xu
+    (v0, v1, v2), vt = jet.Xv
+    E = -u0 * u0 + u1 * u1 + u2 * u2 + ut * ut
+    F = -u0 * v0 + u1 * v1 + u2 * v2 + ut * vt
+    G = -v0 * v0 + v1 * v1 + v2 * v2 + vt * vt
     if E * G - F * F <= 1e-12:
         raise NotImmersed("degenerate jet")
-    normal = unit_normal(jet)
-    p = jet.X.htup
-
-    def second(w: AmbientVec) -> float:
-        cov_h = _project_tangent(p, w.htup)
-        return _mdot(cov_h, normal.htup) + w.t * normal.t
-
-    return FundamentalForms(E, F, G, second(jet.Xuu), second(jet.Xuv),
-                            second(jet.Xvv), normal, normal.t)
+    normal = (n0, n1, n2), nt = unit_normal(jet)
+    second = []
+    for (w0, w1, w2), wt in (jet.Xuu, jet.Xuv, jet.Xvv):
+        c = -w0 * p0 + w1 * p1 + w2 * p2  # w + c p: the tangential part of w
+        second.append(-(w0 + c * p0) * n0 + (w1 + c * p1) * n1 + (w2 + c * p2) * n2
+                      + wt * nt)
+    return FundamentalForms(E, F, G, *second, normal, nt)
 
 
 class FormsBlock(NamedTuple):
@@ -190,55 +199,41 @@ def principal_curvatures(forms: FundamentalForms) -> tuple[float, float,
     """
     E, F, G = forms.E, forms.F, forms.G
     L, M2, N2 = forms.L, forms.M2, forms.N2
-    det1 = E * G - F * F
-    A = det1
+    A = E * G - F * F
     B = -(E * N2 - 2.0 * F * M2 + G * L)
     C = L * N2 - M2 * M2
-    disc = max(0.0, B * B - 4.0 * A * C)
-    sq = math.sqrt(disc)
-    if B >= 0.0:
-        q = -0.5 * (B + sq)
-    else:
-        q = -0.5 * (B - sq)
+    sq = math.sqrt(max(0.0, B * B - 4.0 * A * C))
+    q = -0.5 * (B + sq) if B >= 0.0 else -0.5 * (B - sq)
     if q == 0.0:
         ka = kb = 0.0
     else:
-        ka = q / A
-        kb = C / q
-    if abs(ka) <= abs(kb):
-        k1, k2 = ka, kb
+        ka, kb = q / A, C / q
+    k1, k2 = (ka, kb) if abs(ka) <= abs(kb) else (kb, ka)
+    # d1 spans the kernel of the rows (a, b), (b, c) of II - k1 I, read from
+    # the longer row; then made first-form unit, with x > 0 (or x = 0, y > 0)
+    a, b, c = L - k1 * E, M2 - k1 * F, N2 - k1 * G
+    n1, n2 = a ** 2 + b ** 2, b ** 2 + c ** 2
+    x, y = (1.0, 0.0) if max(n1, n2) < 1e-28 else (-b, a) if n1 >= n2 else (-c, b)
+    n = math.sqrt(E * x ** 2 + 2.0 * F * x * y + G * y ** 2)
+    x, y = x / n, y / n
+    if x < 0.0 or (x == 0.0 and y < 0.0):
+        x, y = -x, -y
+    # d2 likewise at k2, or first-form orthogonal to d1 where that kernel is
+    # lost or the curvatures coincide; then Gram-Schmidt against d1 for
+    # robustness near umbilics
+    a, b, c = L - k2 * E, M2 - k2 * F, N2 - k2 * G
+    n1, n2 = a ** 2 + b ** 2, b ** 2 + c ** 2
+    if max(n1, n2) < 1e-28 or abs(k2 - k1) < 1e-14 * (1.0 + abs(k1)):
+        w, z = -F * x - G * y, E * x + F * y
     else:
-        k1, k2 = kb, ka
-
-    def direction(k: float) -> tuple[float, float] | None:
-        r1 = (L - k * E, M2 - k * F)
-        r2 = (M2 - k * F, N2 - k * G)
-        n1 = r1[0] ** 2 + r1[1] ** 2
-        n2 = r2[0] ** 2 + r2[1] ** 2
-        row = r1 if n1 >= n2 else r2
-        if max(n1, n2) < 1e-28:
-            return None
-        return (-row[1], row[0])
-
-    def unit_in_form(d: tuple[float, float]) -> tuple[float, float]:
-        n = math.sqrt(E * d[0] ** 2 + 2.0 * F * d[0] * d[1] + G * d[1] ** 2)
-        d = (d[0] / n, d[1] / n)
-        if d[0] < 0.0 or (d[0] == 0.0 and d[1] < 0.0):
-            d = (-d[0], -d[1])
-        return d
-
-    d1 = direction(k1)
-    if d1 is None:
-        d1 = (1.0, 0.0)
-    d1 = unit_in_form(d1)
-    d2 = direction(k2)
-    if d2 is None or abs(k2 - k1) < 1e-14 * (1.0 + abs(k1)):
-        d2 = (-F * d1[0] - G * d1[1], E * d1[0] + F * d1[1])
-    # first-form Gram-Schmidt against d1 for robustness near umbilics
-    g12 = (E * d1[0] * d2[0] + F * (d1[0] * d2[1] + d1[1] * d2[0]) + G * d1[1] * d2[1])
-    d2 = (d2[0] - g12 * d1[0], d2[1] - g12 * d1[1])
-    d2 = unit_in_form(d2)
-    return k1, k2, d1, d2
+        w, z = (-b, a) if n1 >= n2 else (-c, b)
+    g12 = (E * x * w + F * (x * z + y * w) + G * y * z)
+    w, z = w - g12 * x, z - g12 * y
+    n = math.sqrt(E * w ** 2 + 2.0 * F * w * z + G * z ** 2)
+    w, z = w / n, z / n
+    if w < 0.0 or (w == 0.0 and z < 0.0):
+        w, z = -w, -z
+    return k1, k2, (x, y), (w, z)
 
 
 def principal_curvature_arrays(forms: FormsBlock):

@@ -217,18 +217,18 @@ def trace_asymptotic(S: Surface, u0: float, v0: float, length: float,
     if step <= 0.0 or length <= 0.0:
         raise NumericalError("length and step must be positive")
 
-    cache: dict[tuple[float, float], tuple] = {}
+    # The points of the current step: only these, and the seed at the start
+    # of each leg, are ever evaluated twice (on cylinders the second and
+    # third stages, and the fourth stage and the next sample, coincide).
+    memo: dict[tuple[float, float], tuple] = {}
 
     def eval_at(u: float, v: float):
-        key = (u, v)
-        hit = cache.get(key)
+        hit = memo.get((u, v))
         if hit is None:
-            hit = _principal_at(S, u, v)
-            if len(cache) < 65536:
-                cache[key] = hit
+            hit = memo[u, v] = _principal_at(S, u, v)
         return hit
 
-    jet0, forms0, k1_0, k2_0, d1_0, d2_0 = eval_at(u0, v0)
+    seed = jet0, forms0, k1_0, k2_0, d1_0, d2_0 = _principal_at(S, u0, v0)
     cls = classify_point(shape_data(forms0), tol)
     if cls.tag != PARABOLIC:
         raise NotParabolic(f"seed ({u0}, {v0}) classifies {cls.tag}")
@@ -246,7 +246,10 @@ def trace_asymptotic(S: Surface, u0: float, v0: float, length: float,
         samples = []
         u, v = u0, v0
         ref = direction
+        here = seed
         for _ in range(half_steps):
+            memo.clear()
+            memo[u, v] = here
             try:
                 k1v = field(u, v, ref)
                 k2v = field(u + 0.5 * step * k1v[0], v + 0.5 * step * k1v[1], k1v)
@@ -261,7 +264,7 @@ def trace_asymptotic(S: Surface, u0: float, v0: float, length: float,
             if not S.domain.contains(un, vn):
                 return samples, DOMAIN_EDGE
             try:
-                jet, forms, k1n, k2n, d1n, d2n = eval_at(un, vn)
+                here = jet, forms, k1n, k2n, d1n, d2n = eval_at(un, vn)
             except NumericalError:
                 return samples, STEP_FAILURE
             if abs(k2n) < tol:

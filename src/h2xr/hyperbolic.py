@@ -20,6 +20,15 @@ quadratic constraints after every step.  The frame is right-handed:
 n = alpha x T in the Minkowski cross product, so positive k_g turns the
 curve toward n.
 
+The build is sequential (each step starts from the last) and takes
+thousands of steps per curve, so it runs on Python floats, where an array
+call would cost more than the step: the step and the re-projection are
+written out on unpacked coordinates, without triple helpers or tuples per
+stage, and the curvature at a sample, stored with it, is the first stage
+of the next step (three curvature calls per step).  Stored frames are
+handed out as Python floats, since numpy scalars make every later scalar
+operation several times dearer.
+
 Dense output between samples comes one arclength at a time, memoized, for
 chart jets and traces (``H2Curve.frame_at``), or for a whole array of
 arclengths at once (``H2Curve.frames_at``), which bulk chart jets and the
@@ -38,7 +47,7 @@ import numpy as np
 
 from .errors import (BadCurvatureFunction, InsufficientSamples, NonUnitTangent,
                      NumericalError, OutOfDomain)
-from .minkowski import (SpacetimeVec, Triple, _madd, _mcomb, _mcross, _mdot,
+from .minkowski import (SpacetimeVec, Triple, _mcomb, _mcross, _mdot,
                         _mscale, _msub, _normalize_point, _normalize_points,
                         _normalize_spacelike, _normalize_spacelikes,
                         _project_tangent, minkowski_inner)
@@ -266,12 +275,13 @@ class H2Curve:
             return hit
         i = self._locate(s)
         if self.interpolation == "rk4":
-            ds = s - float(self.s[i])
-            a = tuple(self.points[i])
-            t = tuple(self.tangents[i])
-            n = tuple(self.normals[i])
+            s_i = float(self.s[i])
+            ds = s - s_i
+            # Python floats: the chart jets and forms built on a frame do
+            # scalar arithmetic, which costs several times more on numpy floats
+            a, t, n = (tuple(x[i].tolist()) for x in (self.points, self.tangents, self.normals))
             if ds != 0.0:
-                a, t, n = _frenet_rk4_step(a, t, n, float(self.s[i]), ds, self.kg_fn)
+                a, t, n = _frenet_rk4_step(a, t, n, self.kg_fn(s_i), s_i, ds, self.kg_fn)
                 a, t, n = _reproject_frame(a, t, n)
         else:
             pos, vel = self._hermite(i, s)
@@ -337,8 +347,9 @@ class H2Curve:
         ds = s - self.s[i]
         moved = np.flatnonzero(ds != 0.0)
         if moved.size:
-            step = _frenet_rk4_step(*(tuple(x[:, moved]) for x in frame), self.s[i[moved]],
-                                    ds[moved], self.kg_fn)
+            s_i = self.s[i[moved]]
+            step = _frenet_rk4_step(*(tuple(x[:, moved]) for x in frame), self.kg_fn(s_i),
+                                    s_i, ds[moved], self.kg_fn)
             for out, new in zip(frame, _reproject_frame(*step, _normalize_points,
                                                         _normalize_spacelikes)):
                 out[:, moved] = new
@@ -357,48 +368,60 @@ class H2Curve:
 
 # -- frame integration --------------------------------------------------------
 
-def _frenet_rhs(a: Triple, t: Triple, n: Triple, k: float):
-    da = t
-    dt = _madd(_mscale(k, n), a)
-    dn = _mscale(-k, t)
-    return da, dt, dn
+def _frenet_rk4_step(a, t, n, k, s, h, kfn):
+    """One RK4 step of the frame system from arclength s to s + h.
 
-
-def _frenet_rk4_step(a, t, n, s, h, kfn):
-    k1 = _frenet_rhs(a, t, n, kfn(s))
-    mid = kfn(s + 0.5 * h)
-    a2 = _madd(a, _mscale(0.5 * h, k1[0]))
-    t2 = _madd(t, _mscale(0.5 * h, k1[1]))
-    n2 = _madd(n, _mscale(0.5 * h, k1[2]))
-    k2 = _frenet_rhs(a2, t2, n2, mid)
-    a3 = _madd(a, _mscale(0.5 * h, k2[0]))
-    t3 = _madd(t, _mscale(0.5 * h, k2[1]))
-    n3 = _madd(n, _mscale(0.5 * h, k2[2]))
-    k3 = _frenet_rhs(a3, t3, n3, mid)
-    a4 = _madd(a, _mscale(h, k3[0]))
-    t4 = _madd(t, _mscale(h, k3[1]))
-    n4 = _madd(n, _mscale(h, k3[2]))
-    k4 = _frenet_rhs(a4, t4, n4, kfn(s + h))
-    c = h / 6.0
-    a_new = _madd(a, _mscale(c, _madd(_madd(k1[0], _mscale(2.0, k2[0])),
-                                      _madd(_mscale(2.0, k3[0]), k4[0]))))
-    t_new = _madd(t, _mscale(c, _madd(_madd(k1[1], _mscale(2.0, k2[1])),
-                                      _madd(_mscale(2.0, k3[1]), k4[1]))))
-    n_new = _madd(n, _mscale(c, _madd(_madd(k1[2], _mscale(2.0, k2[2])),
-                                      _madd(_mscale(2.0, k3[2]), k4[2]))))
-    return a_new, t_new, n_new
+    ``k`` is kfn(s), which every caller already holds.  Floats, or arrays of
+    arclengths and steps with triples of coordinate arrays.  Given the
+    curvature, the system acts on each ambient coordinate alone, so the
+    stages are written out per coordinate on unpacked numbers: the slopes
+    of stage j in coordinate i are t<j><i> for alpha (t<i> in stage 1),
+    f<j><i> for T and g<j><i> for n.
+    """
+    hh, c = 0.5 * h, h / 6.0
+    km = kfn(s + hh)
+    ke = kfn(s + h)
+    nk, nkm, nke = -k, -km, -ke
+    (a0, a1, a2), (t0, t1, t2), (n0, n1, n2) = a, t, n
+    f10, f11, f12 = k * n0 + a0, k * n1 + a1, k * n2 + a2
+    g10, g11, g12 = nk * t0, nk * t1, nk * t2
+    t20, t21, t22 = t0 + hh * f10, t1 + hh * f11, t2 + hh * f12
+    f20 = km * (n0 + hh * g10) + (a0 + hh * t0)
+    f21 = km * (n1 + hh * g11) + (a1 + hh * t1)
+    f22 = km * (n2 + hh * g12) + (a2 + hh * t2)
+    g20, g21, g22 = nkm * t20, nkm * t21, nkm * t22
+    t30, t31, t32 = t0 + hh * f20, t1 + hh * f21, t2 + hh * f22
+    f30 = km * (n0 + hh * g20) + (a0 + hh * t20)
+    f31 = km * (n1 + hh * g21) + (a1 + hh * t21)
+    f32 = km * (n2 + hh * g22) + (a2 + hh * t22)
+    g30, g31, g32 = nkm * t30, nkm * t31, nkm * t32
+    t40, t41, t42 = t0 + h * f30, t1 + h * f31, t2 + h * f32
+    f40 = ke * (n0 + h * g30) + (a0 + h * t30)
+    f41 = ke * (n1 + h * g31) + (a1 + h * t31)
+    f42 = ke * (n2 + h * g32) + (a2 + h * t32)
+    return ((a0 + c * ((t0 + 2.0 * t20) + (2.0 * t30 + t40)),
+             a1 + c * ((t1 + 2.0 * t21) + (2.0 * t31 + t41)),
+             a2 + c * ((t2 + 2.0 * t22) + (2.0 * t32 + t42))),
+            (t0 + c * ((f10 + 2.0 * f20) + (2.0 * f30 + f40)),
+             t1 + c * ((f11 + 2.0 * f21) + (2.0 * f31 + f41)),
+             t2 + c * ((f12 + 2.0 * f22) + (2.0 * f32 + f42))),
+            (n0 + c * ((g10 + 2.0 * g20) + (2.0 * g30 + nke * t40)),
+             n1 + c * ((g11 + 2.0 * g21) + (2.0 * g31 + nke * t41)),
+             n2 + c * ((g12 + 2.0 * g22) + (2.0 * g32 + nke * t42))))
 
 
 def _reproject_frame(a: Triple, t: Triple, n: Triple,
                      point=_normalize_point, spacelike=_normalize_spacelike):
-    """Restore the frame constraints; the array normalizations re-project
-    triples of coordinate arrays."""
-    a = point(a)
-    t = spacelike(_project_tangent(a, t))
-    n = _project_tangent(a, n)
-    n = _msub(n, _mscale(_mdot(n, t), t))
-    n = spacelike(n)
-    return a, t, n
+    """Restore the frame constraints: a on the sheet, t the unit tangent
+    projection, n the unit projection orthogonal to t.  The array
+    normalizations re-project triples of coordinate arrays."""
+    a = a0, a1, a2 = point(a)
+    c = -t[0] * a0 + t[1] * a1 + t[2] * a2
+    t = t0, t1, t2 = spacelike((t[0] + c * a0, t[1] + c * a1, t[2] + c * a2))
+    c = -n[0] * a0 + n[1] * a1 + n[2] * a2
+    n0, n1, n2 = n[0] + c * a0, n[1] + c * a1, n[2] + c * a2
+    c = -n0 * t0 + n1 * t1 + n2 * t2
+    return a, t, spacelike((n0 - c * t0, n1 - c * t1, n2 - c * t2))
 
 
 def curve_from_curvature(k_g: Callable[[float], float], s_range: tuple[float, float],
@@ -447,13 +470,13 @@ def curve_from_curvature(k_g: Callable[[float], float], s_range: tuple[float, fl
     tts = np.empty((n_steps + 1, 3))
     nns = np.empty((n_steps + 1, 3))
     kgs = np.empty(n_steps + 1)
-    svals[0], pts[0], tts[0], nns[0], kgs[0] = s0, a, t, n, kfn(s0)
-    s = s0
+    s, k = s0, kfn(s0)
+    svals[0], pts[0], tts[0], nns[0], kgs[0] = s, a, t, n, k
     for i in range(1, n_steps + 1):
-        a, t, n = _frenet_rk4_step(a, t, n, s, h, kfn)
-        a, t, n = _reproject_frame(a, t, n)
+        a, t, n = _reproject_frame(*_frenet_rk4_step(a, t, n, k, s, h, kfn))
         s = s0 + i * h
-        svals[i], pts[i], tts[i], nns[i], kgs[i] = s, a, t, n, kfn(s)
+        k = kfn(s)  # the next step's first stage, too
+        svals[i], pts[i], tts[i], nns[i], kgs[i] = s, a, t, n, k
     return H2Curve(svals, pts, tts, "rk4", nns, kgs, kfn)
 
 

@@ -65,10 +65,6 @@ def _mdot(a: Triple, b: Triple) -> float:
     return -a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _madd(a: Triple, b: Triple) -> Triple:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
 def _msub(a: Triple, b: Triple) -> Triple:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 

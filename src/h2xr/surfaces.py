@@ -97,20 +97,30 @@ class SurfaceJet:
 
     def __post_init__(self):
         ws = (self.X, self.Xu, self.Xv, self.Xuu, self.Xuv, self.Xvv)
-        for w in ws:
-            _check_finite(w.htup)
-        for w in ws:
-            if not math.isfinite(w.t):
-                raise NumericalError(f"non-finite height {w.t}")
-        p = self.X.htup
-        _check_on_sheet(p)
-        for w in (self.Xu, self.Xv):
-            drift = _mdot(w.htup, p)
-            if abs(drift) > 1e-8 * (1.0 + abs(_mdot(w.htup, w.htup))):
-                raise NumericalError(f"first derivative not tangent, <w,p> = {drift}")
-        e = _mdot(self.Xu.htup, self.Xu.htup) + self.Xu.t ** 2
-        g = _mdot(self.Xv.htup, self.Xv.htup) + self.Xv.t ** 2
-        f = _mdot(self.Xu.htup, self.Xv.htup) + self.Xu.t * self.Xv.t
+        ((p0, p1, p2), pt), ((u0, u1, u2), ut), ((v0, v1, v2), vt), \
+            ((a0, a1, a2), at), ((b0, b1, b2), bt), ((c0, c1, c2), ct) = ws
+        # a non-finite number makes the sum non-finite (as, rarely, does an
+        # overflowing sum); the field by field checks then name the first
+        # bad one, or pass
+        if not math.isfinite(p0 + p1 + p2 + pt + u0 + u1 + u2 + ut + v0 + v1 + v2 + vt
+                             + a0 + a1 + a2 + at + b0 + b1 + b2 + bt + c0 + c1 + c2 + ct):
+            for w in ws:
+                _check_finite(w.htup)
+            for w in ws:
+                if not math.isfinite(w.t):
+                    raise NumericalError(f"non-finite height {w.t}")
+        _check_on_sheet(ws[0].htup)
+        e = -u0 * u0 + u1 * u1 + u2 * u2
+        drift = -u0 * p0 + u1 * p1 + u2 * p2
+        if abs(drift) > 1e-8 * (1.0 + abs(e)):
+            raise NumericalError(f"first derivative not tangent, <w,p> = {drift}")
+        g = -v0 * v0 + v1 * v1 + v2 * v2
+        drift = -v0 * p0 + v1 * p1 + v2 * p2
+        if abs(drift) > 1e-8 * (1.0 + abs(g)):
+            raise NumericalError(f"first derivative not tangent, <w,p> = {drift}")
+        e += ut ** 2
+        g += vt ** 2
+        f = -u0 * v0 + u1 * v1 + u2 * v2 + ut * vt
         if e * g - f * f <= 1e-12:
             raise NotImmersed(f"Gram determinant {e * g - f * f} too small")
 
@@ -238,31 +248,35 @@ def unit_normal(jet: SurfaceJet) -> AmbientVec:
     Frenet normal of the generating curve, so the nonzero principal
     curvature equals the curve's signed geodesic curvature.
     """
-    p = jet.X.htup
-    b1 = _normalize_spacelike(_project_tangent(p, (0.0, 1.0, 0.0)))
-    b2 = _mcross(p, b1)
-    xu = (_mdot(jet.Xu.htup, b1), _mdot(jet.Xu.htup, b2), jet.Xu.t)
-    xv = (_mdot(jet.Xv.htup, b1), _mdot(jet.Xv.htup, b2), jet.Xv.t)
-    nc = (xu[1] * xv[2] - xu[2] * xv[1],
-          xu[2] * xv[0] - xu[0] * xv[2],
-          xu[0] * xv[1] - xu[1] * xv[0])
-    nn = math.sqrt(nc[0] ** 2 + nc[1] ** 2 + nc[2] ** 2)
+    p0, p1, p2 = jet.X.htup
+    (u0, u1, u2), ut = jet.Xu
+    (v0, v1, v2), vt = jet.Xv
+    # b1 projects (0, 1, 0), whose pairing with p is p1 up to the sign of a
+    # zero, which the projection cannot see (SurfaceJet checked p finite
+    # with p0 > 0)
+    b10, b11, b12 = _normalize_spacelike((0.0 + p1 * p0, 1.0 + p1 * p1, 0.0 + p1 * p2))
+    b20, b21, b22 = -(p1 * b12 - p2 * b11), p2 * b10 - p0 * b12, p0 * b11 - p1 * b10
+    x0, x1 = -u0 * b10 + u1 * b11 + u2 * b12, -u0 * b20 + u1 * b21 + u2 * b22
+    y0, y1 = -v0 * b10 + v1 * b11 + v2 * b12, -v0 * b20 + v1 * b21 + v2 * b22
+    n0, n1, n2 = x1 * vt - ut * y1, ut * y0 - x0 * vt, x0 * y1 - x1 * y0
+    nn = math.sqrt(n0 ** 2 + n1 ** 2 + n2 ** 2)
     if nn < 1e-12:
         raise NotImmersed("first derivatives are parallel")
-    nc = (nc[0] / nn, nc[1] / nn, nc[2] / nn)
-    if abs(nc[2]) > 0.1:
-        sign = 1.0 if nc[2] > 0.0 else -1.0
+    n0, n1, n2 = n0 / nn, n1 / nn, n2 / nn
+    if abs(n2) > 0.1:
+        sign = 1.0 if n2 > 0.0 else -1.0
     else:
         hu = jet.Xu.htup
-        if _mdot(hu, hu) < _mdot(jet.Xv.htup, jet.Xv.htup):
+        if -u0 * u0 + u1 * u1 + u2 * u2 < -v0 * v0 + v1 * v1 + v2 * v2:
             hu = jet.Xv.htup
-        conormal = _mcross(p, _normalize_spacelike(hu))
-        nh = _mcomb(nc[0], b1, nc[1], b2)
-        sign = 1.0 if _mdot(nh, conormal) >= 0.0 else -1.0
-    nc = (sign * nc[0], sign * nc[1], sign * nc[2])
-    nh = _mcomb(nc[0], b1, nc[1], b2)
+        s0, s1, s2 = _normalize_spacelike(hu)
+        h0, h1, h2 = n0 * b10 + n1 * b20, n0 * b11 + n1 * b21, n0 * b12 + n1 * b22
+        conormal = (-(p1 * s2 - p2 * s1), p2 * s0 - p0 * s2, p0 * s1 - p1 * s0)
+        sign = 1.0 if -h0 * conormal[0] + h1 * conormal[1] + h2 * conormal[2] >= 0.0 else -1.0
+    n0, n1, n2 = sign * n0, sign * n1, sign * n2
+    nh = (n0 * b10 + n1 * b20, n0 * b11 + n1 * b21, n0 * b12 + n1 * b22)
     _check_finite(nh)
-    return AmbientVec(nh, nc[2])
+    return AmbientVec(nh, n2)
 
 
 def _unit_spacelikes(v):
@@ -640,18 +654,24 @@ def rescale_chart(base: Surface, a: float, b: float) -> Surface:
 
 # -- JSON configuration ---------------------------------------------------------------
 
+def _finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and math.isfinite(x)
+
+
 def _curve_from_config(cfg: dict, u_range: tuple[float, float], step: float) -> H2Curve:
     kind = cfg.get("kind")
     if kind == "constant":
         k = cfg.get("value")
-        if not isinstance(k, (int, float)) or not math.isfinite(k):
+        if not _finite_number(k):
             raise ConfigError("constant curve needs a finite 'value'")
         return curve_from_curvature(constant_curvature(float(k)), u_range, step)
     if kind == "linear":
         slope = cfg.get("slope")
         intercept = cfg.get("intercept", 0.0)
-        if not isinstance(slope, (int, float)) or not math.isfinite(slope):
+        if not _finite_number(slope):
             raise ConfigError("linear curve needs a finite 'slope'")
+        if not _finite_number(intercept):
+            raise ConfigError("linear curve needs a finite 'intercept'")
         return curve_from_curvature(linear_curvature(float(slope), float(intercept)),
                                     u_range, step)
     if kind == "spline":
@@ -659,6 +679,8 @@ def _curve_from_config(cfg: dict, u_range: tuple[float, float], step: float) -> 
         kk = cfg.get("knots_k")
         if not isinstance(ks, list) or not isinstance(kk, list) or len(ks) != len(kk):
             raise ConfigError("spline curve needs matching 'knots_s' and 'knots_k'")
+        if not all(_finite_number(x) for x in ks + kk):
+            raise ConfigError("spline knots must be finite numbers")
         try:
             fn = spline_curvature([float(x) for x in ks], [float(y) for y in kk])
         except NumericalError as exc:

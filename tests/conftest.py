@@ -11,14 +11,18 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from h2xr.curvature import (CurvatureGrid, GridRow, classify_point, grid_points,
-                            shape_at)
-from h2xr.errors import GeometryError, NotImmersed
+from h2xr.curvature import (CurvatureGrid, FundamentalForms, GridRow, classify_point,
+                            grid_points, shape_at)
+from h2xr.errors import (BadCurvatureFunction, GeometryError, NonUnitTangent,
+                         NotImmersed, NumericalError, OutOfDomain)
 from h2xr.flows import GeodesicDeviation, _principal_at
-from h2xr.hyperbolic import H2Point, H2Tangent, curve_from_curvature
-from h2xr.minkowski import (SpacetimeVec, _mdot, _normalize_spacelike,
-                            _project_tangent)
-from h2xr.product import ProdGeodesic, ProdTangent, prod_dist
+from h2xr.hyperbolic import (ORIGIN, UNIT_TOL, H2Point, H2Tangent, _check_on_sheet,
+                             curve_from_curvature)
+from h2xr.minkowski import (SpacetimeVec, _check_finite, _mcomb, _mcross, _mdot,
+                            _mscale, _msub, _normalize_point, _normalize_points,
+                            _normalize_spacelike, _normalize_spacelikes,
+                            _project_tangent, minkowski_inner)
+from h2xr.product import AmbientVec, ProdGeodesic, ProdTangent, _prod_inner, prod_dist
 from h2xr.surfaces import Surface, preset
 
 COTH1 = math.cosh(1.0) / math.sinh(1.0)
@@ -213,6 +217,201 @@ def loop_cov_norm(tr, rows: np.ndarray) -> float:
         n2 = max(0.0, _mdot(ch, ch)) + der[i, 3] ** 2
         worst = max(worst, math.sqrt(n2))
     return worst
+
+
+# -- helper-based references for the plain-float kernels --------------------------
+# The Frenet build, frame re-projection, jet checks, unit normal, forms and
+# principal curvatures as they were written on the triple helpers, before
+# the kernels were rewritten on unpacked coordinates: same operations in the
+# same order, so the kernels must match them bit for bit.
+
+def _madd(a, b):
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def _frenet_rhs(a, t, n, k):
+    return t, _madd(_mscale(k, n), a), _mscale(-k, t)
+
+
+def reference_frenet_rk4_step(a, t, n, s, h, kfn):
+    k1 = _frenet_rhs(a, t, n, kfn(s))
+    mid = kfn(s + 0.5 * h)
+    k2 = _frenet_rhs(*(_madd(x, _mscale(0.5 * h, d)) for x, d in zip((a, t, n), k1)), mid)
+    k3 = _frenet_rhs(*(_madd(x, _mscale(0.5 * h, d)) for x, d in zip((a, t, n), k2)), mid)
+    k4 = _frenet_rhs(*(_madd(x, _mscale(h, d)) for x, d in zip((a, t, n), k3)), kfn(s + h))
+    c = h / 6.0
+    return tuple(_madd(x, _mscale(c, _madd(_madd(d1, _mscale(2.0, d2)),
+                                           _madd(_mscale(2.0, d3), d4))))
+                 for x, d1, d2, d3, d4 in zip((a, t, n), k1, k2, k3, k4))
+
+
+def reference_reproject_frame(a, t, n, point=_normalize_point, spacelike=_normalize_spacelike):
+    a = point(a)
+    t = spacelike(_project_tangent(a, t))
+    n = _project_tangent(a, n)
+    n = _msub(n, _mscale(_mdot(n, t), t))
+    return a, t, spacelike(n)
+
+
+def reference_curve(k_g, s_range, step, start=None, direction=None):
+    """The rows (s, points, tangents, normals, kg) of curve_from_curvature,
+    four curvature calls per step."""
+    s0, s1 = float(s_range[0]), float(s_range[1])
+    if not (math.isfinite(s0) and math.isfinite(s1)) or s1 <= s0:
+        raise OutOfDomain(f"bad arclength range {s_range}")
+    if step <= 0.0:
+        raise NumericalError("step must be positive")
+    a = (start or ORIGIN).tup
+    if direction is None:
+        t = (0.0, 1.0, 0.0) if start is None else _normalize_spacelike(
+            _project_tangent(a, (0.0, 1.0, 0.0)))
+    else:
+        if abs(minkowski_inner(direction.w, direction.w) - 1.0) > UNIT_TOL:
+            raise NonUnitTangent("curve direction must be unit")
+        t = direction.tup
+    n = _mcross(a, t)
+
+    def kfn(s):
+        k = k_g(s)
+        if not math.isfinite(k):
+            raise BadCurvatureFunction(f"k_g({s}) = {k}")
+        return float(k)
+
+    n_steps = max(1, math.ceil((s1 - s0) / step - 1e-12))
+    h = (s1 - s0) / n_steps
+    rows = [(s0, a, t, n, kfn(s0))]
+    s = s0
+    for i in range(1, n_steps + 1):
+        a, t, n = reference_frenet_rk4_step(a, t, n, s, h, kfn)
+        a, t, n = reference_reproject_frame(a, t, n)
+        s = s0 + i * h
+        rows.append((s, a, t, n, kfn(s)))
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def reference_frames_at(curve, s):
+    """H2Curve.frames_at of an rk4 curve, on the reference step."""
+    s = np.asarray(s, dtype=float)
+    i = np.clip(np.searchsorted(curve.s, s, side="right") - 1, 0, len(curve.s) - 2)
+    frame = [x[i].T for x in (curve.points, curve.tangents, curve.normals)]
+    ds = s - curve.s[i]
+    moved = np.flatnonzero(ds != 0.0)
+    if moved.size:
+        step = reference_frenet_rk4_step(*(tuple(x[:, moved]) for x in frame),
+                                         curve.s[i[moved]], ds[moved], curve.kg_fn)
+        for out, new in zip(frame, reference_reproject_frame(*step, _normalize_points,
+                                                             _normalize_spacelikes)):
+            out[:, moved] = new
+    return tuple(tuple(x) for x in frame)
+
+
+def reference_jet_checks(X, Xu, Xv, Xuu, Xuv, Xvv):
+    """The checks of SurfaceJet, in their order."""
+    ws = (X, Xu, Xv, Xuu, Xuv, Xvv)
+    for w in ws:
+        _check_finite(w.htup)
+    for w in ws:
+        if not math.isfinite(w.t):
+            raise NumericalError(f"non-finite height {w.t}")
+    p = X.htup
+    _check_on_sheet(p)
+    for w in (Xu, Xv):
+        drift = _mdot(w.htup, p)
+        if abs(drift) > 1e-8 * (1.0 + abs(_mdot(w.htup, w.htup))):
+            raise NumericalError(f"first derivative not tangent, <w,p> = {drift}")
+    e = _mdot(Xu.htup, Xu.htup) + Xu.t ** 2
+    g = _mdot(Xv.htup, Xv.htup) + Xv.t ** 2
+    f = _mdot(Xu.htup, Xv.htup) + Xu.t * Xv.t
+    if e * g - f * f <= 1e-12:
+        raise NotImmersed(f"Gram determinant {e * g - f * f} too small")
+
+
+def reference_unit_normal(jet) -> AmbientVec:
+    p = jet.X.htup
+    b1 = _normalize_spacelike(_project_tangent(p, (0.0, 1.0, 0.0)))
+    b2 = _mcross(p, b1)
+    xu = (_mdot(jet.Xu.htup, b1), _mdot(jet.Xu.htup, b2), jet.Xu.t)
+    xv = (_mdot(jet.Xv.htup, b1), _mdot(jet.Xv.htup, b2), jet.Xv.t)
+    nc = (xu[1] * xv[2] - xu[2] * xv[1],
+          xu[2] * xv[0] - xu[0] * xv[2],
+          xu[0] * xv[1] - xu[1] * xv[0])
+    nn = math.sqrt(nc[0] ** 2 + nc[1] ** 2 + nc[2] ** 2)
+    if nn < 1e-12:
+        raise NotImmersed("first derivatives are parallel")
+    nc = (nc[0] / nn, nc[1] / nn, nc[2] / nn)
+    if abs(nc[2]) > 0.1:
+        sign = 1.0 if nc[2] > 0.0 else -1.0
+    else:
+        hu = jet.Xu.htup
+        if _mdot(hu, hu) < _mdot(jet.Xv.htup, jet.Xv.htup):
+            hu = jet.Xv.htup
+        conormal = _mcross(p, _normalize_spacelike(hu))
+        nh = _mcomb(nc[0], b1, nc[1], b2)
+        sign = 1.0 if _mdot(nh, conormal) >= 0.0 else -1.0
+    nc = (sign * nc[0], sign * nc[1], sign * nc[2])
+    nh = _mcomb(nc[0], b1, nc[1], b2)
+    _check_finite(nh)
+    return AmbientVec(nh, nc[2])
+
+
+def reference_forms(jet) -> FundamentalForms:
+    """forms_from_jet, with the checks of FundamentalForms run here first."""
+    E = _prod_inner(jet.Xu, jet.Xu)
+    F = _prod_inner(jet.Xu, jet.Xv)
+    G = _prod_inner(jet.Xv, jet.Xv)
+    if E * G - F * F <= 1e-12:
+        raise NotImmersed("degenerate jet")
+    normal = reference_unit_normal(jet)
+    p = jet.X.htup
+
+    def second(w):
+        return _mdot(_project_tangent(p, w.htup), normal.htup) + w.t * normal.t
+
+    if not (E > 0.0 and G > 0.0 and E * G - F ** 2 > 0.0):
+        raise NotImmersed("first form is not positive definite")
+    n2 = _mdot(normal.htup, normal.htup) + normal.t ** 2
+    if abs(n2 - 1.0) > 1e-9:
+        raise NumericalError(f"normal norm^2 = {n2}")
+    if abs(normal.t) > 1.0 + 1e-12:
+        raise NumericalError(f"|nu| = {abs(normal.t)} exceeds 1")
+    return FundamentalForms(E, F, G, second(jet.Xuu), second(jet.Xuv), second(jet.Xvv),
+                            normal, normal.t)
+
+
+def reference_principal_curvatures(forms):
+    E, F, G = forms.E, forms.F, forms.G
+    L, M2, N2 = forms.L, forms.M2, forms.N2
+    A = E * G - F * F
+    B = -(E * N2 - 2.0 * F * M2 + G * L)
+    C = L * N2 - M2 * M2
+    sq = math.sqrt(max(0.0, B * B - 4.0 * A * C))
+    q = -0.5 * (B + sq) if B >= 0.0 else -0.5 * (B - sq)
+    ka, kb = (0.0, 0.0) if q == 0.0 else (q / A, C / q)
+    k1, k2 = (ka, kb) if abs(ka) <= abs(kb) else (kb, ka)
+
+    def direction(k):
+        r1 = (L - k * E, M2 - k * F)
+        r2 = (M2 - k * F, N2 - k * G)
+        n1 = r1[0] ** 2 + r1[1] ** 2
+        n2 = r2[0] ** 2 + r2[1] ** 2
+        row = r1 if n1 >= n2 else r2
+        if max(n1, n2) < 1e-28:
+            return None
+        return (-row[1], row[0])
+
+    def unit_in_form(d):
+        n = math.sqrt(E * d[0] ** 2 + 2.0 * F * d[0] * d[1] + G * d[1] ** 2)
+        d = (d[0] / n, d[1] / n)
+        if d[0] < 0.0 or (d[0] == 0.0 and d[1] < 0.0):
+            d = (-d[0], -d[1])
+        return d
+
+    d1 = unit_in_form(direction(k1) or (1.0, 0.0))
+    d2 = direction(k2)
+    if d2 is None or abs(k2 - k1) < 1e-14 * (1.0 + abs(k1)):
+        d2 = (-F * d1[0] - G * d1[1], E * d1[0] + F * d1[1])
+    g12 = (E * d1[0] * d2[0] + F * (d1[0] * d2[1] + d1[1] * d2[0]) + G * d1[1] * d2[1])
+    return k1, k2, d1, unit_in_form((d2[0] - g12 * d1[0], d2[1] - g12 * d1[1]))
 
 
 # -- hypothesis strategies ------------------------------------------------------

@@ -47,6 +47,22 @@ class TestCurvatureCommand:
         cfg = write_cfg(tmp_path, {})
         assert main(["--config", cfg, "--out", str(tmp_path), "curvature"]) == 2
 
+    @pytest.mark.parametrize("curve", [
+        {"kind": "linear", "slope": 1.0, "intercept": math.nan},
+        {"kind": "linear", "slope": 1.0, "intercept": -math.inf},
+        {"kind": "linear", "slope": 1.0, "intercept": "0.5x"},
+        {"kind": "spline", "knots_s": [0.0, 1.0, 2.0], "knots_k": [0.4, math.nan, 0.2]},
+        {"kind": "spline", "knots_s": [0.0, 1.0, 2.0], "knots_k": [0.4, math.inf, 0.2]},
+        {"kind": "spline", "knots_s": [0.0, 1.0, math.inf], "knots_k": [0.4, 0.1, 0.2]},
+        {"kind": "spline", "knots_s": [0.0, 1.0, 2.0], "knots_k": [0.4, "k", 0.2]},
+        {"kind": "spline", "knots_s": [0.0, "one", 2.0], "knots_k": [0.4, 0.1, 0.2]},
+    ], ids=["intercept_nan", "intercept_inf", "intercept_str", "knot_k_nan",
+            "knot_k_inf", "knot_s_inf", "knot_k_str", "knot_s_str"])
+    def test_bad_curve_number_is_bad_config(self, tmp_path, curve):
+        cfg = write_cfg(tmp_path, {"surface": {"kind": "cylinder", "curve": curve,
+                                               "domain": {"u": [0.0, 2.0]}}})
+        assert main(["--config", cfg, "--out", str(tmp_path), "curvature"]) == 2
+
     def test_determinism(self, tmp_path):
         cfg = write_cfg(tmp_path, SLICE_CFG)
         for d in ("a", "b"):

@@ -6,11 +6,13 @@ import math
 
 import pytest
 
+from h2xr.classifier import CYLINDER, NOT_FLAT, ClassifierConfig, classify_surface
 from h2xr.curvature import (GENERIC, GRID_HEADER, PARABOLIC, PLANAR,
                             classify_point, curvature_grid, fundamental_forms,
                             sample_metric_stencil, shape_at, shape_data)
 from h2xr.errors import ConfigError, OutOfDomain
-from h2xr.surfaces import (bilinear_height, make_graph, preset,
+from h2xr.product import AmbientVec
+from h2xr.surfaces import (SurfaceJet, bilinear_height, make_graph, preset,
                            rescale_chart)
 
 from conftest import COTH1
@@ -170,6 +172,60 @@ class TestFrameIndependence:
         assert sd1.H == pytest.approx(sd0.H, abs=1e-8)
         assert sd1.Kext == pytest.approx(sd0.Kext, abs=1e-8)
         assert sd1.Kint_gauss == pytest.approx(sd0.Kint_gauss, abs=1e-8)
+
+
+def _isometric(S, theta: float, beta: float, c: float):
+    """S moved by an isometry of H^2 x R: a rotation by theta about the
+    origin, then a boost of rapidity beta along x1 (together orientation
+    and time-orientation preserving), and a vertical translation by c."""
+    ct, st = math.cos(theta), math.sin(theta)
+    cb, sb = math.cosh(beta), math.sinh(beta)
+    rows = ((cb, sb * ct, -sb * st), (sb, cb * ct, -cb * st), (0.0, st, ct))
+
+    def move(w: AmbientVec, dt: float = 0.0) -> AmbientVec:
+        h = w.htup
+        return AmbientVec(tuple(r[0] * h[0] + r[1] * h[1] + r[2] * h[2] for r in rows),
+                          w.t + dt)
+
+    def chart(u, v, base=S.chart):
+        j = base(u, v)
+        return SurfaceJet(move(j.X, c), move(j.Xu), move(j.Xv), move(j.Xuu), move(j.Xuv),
+                          move(j.Xvv))
+
+    return dataclasses.replace(S, chart=chart, label=f"{S.label}+isometry")
+
+
+ISOMETRIES = [(0.7, 0.4, 1.5), (-2.0, -0.8, -0.3), (math.pi, 1.1, 0.0)]
+
+
+class TestIsometryInvariance:
+    """Isometries of H^2 x R applied to a whole chart leave the curvatures
+    and the verdict unchanged: a check of the normal and the forms that
+    does not go through their reference implementations."""
+
+    @pytest.mark.parametrize("name", ["cylinder_circle", "slice", "graph_bilinear",
+                                      "perturbed_cylinder"])
+    @pytest.mark.parametrize("iso", ISOMETRIES)
+    def test_curvatures_unchanged(self, name, iso):
+        S = make_graph(bilinear_height(0.3)) if name == "graph_bilinear" else preset(name)
+        moved = _isometric(S, *iso)
+        (u0, u1), (v0, v1) = S.domain.u_range, S.domain.v_range
+        for fu in (0.13, 0.4, 0.62, 0.91):
+            for fv in (0.08, 0.35, 0.57, 0.86):
+                u, v = u0 + fu * (u1 - u0), v0 + fv * (v1 - v0)
+                f0, sd0 = shape_at(S, u, v, with_brioschi=False)
+                f1, sd1 = shape_at(moved, u, v, with_brioschi=False)
+                for a, b in ((sd0.k1, sd1.k1), (sd0.k2, sd1.k2), (sd0.H, sd1.H),
+                             (sd0.Kint_gauss, sd1.Kint_gauss), (f0.nu, f1.nu)):
+                    assert abs(a - b) <= 1e-9, (name, iso, u, v)
+
+    @pytest.mark.parametrize("name, verdict", [("cylinder_circle", CYLINDER),
+                                               ("slice", NOT_FLAT)])
+    def test_verdict_unchanged(self, name, verdict):
+        config = ClassifierConfig(grid_n=9, trace_length=0.5, recovery_samples=101)
+        S = preset(name)
+        assert classify_surface(S, config).verdict == verdict
+        assert classify_surface(_isometric(S, *ISOMETRIES[0]), config).verdict == verdict
 
 
 class TestNormalFlip:

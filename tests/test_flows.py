@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from h2xr import flows
 from h2xr.errors import (DegenerateDirection, InsufficientSamples,
                          NotParabolic, NumericalError, PlanarSample)
 from h2xr.flows import (DOMAIN_EDGE, MAX_LENGTH, PLANAR_HIT, TRACE_CSV_HEADER,
@@ -50,6 +51,25 @@ class TestTraceAsymptotic:
         # |k2| barely above the planar tolerance: direction ill-conditioned
         with pytest.raises(DegenerateDirection):
             trace_asymptotic(inflection_cylinder, 5e-7, 0.0, 1.0, 1e-3, tol=1e-7)
+
+    @pytest.mark.parametrize("length, step", [(1.0, 1e-3), (5.0, 1e-4)])
+    def test_point_evaluations_counted(self, circle_cylinder, monkeypatch, length, step):
+        # The asymptotic direction of a cylinder is exactly vertical, so in
+        # every step the second and third stages, and the fourth stage and
+        # the next sample, are the same chart point: two new points per step
+        # plus the seed.  The long trace evaluates 100,001 points; a memo of
+        # all points, capped at 65,536 entries, evaluated 151,698.
+        calls = []
+
+        def counted(S, u, v, inner=flows._principal_at):
+            calls.append((u, v))
+            return inner(S, u, v)
+
+        monkeypatch.setattr(flows, "_principal_at", counted)
+        tr = trace_asymptotic(circle_cylinder, 1.0, 0.0, length, step, with_connection=False)
+        steps = len(tr) - 1
+        assert steps == round(length / step)
+        assert len(calls) == 2 * steps + 1
 
     def test_two_h_equals_k2_along_trace(self, circle_trace):
         assert np.max(np.abs(2.0 * circle_trace.H - circle_trace.k2)) < 1e-10
