@@ -26,7 +26,8 @@ import numpy as np
 from .curvature import CurvatureGrid, PARABOLIC, PLANAR, curvature_grid
 from .errors import (ConfigError, EmptyIntersection, GeometryError,
                      NumericalError)
-from .flows import PLANAR_HIT, TraceRecord, geodesic_deviation, trace_asymptotic
+from .flows import (PLANAR_HIT, TraceRecord, geodesic_deviation, trace_asymptotic,
+                    trace_half_steps)
 from .hyperbolic import H2Curve, _dists_raw, curvature_profile
 from .minkowski import _mcross, _mdot, _normalize_spacelike, _project_tangent
 from .numerics import bracket_root
@@ -39,7 +40,8 @@ INCONSISTENT = "INCONSISTENT"
 
 @dataclass(frozen=True, slots=True)
 class ClassifierConfig:
-    """Tolerances and sampling sizes for the whole pipeline."""
+    """Tolerances and sampling sizes for the whole pipeline, checked when
+    built (ConfigError), trace bound of ``flows.trace_half_steps`` included."""
 
     grid_n: int = 21  # odd: a symmetric planar strip lands on a cell center
     flatness_tol: float = 1e-6
@@ -53,8 +55,9 @@ class ClassifierConfig:
     def __post_init__(self):
         for name in ("flatness_tol", "verticality_tol", "planar_tol",
                      "trace_length", "trace_step"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive")
+        trace_half_steps(self.trace_length, self.trace_step)
         if self.grid_n < 8:
             raise ConfigError("grid_n must be at least 8")
         if self.recovery_samples < 9:
@@ -137,8 +140,6 @@ def flatness_scan(S: Surface, n: int, tol: float,
     (its rows carry NaN there).  Failed cells are left to the caller, which
     finds them by their status.
     """
-    if n < 8:
-        raise ConfigError("flatness scan needs a grid of at least 8x8")
     grid = curvature_grid(S, n, n, tol=planar_tol, brioschi=False)
     ok = grid.valid_rows()
     if not ok:
@@ -149,16 +150,9 @@ def flatness_scan(S: Surface, n: int, tol: float,
         grid_shape=(n, n), tol=tol, grid=grid)
 
 
-def planar_set_map(S: Surface, n: int | None = None, tol: float = 1e-7,
-                   grid: CurvatureGrid | None = None) -> PlanarSetMap:
-    """Classify grid cells and collect 4-connected planar components.
-
-    Only the class column is read, so a grid built here skips the Brioschi
-    stencil."""
-    if grid is None:
-        if n is None:
-            raise ConfigError("planar_set_map needs a grid size or a precomputed grid")
-        grid = curvature_grid(S, n, n, tol=tol, brioschi=False)
+def planar_set_map(S: Surface, grid: CurvatureGrid) -> PlanarSetMap:
+    """Collect the 4-connected planar components of a grid's cells; only the
+    class column is read, so the grid may skip the Brioschi stencil."""
     nu_, nv_ = grid.nu_, grid.nv_
     classes = np.empty((nu_, nv_), dtype=object)
     for idx, row in enumerate(grid.rows):
@@ -328,20 +322,22 @@ def classify_surface(S: Surface, config: ClassifierConfig = ClassifierConfig()) 
     notes: list[str] = []
     rep = flatness_scan(S, config.grid_n, config.flatness_tol,
                         planar_tol=config.planar_tol)
+
+    def verdict(kind: str, pmap=None, rulings=None, verticality=None, curve=None):
+        return CylinderVerdict(kind, verticality, curve,
+                               VerdictEvidence(rep, pmap, rulings or [], notes),
+                               config.verticality_tol)
+
     failed = Counter(r.status for r in rep.grid.rows if r.status != "ok")
     if failed:
         # the maxima cover only the cells that evaluated, so neither verdict holds
         notes.append("flatness scan: " + ", ".join(
             f"{count} cells failed with {code}" for code, count in sorted(failed.items())))
-        return CylinderVerdict(INCONSISTENT, None, None,
-                               VerdictEvidence(rep, None, [], notes),
-                               config.verticality_tol)
+        return verdict(INCONSISTENT)
     if not rep.passed:
-        return CylinderVerdict(NOT_FLAT, None, None,
-                               VerdictEvidence(rep, None, [], notes),
-                               config.verticality_tol)
+        return verdict(NOT_FLAT)
 
-    pmap = planar_set_map(S, grid=rep.grid)
+    pmap = planar_set_map(S, rep.grid)
     parabolic_cells = [(r.u, r.v) for r in rep.grid.rows if r.cls == PARABOLIC]
 
     if not parabolic_cells:
@@ -351,20 +347,14 @@ def classify_surface(S: Surface, config: ClassifierConfig = ClassifierConfig()) 
             curve = recover_generating_curve(S, t_center, config.recovery_samples)
         except GeometryError as exc:
             notes.append(f"recovery failed: {exc.code}")
-            return CylinderVerdict(INCONSISTENT, None, None,
-                                   VerdictEvidence(rep, pmap, [], notes),
-                                   config.verticality_tol)
+            return verdict(INCONSISTENT, pmap)
         _, kg = curvature_profile(curve)
         max_kg = float(np.max(np.abs(kg)))
         if max_kg >= config.planar_tol * 100.0:
             notes.append(f"planar chart but recovered curvature reaches {max_kg}")
-            return CylinderVerdict(INCONSISTENT, None, None,
-                                   VerdictEvidence(rep, pmap, [], notes),
-                                   config.verticality_tol)
+            return verdict(INCONSISTENT, pmap)
         notes.append("totally geodesic chart; rulings degenerate to the vertical field")
-        return CylinderVerdict(CYLINDER, 0.0, curve,
-                               VerdictEvidence(rep, pmap, [], notes),
-                               config.verticality_tol)
+        return verdict(CYLINDER, pmap, verticality=0.0, curve=curve)
 
     k = max(5, config.n_seeds)
     seeds = _farthest_point_seeds(parabolic_cells, k, S.domain.center)
@@ -377,39 +367,30 @@ def classify_surface(S: Surface, config: ClassifierConfig = ClassifierConfig()) 
             notes.append(f"seed ({u:.6g}, {v:.6g}) failed: {exc.code}")
     if not rulings:
         notes.append("no ruling could be traced from any parabolic seed")
-        return CylinderVerdict(INCONSISTENT, None, None,
-                               VerdictEvidence(rep, pmap, rulings, notes),
-                               config.verticality_tol)
+        return verdict(INCONSISTENT, pmap, rulings)
 
     verticality = max(r.verticality for r in rulings)
     if any(r.trace.stop_reason == PLANAR_HIT for r in rulings):
         notes.append("a ruling ran into the planar set")
-        return CylinderVerdict(INCONSISTENT, verticality, None,
-                               VerdictEvidence(rep, pmap, rulings, notes),
-                               config.verticality_tol)
+        return verdict(INCONSISTENT, pmap, rulings, verticality)
     if verticality >= config.verticality_tol:
         notes.append(f"flat chart with tilted rulings (drift {verticality})")
-        return CylinderVerdict(INCONSISTENT, verticality, None,
-                               VerdictEvidence(rep, pmap, rulings, notes),
-                               config.verticality_tol)
+        return verdict(INCONSISTENT, pmap, rulings, verticality)
 
     t_center = S.jet(*S.domain.center).X.t
     try:
         curve = recover_generating_curve(S, t_center, config.recovery_samples)
     except GeometryError as exc:
         notes.append(f"recovery failed: {exc.code}")
-        return CylinderVerdict(INCONSISTENT, verticality, None,
-                               VerdictEvidence(rep, pmap, rulings, notes),
-                               config.verticality_tol)
-    return CylinderVerdict(CYLINDER, verticality, curve,
-                           VerdictEvidence(rep, pmap, rulings, notes),
-                           config.verticality_tol)
+        return verdict(INCONSISTENT, pmap, rulings, verticality)
+    return verdict(CYLINDER, pmap, rulings, verticality, curve)
 
 
 # -- serialization -------------------------------------------------------------------
 
-def verdict_to_json(v: CylinderVerdict, curve_stride: int | None = None) -> dict:
-    """JSON-ready dictionary for a verdict (NaN-free)."""
+def verdict_to_json(v: CylinderVerdict) -> dict:
+    """JSON-ready dictionary for a verdict (NaN-free); the generating curve
+    is thinned to about 200 points."""
     flat = v.evidence.flatness
     out = {
         "verdict": v.verdict,
@@ -440,6 +421,6 @@ def verdict_to_json(v: CylinderVerdict, curve_stride: int | None = None) -> dict
         ]
     if v.generating_curve is not None:
         pts = v.generating_curve.points
-        stride = curve_stride or max(1, len(pts) // 200)
+        stride = max(1, len(pts) // 200)
         out["generating_curve"] = [[float(x) for x in row] for row in pts[::stride]]
     return out

@@ -47,6 +47,18 @@ Run configuration schema (all fields optional)::
    "corpus": [{"label": L, "surface": {...}, "expect": "CYLINDER",
                "fd": false}, ...]}   # verify-paper corpus override
 
+Numbers: every config number is read by ``surfaces.config_number``, which
+takes finite JSON integers and floats only (no bool, string, null, NaN or
+Infinity), integral ones for ``grid.nu``/``grid.nv`` (20.0 is 20, 2.9 is not).
+``--tol`` values go through float() first; ``--seed`` is an integer >= 0.  To
+bound memory and time (a few hundred MB, about a minute) the work of one input
+is capped, before it starts, by ``curvature.MAX_GRID_CELLS`` (250,000 cells),
+``hyperbolic.MAX_CURVE_STEPS`` (1,000,000), ``flows.MAX_TRACE_HALF_STEPS``
+(50,000 RK4 steps per leg, length / (2 step)) and ``MAX_GEODESIC_SAMPLES``
+(1,000,000); each constant's comment gives its per-unit cost.  Every refused
+input exits 2 with one ``error:`` line; a valid number that overflows in the
+computation exits 3 (5 for an INCONSISTENT ``classify`` verdict).
+
 Outputs are deterministic: a fixed config and seed produce byte-identical
 files.
 """
@@ -57,19 +69,20 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
-from .classifier import ClassifierConfig, INCONSISTENT, classify_surface, verdict_to_json
+from .classifier import (CYLINDER, INCONSISTENT, NOT_FLAT, ClassifierConfig,
+                         classify_surface, verdict_to_json)
 from .curvature import curvature_grid
-from .errors import (ConfigError, GeometryError, NotParabolic, NumericalError,
-                     OutOfDomain)
+from .errors import ConfigError, GeometryError, NotParabolic, NumericalError
 from .flows import (fit_inverse_H, frame_ode_residuals, geodesic_deviation,
                     trace_asymptotic)
 from .hyperbolic import H2Point, H2Tangent
 from .minkowski import SpacetimeVec, _mdot, _project_tangent
 from .product import ProdGeodesic, ProdPoint, ProdTangent
-from .surfaces import from_config
+from .surfaces import config_number, from_config
 from .verification import report_to_json, report_to_text, run_verification
 
 EXIT_OK = 0
@@ -80,6 +93,8 @@ EXIT_NOT_PARABOLIC = 4
 EXIT_INCONSISTENT = 5
 
 _TOL_KEYS = ("flatness", "verticality", "planar")
+_VERDICTS = (CYLINDER, NOT_FLAT, INCONSISTENT)
+MAX_GEODESIC_SAMPLES = 1_000_000  # rows: 230 B, 12 us each (2-core VM)
 
 
 @dataclass
@@ -87,27 +102,17 @@ class RunConfig:
     surface: dict | None = None
     grid_nu: int = 20
     grid_nv: int = 20
-    trace_length: float = 5.0
-    trace_step: float = 1e-3
-    tols: dict = field(default_factory=lambda: {"flatness": 1e-6,
-                                                "verticality": 1e-6,
-                                                "planar": 1e-7})
+    classifier: ClassifierConfig = ClassifierConfig()
     out: Path = Path(".")
     seed: int = 0
     corpus: list | None = None
 
-    def classifier_config(self) -> ClassifierConfig:
-        return ClassifierConfig(flatness_tol=self.tols["flatness"],
-                                verticality_tol=self.tols["verticality"],
-                                planar_tol=self.tols["planar"],
-                                trace_length=self.trace_length,
-                                trace_step=self.trace_step)
 
-
-def _positive(x, name: str) -> float:
-    if not isinstance(x, (int, float)) or not math.isfinite(x) or x <= 0.0:
-        raise ConfigError(f"{name} must be a positive number, got {x!r}")
-    return float(x)
+def _section(raw: dict, key: str) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} must be an object")
+    return value
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
@@ -116,50 +121,43 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         try:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {args.config}") from exc
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        except ValueError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("run config must be a JSON object")
     cfg.surface = raw.get("surface")
-    grid = raw.get("grid", {})
-    if not isinstance(grid, dict):
-        raise ConfigError("'grid' must be an object")
-    cfg.grid_nu = int(grid.get("nu", 20))
-    cfg.grid_nv = int(grid.get("nv", 20))
-    if cfg.grid_nu < 2 or cfg.grid_nv < 2:
-        raise ConfigError("grid sizes must be at least 2")
-    trace = raw.get("trace", {})
-    if not isinstance(trace, dict):
-        raise ConfigError("'trace' must be an object")
-    cfg.trace_length = _positive(trace.get("length", 5.0), "trace.length")
-    cfg.trace_step = _positive(trace.get("step", 1e-3), "trace.step")
-    tol = raw.get("tol", {})
-    if not isinstance(tol, dict):
-        raise ConfigError("'tol' must be an object")
-    for k, v in tol.items():
-        if k not in _TOL_KEYS:
-            raise ConfigError(f"unknown tolerance key {k!r}")
-        cfg.tols[k] = _positive(v, f"tol.{k}")
+    grid = _section(raw, "grid")
+    cfg.grid_nu = config_number(grid.get("nu", cfg.grid_nu), "grid.nu", integer=True)
+    cfg.grid_nv = config_number(grid.get("nv", cfg.grid_nv), "grid.nv", integer=True)
+    settings = {f"trace_{k}": config_number(v, f"trace.{k}")
+                for k, v in _section(raw, "trace").items() if k in ("length", "step")}
+    tols = list(_section(raw, "tol").items())
     for spec in args.tol or []:
         if "=" not in spec:
             raise ConfigError(f"--tol expects KEY=VAL, got {spec!r}")
         k, _, v = spec.partition("=")
-        if k not in _TOL_KEYS:
-            raise ConfigError(f"unknown tolerance key {k!r}")
         try:
-            cfg.tols[k] = _positive(float(v), f"tol.{k}")
+            tols.append((k, float(v)))
         except ValueError as exc:
             raise ConfigError(f"bad tolerance value {v!r}") from exc
+    for k, v in tols:
+        if k not in _TOL_KEYS:
+            raise ConfigError(f"unknown tolerance key {k!r}")
+        settings[f"{k}_tol"] = config_number(v, f"tol.{k}")
+    cfg.classifier = ClassifierConfig(**settings)
     cfg.corpus = raw.get("corpus")
     if cfg.corpus is not None:
         if not isinstance(cfg.corpus, list) or not all(
-                isinstance(e, dict) and "surface" in e and "expect" in e
-                for e in cfg.corpus):
-            raise ConfigError("'corpus' must be a list of {surface, expect} objects")
+                isinstance(e, dict) and "surface" in e and e.get("expect") in _VERDICTS
+                and isinstance(e.get("fd", False), bool) for e in cfg.corpus):
+            raise ConfigError("'corpus' must be a list of {surface, expect, fd} objects, "
+                              f"expect one of {', '.join(_VERDICTS)} and fd a bool")
     cfg.out = Path(args.out)
-    cfg.seed = int(args.seed)
+    cfg.seed = config_number(args.seed, "--seed", integer=True)
+    if cfg.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {cfg.seed}")
     return cfg
 
 
@@ -182,13 +180,10 @@ def _dump_json(path: Path, obj) -> None:
 
 def cmd_curvature(cfg: RunConfig) -> int:
     surface = _require_surface(cfg)
-    grid = curvature_grid(surface, cfg.grid_nu, cfg.grid_nv, tol=cfg.tols["planar"])
+    grid = curvature_grid(surface, cfg.grid_nu, cfg.grid_nv, tol=cfg.classifier.planar_tol)
     ok = grid.valid_rows()
     if not ok:
         raise NumericalError(f"no grid point of {surface.label} could be evaluated")
-    counts: dict[str, int] = {}
-    for r in ok:
-        counts[r.cls] = counts.get(r.cls, 0) + 1
     summary = {
         "label": surface.label,
         "grid": [cfg.grid_nu, cfg.grid_nv],
@@ -197,7 +192,7 @@ def cmd_curvature(cfg: RunConfig) -> int:
         "max_abs_Kint_gauss": max(abs(r.Kint_gauss) for r in ok),
         "max_abs_Kint_brioschi": max(abs(r.Kint_brioschi) for r in ok),
         "max_abs_Kext": max(abs(r.Kext) for r in ok),
-        "class_counts": counts,
+        "class_counts": dict(Counter(r.cls for r in ok)),
     }
     _write(cfg.out / "curvature.csv", grid.to_csv())
     _dump_json(cfg.out / "curvature_summary.json", summary)
@@ -207,8 +202,8 @@ def cmd_curvature(cfg: RunConfig) -> int:
 
 def cmd_trace(cfg: RunConfig, u0: float, v0: float) -> int:
     surface = _require_surface(cfg)
-    tr = trace_asymptotic(surface, u0, v0, cfg.trace_length, cfg.trace_step,
-                          cfg.tols["planar"])
+    c = cfg.classifier
+    tr = trace_asymptotic(surface, u0, v0, c.trace_length, c.trace_step, c.planar_tol)
     dev = geodesic_deviation(tr)
     res = frame_ode_residuals(tr)
     sidecar = {
@@ -235,7 +230,7 @@ def cmd_trace(cfg: RunConfig, u0: float, v0: float) -> int:
 
 def cmd_classify(cfg: RunConfig) -> int:
     surface = _require_surface(cfg)
-    verdict = classify_surface(surface, cfg.classifier_config())
+    verdict = classify_surface(surface, cfg.classifier)
     _dump_json(cfg.out / "verdict.json", verdict_to_json(verdict))
     print(f"{surface.label}: {verdict.verdict}")
     return EXIT_INCONSISTENT if verdict.verdict == INCONSISTENT else EXIT_OK
@@ -248,8 +243,13 @@ def cmd_geodesic(cfg: RunConfig, point: str, velocity: str,
         w1, w2, vt = (float(x) for x in velocity.split(","))
     except ValueError as exc:
         raise ConfigError("--point and --velocity expect comma-separated triples") from exc
+    length = config_number(length, "--length")
+    step = config_number(step, "--step")
     if length <= 0.0 or step <= 0.0:
         raise ConfigError("length and step must be positive")
+    if not length / step <= MAX_GEODESIC_SAMPLES:
+        raise ConfigError(f"--length {length:g} at --step {step:g} gives more than "
+                          f"MAX_GEODESIC_SAMPLES = {MAX_GEODESIC_SAMPLES} samples")
     x0 = math.sqrt(1.0 + x1 * x1 + x2 * x2)
     base = ProdPoint(H2Point.of((x0, x1, x2)), t)
     wh = _project_tangent(base.h.tup, (0.0, w1, w2))
@@ -274,7 +274,7 @@ def cmd_geodesic(cfg: RunConfig, point: str, velocity: str,
 
 def cmd_verify_paper(cfg: RunConfig) -> int:
     report = run_verification(seed=cfg.seed, corpus=cfg.corpus,
-                              classifier_config=cfg.classifier_config())
+                              classifier_config=cfg.classifier)
     _dump_json(cfg.out / "verify_report.json", report_to_json(report))
     text = report_to_text(report)
     _write(cfg.out / "verify_report.txt", text)
@@ -334,18 +334,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify-paper":
             return cmd_verify_paper(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (GeometryError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except NotParabolic as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_PARABOLIC
-    except (NumericalError, OutOfDomain) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        if isinstance(exc, ConfigError):
+            return EXIT_BAD_CONFIG
+        return EXIT_NOT_PARABOLIC if isinstance(exc, NotParabolic) else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -69,11 +69,12 @@ PARABOLIC = "PARABOLIC"
 GENERIC = "GENERIC"
 
 DEFAULT_CLASS_TOL = 1e-7
-DEFAULT_STENCIL_H = 1e-3
+STENCIL_H = 1e-3       # spacing of the 5x5 Brioschi stencil (shrunk near the boundary)
 
 GRID_HEADER = "u,v,k1,k2,H,Kext,Kint_gauss,Kint_brioschi,nu,class,status"
 
 POINT_BLOCK = 936      # chart evaluations per block of bulk evaluation
+MAX_GRID_CELLS = 250_000  # 0.8 KB (row, CSV line) and 0.2 ms each (2-core VM)
 
 
 @dataclass(frozen=True, slots=True)
@@ -323,12 +324,12 @@ class MetricStencil:
     h: float
 
 
-def sample_metric_stencil(S: Surface, u: float, v: float,
-                          h: float = DEFAULT_STENCIL_H) -> MetricStencil:
-    """Sample E, F, G around (u, v), shrinking the spacing near the boundary."""
+def sample_metric_stencil(S: Surface, u: float, v: float) -> MetricStencil:
+    """Sample E, F, G around (u, v) at spacing STENCIL_H, shrunk near the
+    boundary."""
     (u0, u1) = S.domain.u_range
     (v0, v1) = S.domain.v_range
-    h_eff = min(h, 0.5 * (u - u0), 0.5 * (u1 - u), 0.5 * (v - v0), 0.5 * (v1 - v))
+    h_eff = min(STENCIL_H, 0.5 * (u - u0), 0.5 * (u1 - u), 0.5 * (v - v0), 0.5 * (v1 - v))
     if h_eff <= 1e-8:
         raise OutOfDomain("metric stencil leaves the chart domain")
     E = np.empty((5, 5))
@@ -406,10 +407,9 @@ def shape_data(forms: FundamentalForms, stencil: MetricStencil | None = None) ->
 
 
 def shape_at(S: Surface, u: float, v: float,
-             stencil_h: float = DEFAULT_STENCIL_H,
              with_brioschi: bool = True) -> tuple[FundamentalForms, ShapeData]:
     forms = fundamental_forms(S, u, v)
-    st = sample_metric_stencil(S, u, v, stencil_h) if with_brioschi else None
+    st = sample_metric_stencil(S, u, v) if with_brioschi else None
     return forms, shape_data(forms, st)
 
 
@@ -480,31 +480,35 @@ def grid_points(S: Surface, nu_: int, nv_: int) -> list[tuple[float, float]]:
 
 def curvature_grid(S: Surface, nu_: int, nv_: int,
                    tol: float = DEFAULT_CLASS_TOL,
-                   stencil_h: float = DEFAULT_STENCIL_H,
                    brioschi: bool = True) -> CurvatureGrid:
     """Curvature table over grid cell centers, row-major in (u, v).
 
-    Failures at isolated points are recorded in the row's status column and
-    do not abort the scan.  With ``brioschi=False`` the 5x5 stencil (25 more
-    jets per cell) is skipped and ``Kint_brioschi`` is NaN in every row.
+    Failures at isolated points (including non-finite curvatures, nu or
+    Brioschi value: NUMERICAL_FAILURE) are recorded in the row's status
+    column and do not abort the scan.  With ``brioschi=False`` the 5x5
+    stencil (25 more jets per cell) is skipped and ``Kint_brioschi`` is NaN
+    in every row.
 
     Cells are evaluated in blocks of at most POINT_BLOCK chart evaluations
     (see the module docstring); a cell the block flags, or every cell of a
-    block that raises, is evaluated alone, as one scalar row.
+    block that raises, is evaluated alone, as one scalar row.  Under 2 cells
+    per axis, over MAX_GRID_CELLS cells or a tolerance <= 0 raise ConfigError.
     """
     if nu_ < 2 or nv_ < 2:
         raise ConfigError("grid needs at least 2 cells per axis")
+    if nu_ * nv_ > MAX_GRID_CELLS:
+        raise ConfigError(f"a {nu_} x {nv_} grid has more than MAX_GRID_CELLS = "
+                          f"{MAX_GRID_CELLS} cells")
+    if not tol > 0.0:
+        raise ConfigError("classification tolerance must be positive")
 
     def one(uv: tuple[float, float]) -> GridRow:
         u, v = uv
         try:
-            forms, sd = shape_at(S, u, v, stencil_h, brioschi)
-            cls = classify_point(sd, tol)
-            return GridRow(u, v, sd.k1, sd.k2, sd.H, sd.Kext, sd.Kint_gauss,
-                           sd.Kint_brioschi, forms.nu, cls.tag, "ok")
-        except GeometryError as exc:
-            nan = math.nan
-            return GridRow(u, v, nan, nan, nan, nan, nan, nan, nan, "", exc.code)
+            forms, sd = shape_at(S, u, v, brioschi)
+        except (GeometryError, ArithmeticError) as exc:
+            return _failed_row(u, v, getattr(exc, "code", NumericalError.code))
+        return _grid_row(u, v, sd.k1, sd.k2, forms.nu, sd.Kint_brioschi, tol, brioschi)
 
     points = grid_points(S, nu_, nv_)
     size = block_size(S, 26 if brioschi else 1)
@@ -512,14 +516,30 @@ def curvature_grid(S: Surface, nu_: int, nv_: int,
     for k in range(0, len(points), size):
         cells = points[k:k + size]
         try:
-            rows += _grid_block(S, cells, tol, stencil_h, brioschi, one)
+            rows += _grid_block(S, cells, tol, brioschi, one)
         except (GeometryError, ArithmeticError, ValueError):
             rows += [one(p) for p in cells]
     return CurvatureGrid(rows, nu_, nv_)
 
 
+def _failed_row(u: float, v: float, code: str) -> GridRow:
+    nan = math.nan
+    return GridRow(u, v, nan, nan, nan, nan, nan, nan, nan, "", code)
+
+
+def _grid_row(u: float, v: float, k1: float, k2: float, nu: float, kb: float,
+              tol: float, brioschi: bool) -> GridRow:
+    """A cell's row, or a NUMERICAL_FAILURE row where k1, k2 (k1 k2 is finite
+    only where both are), nu or a computed Brioschi value is not finite."""
+    if not (math.isfinite(k1 * k2) and math.isfinite(nu)
+            and (not brioschi or math.isfinite(kb))):
+        return _failed_row(u, v, NumericalError.code)
+    return GridRow(u, v, k1, k2, 0.5 * (k1 + k2), k1 * k2, k1 * k2 - nu ** 2,
+                   kb, nu, _class_tag(k1, k2, tol), "ok")
+
+
 def _grid_block(S: Surface, cells: list[tuple[float, float]], tol: float,
-                stencil_h: float, brioschi: bool, one) -> list[GridRow]:
+                brioschi: bool, one) -> list[GridRow]:
     """Grid rows of a block of cells from one bulk evaluation of their
     centres (and stencils); flagged cells go to the scalar ``one``."""
     us = np.array([u for u, _ in cells])
@@ -530,7 +550,7 @@ def _grid_block(S: Surface, cells: list[tuple[float, float]], tol: float,
     if brioschi:
         (u0, u1) = S.domain.u_range
         (v0, v1) = S.domain.v_range
-        h = np.minimum.reduce([np.full(us.shape, stencil_h), 0.5 * (us - u0),
+        h = np.minimum.reduce([np.full(us.shape, STENCIL_H), 0.5 * (us - u0),
                                0.5 * (u1 - us), 0.5 * (vs - v0), 0.5 * (v1 - vs)])
         off = np.arange(-2.0, 3.0)
         su, sv = np.broadcast_arrays(us[:, None, None] + off[None, :, None] * h[:, None, None],
@@ -544,12 +564,6 @@ def _grid_block(S: Surface, cells: list[tuple[float, float]], tol: float,
         for i in np.flatnonzero(~bad):
             kb[i] = brioschi_curvature(MetricStencil(E[i], F[i], G[i], float(h[i])))
     k1s, k2s, nus = pb.k1.tolist(), pb.k2.tolist(), pb.forms.normal.t.tolist()
-    rows = []
-    for i, (u, v) in enumerate(cells):
-        if bad[i]:
-            rows.append(one((u, v)))
-            continue
-        k1, k2, nu = k1s[i], k2s[i], nus[i]
-        rows.append(GridRow(u, v, k1, k2, 0.5 * (k1 + k2), k1 * k2, k1 * k2 - nu ** 2,
-                            kb[i], nu, _class_tag(k1, k2, tol), "ok"))
-    return rows
+    return [one((u, v)) if bad[i]
+            else _grid_row(u, v, k1s[i], k2s[i], nus[i], kb[i], tol, brioschi)
+            for i, (u, v) in enumerate(cells)]

@@ -33,8 +33,9 @@ import numpy as np
 
 from .curvature import (PARABOLIC, block_size, classify_point, forms_from_jet,
                         point_block, principal_curvatures, shape_data)
-from .errors import (DegenerateDirection, GeometryError, InsufficientSamples,
-                     NotParabolic, NumericalError, OutOfDomain, PlanarSample)
+from .errors import (ConfigError, DegenerateDirection, GeometryError,
+                     InsufficientSamples, NotParabolic, NumericalError, OutOfDomain,
+                     PlanarSample)
 from .hyperbolic import H2Point, H2Tangent, _dists_raw
 from .minkowski import SpacetimeVec, _mcomb, _mdot, _mscale, _project_tangent
 from .numerics import _each, _sq, affine_fit
@@ -48,6 +49,9 @@ PLANAR_HIT = "PLANAR_HIT"
 STEP_FAILURE = "STEP_FAILURE"
 
 TRACE_CSV_HEADER = "s,u,v,h_x0,h_x1,h_x2,t,k2,H,lambda"
+
+CONNECTION_STEP = 1e-5  # transverse step of the connection coefficient's difference
+MAX_TRACE_HALF_STEPS = 50_000  # per leg: 3 KB and 0.2 ms per step of both (2-core VM)
 
 
 @dataclass(frozen=True)
@@ -127,9 +131,26 @@ class GeodesicDeviation:
 
 def _principal_at(S: Surface, u: float, v: float):
     jet = S.jet(u, v)
-    forms = forms_from_jet(jet)
-    k1, k2, d1, d2 = principal_curvatures(forms)
+    try:
+        forms = forms_from_jet(jet)
+        k1, k2, d1, d2 = principal_curvatures(forms)
+    except ArithmeticError as exc:
+        raise NumericalError(f"{type(exc).__name__} in the shape operator at ({u}, {v})") \
+            from exc
+    # one test for all six: a sum is finite only where every term is
+    if not math.isfinite(k1 + k2 + d1[0] + d1[1] + d2[0] + d2[1]):
+        raise NumericalError(f"non-finite principal curvatures or directions at ({u}, {v})")
     return jet, forms, k1, k2, d1, d2
+
+
+def trace_half_steps(length: float, step: float) -> int:
+    """RK4 steps per leg of a trace of ``length`` at ``step``; ConfigError
+    beyond MAX_TRACE_HALF_STEPS."""
+    half = 0.5 * length / step
+    if not half <= MAX_TRACE_HALF_STEPS:
+        raise ConfigError(f"a trace of length {length:g} at step {step:g} takes more than "
+                          f"MAX_TRACE_HALF_STEPS = {MAX_TRACE_HALF_STEPS} steps per leg")
+    return int(round(half))
 
 
 def _aligned(d: tuple[float, float], ref: tuple[float, float]) -> tuple[float, float]:
@@ -158,23 +179,24 @@ def _vec(rows: np.ndarray) -> AmbientVec:
 
 
 def _connection(S: Surface, uv: np.ndarray, d2: np.ndarray, e2: np.ndarray,
-                e1: np.ndarray, foot: np.ndarray, delta: float = 1e-5) -> np.ndarray:
+                e1: np.ndarray, foot: np.ndarray) -> np.ndarray:
     """Transverse connection coefficient <D_{e2} e2, e1> at every sample.
 
     The e2 field is differenced centrally across the trace, along the chart
-    direction d2, at a step that keeps both points inside the chart (NaN
-    where that step is below 1e-9).  All transverse points are evaluated in
-    blocks of POINT_BLOCK chart evaluations; a sample whose pair the block
-    flags has both points evaluated again on the scalar path, which raises
-    what a scalar trace raises.  Rows of ``d2``, ``e2``, ``e1`` and ``foot``
+    direction d2, at a step of at most CONNECTION_STEP that keeps both
+    points inside the chart (NaN where that step is below 1e-9).  All
+    transverse points are evaluated in blocks of POINT_BLOCK chart
+    evaluations; a sample whose pair the block flags has both points
+    evaluated again on the scalar path, which raises what a scalar trace
+    raises.  Rows of ``d2``, ``e2``, ``e1`` and ``foot``
     are per sample.
     """
     (u0, u1) = S.domain.u_range
     (v0, v1) = S.domain.v_range
     u, v = uv[:, 0], uv[:, 1]
     room = np.minimum(np.minimum(u - u0, u1 - u), np.minimum(v - v0, v1 - v))
-    hstep = np.minimum(delta, 0.25 * room / (1e-12 + np.maximum(np.abs(d2[:, 0]),
-                                                                 np.abs(d2[:, 1]))))
+    hstep = np.minimum(CONNECTION_STEP, 0.25 * room / (
+        1e-12 + np.maximum(np.abs(d2[:, 0]), np.abs(d2[:, 1]))))
     lam = np.full(len(u), math.nan)
     live = np.flatnonzero(~(hstep <= 1e-9))
     size = block_size(S, 2)
@@ -210,12 +232,15 @@ def trace_asymptotic(S: Surface, u0: float, v0: float, length: float,
 
     The trace runs length/2 in each direction from the seed and stops early
     at the domain edge, at a planar point (|k2| < tol), or on numerical
-    breakdown of the direction field.  ``with_connection=False`` skips the
-    transverse measurement of the connection coefficient (NaN in the record),
-    which roughly halves the cost when only the path is needed.
+    breakdown of the direction field (an evaluation that raises or is not
+    finite).  ``with_connection=False`` skips the transverse measurement of
+    the connection coefficient (NaN in the record), which roughly halves the
+    cost when only the path is needed.  Over MAX_TRACE_HALF_STEPS steps per
+    leg raise ConfigError before the seed is evaluated.
     """
     if step <= 0.0 or length <= 0.0:
         raise NumericalError("length and step must be positive")
+    half_steps = trace_half_steps(length, step)
 
     # The points of the current step: only these, and the seed at the start
     # of each leg, are ever evaluated twice (on cylinders the second and
@@ -234,8 +259,6 @@ def trace_asymptotic(S: Surface, u0: float, v0: float, length: float,
         raise NotParabolic(f"seed ({u0}, {v0}) classifies {cls.tag}")
     if abs(k2_0) - abs(k1_0) < 10.0 * tol:
         raise DegenerateDirection("principal curvatures too close to separate directions")
-
-    half_steps = int(round(0.5 * length / step))
 
     def field(u: float, v: float, ref):
         _, _, _, _, d1, _ = eval_at(u, v)

@@ -25,16 +25,18 @@ thousands of steps per curve, so it runs on Python floats, where an array
 call would cost more than the step: the step and the re-projection are
 written out on unpacked coordinates, without triple helpers or tuples per
 stage, and the curvature at a sample, stored with it, is the first stage
-of the next step (three curvature calls per step).  Stored frames are
+of the next step (three curvature calls per step).  A build of more than
+``MAX_CURVE_STEPS`` steps is refused before it starts.  Stored frames are
 handed out as Python floats, since numpy scalars make every later scalar
 operation several times dearer.
 
 Dense output between samples comes one arclength at a time, memoized, for
 chart jets and traces (``H2Curve.frame_at``), or for a whole array of
 arclengths at once (``H2Curve.frames_at``), which bulk chart jets and the
-Hausdorff distance use: the same RK4 step and Hermite formula run on triples
-of coordinate arrays (Hairer, Norsett and Wanner, *Solving Ordinary
-Differential Equations I*, on dense output).
+Hausdorff distance use, and ``frame_at`` on Hermite curves: the same RK4
+step and the Hermite formula run on triples of coordinate arrays (Hairer,
+Norsett and Wanner, *Solving Ordinary Differential Equations I*, on dense
+output).
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BadCurvatureFunction, InsufficientSamples, NonUnitTangent,
-                     NumericalError, OutOfDomain)
+from .errors import (BadCurvatureFunction, ConfigError, InsufficientSamples,
+                     NonUnitTangent, NumericalError, OutOfDomain)
 from .minkowski import (SpacetimeVec, Triple, _mcomb, _mcross, _mdot,
                         _mscale, _msub, _normalize_point, _normalize_points,
                         _normalize_spacelike, _normalize_spacelikes,
@@ -57,6 +59,7 @@ POINT_TOL = 1e-10      # |<v,v> + 1| for points
 TANGENT_TOL = 1e-10    # |<w,p>| for tangency
 UNIT_TOL = 1e-8        # |<w,w> - 1| for unit vectors
 NEAREST_CHUNK = 128    # query rows per block of the query x sample inner products
+MAX_CURVE_STEPS = 1_000_000  # per build: 110 B and 10 us each (2-core VM)
 
 ORIGIN_T: Triple = (1.0, 0.0, 0.0)
 
@@ -229,10 +232,10 @@ class H2Curve:
     # construction --------------------------------------------------------
 
     @classmethod
-    def from_samples(cls, s, points, tangents, normals=None, kg=None,
-                     interpolation: str = "hermite") -> "H2Curve":
+    def from_samples(cls, s, points, tangents, normals=None, kg=None) -> "H2Curve":
+        """A ``hermite`` curve through the given samples."""
         return cls(np.asarray(s, float), np.asarray(points, float),
-                   np.asarray(tangents, float), interpolation,
+                   np.asarray(tangents, float), "hermite",
                    None if normals is None else np.asarray(normals, float),
                    None if kg is None else np.asarray(kg, float))
 
@@ -268,7 +271,8 @@ class H2Curve:
         """Position, tangent, Frenet normal and curvature at arclength s.
 
         Memoized per parameter value; dense consumers (chart jets, tracers)
-        hit the same arclength many times.
+        hit the same arclength many times.  On ``hermite`` curves this is
+        :meth:`frames_at` at a one-element array.
         """
         hit = self._frame_cache.get(s)
         if hit is not None:
@@ -284,32 +288,11 @@ class H2Curve:
                 a, t, n = _frenet_rk4_step(a, t, n, self.kg_fn(s_i), s_i, ds, self.kg_fn)
                 a, t, n = _reproject_frame(a, t, n)
         else:
-            pos, vel = self._hermite(i, s)
-            a = _normalize_point(tuple(pos))
-            t = _normalize_spacelike(_project_tangent(a, tuple(vel)))
-            n = _mcross(a, t)
+            a, t, n = (tuple(c.item() for c in x) for x in self.frames_at(np.array([s])))
         out = (a, t, n, float(self.kg_at(s)))
         if len(self._frame_cache) < 65536:
             self._frame_cache[s] = out
         return out
-
-    def _hermite(self, i, s):
-        """Cubic Hermite position and velocity, before re-projection.
-
-        ``i`` is the sample interval holding the arclength ``s``; given
-        arrays of both, the results are coordinate-major, shape (3, len(s)).
-        """
-        s0, s1 = self.s[i], self.s[i + 1]
-        h = s1 - s0
-        t = (s - s0) / h
-        p0, p1 = self.points[i].T, self.points[i + 1].T
-        m0, m1 = self.tangents[i].T * h, self.tangents[i + 1].T * h
-        t2, t3 = t * t, t * t * t
-        pos = ((2 * t3 - 3 * t2 + 1) * p0 + (t3 - 2 * t2 + t) * m0
-               + (-2 * t3 + 3 * t2) * p1 + (t3 - t2) * m1)
-        vel = ((6 * t2 - 6 * t) * p0 + (3 * t2 - 4 * t + 1) * m0
-               + (-6 * t2 + 6 * t) * p1 + (3 * t2 - 2 * t) * m1) / h
-        return pos, vel
 
     def kg_at(self, s):
         """Signed geodesic curvature at a float or an array of arclengths:
@@ -338,8 +321,17 @@ class H2Curve:
         if outside.any():
             raise OutOfDomain(f"s = {s[outside][0]} outside [{self.s_min}, {self.s_max}]")
         i = np.clip(np.searchsorted(self.s, s, side="right") - 1, 0, len(self.s) - 2)
-        if self.interpolation == "hermite":
-            pos, vel = self._hermite(i, s)
+        if self.interpolation == "hermite":  # cubic Hermite on positions and tangents
+            s0 = self.s[i]
+            h = self.s[i + 1] - s0
+            t = (s - s0) / h
+            p0, p1 = self.points[i].T, self.points[i + 1].T
+            m0, m1 = self.tangents[i].T * h, self.tangents[i + 1].T * h
+            t2, t3 = t * t, t * t * t
+            pos = ((2 * t3 - 3 * t2 + 1) * p0 + (t3 - 2 * t2 + t) * m0
+                   + (-2 * t3 + 3 * t2) * p1 + (t3 - t2) * m1)
+            vel = ((6 * t2 - 6 * t) * p0 + (3 * t2 - 4 * t + 1) * m0
+                   + (-6 * t2 + 6 * t) * p1 + (3 * t2 - 2 * t) * m1) / h
             a = _normalize_points(tuple(pos))
             t = _normalize_spacelikes(_project_tangent(a, tuple(vel)))
             return a, t, _mcross(a, t)
@@ -441,6 +433,9 @@ def curve_from_curvature(k_g: Callable[[float], float], s_range: tuple[float, fl
         raise OutOfDomain(f"bad arclength range {s_range}")
     if step <= 0.0:
         raise NumericalError("step must be positive")
+    if not (s1 - s0) / step <= MAX_CURVE_STEPS:
+        raise ConfigError(f"a curve of length {s1 - s0:g} at step {step:g} takes more "
+                          f"than MAX_CURVE_STEPS = {MAX_CURVE_STEPS} steps")
     a = (start or ORIGIN).tup
     if direction is None:
         t = (0.0, 1.0, 0.0) if start is None else _normalize_spacelike(

@@ -24,6 +24,7 @@ from .minkowski import SpacetimeVec, Triple, _mcross, _mdot, _mscale
 from .numerics import golden_min
 
 UNIT_TOL = 1e-8
+SCAN_STEP = 0.25       # arclength spacing of the divergence search along g1
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,8 +143,8 @@ class ProdGeodesic:
         return prod_exp(self.p0, self.v0, s)
 
 
-def prod_geodesic_residual(path: Sequence[ProdPoint], spacing: float | None = None) -> float:
-    """Max covariant-acceleration norm of a uniformly sampled path.
+def prod_geodesic_residual(path: Sequence[ProdPoint], spacing: float) -> float:
+    """Max covariant-acceleration norm of a path sampled ``spacing`` apart.
 
     The horizontal velocity comes from centered differences of the footprint
     coordinates; its covariant derivative is the tangential projection of its
@@ -155,13 +156,7 @@ def prod_geodesic_residual(path: Sequence[ProdPoint], spacing: float | None = No
         raise InsufficientSamples("need at least five samples")
     pts = np.array([p.h.tup for p in path])
     ts = np.array([p.t for p in path])
-    if spacing is None:
-        gaps = np.array([prod_dist(path[i], path[i + 1]) for i in range(n - 1)])
-        h = float(gaps.mean())
-        if h <= 0.0 or (gaps.max() - gaps.min()) > 0.02 * h:
-            raise NumericalError("path samples are not near-uniformly spaced")
-    else:
-        h = float(spacing)
+    h = float(spacing)
 
     vel = (pts[2:] - pts[:-2]) / (2.0 * h)          # rows 1..n-2
     acc = (vel[2:] - vel[:-2]) / (2.0 * h)          # rows 2..n-3
@@ -227,11 +222,11 @@ def _dist_point_to_geodesic(q: Triple, g: H2Geodesic, s_max: float) -> float:
 
 
 def verify_geodesic_divergence(g1: H2Geodesic, g2: H2Geodesic, target: float,
-                               s_max: float, scan_step: float = 0.25) -> DivergenceReport:
+                               s_max: float) -> DivergenceReport:
     """Search along g1 for a point at distance >= target from g2.
 
-    Scans arclength parameters of increasing magnitude (positive direction
-    first) and reports the first grid parameter whose distance to the arc
+    Scans arclength parameters of increasing magnitude, SCAN_STEP apart
+    (positive direction first), and reports the first grid parameter whose distance to the arc
     g2([-s_max, s_max]) reaches the target.  Distinct geodesics always
     diverge in at least one direction.
     """
@@ -239,10 +234,10 @@ def verify_geodesic_divergence(g1: H2Geodesic, g2: H2Geodesic, target: float,
         raise NumericalError("target must be positive")
     if g1.same_geodesic(g2):
         raise GeometryError("geodesics must be distinct")
-    n_steps = int(math.ceil(s_max / scan_step))
+    n_steps = int(math.ceil(s_max / SCAN_STEP))
     for sign in (1.0, -1.0):
         for i in range(n_steps + 1):
-            s = sign * min(i * scan_step, s_max)
+            s = sign * min(i * SCAN_STEP, s_max)
             d = _dist_point_to_geodesic(g1.point(s).tup, g2, s_max)
             if d >= target:
                 return DivergenceReport(s, d, target)

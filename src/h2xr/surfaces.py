@@ -54,6 +54,7 @@ DEFAULT_CYLINDER_HEIGHT = 3.0
 DEFAULT_CURVE_STEP = 1e-3
 SLICE_INNER_RADIUS = 1e-3
 FD_STEP = 1e-4
+DOMAIN_SLACK = 1e-9    # chart points this far outside the domain still count as inside
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,9 +69,9 @@ class ChartDomain:
             if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
                 raise ConfigError(f"bad chart range [{lo}, {hi}]")
 
-    def contains(self, u: float, v: float, slack: float = 1e-9) -> bool:
-        return (self.u_range[0] - slack <= u <= self.u_range[1] + slack
-                and self.v_range[0] - slack <= v <= self.v_range[1] + slack)
+    def contains(self, u: float, v: float) -> bool:
+        return (self.u_range[0] - DOMAIN_SLACK <= u <= self.u_range[1] + DOMAIN_SLACK
+                and self.v_range[0] - DOMAIN_SLACK <= v <= self.v_range[1] + DOMAIN_SLACK)
 
     @property
     def center(self) -> tuple[float, float]:
@@ -204,7 +205,6 @@ class Surface:
     domain: ChartDomain
     derivative_mode: str
     label: str
-    fd_step: float | None = None
 
     def jet(self, u: float, v: float) -> SurfaceJet:
         if not self.domain.contains(u, v):
@@ -228,8 +228,8 @@ class Surface:
         if getattr(self.chart, "jets", None) is None:
             return _stack_jets(self.jet, us, vs)
         (u0, u1), (v0, v1) = self.domain.u_range, self.domain.v_range
-        inside = ((u0 - 1e-9 <= us) & (us <= u1 + 1e-9)
-                  & (v0 - 1e-9 <= vs) & (vs <= v1 + 1e-9))
+        inside = ((u0 - DOMAIN_SLACK <= us) & (us <= u1 + DOMAIN_SLACK)
+                  & (v0 - DOMAIN_SLACK <= vs) & (vs <= v1 + DOMAIN_SLACK))
         block = _chart_jets(self.chart, us, vs)
         return block._replace(bad=block.bad | ~inside)
 
@@ -445,6 +445,8 @@ def bilinear_height(coef: float) -> HeightFunction:
 
 def gaussian_bump(center: tuple[float, float], width: float) -> HeightFunction:
     """Smooth localized bump exp(-((u-cu)^2 + (v-cv)^2) / width^2)."""
+    if not width > 0.0:
+        raise ConfigError("bump width must be positive")
     cu, cv = center
     w2 = width * width
 
@@ -522,8 +524,9 @@ def _fd_jet(h, samples, jet):
     )
 
 
-def _fd_chart(pos, pos_arrays, domain: ChartDomain, step: float):
-    """Jet evaluator from a position-only chart, by central differences.
+def _fd_chart(pos, pos_arrays, domain: ChartDomain):
+    """Jet evaluator from a position-only chart, by central differences at
+    step FD_STEP.
 
     First-derivative horizontal parts are re-projected onto the hyperboloid
     tangent space; second derivatives are the raw coordinate differences.
@@ -537,7 +540,7 @@ def _fd_chart(pos, pos_arrays, domain: ChartDomain, step: float):
     (v0, v1) = domain.v_range
 
     def chart(u: float, v: float) -> SurfaceJet:
-        h = min(step, 0.5 * (u - u0), 0.5 * (u1 - u), 0.5 * (v - v0), 0.5 * (v1 - v))
+        h = min(FD_STEP, 0.5 * (u - u0), 0.5 * (u1 - u), 0.5 * (v - v0), 0.5 * (v1 - v))
         if h <= 0.0:
             raise OutOfDomain("finite-difference stencil does not fit at the boundary")
         samples = [pos(u, v), pos(u + h, v), pos(u - h, v), pos(u, v + h), pos(u, v - h),
@@ -546,7 +549,7 @@ def _fd_chart(pos, pos_arrays, domain: ChartDomain, step: float):
         return _fd_jet(h, samples, SurfaceJet)
 
     def chart_arrays(us: np.ndarray, vs: np.ndarray) -> JetBlock:
-        h = np.minimum.reduce([np.full(us.shape, step), 0.5 * (us - u0), 0.5 * (u1 - us),
+        h = np.minimum.reduce([np.full(us.shape, FD_STEP), 0.5 * (us - u0), 0.5 * (u1 - us),
                                0.5 * (vs - v0), 0.5 * (v1 - vs)])
         up, um, vp, vm = us + h, us - h, vs + h, vs - h
         p, t, bad = pos_arrays(np.concatenate([us, up, um, us, us, up, up, um, um]),
@@ -560,11 +563,9 @@ def _fd_chart(pos, pos_arrays, domain: ChartDomain, step: float):
     return chart
 
 
-def finite_difference_surface(base: Surface, step: float = FD_STEP,
-                              label: str | None = None) -> Surface:
-    """Rebuild a surface with jets from central differences of positions only."""
-    if step <= 0.0:
-        raise ConfigError("finite-difference step must be positive")
+def finite_difference_surface(base: Surface) -> Surface:
+    """Rebuild a surface with jets from central differences (step FD_STEP)
+    of positions only."""
 
     def pos(u: float, v: float) -> AmbientVec:
         return base.chart(u, v).X
@@ -573,14 +574,14 @@ def finite_difference_surface(base: Surface, step: float = FD_STEP,
         jets = _chart_jets(base.chart, us, vs)
         return jets.X.htup, jets.X.t, jets.bad
 
-    return Surface(_fd_chart(pos, pos_arrays, base.domain, step), base.domain,
-                   "finite-difference", label or f"{base.label}(fd)", step)
+    return Surface(_fd_chart(pos, pos_arrays, base.domain), base.domain,
+                   "finite-difference", f"{base.label}(fd)")
 
 
 # -- perturbation ------------------------------------------------------------------
 
 def perturb(base: Surface, eps: float, bump: HeightFunction | None = None,
-            label: str | None = None, fd_step: float = FD_STEP) -> Surface:
+            label: str | None = None) -> Surface:
     """Displace the chart by eps * bump along the unit normal.
 
     Pure height bumps are invisible on vertical charts (they only slide
@@ -623,9 +624,8 @@ def perturb(base: Surface, eps: float, bump: HeightFunction | None = None,
         return (tuple(np.where(still, a, b) for a, b in zip(p, moved)),
                 jets.X.t + d * n.t, jets.bad | bad)
 
-    return Surface(_fd_chart(pos, pos_arrays, base.domain, fd_step), base.domain,
-                   "finite-difference",
-                   label or f"{base.label}+bump({eps})", fd_step)
+    return Surface(_fd_chart(pos, pos_arrays, base.domain), base.domain,
+                   "finite-difference", label or f"{base.label}+bump({eps})")
 
 
 def rescale_chart(base: Surface, a: float, b: float) -> Surface:
@@ -648,130 +648,132 @@ def rescale_chart(base: Surface, a: float, b: float) -> Surface:
     (u0, u1) = sorted((base.domain.u_range[0] / a, base.domain.u_range[1] / a))
     (v0, v1) = sorted((base.domain.v_range[0] / b, base.domain.v_range[1] / b))
     dom = ChartDomain((u0, u1), (v0, v1))
-    return Surface(chart, dom, base.derivative_mode,
-                   f"{base.label}(x{a},x{b})", base.fd_step)
+    return Surface(chart, dom, base.derivative_mode, f"{base.label}(x{a},x{b})")
 
 
 # -- JSON configuration ---------------------------------------------------------------
 
-def _finite_number(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+def config_number(value, name: str, *, integer: bool = False):
+    """The config or flag number ``value`` of field ``name`` as a float (an
+    int with ``integer=True``); ConfigError for bools, strings, null, NaN,
+    +-Infinity, ints beyond the float range and, for integers, non-integral
+    values (20.0 gives 20, 2.9 fails).  Ranges are checked by the users."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x) and not integer:
+            return x
+        if math.isfinite(x) and x.is_integer():
+            return int(value)  # exact, also for integers past 2**53
+    raise ConfigError(f"{name} must be {'an integer' if integer else 'a finite number'}, "
+                      f"got {value!r}")
 
 
 def _curve_from_config(cfg: dict, u_range: tuple[float, float], step: float) -> H2Curve:
     kind = cfg.get("kind")
     if kind == "constant":
-        k = cfg.get("value")
-        if not _finite_number(k):
-            raise ConfigError("constant curve needs a finite 'value'")
-        return curve_from_curvature(constant_curvature(float(k)), u_range, step)
-    if kind == "linear":
-        slope = cfg.get("slope")
-        intercept = cfg.get("intercept", 0.0)
-        if not _finite_number(slope):
-            raise ConfigError("linear curve needs a finite 'slope'")
-        if not _finite_number(intercept):
-            raise ConfigError("linear curve needs a finite 'intercept'")
-        return curve_from_curvature(linear_curvature(float(slope), float(intercept)),
-                                    u_range, step)
-    if kind == "spline":
+        fn = constant_curvature(config_number(cfg.get("value"), "curve.value"))
+    elif kind == "linear":
+        fn = linear_curvature(config_number(cfg.get("slope"), "curve.slope"),
+                              config_number(cfg.get("intercept", 0.0), "curve.intercept"))
+    elif kind == "spline":
         ks = cfg.get("knots_s")
         kk = cfg.get("knots_k")
         if not isinstance(ks, list) or not isinstance(kk, list) or len(ks) != len(kk):
             raise ConfigError("spline curve needs matching 'knots_s' and 'knots_k'")
-        if not all(_finite_number(x) for x in ks + kk):
-            raise ConfigError("spline knots must be finite numbers")
+        ks = [config_number(x, "curve.knots_s") for x in ks]
+        kk = [config_number(y, "curve.knots_k") for y in kk]
         try:
-            fn = spline_curvature([float(x) for x in ks], [float(y) for y in kk])
+            fn = spline_curvature(ks, kk)
         except NumericalError as exc:
             raise ConfigError(str(exc)) from exc
-        return curve_from_curvature(fn, u_range, step)
-    raise ConfigError(f"unknown curve kind {kind!r}")
+    else:
+        raise ConfigError(f"unknown curve kind {kind!r}")
+    return curve_from_curvature(fn, u_range, step)
 
 
 def _range_from_config(cfg, default: tuple[float, float], name: str) -> tuple[float, float]:
     if cfg is None:
         return default
-    if (not isinstance(cfg, (list, tuple)) or len(cfg) != 2
-            or not all(isinstance(x, (int, float)) and math.isfinite(x) for x in cfg)
-            or cfg[1] <= cfg[0]):
-        raise ConfigError(f"bad {name} range {cfg!r}")
-    return float(cfg[0]), float(cfg[1])
+    if not isinstance(cfg, (list, tuple)) or len(cfg) != 2:
+        raise ConfigError(f"{name} must be a pair [lo, hi], got {cfg!r}")
+    return config_number(cfg[0], name), config_number(cfg[1], name)
 
 
-def _cylinder_curve_from_config(cfg: dict) -> H2Curve:
+def _domain_section(cfg: dict) -> dict:
+    domain = cfg.get("domain") or {}
+    if not isinstance(domain, dict):
+        raise ConfigError("'domain' must be an object")
+    return domain
+
+
+def _domain_from_config(domain: dict, u_default: tuple[float, float],
+                        v_default: tuple[float, float]) -> ChartDomain:
+    return ChartDomain(_range_from_config(domain.get("u"), u_default, "domain.u"),
+                       _range_from_config(domain.get("v"), v_default, "domain.v"))
+
+
+_CYLINDER_RANGES = ((-1.5, 1.5), (-DEFAULT_CYLINDER_HEIGHT, DEFAULT_CYLINDER_HEIGHT))
+
+
+def _cylinder_curve_from_config(cfg: dict, u_range: tuple[float, float]) -> H2Curve:
     curve_cfg = cfg.get("curve")
     if not isinstance(curve_cfg, dict):
         raise ConfigError("cylinder needs a 'curve' object")
-    domain = cfg.get("domain") or {}
-    u_range = _range_from_config(domain.get("u"), (-1.5, 1.5), "u")
-    step = cfg.get("curve_step", DEFAULT_CURVE_STEP)
-    if not isinstance(step, (int, float)) or not 0.0 < step <= 0.1:
+    step = config_number(cfg.get("curve_step", DEFAULT_CURVE_STEP), "curve_step")
+    if not 0.0 < step <= 0.1:
         raise ConfigError(f"bad curve_step {step!r}")
-    return _curve_from_config(curve_cfg, u_range, float(step))
+    return _curve_from_config(curve_cfg, u_range, step)
 
 
 def generating_curve_of_config(cfg: dict) -> H2Curve | None:
     """The generating curve a cylinder config describes (None for other kinds)."""
     if isinstance(cfg, dict) and cfg.get("kind") == "cylinder":
-        return _cylinder_curve_from_config(cfg)
+        dom = _domain_from_config(_domain_section(cfg), *_CYLINDER_RANGES)
+        return _cylinder_curve_from_config(cfg, dom.u_range)
     return None
 
 
 def from_config(cfg: dict) -> Surface:
     """Build a preset surface from its JSON description.
 
-    See the CLI module docstring for the exact schema.
+    See the CLI module docstring for the exact schema.  Every number goes
+    through :func:`config_number`; anything malformed raises ConfigError.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("surface config must be an object")
     kind = cfg.get("kind")
-    domain = cfg.get("domain") or {}
-    if not isinstance(domain, dict):
-        raise ConfigError("'domain' must be an object")
+    domain = _domain_section(cfg)
     if kind == "cylinder":
-        v_range = _range_from_config(domain.get("v"),
-                                     (-DEFAULT_CYLINDER_HEIGHT, DEFAULT_CYLINDER_HEIGHT), "v")
-        alpha = _cylinder_curve_from_config(cfg)
-        return make_cylinder(alpha, v_range, label=cfg.get("label", "cylinder"))
+        dom = _domain_from_config(domain, *_CYLINDER_RANGES)
+        alpha = _cylinder_curve_from_config(cfg, dom.u_range)
+        return make_cylinder(alpha, dom.v_range, label=cfg.get("label", "cylinder"))
     if kind == "slice":
-        t0 = cfg.get("t0", 0.0)
-        radius = cfg.get("radius")
-        if not isinstance(t0, (int, float)) or not math.isfinite(t0):
-            raise ConfigError("slice needs a finite 't0'")
-        if not isinstance(radius, (int, float)) or not radius > 0.0:
-            raise ConfigError("slice needs a positive 'radius'")
-        return make_slice(float(t0), float(radius), label=cfg.get("label", "slice"))
+        return make_slice(config_number(cfg.get("t0", 0.0), "t0"),
+                          config_number(cfg.get("radius"), "radius"),
+                          label=cfg.get("label", "slice"))
     if kind == "graph":
         fcfg = cfg.get("f")
         if not isinstance(fcfg, dict):
             raise ConfigError("graph needs an 'f' object")
         fkind = fcfg.get("kind")
         if fkind == "bilinear":
-            coef = fcfg.get("coef")
-            if not isinstance(coef, (int, float)) or not math.isfinite(coef):
-                raise ConfigError("bilinear height needs a finite 'coef'")
-            height = bilinear_height(float(coef))
+            height = bilinear_height(config_number(fcfg.get("coef"), "f.coef"))
         elif fkind == "linear":
-            a = fcfg.get("a")
-            if not isinstance(a, (int, float)) or not math.isfinite(a):
-                raise ConfigError("linear height needs a finite 'a'")
-            height = linear_height(float(a))
+            height = linear_height(config_number(fcfg.get("a"), "f.a"))
         elif fkind == "zero":
             height = zero_height()
         else:
             raise ConfigError(f"unknown height kind {fkind!r}")
-        u_range = _range_from_config(domain.get("u"), (-1.0, 1.0), "u")
-        v_range = _range_from_config(domain.get("v"), (-1.0, 1.0), "v")
-        return make_graph(height, ChartDomain(u_range, v_range),
+        return make_graph(height, _domain_from_config(domain, (-1.0, 1.0), (-1.0, 1.0)),
                           label=cfg.get("label", "graph"))
     if kind == "perturbed":
         base_cfg = cfg.get("base")
-        eps = cfg.get("eps")
         if not isinstance(base_cfg, dict):
             raise ConfigError("perturbed surface needs a 'base' object")
-        if not isinstance(eps, (int, float)) or not math.isfinite(eps) or eps < 0.0:
-            raise ConfigError("perturbed surface needs eps >= 0")
+        eps = config_number(cfg.get("eps"), "eps")
         base = from_config(base_cfg)
         bump_cfg = cfg.get("bump")
         bump = None
@@ -779,15 +781,13 @@ def from_config(cfg: dict) -> Surface:
             if not isinstance(bump_cfg, dict):
                 raise ConfigError("'bump' must be an object")
             center = bump_cfg.get("center", list(base.domain.center))
-            width = bump_cfg.get("width", 0.25 * min(base.domain.widths))
-            if (not isinstance(center, (list, tuple)) or len(center) != 2
-                    or not all(isinstance(x, (int, float)) and math.isfinite(x) for x in center)):
+            if not isinstance(center, (list, tuple)) or len(center) != 2:
                 raise ConfigError("bump center must be [u, v]")
-            if not isinstance(width, (int, float)) or not width > 0.0:
-                raise ConfigError("bump width must be positive")
-            bump = gaussian_bump((float(center[0]), float(center[1])), float(width))
-        return perturb(base, float(eps), bump,
-                       label=cfg.get("label", f"perturbed({base.label})"))
+            width = bump_cfg.get("width", 0.25 * min(base.domain.widths))
+            bump = gaussian_bump((config_number(center[0], "bump.center"),
+                                  config_number(center[1], "bump.center")),
+                                 config_number(width, "bump.width"))
+        return perturb(base, eps, bump, label=cfg.get("label", f"perturbed({base.label})"))
     raise ConfigError(f"unknown surface kind {kind!r}")
 
 
@@ -826,8 +826,6 @@ CORPUS_CONFIGS: dict[str, dict] = {
 
 CYLINDER_PRESETS = ("cylinder_geodesic", "cylinder_circle", "cylinder_horocycle",
                     "cylinder_spline", "cylinder_inflection")
-
-NON_CYLINDER_PRESETS = ("slice", "perturbed_cylinder", "perturbed_slice")
 
 
 @lru_cache(maxsize=None)

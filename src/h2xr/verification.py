@@ -40,7 +40,7 @@ import numpy as np
 from .classifier import (CYLINDER, ClassifierConfig, INCONSISTENT,
                          _farthest_point_seeds, classify_surface,
                          planar_set_map, recover_generating_curve)
-from .curvature import PARABOLIC, curvature_grid, shape_at
+from .curvature import DEFAULT_CLASS_TOL, PARABOLIC, curvature_grid, shape_at
 from .errors import DivergenceNotReached
 from .flows import (PLANAR_HIT, fit_inverse_H, frame_ode_residuals,
                     geodesic_deviation, trace_asymptotic)
@@ -54,6 +54,7 @@ from .surfaces import (CORPUS_CONFIGS, CYLINDER_PRESETS, Surface, from_config,
                        preset)
 
 DEVIATION_FLOOR = 1e-6  # metric roundoff floor for exact vertical traces
+SEED_GRID = 21          # cells per axis of the scan parabolic seeds are drawn from
 
 CHECK_IDS = ("PROP1", "PROP2", "LEMMA2", "PROP3", "GEO_LEMMA", "FOLIATION",
              "THEOREM1", "DIVERGENCE")
@@ -113,13 +114,13 @@ class VerificationReport:
 
 # -- shared helpers -----------------------------------------------------------------
 
-def parabolic_seeds(S: Surface, k: int, n_grid: int = 21,
-                    tol: float = 1e-7) -> list[tuple[float, float]]:
-    """Deterministic well-spread parabolic cell centres of an n_grid x n_grid
-    scan (forms only, fast) whose principal curvatures separate by 20 tol."""
-    grid = curvature_grid(S, n_grid, n_grid, tol=tol, brioschi=False)
+def parabolic_seeds(S: Surface, k: int) -> list[tuple[float, float]]:
+    """Deterministic well-spread parabolic cell centres of a SEED_GRID x
+    SEED_GRID scan (forms only, fast) whose principal curvatures separate by
+    20 times the class tolerance."""
+    grid = curvature_grid(S, SEED_GRID, SEED_GRID, brioschi=False)
     cells = [(r.u, r.v) for r in grid.rows
-             if r.cls == PARABOLIC and abs(r.k2) - abs(r.k1) >= 20.0 * tol]
+             if r.cls == PARABOLIC and abs(r.k2) - abs(r.k1) >= 20.0 * DEFAULT_CLASS_TOL]
     return _farthest_point_seeds(cells, k, S.domain.center)
 
 
@@ -165,20 +166,19 @@ _TRACE_PRESETS = ("cylinder_circle", "cylinder_horocycle", "cylinder_spline",
                   "cylinder_inflection")
 
 
-def _corpus_traces(length: float = 5.0, step: float = 1e-3, seeds_per: int = 2):
-    """Asymptotic traces from spread parabolic seeds on the flat presets."""
+def _corpus_traces():
+    """Asymptotic traces (length 5, step 1e-3) from two spread parabolic
+    seeds on each flat preset."""
     out = []
     for name in _TRACE_PRESETS:
         s = preset(name)
-        for (u, v) in parabolic_seeds(s, seeds_per):
-            out.append((name, s, (u, v), trace_asymptotic(s, u, v, length, step)))
+        for (u, v) in parabolic_seeds(s, 2):
+            out.append((name, s, (u, v), trace_asymptotic(s, u, v, 5.0, 1e-3)))
     return out
 
 
-def check_prop2(traces=None) -> CheckResult:
+def check_prop2(traces) -> CheckResult:
     subs = []
-    if traces is None:
-        traces = _corpus_traces()
     for name, s, (u, v), tr in traces:
         dev = geodesic_deviation(tr).max_dev
         subs.append(SubCheck(f"{name}@({u:.3g},{v:.3g}) deviation", dev, 1e-5, "<"))
@@ -191,10 +191,8 @@ def check_prop2(traces=None) -> CheckResult:
     return CheckResult("PROP2", subs)
 
 
-def check_lemma2(traces=None) -> CheckResult:
+def check_lemma2(traces) -> CheckResult:
     subs = []
-    if traces is None:
-        traces = _corpus_traces()
     circle_done = False
     for name, _, (u, v), tr in traces:
         fit = fit_inverse_H(tr)
@@ -267,7 +265,7 @@ def check_foliation() -> CheckResult:
 
     # planar components of a flat chart are full-height vertical strips
     infl = preset("cylinder_inflection")
-    pmap = planar_set_map(infl, n=21)
+    pmap = planar_set_map(infl, curvature_grid(infl, 21, 21, brioschi=False))
     subs.append(SubCheck("inflection planar components", float(len(pmap.components)),
                          1.0, ">="))
     if pmap.components:

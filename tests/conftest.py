@@ -131,18 +131,25 @@ def faulty_at_cell_centres(S: Surface, n: int, v_min: float) -> Surface:
 # -- point-by-point references for the array kernels -----------------------------
 
 def scalar_grid(S: Surface, nu_: int, nv_: int, tol: float = 1e-7,
-                stencil_h: float = 1e-3, brioschi: bool = True) -> CurvatureGrid:
-    """The cell-by-cell loop of curvature_grid before bulk evaluation."""
+                brioschi: bool = True) -> CurvatureGrid:
+    """The cell-by-cell loop of curvature_grid before bulk evaluation; a
+    cell that raises, or whose numbers are not all finite, fails."""
     rows = []
+    nan = math.nan
     for u, v in grid_points(S, nu_, nv_):
         try:
-            forms, sd = shape_at(S, u, v, stencil_h, brioschi)
-            rows.append(GridRow(u, v, sd.k1, sd.k2, sd.H, sd.Kext, sd.Kint_gauss,
-                                sd.Kint_brioschi, forms.nu, classify_point(sd, tol).tag,
-                                "ok"))
-        except GeometryError as exc:
-            nan = math.nan
-            rows.append(GridRow(u, v, nan, nan, nan, nan, nan, nan, nan, "", exc.code))
+            forms, sd = shape_at(S, u, v, brioschi)
+        except (GeometryError, ArithmeticError) as exc:
+            rows.append(GridRow(u, v, nan, nan, nan, nan, nan, nan, nan, "",
+                                getattr(exc, "code", "NUMERICAL_FAILURE")))
+            continue
+        values = [sd.k1, sd.k2, sd.H, sd.Kext, sd.Kint_gauss, forms.nu]
+        if not all(math.isfinite(x) for x in values + [sd.Kint_brioschi] * brioschi):
+            rows.append(GridRow(u, v, nan, nan, nan, nan, nan, nan, nan, "",
+                                "NUMERICAL_FAILURE"))
+            continue
+        rows.append(GridRow(u, v, sd.k1, sd.k2, sd.H, sd.Kext, sd.Kint_gauss,
+                            sd.Kint_brioschi, forms.nu, classify_point(sd, tol).tag, "ok"))
     return CurvatureGrid(rows, nu_, nv_)
 
 
@@ -303,6 +310,25 @@ def reference_frames_at(curve, s):
                                                              _normalize_spacelikes)):
             out[:, moved] = new
     return tuple(tuple(x) for x in frame)
+
+
+def reference_hermite_frame(curve, s: float):
+    """H2Curve.frame_at of a hermite curve (position, tangent, normal) on the
+    scalar Hermite formula it used before it read frames_at."""
+    i = min(max(int(np.searchsorted(curve.s, s, side="right")) - 1, 0), len(curve.s) - 2)
+    s0, s1 = curve.s[i], curve.s[i + 1]
+    h = s1 - s0
+    t = (s - s0) / h
+    p0, p1 = curve.points[i], curve.points[i + 1]
+    m0, m1 = curve.tangents[i] * h, curve.tangents[i + 1] * h
+    t2, t3 = t * t, t * t * t
+    pos = ((2 * t3 - 3 * t2 + 1) * p0 + (t3 - 2 * t2 + t) * m0
+           + (-2 * t3 + 3 * t2) * p1 + (t3 - t2) * m1)
+    vel = ((6 * t2 - 6 * t) * p0 + (3 * t2 - 4 * t + 1) * m0
+           + (-6 * t2 + 6 * t) * p1 + (3 * t2 - 2 * t) * m1) / h
+    a = _normalize_point(tuple(pos))
+    tangent = _normalize_spacelike(_project_tangent(a, tuple(vel)))
+    return a, tangent, _mcross(a, tangent)
 
 
 def reference_jet_checks(X, Xu, Xv, Xuu, Xuv, Xvv):

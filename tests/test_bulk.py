@@ -129,6 +129,18 @@ class TestBlockedGrid:
     def test_grid_equals_scalar(self, name):
         self._check(SURFACES[name], 5, 4)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("brioschi", [True, False])
+    def test_overflowing_cells_fail(self, brioschi):
+        """A height slope of 1.3e154 overflows the first form away from v = 0:
+        such cells fail with NUMERICAL_FAILURE on both paths, and no row
+        passes as ok with a value that is not finite."""
+        S = make_graph(linear_height(1.3e154), ChartDomain((-1.0, 1.0), (-3.0, 3.0)))
+        grid = self._check(S, 4, 5, brioschi=brioschi)
+        assert any(r.status == "NUMERICAL_FAILURE" for r in grid.rows)
+        for r in grid.valid_rows():
+            assert all(math.isfinite(x) for x in (r.k1, r.k2, r.H, r.Kext, r.Kint_gauss, r.nu))
+
     def test_injected_faults(self, circle_cylinder):
         S = faulty_at_cell_centres(circle_cylinder, 9, 0.5)
         g = self._check(S, 9, 9, brioschi=False)

@@ -9,6 +9,7 @@ import pytest
 from h2xr.classifier import (CYLINDER, INCONSISTENT, NOT_FLAT, classify_surface,
                              extract_rulings, flatness_scan, planar_set_map,
                              recover_generating_curve, verdict_to_json)
+from h2xr.curvature import curvature_grid
 from h2xr.errors import EmptyIntersection, NotParabolic
 from h2xr.hyperbolic import (H2Point, curvature_profile, curve_hausdorff,
                              h2_covariant_deriv, h2_dist,
@@ -40,7 +41,8 @@ class TestFlatnessScan:
 
 class TestPlanarSetMap:
     def test_inflection_vertical_strip(self, inflection_cylinder):
-        pmap = planar_set_map(inflection_cylinder, n=21)
+        grid = curvature_grid(inflection_cylinder, 21, 21, brioschi=False)
+        pmap = planar_set_map(inflection_cylinder, grid)
         assert len(pmap.components) == 1
         comp = pmap.components[0]
         du = 3.0 / 21.0
@@ -51,11 +53,13 @@ class TestPlanarSetMap:
         assert comp.v_range[1] == pytest.approx(3.0, abs=1e-12)
 
     def test_circle_has_no_planar_cells(self, circle_cylinder):
-        pmap = planar_set_map(circle_cylinder, n=21)
+        grid = curvature_grid(circle_cylinder, 21, 21, brioschi=False)
+        pmap = planar_set_map(circle_cylinder, grid)
         assert pmap.components == []
 
     def test_geodesic_cylinder_fully_planar(self, geodesic_cylinder):
-        pmap = planar_set_map(geodesic_cylinder, n=21)
+        grid = curvature_grid(geodesic_cylinder, 21, 21, brioschi=False)
+        pmap = planar_set_map(geodesic_cylinder, grid)
         assert len(pmap.components) == 1
         assert len(pmap.components[0].cells) == 21 * 21
 

@@ -1,12 +1,18 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import copy
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from h2xr.cli import main
-from h2xr.surfaces import CORPUS_CONFIGS
+from h2xr.cli import RunConfig, build_parser, load_run_config, main
+from h2xr.errors import ConfigError
+from h2xr.surfaces import CORPUS_CONFIGS, Surface, from_config
 
 from conftest import faulty_at_cell_centres
 
@@ -177,6 +183,10 @@ class TestGeodesicCommand:
     def test_zero_velocity_is_bad_config(self, tmp_path):
         assert main(["--out", str(tmp_path), "geodesic", "--velocity", "0,0,0"]) == 2
 
+    def test_overflow_exits_3(self, tmp_path):
+        # cosh(800) overflows: a numerical failure, not a traceback
+        assert main(["--out", str(tmp_path), "geodesic", "--length", "800", "--step", "1"]) == 3
+
 
 class TestTolFlag:
     def test_unknown_key_rejected(self, tmp_path):
@@ -188,6 +198,154 @@ class TestTolFlag:
         cfg = write_cfg(tmp_path, SLICE_CFG)
         assert main(["--config", cfg, "--out", str(tmp_path),
                      "--tol", "flatness=abc", "curvature"]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-6"])
+    def test_non_finite_or_nonpositive_value_rejected(self, tmp_path, value):
+        cfg = write_cfg(tmp_path, SLICE_CFG)
+        assert main(["--config", cfg, "--out", str(tmp_path),
+                     "--tol", f"planar={value}", "curvature"]) == 2
+
+
+CONSTANT_CYLINDER = {"kind": "cylinder", "curve": {"kind": "constant", "value": 1.0}}
+
+
+def _grid(nu):
+    return {"surface": SLICE_CFG["surface"], "grid": {"nu": nu, "nv": 3}}
+
+
+class TestRejectedInputs:
+    """Malformed numbers, and numbers asking for more work than the library's
+    limits allow, exit 2 with a one-line error; every limit refuses its input
+    before any work starts, so none of these runs long."""
+
+    @pytest.mark.parametrize("cfg, argv", [
+        (_grid("abc"), ["curvature"]),
+        (_grid(math.nan), ["curvature"]),
+        (_grid(math.inf), ["curvature"]),
+        (_grid(2.9), ["curvature"]),
+        (_grid(True), ["curvature"]),
+        (_grid(None), ["curvature"]),
+        (_grid(1e9), ["curvature"]),
+        ({"surface": {"kind": "slice", "t0": 0.0, "radius": True}}, ["curvature"]),
+        ({"surface": {"kind": "slice", "t0": "0", "radius": 2.0}}, ["curvature"]),
+        (SLICE_CFG, ["--seed", "-1", "curvature"]),
+        ({"corpus": [{"surface": SLICE_CFG["surface"], "expect": "cylinder"}]},
+         ["verify-paper"]),
+        ({"corpus": [{"surface": SLICE_CFG["surface"], "expect": "NOT_FLAT", "fd": 1}]},
+         ["verify-paper"]),
+        ({}, ["geodesic", "--length", "inf"]),
+        ({}, ["geodesic", "--step", "nan"]),
+        ({}, ["geodesic", "--length", "1e30", "--step", "1e-30"]),
+        ({"surface": CONSTANT_CYLINDER, "trace": {"length": 1, "step": 1e-300}},
+         ["trace", "0.0", "0.0"]),
+        ({"surface": CONSTANT_CYLINDER, "trace": {"length": 1, "step": 1e-300}}, ["classify"]),
+        ({"surface": CONSTANT_CYLINDER, "trace": {"length": "5"}}, ["classify"]),
+        ({"surface": dict(CONSTANT_CYLINDER, domain={"u": [-1e6, 1e6]})}, ["curvature"]),
+        ({"surface": dict(CONSTANT_CYLINDER, domain={"u": [0.0, 10**400]})}, ["curvature"]),
+    ], ids=["nu_str", "nu_nan", "nu_inf", "nu_fraction", "nu_bool", "nu_null", "nu_1e9",
+            "radius_bool", "t0_str", "seed_negative", "expect_not_a_verdict", "fd_not_bool",
+            "geodesic_length_inf", "geodesic_step_nan", "geodesic_samples",
+            "trace_half_steps", "classify_trace_half_steps", "trace_length_str",
+            "curve_steps", "u_beyond_floats"])
+    def test_exits_2(self, tmp_path, capsys, cfg, argv):
+        path = write_cfg(tmp_path, cfg)
+        assert main(["--config", path, "--out", str(tmp_path / "out")] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        cfg = write_cfg(tmp_path, _grid(4.0))
+        assert main(["--config", cfg, "--out", str(tmp_path), "curvature"]) == 0
+        summary = json.loads((tmp_path / "curvature_summary.json").read_text())
+        assert summary["grid"] == [4, 3]
+
+
+# Every kind of JSON scalar, with the edges of each: integers past the float
+# range, integral floats, signed zeros, subnormals, NaN and +-Infinity.
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.sampled_from([10**400, -10**400, 2**53 + 1, 20.0, 2.9, -0.0, 5e-324, 1e308]))
+
+RUN_FIELDS = [("grid", "nu"), ("grid", "nv"), ("trace", "length"), ("trace", "step"),
+              ("tol", "flatness"), ("tol", "verticality"), ("tol", "planar")]
+SURFACE_FIELDS = [
+    ({"kind": "slice", "t0": 0.0, "radius": 2.0}, ("t0",)),
+    ({"kind": "slice", "t0": 0.0, "radius": 2.0}, ("radius",)),
+    ({"kind": "graph", "f": {"kind": "bilinear", "coef": 0.3}}, ("f", "coef")),
+    ({"kind": "graph", "f": {"kind": "linear", "a": 0.3}}, ("f", "a")),
+] + [({"kind": "graph", "f": {"kind": "zero"}, "domain": {"u": [-1.0, 1.0], "v": [-1.0, 1.0]}},
+      ("domain", axis, end)) for axis in "uv" for end in (0, 1)]
+
+
+def _put(cfg: dict, path: tuple, value) -> dict:
+    """A JSON round trip of ``cfg`` with ``value`` at ``path``, as a config
+    file would deliver it."""
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return json.loads(json.dumps(cfg))
+
+
+class TestConfigNumbers:
+    """Any JSON scalar in any numeric field loads or raises ConfigError; none
+    of these configs asks for work, so nothing is evaluated."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from(RUN_FIELDS), value=JSON_SCALARS)
+    def test_run_config(self, field, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(_put({}, field, value)), encoding="utf-8")
+            args = build_parser().parse_args(["--config", str(path), "curvature"])
+            try:
+                cfg = load_run_config(args)
+            except ConfigError:
+                return
+        assert isinstance(cfg, RunConfig)
+        c = cfg.classifier
+        for x in (cfg.grid_nu, cfg.grid_nv, c.trace_length, c.trace_step, c.flatness_tol,
+                  c.verticality_tol, c.planar_tol):
+            assert type(x) in (int, float) and math.isfinite(x)
+        assert type(cfg.grid_nu) is int and type(cfg.grid_nv) is int
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.sampled_from(SURFACE_FIELDS), value=JSON_SCALARS)
+    def test_surface_config(self, case, value):
+        base, field = case
+        try:
+            surface = from_config(_put(base, field, value))
+        except ConfigError:
+            return
+        assert isinstance(surface, Surface)
+        assert all(math.isfinite(x) for x in (*surface.domain.u_range,
+                                              *surface.domain.v_range))
+
+
+class TestOverflowingChart:
+    """A height slope of 1.3e154 overflows the first form: no cell evaluates,
+    and no NaN or Infinity reaches a JSON file."""
+
+    CFG = {"surface": {"kind": "graph", "f": {"kind": "linear", "a": 1.3e154},
+                       "domain": {"u": [-1, 1], "v": [-3, 3]}}}
+
+    def _json_files_are_finite(self, out):
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in {path}"))
+
+    def test_curvature_exits_3(self, tmp_path):
+        cfg = write_cfg(tmp_path, self.CFG)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "curvature"]) == 3
+        self._json_files_are_finite(out)
+
+    def test_classify_is_inconsistent_or_numerical(self, tmp_path):
+        cfg = write_cfg(tmp_path, self.CFG)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "classify"]) in (3, 5)
+        self._json_files_are_finite(out)
 
 
 class TestVerifyPaperCommand:

@@ -108,6 +108,16 @@ class TestClassifyPoint:
 
 
 class TestCurvatureGrid:
+    @pytest.mark.parametrize("nu, nv, tol", [
+        (1, 5, 1e-7), (5, 1, 1e-7), (501, 500, 1e-7), (10**9, 20, 1e-7),
+        (5, 5, 0.0), (5, 5, -1e-7), (5, 5, math.nan),
+    ], ids=["nu_1", "nv_1", "over_max_cells", "nu_1e9", "tol_zero", "tol_negative",
+            "tol_nan"])
+    def test_bad_arguments_raise(self, slice_surface, nu, nv, tol):
+        # refused up front: a nonpositive tolerance used to give BAD_CONFIG rows
+        with pytest.raises(ConfigError):
+            curvature_grid(slice_surface, nu, nv, tol=tol)
+
     def test_circle_cylinder_grid(self, circle_cylinder):
         grid = curvature_grid(circle_cylinder, 20, 20)
         rows = grid.valid_rows()

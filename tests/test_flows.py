@@ -1,5 +1,6 @@
 """Asymptotic traces: geodesy, the affine 1/H law, frame ODE residuals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +9,11 @@ import pytest
 from h2xr import flows
 from h2xr.errors import (DegenerateDirection, InsufficientSamples,
                          NotParabolic, NumericalError, PlanarSample)
-from h2xr.flows import (DOMAIN_EDGE, MAX_LENGTH, PLANAR_HIT, TRACE_CSV_HEADER,
-                        TraceRecord, fit_inverse_H, frame_ode_residuals,
+from h2xr.flows import (DOMAIN_EDGE, MAX_LENGTH, PLANAR_HIT, STEP_FAILURE,
+                        TRACE_CSV_HEADER, TraceRecord, fit_inverse_H, frame_ode_residuals,
                         geodesic_deviation, trace_asymptotic)
 from h2xr.hyperbolic import H2Point
+from h2xr.product import AmbientVec
 
 from conftest import loop_cov_norm, loop_geodesic_deviation
 
@@ -70,6 +72,26 @@ class TestTraceAsymptotic:
         steps = len(tr) - 1
         assert steps == round(length / step)
         assert len(calls) == 2 * steps + 1
+
+    @pytest.mark.parametrize("scale", [1e300, 1.5e308], ids=["overflow", "nan"])
+    def test_non_finite_shape_data_ends_the_leg(self, circle_cylinder, scale):
+        """Above v = 0.25 the chart's Xuu is scaled up until the shape
+        operator overflows (a float power raises) or turns NaN: the forward
+        leg stops there with STEP_FAILURE and keeps only finite samples."""
+        def chart(u, v, base=circle_cylinder.chart):
+            jet = base(u, v)
+            if v <= 0.25:
+                return jet
+            (a0, a1, a2), at = jet.Xuu
+            return dataclasses.replace(jet, Xuu=AmbientVec((scale * a0, scale * a1,
+                                                            scale * a2), at))
+
+        S = dataclasses.replace(circle_cylinder, chart=chart)
+        tr = trace_asymptotic(S, 1.0, 0.0, 1.0, 1e-3)
+        assert tr.stop_reason == STEP_FAILURE
+        assert np.isfinite(tr.k2).all() and tr.uv[:, 1].max() < 0.25
+        with pytest.raises(NumericalError):
+            trace_asymptotic(S, 1.0, 0.5, 1.0, 1e-3)
 
     def test_two_h_equals_k2_along_trace(self, circle_trace):
         assert np.max(np.abs(2.0 * circle_trace.H - circle_trace.k2)) < 1e-10

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (h2_points, h2_unit_tangents, reference_curve, reference_forms,
-                      reference_frames_at, reference_jet_checks,
+                      reference_frames_at, reference_hermite_frame, reference_jet_checks,
                       reference_principal_curvatures, reference_unit_normal)
+from h2xr.classifier import recover_generating_curve
 from h2xr.curvature import FundamentalForms, forms_from_jet, principal_curvatures
 from h2xr.errors import BadCurvatureFunction, GeometryError
 from h2xr.hyperbolic import (constant_curvature, curve_from_curvature, linear_curvature,
@@ -123,6 +124,14 @@ class TestCurveBuild:
         for k, x in enumerate(s.tolist()):
             a, t, n, _ = c.frame_at(x)
             assert _bits((a, t, n)) == _bits(tuple(tuple(y[k] for y in v) for v in ref))
+
+    def test_hermite_frame_at_matches_scalar_reference(self):
+        """frame_at on a recovered curve reads frames_at at one arclength: the
+        bits of the scalar Hermite formula at 5,000 arclengths and at every
+        one of the 50 samples."""
+        c = recover_generating_curve(preset("cylinder_spline"), 0.3, 50)
+        for s in np.concatenate([np.linspace(c.s_min, c.s_max, 5000), c.s]).tolist():
+            assert _bits(c.frame_at(s)[:3]) == _bits(reference_hermite_frame(c, s))
 
     @settings(max_examples=30, deadline=None)
     @given(fr=st.floats(-0.05, 0.95), step=st.floats(0.005, 0.1))
