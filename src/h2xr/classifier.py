@@ -37,6 +37,8 @@ CYLINDER = "CYLINDER"
 NOT_FLAT = "NOT_FLAT"
 INCONSISTENT = "INCONSISTENT"
 
+RULING_SEEDS = 8  # parabolic seeds traced per classification, farthest apart first
+
 
 @dataclass(frozen=True, slots=True)
 class ClassifierConfig:
@@ -49,7 +51,6 @@ class ClassifierConfig:
     planar_tol: float = 1e-7
     trace_length: float = 5.0
     trace_step: float = 1e-3
-    n_seeds: int = 8
     recovery_samples: int = 1201
 
     def __post_init__(self):
@@ -356,8 +357,7 @@ def classify_surface(S: Surface, config: ClassifierConfig = ClassifierConfig()) 
         notes.append("totally geodesic chart; rulings degenerate to the vertical field")
         return verdict(CYLINDER, pmap, verticality=0.0, curve=curve)
 
-    k = max(5, config.n_seeds)
-    seeds = _farthest_point_seeds(parabolic_cells, k, S.domain.center)
+    seeds = _farthest_point_seeds(parabolic_cells, RULING_SEEDS, S.domain.center)
     rulings: list[Ruling] = []
     for (u, v) in seeds:
         try:

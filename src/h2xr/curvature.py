@@ -348,6 +348,7 @@ _W1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _W2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
 
+@np.errstate(all="ignore")  # an overflow yields a non-finite value, failed by the callers
 def brioschi_curvature(st: MetricStencil) -> float:
     """Intrinsic curvature from E, F, G alone (Brioschi determinant formula).
 

@@ -5,7 +5,9 @@ corresponding principal direction is the asymptotic direction and the
 integral curve of that direction field is the unique asymptotic line.  The
 tracer integrates the field in chart coordinates (so the curve stays on the
 surface by construction) with a fourth-order Runge-Kutta step and
-sign-continuity of the eigenvector choice.
+sign-continuity of the eigenvector choice.  Each leg is a plain loop over
+Python floats (``_leg``) that keeps every accepted sample as one row of
+numbers; the record's frames are then array expressions over those rows.
 
 Per-sample diagnostics recorded along the trace:
 
@@ -31,13 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import (PARABOLIC, block_size, classify_point, forms_from_jet,
-                        point_block, principal_curvatures, shape_data)
+from .curvature import (PARABOLIC, _class_tag, block_size, forms_from_jet, point_block,
+                        principal_curvatures)
 from .errors import (ConfigError, DegenerateDirection, GeometryError,
                      InsufficientSamples, NotParabolic, NumericalError, OutOfDomain,
                      PlanarSample)
 from .hyperbolic import H2Point, H2Tangent, _dists_raw
-from .minkowski import SpacetimeVec, _mcomb, _mdot, _mscale, _project_tangent
+from .minkowski import SpacetimeVec, _mcomb, _mdot, _project_tangent
 from .numerics import _each, _sq, affine_fit
 from .product import (AmbientVec, ProdGeodesic, ProdPoint, ProdTangent, _prod_exp_raw,
                       _prod_inner)
@@ -145,12 +147,16 @@ def _principal_at(S: Surface, u: float, v: float):
 
 def trace_half_steps(length: float, step: float) -> int:
     """RK4 steps per leg of a trace of ``length`` at ``step``; ConfigError
-    beyond MAX_TRACE_HALF_STEPS."""
+    beyond MAX_TRACE_HALF_STEPS, or where a leg would take no step at all."""
     half = 0.5 * length / step
     if not half <= MAX_TRACE_HALF_STEPS:
         raise ConfigError(f"a trace of length {length:g} at step {step:g} takes more than "
                           f"MAX_TRACE_HALF_STEPS = {MAX_TRACE_HALF_STEPS} steps per leg")
-    return int(round(half))
+    steps = int(round(half))
+    if steps < 1:
+        raise ConfigError(f"a trace of length {length:g} at step {step:g} takes no step "
+                          f"per leg")
+    return steps
 
 
 def _aligned(d: tuple[float, float], ref: tuple[float, float]) -> tuple[float, float]:
@@ -163,10 +169,6 @@ def _ambient_dir(xu: AmbientVec, xv: AmbientVec, d) -> AmbientVec:
     """Chart direction d as the ambient vector d0 Xu + d1 Xv (floats, or
     arrays for a block of points)."""
     return AmbientVec(_mcomb(d[0], xu.htup, d[1], xv.htup), d[0] * xu.t + d[1] * xv.t)
-
-
-def _negated(w: AmbientVec) -> AmbientVec:
-    return AmbientVec(_mscale(-1.0, w.htup), -w.t)
 
 
 def _rows(w: AmbientVec) -> np.ndarray:
@@ -225,6 +227,51 @@ def _connection(S: Surface, uv: np.ndarray, d2: np.ndarray, e2: np.ndarray,
     return lam
 
 
+def _sample(u: float, v: float, point, d1) -> tuple:
+    """A sample as one row of 24 floats: u, v; X, Xu, Xv and the unit normal,
+    four each; k1, k2; d1 as walked; d2."""
+    jet, forms, k1, k2, _, d2 = point
+    return (u, v, *jet.X.htup, jet.X.t, *jet.Xu.htup, jet.Xu.t, *jet.Xv.htup, jet.Xv.t,
+            *forms.normal.htup, forms.normal.t, k1, k2, *d1, *d2)
+
+
+def _leg(S: Surface, u: float, v: float, here, ref, steps: int, step: float,
+         tol: float) -> tuple[list, str]:
+    """Rows of the samples after (u, v), whose ``_principal_at`` result is
+    ``here``, walking the d1 field aligned to ``ref``; and why the leg stopped.
+
+    A point of a step equal to an earlier one of the same step reuses its
+    result: on cylinders the third stage is the second, and the next sample
+    the fourth stage.
+    """
+    rows = []
+    for _ in range(steps):
+        pts, res = [(u, v)], [here]
+        slopes = [_aligned(here[4], ref)]
+        try:
+            for c in (0.5, 0.5, 1.0, None):
+                if c is None:  # the next sample
+                    p = tuple(x + step * (m1 + 2.0 * m2 + 2.0 * m3 + m4) / 6.0
+                              for x, m1, m2, m3, m4 in zip((u, v), *slopes))
+                else:
+                    p = (u + c * step * slopes[-1][0], v + c * step * slopes[-1][1])
+                res.append(res[pts.index(p)] if p in pts else _principal_at(S, *p))
+                pts.append(p)
+                slopes.append(_aligned(res[-1][4], slopes[0]))
+        except OutOfDomain:
+            return rows, DOMAIN_EDGE
+        except NumericalError:
+            return rows, STEP_FAILURE
+        (u, v), here, ref = p, res[-1], slopes[-1]
+        _, _, k1, k2, _, _ = here
+        if abs(k2) < tol:
+            return rows, PLANAR_HIT
+        if abs(k2) - abs(k1) < 10.0 * tol:
+            return rows, STEP_FAILURE
+        rows.append(_sample(u, v, here, ref))
+    return rows, MAX_LENGTH
+
+
 def trace_asymptotic(S: Surface, u0: float, v0: float, length: float,
                      step: float, tol: float = 1e-7,
                      with_connection: bool = True) -> TraceRecord:
@@ -236,116 +283,40 @@ def trace_asymptotic(S: Surface, u0: float, v0: float, length: float,
     finite).  ``with_connection=False`` skips the transverse measurement of
     the connection coefficient (NaN in the record), which roughly halves the
     cost when only the path is needed.  Over MAX_TRACE_HALF_STEPS steps per
-    leg raise ConfigError before the seed is evaluated.
+    leg, or none, raise ConfigError before the seed is evaluated.
     """
     if step <= 0.0 or length <= 0.0:
         raise NumericalError("length and step must be positive")
-    half_steps = trace_half_steps(length, step)
+    steps = trace_half_steps(length, step)
 
-    # The points of the current step: only these, and the seed at the start
-    # of each leg, are ever evaluated twice (on cylinders the second and
-    # third stages, and the fourth stage and the next sample, coincide).
-    memo: dict[tuple[float, float], tuple] = {}
-
-    def eval_at(u: float, v: float):
-        hit = memo.get((u, v))
-        if hit is None:
-            hit = memo[u, v] = _principal_at(S, u, v)
-        return hit
-
-    seed = jet0, forms0, k1_0, k2_0, d1_0, d2_0 = _principal_at(S, u0, v0)
-    cls = classify_point(shape_data(forms0), tol)
-    if cls.tag != PARABOLIC:
-        raise NotParabolic(f"seed ({u0}, {v0}) classifies {cls.tag}")
-    if abs(k2_0) - abs(k1_0) < 10.0 * tol:
+    seed = _, _, k1, k2, d1, _ = _principal_at(S, u0, v0)
+    tag = _class_tag(k1, k2, tol)
+    if tag != PARABOLIC:
+        raise NotParabolic(f"seed ({u0}, {v0}) classifies {tag}")
+    if abs(k2) - abs(k1) < 10.0 * tol:
         raise DegenerateDirection("principal curvatures too close to separate directions")
-
-    def field(u: float, v: float, ref):
-        _, _, _, _, d1, _ = eval_at(u, v)
-        return _aligned(d1, ref)
-
-    def leg(direction) -> tuple[list, str]:
-        """Samples after the seed, walking the field aligned to ``direction``."""
-        samples = []
-        u, v = u0, v0
-        ref = direction
-        here = seed
-        for _ in range(half_steps):
-            memo.clear()
-            memo[u, v] = here
-            try:
-                k1v = field(u, v, ref)
-                k2v = field(u + 0.5 * step * k1v[0], v + 0.5 * step * k1v[1], k1v)
-                k3v = field(u + 0.5 * step * k2v[0], v + 0.5 * step * k2v[1], k1v)
-                k4v = field(u + step * k3v[0], v + step * k3v[1], k1v)
-            except OutOfDomain:
-                return samples, DOMAIN_EDGE
-            except NumericalError:
-                return samples, STEP_FAILURE
-            un = u + step * (k1v[0] + 2.0 * k2v[0] + 2.0 * k3v[0] + k4v[0]) / 6.0
-            vn = v + step * (k1v[1] + 2.0 * k2v[1] + 2.0 * k3v[1] + k4v[1]) / 6.0
-            if not S.domain.contains(un, vn):
-                return samples, DOMAIN_EDGE
-            try:
-                here = jet, forms, k1n, k2n, d1n, d2n = eval_at(un, vn)
-            except NumericalError:
-                return samples, STEP_FAILURE
-            if abs(k2n) < tol:
-                return samples, PLANAR_HIT
-            if abs(k2n) - abs(k1n) < 10.0 * tol:
-                return samples, STEP_FAILURE
-            d1n = _aligned(d1n, k1v)
-            samples.append((un, vn, jet, forms, k1n, k2n, d1n, d2n))
-            u, v, ref = un, vn, d1n
-        return samples, MAX_LENGTH
-
-    fwd, reason_f = leg(d1_0)
-    bwd, reason_b = leg((-d1_0[0], -d1_0[1]))
-
+    fwd, reason_f = _leg(S, u0, v0, seed, d1, steps, step, tol)
+    bwd, reason_b = _leg(S, u0, v0, seed, (-d1[0], -d1[1]), steps, step, tol)
     priority = {PLANAR_HIT: 3, STEP_FAILURE: 2, DOMAIN_EDGE: 1, MAX_LENGTH: 0}
     stop = reason_f if priority[reason_f] >= priority[reason_b] else reason_b
 
-    n_b, n_f = len(bwd), len(fwd)
-    n = n_b + 1 + n_f
-    s = np.empty(n)
-    uv = np.empty((n, 2))
-    hpts = np.empty((n, 3))
-    ts = np.empty(n)
-    k2s = np.empty(n)
-    hs = np.empty(n)
-    e2s = np.empty((n, 4))
-    e3s = np.empty((n, 4))
-
-    e1s = np.empty((n, 4))
-    d2s = np.empty((n, 2))
-
-    seed_entry = (u0, v0, jet0, forms0, k1_0, k2_0, d1_0, d2_0)
-    ordered = [*reversed(bwd), seed_entry, *fwd]
-    e2_amb = None
-    for i, (u, v, jet, forms, k1v, k2v, d1v, d2v) in enumerate(ordered):
-        s[i] = (i - n_b) * step
-        uv[i] = (u, v)
-        hpts[i] = jet.X.htup
-        ts[i] = jet.X.t
-        k2s[i] = k2v
-        hs[i] = 0.5 * (k1v + k2v)
-        d1_amb = _ambient_dir(jet.Xu, jet.Xv, d1v)
-        if i < n_b:
-            # the backward leg walked against d1; flip so e1 always points
-            # along increasing s
-            d1_amb = _negated(d1_amb)
-        e1s[i] = (*d1_amb.htup, d1_amb.t)
-        d2s[i] = d2v
-        prev, e2_amb = e2_amb, _ambient_dir(jet.Xu, jet.Xv, d2v)
-        nh = forms.normal.htup
-        e3s[i] = (nh[0], nh[1], nh[2], forms.normal.t)
-        if prev is not None and _prod_inner(e2_amb, prev) < 0.0:
-            e2_amb = _negated(e2_amb)
-        e2s[i] = (*e2_amb.htup, e2_amb.t)
-    lams = _connection(S, uv, d2s, e2s, e1s, hpts) if with_connection \
+    a = np.array([*reversed(bwd), _sample(u0, v0, seed, d1), *fwd])
+    n, n_b = len(a), len(bwd)
+    uv, hpts, xu, xv = a[:, 0:2], a[:, 2:5], _vec(a[:, 6:10]), _vec(a[:, 10:14])
+    # e1 points along increasing s: the backward leg walked against d1
+    e1 = _rows(_ambient_dir(xu, xv, a[:, 20:22].T))
+    e1[:n_b] = -e1[:n_b]
+    # e2 keeps the sign of its predecessor
+    e2 = _rows(_ambient_dir(xu, xv, a[:, 22:24].T))
+    signs = [1.0]
+    for p in _prod_inner(_vec(e2[1:]), _vec(e2[:-1])).tolist():
+        signs.append(-1.0 if signs[-1] * p < 0.0 else 1.0)
+    e2 *= np.array(signs)[:, None]
+    lam = _connection(S, uv, a[:, 22:24], e2, e1, hpts) if with_connection \
         else np.full(n, math.nan)
-
-    return TraceRecord(s, uv, hpts, ts, k2s, hs, lams, e2s, e3s, stop, step, tol)
+    return TraceRecord((np.arange(n, dtype=float) - n_b) * step, uv, hpts, a[:, 5],
+                       a[:, 19], 0.5 * (a[:, 18] + a[:, 19]), lam, e2, a[:, 14:18],
+                       stop, step, tol)
 
 
 # -- diagnostics -------------------------------------------------------------------

@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from h2xr.curvature import (CurvatureGrid, FundamentalForms, GridRow, classify_point,
-                            grid_points, shape_at)
-from h2xr.errors import (BadCurvatureFunction, GeometryError, NonUnitTangent,
-                         NotImmersed, NumericalError, OutOfDomain)
-from h2xr.flows import GeodesicDeviation, _principal_at
+from h2xr.curvature import (PARABOLIC, CurvatureGrid, FundamentalForms, GridRow,
+                            classify_point, grid_points, shape_at, shape_data)
+from h2xr.errors import (BadCurvatureFunction, DegenerateDirection, GeometryError,
+                         NonUnitTangent, NotImmersed, NotParabolic, NumericalError,
+                         OutOfDomain)
+from h2xr.flows import (DOMAIN_EDGE, MAX_LENGTH, PLANAR_HIT, STEP_FAILURE,
+                        GeodesicDeviation, TraceRecord, _aligned, _ambient_dir, _connection,
+                        _principal_at, trace_half_steps)
 from h2xr.hyperbolic import (ORIGIN, UNIT_TOL, H2Point, H2Tangent, _check_on_sheet,
                              curve_from_curvature)
 from h2xr.minkowski import (SpacetimeVec, _check_finite, _mcomb, _mcross, _mdot,
@@ -23,7 +26,7 @@ from h2xr.minkowski import (SpacetimeVec, _check_finite, _mcomb, _mcross, _mdot,
                             _normalize_spacelike, _normalize_spacelikes,
                             _project_tangent, minkowski_inner)
 from h2xr.product import AmbientVec, ProdGeodesic, ProdTangent, _prod_inner, prod_dist
-from h2xr.surfaces import Surface, preset
+from h2xr.surfaces import ChartDomain, Surface, SurfaceJet, preset
 
 COTH1 = math.cosh(1.0) / math.sinh(1.0)
 
@@ -438,6 +441,188 @@ def reference_principal_curvatures(forms):
         d2 = (-F * d1[0] - G * d1[1], E * d1[0] + F * d1[1])
     g12 = (E * d1[0] * d2[0] + F * (d1[0] * d2[1] + d1[1] * d2[0]) + G * d1[1] * d2[1])
     return k1, k2, d1, unit_in_form((d2[0] - g12 * d1[0], d2[1] - g12 * d1[1]))
+
+
+# -- the trace loop on objects, the reference for flows._leg -------------------------
+
+def _negated(w: AmbientVec) -> AmbientVec:
+    return AmbientVec(_mscale(-1.0, w.htup), -w.t)
+
+
+def reference_trace(S: Surface, u0: float, v0: float, length: float,
+                     step: float, tol: float = 1e-7,
+                     with_connection: bool = True) -> TraceRecord:
+    """trace_asymptotic as it was before its legs became rows of floats: a
+    memo of the current step's points, and one object tuple per sample."""
+    if step <= 0.0 or length <= 0.0:
+        raise NumericalError("length and step must be positive")
+    half_steps = trace_half_steps(length, step)
+
+    # The points of the current step: only these, and the seed at the start
+    # of each leg, are ever evaluated twice (on cylinders the second and
+    # third stages, and the fourth stage and the next sample, coincide).
+    memo: dict[tuple[float, float], tuple] = {}
+
+    def eval_at(u: float, v: float):
+        hit = memo.get((u, v))
+        if hit is None:
+            hit = memo[u, v] = _principal_at(S, u, v)
+        return hit
+
+    seed = jet0, forms0, k1_0, k2_0, d1_0, d2_0 = _principal_at(S, u0, v0)
+    cls = classify_point(shape_data(forms0), tol)
+    if cls.tag != PARABOLIC:
+        raise NotParabolic(f"seed ({u0}, {v0}) classifies {cls.tag}")
+    if abs(k2_0) - abs(k1_0) < 10.0 * tol:
+        raise DegenerateDirection("principal curvatures too close to separate directions")
+
+    def field(u: float, v: float, ref):
+        _, _, _, _, d1, _ = eval_at(u, v)
+        return _aligned(d1, ref)
+
+    def leg(direction) -> tuple[list, str]:
+        """Samples after the seed, walking the field aligned to ``direction``."""
+        samples = []
+        u, v = u0, v0
+        ref = direction
+        here = seed
+        for _ in range(half_steps):
+            memo.clear()
+            memo[u, v] = here
+            try:
+                k1v = field(u, v, ref)
+                k2v = field(u + 0.5 * step * k1v[0], v + 0.5 * step * k1v[1], k1v)
+                k3v = field(u + 0.5 * step * k2v[0], v + 0.5 * step * k2v[1], k1v)
+                k4v = field(u + step * k3v[0], v + step * k3v[1], k1v)
+            except OutOfDomain:
+                return samples, DOMAIN_EDGE
+            except NumericalError:
+                return samples, STEP_FAILURE
+            un = u + step * (k1v[0] + 2.0 * k2v[0] + 2.0 * k3v[0] + k4v[0]) / 6.0
+            vn = v + step * (k1v[1] + 2.0 * k2v[1] + 2.0 * k3v[1] + k4v[1]) / 6.0
+            if not S.domain.contains(un, vn):
+                return samples, DOMAIN_EDGE
+            try:
+                here = jet, forms, k1n, k2n, d1n, d2n = eval_at(un, vn)
+            except NumericalError:
+                return samples, STEP_FAILURE
+            if abs(k2n) < tol:
+                return samples, PLANAR_HIT
+            if abs(k2n) - abs(k1n) < 10.0 * tol:
+                return samples, STEP_FAILURE
+            d1n = _aligned(d1n, k1v)
+            samples.append((un, vn, jet, forms, k1n, k2n, d1n, d2n))
+            u, v, ref = un, vn, d1n
+        return samples, MAX_LENGTH
+
+    fwd, reason_f = leg(d1_0)
+    bwd, reason_b = leg((-d1_0[0], -d1_0[1]))
+
+    priority = {PLANAR_HIT: 3, STEP_FAILURE: 2, DOMAIN_EDGE: 1, MAX_LENGTH: 0}
+    stop = reason_f if priority[reason_f] >= priority[reason_b] else reason_b
+
+    n_b, n_f = len(bwd), len(fwd)
+    n = n_b + 1 + n_f
+    s = np.empty(n)
+    uv = np.empty((n, 2))
+    hpts = np.empty((n, 3))
+    ts = np.empty(n)
+    k2s = np.empty(n)
+    hs = np.empty(n)
+    e2s = np.empty((n, 4))
+    e3s = np.empty((n, 4))
+
+    e1s = np.empty((n, 4))
+    d2s = np.empty((n, 2))
+
+    seed_entry = (u0, v0, jet0, forms0, k1_0, k2_0, d1_0, d2_0)
+    ordered = [*reversed(bwd), seed_entry, *fwd]
+    e2_amb = None
+    for i, (u, v, jet, forms, k1v, k2v, d1v, d2v) in enumerate(ordered):
+        s[i] = (i - n_b) * step
+        uv[i] = (u, v)
+        hpts[i] = jet.X.htup
+        ts[i] = jet.X.t
+        k2s[i] = k2v
+        hs[i] = 0.5 * (k1v + k2v)
+        d1_amb = _ambient_dir(jet.Xu, jet.Xv, d1v)
+        if i < n_b:
+            # the backward leg walked against d1; flip so e1 always points
+            # along increasing s
+            d1_amb = _negated(d1_amb)
+        e1s[i] = (*d1_amb.htup, d1_amb.t)
+        d2s[i] = d2v
+        prev, e2_amb = e2_amb, _ambient_dir(jet.Xu, jet.Xv, d2v)
+        nh = forms.normal.htup
+        e3s[i] = (nh[0], nh[1], nh[2], forms.normal.t)
+        if prev is not None and _prod_inner(e2_amb, prev) < 0.0:
+            e2_amb = _negated(e2_amb)
+        e2s[i] = (*e2_amb.htup, e2_amb.t)
+    lams = _connection(S, uv, d2s, e2s, e1s, hpts) if with_connection \
+        else np.full(n, math.nan)
+
+    return TraceRecord(s, uv, hpts, ts, k2s, hs, lams, e2s, e3s, stop, step, tol)
+
+
+def reparametrised(S: Surface, phi, domain: ChartDomain, label: str) -> Surface:
+    """S on the chart (u, v) -> S(phi(u, v)), its jets by the chain rule.
+    ``phi(u, v)`` gives (a, b), the first partials ((a_u, a_v), (b_u, b_v))
+    and the second ((a_uu, a_uv, a_vv), (b_uu, b_uv, b_vv)); ``domain`` must
+    map into S's."""
+
+    def comb(*terms):
+        return AmbientVec(tuple(sum(c * w.htup[i] for c, w in terms) for i in range(3)),
+                          sum(c * w.t for c, w in terms))
+
+    def chart(u: float, v: float) -> SurfaceJet:
+        (a, b), ((au, av), (bu, bv)), ((auu, auv, avv), (buu, buv, bvv)) = phi(u, v)
+        j = S.chart(a, b)
+        first = (j.Xu, j.Xv)
+        return SurfaceJet(
+            X=j.X, Xu=comb((au, j.Xu), (bu, j.Xv)), Xv=comb((av, j.Xu), (bv, j.Xv)),
+            Xuu=comb((au * au, j.Xuu), (2.0 * au * bu, j.Xuv), (bu * bu, j.Xvv),
+                     *zip((auu, buu), first)),
+            Xuv=comb((au * av, j.Xuu), (au * bv + av * bu, j.Xuv), (bu * bv, j.Xvv),
+                     *zip((auv, buv), first)),
+            Xvv=comb((av * av, j.Xuu), (2.0 * av * bv, j.Xuv), (bv * bv, j.Xvv),
+                     *zip((avv, bvv), first)))
+
+    return dataclasses.replace(S, chart=chart, domain=domain, label=label)
+
+
+def bent_chart(S: Surface, eps: float = 0.05) -> Surface:
+    """S reparametrised by (u, v) -> (u + eps v^2, v): the same surface, whose
+    asymptotic lines bend in the chart, so the RK4 stages of a trace are
+    distinct points (three evaluations a step, not two).  The u range
+    shrinks so the map stays inside S's domain."""
+    (u0, u1), (v0, v1) = S.domain.u_range, S.domain.v_range
+
+    def phi(u, v):
+        return ((u + eps * v * v, v), ((1.0, 2.0 * eps * v), (0.0, 1.0)),
+                ((0.0, 0.0, 2.0 * eps), (0.0, 0.0, 0.0)))
+
+    domain = ChartDomain((u0, u1 - eps * max(v0 * v0, v1 * v1)), (v0, v1))
+    return reparametrised(S, phi, domain, f"{S.label}+bent")
+
+
+def turned_chart(S: Surface) -> Surface:
+    """S reparametrised by (u, v) -> (u + v, v^3/3 - v/4 - u) on
+    [-0.5, 0.5] x [-0.9, 0.9], for S with rulings along its second
+    coordinate and a domain holding [-1.4, 1.4] x [-1, 1]: the rulings run
+    diagonally, and the transverse principal direction, (v^2 - 1/4, 1) in
+    the chart, turns through the v axis at v = +-1/2, where its d[0] >= 0
+    convention flips it along a trace."""
+
+    def phi(u, v):
+        return ((u + v, v ** 3 / 3.0 - 0.25 * v - u), ((1.0, 1.0), (-1.0, v * v - 0.25)),
+                ((0.0, 0.0, 0.0), (0.0, 0.0, 2.0 * v)))
+
+    return reparametrised(S, phi, ChartDomain((-0.5, 0.5), (-0.9, 0.9)), f"{S.label}+turned")
+
+
+@pytest.fixture(scope="session")
+def bent_cylinder(inflection_cylinder):
+    return bent_chart(inflection_cylinder)
 
 
 # -- hypothesis strategies ------------------------------------------------------

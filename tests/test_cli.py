@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -240,12 +241,16 @@ class TestRejectedInputs:
          ["trace", "0.0", "0.0"]),
         ({"surface": CONSTANT_CYLINDER, "trace": {"length": 1, "step": 1e-300}}, ["classify"]),
         ({"surface": CONSTANT_CYLINDER, "trace": {"length": "5"}}, ["classify"]),
+        ({"surface": CONSTANT_CYLINDER, "trace": {"length": 1e-4, "step": 1e-3}},
+         ["trace", "0.5", "0.0"]),
+        ({"surface": CONSTANT_CYLINDER, "trace": {"length": 1e-4, "step": 1e-3}}, ["classify"]),
         ({"surface": dict(CONSTANT_CYLINDER, domain={"u": [-1e6, 1e6]})}, ["curvature"]),
         ({"surface": dict(CONSTANT_CYLINDER, domain={"u": [0.0, 10**400]})}, ["curvature"]),
     ], ids=["nu_str", "nu_nan", "nu_inf", "nu_fraction", "nu_bool", "nu_null", "nu_1e9",
             "radius_bool", "t0_str", "seed_negative", "expect_not_a_verdict", "fd_not_bool",
             "geodesic_length_inf", "geodesic_step_nan", "geodesic_samples",
             "trace_half_steps", "classify_trace_half_steps", "trace_length_str",
+            "trace_no_step", "classify_trace_no_step",
             "curve_steps", "u_beyond_floats"])
     def test_exits_2(self, tmp_path, capsys, cfg, argv):
         path = write_cfg(tmp_path, cfg)
@@ -335,10 +340,17 @@ class TestOverflowingChart:
         for path in out.glob("*.json"):
             json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in {path}"))
 
-    def test_curvature_exits_3(self, tmp_path):
+    def test_curvature_exits_3(self, tmp_path, capsys):
+        """Every Brioschi stencil overflows too: numpy stays silent, and the
+        run reports the one error."""
         cfg = write_cfg(tmp_path, self.CFG)
         out = tmp_path / "out"
-        assert main(["--config", cfg, "--out", str(out), "curvature"]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", cfg, "--out", str(out), "curvature"]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         self._json_files_are_finite(out)
 
     def test_classify_is_inconsistent_or_numerical(self, tmp_path):

@@ -5,17 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from h2xr import flows
-from h2xr.errors import (DegenerateDirection, InsufficientSamples,
+from h2xr.classifier import _ruling_verticality
+from h2xr.errors import (DegenerateDirection, GeometryError, InsufficientSamples,
                          NotParabolic, NumericalError, PlanarSample)
 from h2xr.flows import (DOMAIN_EDGE, MAX_LENGTH, PLANAR_HIT, STEP_FAILURE,
-                        TRACE_CSV_HEADER, TraceRecord, fit_inverse_H, frame_ode_residuals,
-                        geodesic_deviation, trace_asymptotic)
+                        TRACE_CSV_HEADER, TraceRecord, _vec, fit_inverse_H,
+                        frame_ode_residuals, geodesic_deviation, trace_asymptotic)
 from h2xr.hyperbolic import H2Point
-from h2xr.product import AmbientVec
+from h2xr.product import AmbientVec, _prod_inner
+from h2xr.surfaces import finite_difference_surface, preset
 
-from conftest import loop_cov_norm, loop_geodesic_deviation
+from conftest import loop_cov_norm, loop_geodesic_deviation, reference_trace, turned_chart
 
 # both deviations and ODE residuals on cylinder traces sit at the metric /
 # roundoff floor at every step size; step-halving assertions compare against
@@ -101,6 +105,78 @@ class TestTraceAsymptotic:
         lines = csv.strip().split("\n")
         assert lines[0] == TRACE_CSV_HEADER
         assert len(lines) == len(circle_trace) + 1
+
+
+def _outcome(trace, S, u, v, length, step, with_connection):
+    try:
+        return trace(S, u, v, length, step, with_connection=with_connection)
+    except (GeometryError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+TRACED = ("cylinder_circle", "cylinder_horocycle", "cylinder_spline", "cylinder_inflection",
+          "cylinder_spline(fd)", "cylinder_inflection+bent", "cylinder_inflection+turned")
+
+
+@pytest.fixture(scope="module")
+def traced_surfaces(bent_cylinder):
+    out = {name: preset(name) for name in TRACED[:4]}
+    for S in (finite_difference_surface(preset("cylinder_spline")), bent_cylinder,
+              turned_chart(preset("cylinder_inflection"))):
+        out[S.label] = S
+    return out
+
+
+class TestReferenceTrace:
+    """trace_asymptotic against the object-tuple loop it replaced (conftest),
+    bit for bit, on charts whose RK4 stages coincide (cylinders) and on two
+    whose stages are all distinct: the bent chart, and the turned chart,
+    along whose traces e2's sign must be carried across a flip of d2."""
+
+    def test_bent_chart_trace_is_a_ruling(self, bent_cylinder, monkeypatch):
+        calls = []
+
+        def counted(S, u, v, inner=flows._principal_at):
+            calls.append((u, v))
+            return inner(S, u, v)
+
+        monkeypatch.setattr(flows, "_principal_at", counted)
+        tr = trace_asymptotic(bent_cylinder, 1.0, 0.0, 1.0, 1e-3, with_connection=False)
+        assert tr.stop_reason == MAX_LENGTH and len(tr) == 1001
+        assert len(calls) > 2.9 * (len(tr) - 1)
+        assert np.ptp(tr.uv[:, 0]) > 0.01  # the line bends in the chart
+        assert _ruling_verticality(tr) < 1e-12  # but not in H2xR
+        assert geodesic_deviation(tr).max_dev < 1e-10
+
+    def test_e2_keeps_its_sign_where_d2_flips(self, traced_surfaces):
+        """On the turned chart the chart direction d2 changes its sign
+        convention once along the trace; e2 carries on without a jump."""
+        S = traced_surfaces["cylinder_inflection+turned"]
+        tr = trace_asymptotic(S, 0.4, 0.2, 1.0, 1e-3, with_connection=False)
+        d2 = [flows._principal_at(S, *tr.uv[i])[5] for i in (0, -1)]
+        assert d2[0][1] * d2[1][1] < 0.0
+        assert (_prod_inner(_vec(tr.e2[1:]), _vec(tr.e2[:-1])) > 0.0).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(TRACED), fu=st.floats(0.0, 1.0), fv=st.floats(0.0, 1.0),
+           length=st.sampled_from([0.05, 0.3]), step=st.sampled_from([1e-3, 7e-4]),
+           with_connection=st.booleans())
+    def test_matches_reference_bit_for_bit(self, traced_surfaces, name, fu, fv, length,
+                                           step, with_connection):
+        S = traced_surfaces[name]
+        (u0, u1), (v0, v1) = S.domain.u_range, S.domain.v_range
+        args = (S, u0 + fu * (u1 - u0), v0 + fv * (v1 - v0), length, step, with_connection)
+        got, ref = _outcome(trace_asymptotic, *args), _outcome(reference_trace, *args)
+        if isinstance(ref, tuple):
+            assert got == ref
+            return
+        for field in dataclasses.fields(TraceRecord):
+            a, b = getattr(got, field.name), getattr(ref, field.name)
+            if isinstance(b, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), \
+                    field.name
+            else:
+                assert a == b, field.name
 
 
 class TestGeodesicDeviation:
