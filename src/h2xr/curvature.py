@@ -45,14 +45,16 @@ cylinder points costs about as much as 16 scalar points), and a trace
 steps one seed at a time, so points in lockstep do not pay for it.
 Instead the scalar chain is kept cheap: ``forms_from_jet`` and
 ``principal_curvatures`` (like ``SurfaceJet`` and ``unit_normal``) work on
-unpacked floats, with no triple helpers, closures or intermediate tuples,
-and keep the operations and their order, so the bits, checks and messages
-stay those of the helper-based formulas.
+unpacked floats, with no triple helpers, closures, loops or intermediate
+tuples, and keep the operations and their order, so the bits, checks and
+messages stay those of the helper-based formulas; ``FundamentalForms`` is a
+checked tuple, like ``SurfaceJet``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,7 +64,7 @@ from .errors import ConfigError, GeometryError, NotImmersed, NumericalError, Out
 from .minkowski import _mdot, _project_tangent
 from .numerics import _sq
 from .product import AmbientVec, _prod_inner
-from .surfaces import JetBlock, Surface, SurfaceJet, unit_normal, unit_normals
+from .surfaces import JetBlock, Surface, SurfaceJet, _Checked, unit_normal, unit_normals
 
 PLANAR = "PLANAR"
 PARABOLIC = "PARABOLIC"
@@ -77,29 +79,22 @@ POINT_BLOCK = 936      # chart evaluations per block of bulk evaluation
 MAX_GRID_CELLS = 250_000  # 0.8 KB (row, CSV line) and 0.2 ms each (2-core VM)
 
 
-@dataclass(frozen=True, slots=True)
-class FundamentalForms:
+class FundamentalForms(_Checked, namedtuple("FundamentalForms", "E F G L M2 N2 normal nu")):
     """First and second fundamental forms plus the oriented unit normal."""
 
-    E: float
-    F: float
-    G: float
-    L: float
-    M2: float
-    N2: float
-    normal: AmbientVec
-    nu: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        E, G = self.E, self.G
-        if not (E > 0.0 and G > 0.0 and E * G - self.F ** 2 > 0.0):
+    def __new__(cls, E: float, F: float, G: float, L: float, M2: float, N2: float,
+                normal: AmbientVec, nu: float) -> "FundamentalForms":
+        if not (E > 0.0 and G > 0.0 and E * G - F ** 2 > 0.0):
             raise NotImmersed("first form is not positive definite")
-        (h0, h1, h2), nt = self.normal
+        (h0, h1, h2), nt = normal
         n2 = -h0 * h0 + h1 * h1 + h2 * h2 + nt ** 2
         if abs(n2 - 1.0) > 1e-9:
             raise NumericalError(f"normal norm^2 = {n2}")
-        if abs(self.nu) > 1.0 + 1e-12:
-            raise NumericalError(f"|nu| = {abs(self.nu)} exceeds 1")
+        if abs(nu) > 1.0 + 1e-12:
+            raise NumericalError(f"|nu| = {abs(nu)} exceeds 1")
+        return tuple.__new__(cls, (E, F, G, L, M2, N2, normal, nu))
 
     def flipped(self) -> "FundamentalForms":
         """Same point with the opposite normal orientation."""
@@ -145,26 +140,25 @@ def forms_from_jet(jet: SurfaceJet) -> FundamentalForms:
     if E * G - F * F <= 1e-12:
         raise NotImmersed("degenerate jet")
     normal = (n0, n1, n2), nt = unit_normal(jet)
-    second = []
-    for (w0, w1, w2), wt in (jet.Xuu, jet.Xuv, jet.Xvv):
-        c = -w0 * p0 + w1 * p1 + w2 * p2  # w + c p: the tangential part of w
-        second.append(-(w0 + c * p0) * n0 + (w1 + c * p1) * n1 + (w2 + c * p2) * n2
-                      + wt * nt)
-    return FundamentalForms(E, F, G, *second, normal, nt)
+    # each row pairs the normal with w + c p, the tangential part of w
+    (w0, w1, w2), wt = jet.Xuu
+    c = -w0 * p0 + w1 * p1 + w2 * p2
+    L = -(w0 + c * p0) * n0 + (w1 + c * p1) * n1 + (w2 + c * p2) * n2 + wt * nt
+    (w0, w1, w2), wt = jet.Xuv
+    c = -w0 * p0 + w1 * p1 + w2 * p2
+    M2 = -(w0 + c * p0) * n0 + (w1 + c * p1) * n1 + (w2 + c * p2) * n2 + wt * nt
+    (w0, w1, w2), wt = jet.Xvv
+    c = -w0 * p0 + w1 * p1 + w2 * p2
+    N2 = -(w0 + c * p0) * n0 + (w1 + c * p1) * n1 + (w2 + c * p2) * n2 + wt * nt
+    return FundamentalForms(E, F, G, L, M2, N2, normal, nt)
 
 
-class FormsBlock(NamedTuple):
-    """``FundamentalForms`` of a block of jets, as arrays (``normal.t`` is
-    nu), plus the points where the jets or the scalar forms raise."""
+class FormsBlock(namedtuple("FormsBlock", (*FundamentalForms._fields[:-1], "bad"))):
+    """``FundamentalForms`` of a block of jets, as arrays, but for ``nu``,
+    which is ``normal.t``; plus the points where the jets or the scalar forms
+    raise."""
 
-    E: np.ndarray
-    F: np.ndarray
-    G: np.ndarray
-    L: np.ndarray
-    M2: np.ndarray
-    N2: np.ndarray
-    normal: AmbientVec
-    bad: np.ndarray
+    __slots__ = ()
 
 
 def forms_from_jets(jets: JetBlock) -> FormsBlock:

@@ -91,16 +91,9 @@ class TraceRecord:
         return ProdPoint(H2Point.of(tuple(self.h[i])), float(self.t[i]))
 
     def to_csv(self) -> str:
-        lines = [TRACE_CSV_HEADER]
-        for i in range(len(self.s)):
-            lines.append(",".join([
-                repr(float(self.s[i])), repr(float(self.uv[i, 0])),
-                repr(float(self.uv[i, 1])), repr(float(self.h[i, 0])),
-                repr(float(self.h[i, 1])), repr(float(self.h[i, 2])),
-                repr(float(self.t[i])), repr(float(self.k2[i])),
-                repr(float(self.H[i])), repr(float(self.lam[i])),
-            ]))
-        return "\n".join(lines) + "\n"
+        rows = np.column_stack([self.s, self.uv, self.h, self.t, self.k2, self.H,
+                                self.lam]).tolist()
+        return "\n".join([TRACE_CSV_HEADER, *(",".join(map(repr, r)) for r in rows)]) + "\n"
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,7 +276,9 @@ def trace_asymptotic(S: Surface, u0: float, v0: float, length: float,
     finite).  ``with_connection=False`` skips the transverse measurement of
     the connection coefficient (NaN in the record), which roughly halves the
     cost when only the path is needed.  Over MAX_TRACE_HALF_STEPS steps per
-    leg, or none, raise ConfigError before the seed is evaluated.
+    leg, or none, raise ConfigError before the seed is evaluated.  Legs that
+    both stop at their first step raise OutOfDomain (at the domain edge) or
+    NumericalError, naming the seed and the stop reason.
     """
     if step <= 0.0 or length <= 0.0:
         raise NumericalError("length and step must be positive")
@@ -299,6 +294,10 @@ def trace_asymptotic(S: Surface, u0: float, v0: float, length: float,
     bwd, reason_b = _leg(S, u0, v0, seed, (-d1[0], -d1[1]), steps, step, tol)
     priority = {PLANAR_HIT: 3, STEP_FAILURE: 2, DOMAIN_EDGE: 1, MAX_LENGTH: 0}
     stop = reason_f if priority[reason_f] >= priority[reason_b] else reason_b
+    if not fwd and not bwd:
+        error = OutOfDomain if stop == DOMAIN_EDGE else NumericalError
+        raise error(f"trace from seed ({u0}, {v0}) stops at its first step both ways "
+                    f"({stop})")
 
     a = np.array([*reversed(bwd), _sample(u0, v0, seed, d1), *fwd])
     n, n_b = len(a), len(bwd)

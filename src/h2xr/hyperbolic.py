@@ -67,10 +67,11 @@ ORIGIN_T: Triple = (1.0, 0.0, 0.0)
 def _check_on_sheet(v: Triple) -> None:
     """Raise NumericalError unless the finite triple v lies on the upper sheet,
     at the relative tolerance :class:`H2Point` documents."""
-    q = _mdot(v, v)
-    if abs(q + 1.0) > POINT_TOL * (1.0 + v[0] * v[0]):
+    v0, v1, v2 = v
+    q = -v0 * v0 + v1 * v1 + v2 * v2
+    if abs(q + 1.0) > POINT_TOL * (1.0 + v0 * v0):
         raise NumericalError(f"<v,v> = {q}, not on the hyperboloid")
-    if v[0] < 1.0 - POINT_TOL:
+    if v0 < 1.0 - POINT_TOL:
         raise NumericalError("point not on the upper sheet")
 
 

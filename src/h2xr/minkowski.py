@@ -99,21 +99,23 @@ def _project_tangent(p: Triple, w: Triple) -> Triple:
 
 def _normalize_point(v: Triple) -> Triple:
     """Rescale onto the upper sheet <v, v> = -1."""
-    q = -_mdot(v, v)
+    v0, v1, v2 = v
+    q = -(-v0 * v0 + v1 * v1 + v2 * v2)
     if q <= 0.0:
         raise NumericalError(f"cannot normalize non-timelike vector {v} to the hyperboloid")
     c = 1.0 / math.sqrt(q)
-    if v[0] < 0.0:
+    if v0 < 0.0:
         c = -c
-    return (c * v[0], c * v[1], c * v[2])
+    return (c * v0, c * v1, c * v2)
 
 
 def _normalize_spacelike(v: Triple) -> Triple:
-    q = _mdot(v, v)
+    v0, v1, v2 = v
+    q = -v0 * v0 + v1 * v1 + v2 * v2
     if q <= 0.0:
         raise NumericalError(f"cannot normalize non-spacelike vector {v}")
     c = 1.0 / math.sqrt(q)
-    return (c * v[0], c * v[1], c * v[2])
+    return (c * v0, c * v1, c * v2)
 
 
 def _normalize_points(v):

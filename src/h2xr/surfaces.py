@@ -14,9 +14,11 @@ built.  Presets:
   (negative controls for the flatness tests).
 
 A jet is six plain ambient vectors (coordinate triple plus height), the
-first of them the point.  Building a ``SurfaceJet`` checks it once: finite
-coordinates and heights, a footprint on the upper sheet, first derivatives
-tangent to it, and a Gram determinant that makes the chart an immersion.
+first of them the point.  ``SurfaceJet`` is a tuple that checks it once, in
+``__new__``, however it is built (``_make``, ``_replace``, copies, pickles):
+finite coordinates and heights, a footprint on the upper sheet, first
+derivatives tangent to it, and a Gram determinant that makes the chart an
+immersion.
 
 Bulk evaluation: ``Surface.jets`` evaluates many chart points at once into a
 ``JetBlock`` (struct of arrays) whose ``bad`` mask marks every point where
@@ -31,11 +33,11 @@ wrapped, user-supplied) is called point by point.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from types import SimpleNamespace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -83,21 +85,31 @@ class ChartDomain:
         return (self.u_range[1] - self.u_range[0], self.v_range[1] - self.v_range[0])
 
 
-@dataclass(frozen=True, slots=True)
-class SurfaceJet:
+class _Checked:
+    """Mixin for a NamedTuple whose ``__new__`` checks its fields: ``_make``
+    (behind ``_replace``), pickling and copying build through ``__new__``
+    too, so no way of building one skips the checks."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+class SurfaceJet(_Checked, namedtuple("SurfaceJet", "X Xu Xv Xuu Xuv Xvv")):
     """Chart point ``X`` (footprint triple and height) with coordinate
     derivatives through second order; checked once, here (NumericalError,
     or NotImmersed for a degenerate Gram determinant)."""
 
-    X: AmbientVec
-    Xu: AmbientVec
-    Xv: AmbientVec
-    Xuu: AmbientVec
-    Xuv: AmbientVec
-    Xvv: AmbientVec
+    __slots__ = ()
 
-    def __post_init__(self):
-        ws = (self.X, self.Xu, self.Xv, self.Xuu, self.Xuv, self.Xvv)
+    def __new__(cls, X: AmbientVec, Xu: AmbientVec, Xv: AmbientVec, Xuu: AmbientVec,
+                Xuv: AmbientVec, Xvv: AmbientVec) -> "SurfaceJet":
+        ws = (X, Xu, Xv, Xuu, Xuv, Xvv)
         ((p0, p1, p2), pt), ((u0, u1, u2), ut), ((v0, v1, v2), vt), \
             ((a0, a1, a2), at), ((b0, b1, b2), bt), ((c0, c1, c2), ct) = ws
         # a non-finite number makes the sum non-finite (as, rarely, does an
@@ -110,7 +122,7 @@ class SurfaceJet:
             for w in ws:
                 if not math.isfinite(w.t):
                     raise NumericalError(f"non-finite height {w.t}")
-        _check_on_sheet(ws[0].htup)
+        _check_on_sheet(X.htup)
         e = -u0 * u0 + u1 * u1 + u2 * u2
         drift = -u0 * p0 + u1 * p1 + u2 * p2
         if abs(drift) > 1e-8 * (1.0 + abs(e)):
@@ -124,21 +136,16 @@ class SurfaceJet:
         f = -u0 * v0 + u1 * v1 + u2 * v2 + ut * vt
         if e * g - f * f <= 1e-12:
             raise NotImmersed(f"Gram determinant {e * g - f * f} too small")
+        return tuple.__new__(cls, ws)
 
 
-class JetBlock(NamedTuple):
+class JetBlock(namedtuple("JetBlock", (*SurfaceJet._fields, "bad"))):
     """Jets of many chart points, struct of arrays: the six ambient vectors
     of ``SurfaceJet`` with float arrays for coordinates and heights, plus
     ``bad``, the points whose scalar evaluation raises (their entries are
     meaningless)."""
 
-    X: AmbientVec
-    Xu: AmbientVec
-    Xv: AmbientVec
-    Xuu: AmbientVec
-    Xuv: AmbientVec
-    Xvv: AmbientVec
-    bad: np.ndarray
+    __slots__ = ()
 
 
 def _jet_block(X, Xu, Xv, Xuu, Xuv, Xvv, bad=False) -> JetBlock:
@@ -173,8 +180,7 @@ def _stack_jets(chart, us: np.ndarray, vs: np.ndarray) -> JetBlock:
         except (GeometryError, ArithmeticError):
             bad[k] = True
             continue
-        rows[k] = [c for w in (jet.X, jet.Xu, jet.Xv, jet.Xuu, jet.Xuv, jet.Xvv)
-                   for c in (*w.htup, w.t)]
+        rows[k] = [c for h, t in jet for c in (*h, t)]
     cols = rows.T
     return JetBlock(*(AmbientVec(tuple(cols[k:k + 3]), cols[k + 3])
                       for k in range(0, 24, 4)), bad)
@@ -364,8 +370,8 @@ def make_cylinder(alpha: H2Curve, v_range: tuple[float, float] = (-DEFAULT_CYLIN
 
     def body(a, t, n, kg, v, jet):
         acc = (kg * n[0] + a[0], kg * n[1] + a[1], kg * n[2] + a[2])
-        return jet(X=AmbientVec(a, v), Xu=AmbientVec(t, 0.0), Xv=_VERTICAL,
-                   Xuu=AmbientVec(acc, 0.0), Xuv=_ZERO, Xvv=_ZERO)
+        return jet(AmbientVec(a, v), AmbientVec(t, 0.0), _VERTICAL, AmbientVec(acc, 0.0),
+                   _ZERO, _ZERO)
 
     def chart(u: float, v: float) -> SurfaceJet:
         a, t, n, kg = curve.frame_at(u)
@@ -390,12 +396,12 @@ def make_slice(t0: float, radius: float, label: str = "slice") -> Surface:
         c, s = m.cos(th), m.sin(th)
         sigma = (ch, sh * c, sh * s)
         return m.jet(
-            X=AmbientVec(sigma, t0),
-            Xu=AmbientVec((sh, ch * c, ch * s), 0.0),
-            Xv=AmbientVec((0.0, -sh * s, sh * c), 0.0),
-            Xuu=AmbientVec(sigma, 0.0),
-            Xuv=AmbientVec((0.0, -ch * s, ch * c), 0.0),
-            Xvv=AmbientVec((0.0, -sh * c, -sh * s), 0.0),
+            AmbientVec(sigma, t0),
+            AmbientVec((sh, ch * c, ch * s), 0.0),
+            AmbientVec((0.0, -sh * s, sh * c), 0.0),
+            AmbientVec(sigma, 0.0),
+            AmbientVec((0.0, -ch * s, ch * c), 0.0),
+            AmbientVec((0.0, -sh * c, -sh * s), 0.0),
         )
 
     dom = ChartDomain((SLICE_INNER_RADIUS, radius), (0.0, 2.0 * math.pi))
@@ -482,12 +488,12 @@ def make_graph(height: HeightFunction,
         sig_uu = (chu * chv, shu * chv, 0.0)
         sig_uv = (shu * shv, chu * shv, 0.0)
         return m.jet(
-            X=AmbientVec(sigma, m.call(height.f, u, v)),
-            Xu=AmbientVec(sig_u, m.call(height.fu, u, v)),
-            Xv=AmbientVec(sig_v, m.call(height.fv, u, v)),
-            Xuu=AmbientVec(sig_uu, m.call(height.fuu, u, v)),
-            Xuv=AmbientVec(sig_uv, m.call(height.fuv, u, v)),
-            Xvv=AmbientVec(sigma, m.call(height.fvv, u, v)),
+            AmbientVec(sigma, m.call(height.f, u, v)),
+            AmbientVec(sig_u, m.call(height.fu, u, v)),
+            AmbientVec(sig_v, m.call(height.fv, u, v)),
+            AmbientVec(sig_uu, m.call(height.fuu, u, v)),
+            AmbientVec(sig_uv, m.call(height.fuv, u, v)),
+            AmbientVec(sigma, m.call(height.fvv, u, v)),
         )
 
     return Surface(_chart(body), domain, "analytic", label)
@@ -515,12 +521,12 @@ def _fd_jet(h, samples, jet):
     xuv = tuple((a - b - c + d) / (4.0 * h * h)
                 for a, b, c, d in zip(ppp, ppm, pmp, pmm))
     return jet(
-        X=AmbientVec(pc, tc),
-        Xu=AmbientVec(xu, (tu_p - tu_m) / (2.0 * h)),
-        Xv=AmbientVec(xv, (tv_p - tv_m) / (2.0 * h)),
-        Xuu=AmbientVec(xuu, (tu_p - 2.0 * tc + tu_m) / (h * h)),
-        Xuv=AmbientVec(xuv, (tpp - tpm - tmp_ + tmm) / (4.0 * h * h)),
-        Xvv=AmbientVec(xvv, (tv_p - 2.0 * tc + tv_m) / (h * h)),
+        AmbientVec(pc, tc),
+        AmbientVec(xu, (tu_p - tu_m) / (2.0 * h)),
+        AmbientVec(xv, (tv_p - tv_m) / (2.0 * h)),
+        AmbientVec(xuu, (tu_p - 2.0 * tc + tu_m) / (h * h)),
+        AmbientVec(xuv, (tpp - tpm - tmp_ + tmm) / (4.0 * h * h)),
+        AmbientVec(xvv, (tv_p - 2.0 * tc + tv_m) / (h * h)),
     )
 
 
@@ -530,18 +536,19 @@ def _fd_chart(pos, pos_arrays, domain: ChartDomain):
 
     First-derivative horizontal parts are re-projected onto the hyperboloid
     tangent space; second derivatives are the raw coordinate differences.
-    The stencil shrinks near the chart boundary.  ``pos(u, v)`` gives one
-    position (footprint triple, height); ``pos_arrays(us, vs)`` gives the
-    positions of arrays of points with their bad mask, and serves the array
-    evaluator, which takes the nine stencil positions of every point from
-    one call.
+    The stencil shrinks near the chart boundary; a point where its step, or
+    the square of the step (which divides the second differences), is not
+    positive is OutOfDomain.  ``pos(u, v)`` gives one position (footprint
+    triple, height); ``pos_arrays(us, vs)`` gives the positions of arrays of
+    points with their bad mask, and serves the array evaluator, which takes
+    the nine stencil positions of every point from one call.
     """
     (u0, u1) = domain.u_range
     (v0, v1) = domain.v_range
 
     def chart(u: float, v: float) -> SurfaceJet:
         h = min(FD_STEP, 0.5 * (u - u0), 0.5 * (u1 - u), 0.5 * (v - v0), 0.5 * (v1 - v))
-        if h <= 0.0:
+        if not (h > 0.0 and h * h > 0.0):
             raise OutOfDomain("finite-difference stencil does not fit at the boundary")
         samples = [pos(u, v), pos(u + h, v), pos(u - h, v), pos(u, v + h), pos(u, v - h),
                    pos(u + h, v + h), pos(u + h, v - h), pos(u - h, v + h),
@@ -556,7 +563,7 @@ def _fd_chart(pos, pos_arrays, domain: ChartDomain):
                                np.concatenate([vs, vs, vs, vp, vm, vp, vm, vp, vm]))
         n = len(us)
         samples = [(tuple(c[k:k + n] for c in p), t[k:k + n]) for k in range(0, 9 * n, n)]
-        bad = bad.reshape(9, n).any(axis=0) | ~(h > 0.0)
+        bad = bad.reshape(9, n).any(axis=0) | ~((h > 0.0) & (h * h > 0.0))
         return _fd_jet(h, samples, partial(_jet_block, bad=bad))
 
     chart.jets = chart_arrays
@@ -635,15 +642,8 @@ def rescale_chart(base: Surface, a: float, b: float) -> Surface:
 
     def chart(u: float, v: float) -> SurfaceJet:
         j = base.chart(a * u, b * v)
-
-        def scale(w: AmbientVec, c: float) -> AmbientVec:
-            return AmbientVec(_mscale(c, w.htup), c * w.t)
-
-        return SurfaceJet(
-            X=j.X,
-            Xu=scale(j.Xu, a), Xv=scale(j.Xv, b),
-            Xuu=scale(j.Xuu, a * a), Xuv=scale(j.Xuv, a * b), Xvv=scale(j.Xvv, b * b),
-        )
+        return SurfaceJet(j.X, *(AmbientVec(_mscale(c, w.htup), c * w.t)
+                                 for w, c in zip(j[1:], (a, b, a * a, a * b, b * b))))
 
     (u0, u1) = sorted((base.domain.u_range[0] / a, base.domain.u_range[1] / a))
     (v0, v1) = sorted((base.domain.v_range[0] / b, base.domain.v_range[1] / b))

@@ -4,8 +4,10 @@ Everything heavy is session-scoped; surfaces are immutable and safe to
 share.
 """
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -17,8 +19,8 @@ from h2xr.errors import (BadCurvatureFunction, DegenerateDirection, GeometryErro
                          NonUnitTangent, NotImmersed, NotParabolic, NumericalError,
                          OutOfDomain)
 from h2xr.flows import (DOMAIN_EDGE, MAX_LENGTH, PLANAR_HIT, STEP_FAILURE,
-                        GeodesicDeviation, TraceRecord, _aligned, _ambient_dir, _connection,
-                        _principal_at, trace_half_steps)
+                        TRACE_CSV_HEADER, GeodesicDeviation, TraceRecord, _aligned,
+                        _ambient_dir, _connection, _principal_at, trace_half_steps)
 from h2xr.hyperbolic import (ORIGIN, UNIT_TOL, H2Point, H2Tangent, _check_on_sheet,
                              curve_from_curvature)
 from h2xr.minkowski import (SpacetimeVec, _check_finite, _mcomb, _mcross, _mdot,
@@ -443,6 +445,36 @@ def reference_principal_curvatures(forms):
     return k1, k2, d1, unit_in_form((d2[0] - g12 * d1[0], d2[1] - g12 * d1[1]))
 
 
+def building_outcomes(cls, fields: tuple, name: str, value) -> dict:
+    """How each way of building a checked tuple ``cls`` from ``fields``, with
+    field ``name`` set to ``value``, ends: ('ok',) or the class and message
+    of the GeometryError it raises.  The ways: positional, keyword,
+    ``_make``, ``_replace`` on a good value, and ``copy``, ``deepcopy`` and
+    a pickle round trip (every protocol) of a tuple built unchecked."""
+    spoiled = tuple(value if f == name else x for f, x in zip(cls._fields, fields))
+    unchecked = tuple.__new__(cls, spoiled)
+    ways = {
+        "positional": lambda: cls(*spoiled),
+        "keyword": lambda: cls(**dict(zip(cls._fields, spoiled))),
+        "_make": lambda: cls._make(spoiled),
+        "_replace": lambda: cls(*fields)._replace(**{name: value}),
+        "copy": lambda: copy.copy(unchecked),
+        "deepcopy": lambda: copy.deepcopy(unchecked),
+        **{f"pickle{p}": (lambda p=p: pickle.loads(pickle.dumps(unchecked, p)))
+           for p in range(pickle.HIGHEST_PROTOCOL + 1)},
+    }
+    out = {}
+    for way, build in ways.items():
+        try:
+            built = build()
+        except GeometryError as exc:
+            out[way] = (type(exc).__name__, str(exc))
+        else:
+            assert type(built) is cls and built == spoiled
+            out[way] = ("ok",)
+    return out
+
+
 # -- the trace loop on objects, the reference for flows._leg -------------------------
 
 def _negated(w: AmbientVec) -> AmbientVec:
@@ -520,6 +552,10 @@ def reference_trace(S: Surface, u0: float, v0: float, length: float,
 
     priority = {PLANAR_HIT: 3, STEP_FAILURE: 2, DOMAIN_EDGE: 1, MAX_LENGTH: 0}
     stop = reason_f if priority[reason_f] >= priority[reason_b] else reason_b
+    if not fwd and not bwd:  # the seed alone is no record (trace_asymptotic's rule)
+        error = OutOfDomain if stop == DOMAIN_EDGE else NumericalError
+        raise error(f"trace from seed ({u0}, {v0}) stops at its first step both ways "
+                    f"({stop})")
 
     n_b, n_f = len(bwd), len(fwd)
     n = n_b + 1 + n_f
@@ -562,6 +598,19 @@ def reference_trace(S: Surface, u0: float, v0: float, length: float,
         else np.full(n, math.nan)
 
     return TraceRecord(s, uv, hpts, ts, k2s, hs, lams, e2s, e3s, stop, step, tol)
+
+
+def reference_trace_csv(tr: TraceRecord) -> str:
+    """TraceRecord.to_csv as a loop over samples and fields."""
+    lines = [TRACE_CSV_HEADER]
+    for i in range(len(tr.s)):
+        lines.append(",".join([
+            repr(float(tr.s[i])), repr(float(tr.uv[i, 0])), repr(float(tr.uv[i, 1])),
+            repr(float(tr.h[i, 0])), repr(float(tr.h[i, 1])), repr(float(tr.h[i, 2])),
+            repr(float(tr.t[i])), repr(float(tr.k2[i])), repr(float(tr.H[i])),
+            repr(float(tr.lam[i])),
+        ]))
+    return "\n".join(lines) + "\n"
 
 
 def reparametrised(S: Surface, phi, domain: ChartDomain, label: str) -> Surface:

@@ -105,6 +105,18 @@ class TestTraceCommand:
         cfg = write_cfg(tmp_path, SLICE_CFG)
         assert main(["--config", cfg, "--out", str(tmp_path), "trace", "1.0", "3.0"]) == 4
 
+    def test_seed_with_no_step_either_way_exits_3(self, tmp_path, capsys):
+        """A strip 0.0004 high, seeded in its middle: every first stage of
+        step 1e-3 leaves the domain, so the trace is one domain error."""
+        cfg = write_cfg(tmp_path, {"surface": {
+            "kind": "cylinder", "curve": {"kind": "constant", "value": 0.5},
+            "domain": {"v": [0, 0.0004]}}})
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"),
+                     "trace", "0.5", "0.0002"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "seed (0.5, 0.0002)" in err and "DOMAIN_EDGE" in err
+
     def test_inflection_never_planar_hit(self, tmp_path):
         cfg = write_cfg(tmp_path, INFLECTION_CFG)
         assert main(["--config", cfg, "--out", str(tmp_path / "out"),

@@ -1,21 +1,23 @@
 """Fundamental forms, shape operator, the two intrinsic-curvature routes,
 point classification and the grid scanner."""
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import pytest
 
 from h2xr.classifier import CYLINDER, NOT_FLAT, ClassifierConfig, classify_surface
-from h2xr.curvature import (GENERIC, GRID_HEADER, PARABOLIC, PLANAR,
+from h2xr.curvature import (GENERIC, GRID_HEADER, PARABOLIC, PLANAR, FundamentalForms,
                             classify_point, curvature_grid, fundamental_forms,
                             sample_metric_stencil, shape_at, shape_data)
-from h2xr.errors import ConfigError, OutOfDomain
+from h2xr.errors import ConfigError, GeometryError, OutOfDomain
 from h2xr.product import AmbientVec
 from h2xr.surfaces import (SurfaceJet, bilinear_height, make_graph, preset,
                            rescale_chart)
 
-from conftest import COTH1
+from conftest import COTH1, building_outcomes
 
 
 class TestFundamentalForms:
@@ -45,6 +47,35 @@ class TestFundamentalForms:
         for w in (jet.Xu, jet.Xv):
             inner = _mdot(f.normal.htup, w.htup) + f.normal.t * w.t
             assert abs(inner) < 1e-12
+
+    # E, F, G, L, M2, N2, normal, nu of a flat unit chart with a vertical normal
+    GOOD_FORMS = (1.0, 0.0, 1.0, 0.0, 0.0, 0.0, AmbientVec((0.0, 0.0, 0.0), 1.0), 1.0)
+
+    @pytest.mark.parametrize("field, entry, error", [
+        ("E", 0.0, "NotImmersed"),
+        ("F", 1.0, "NotImmersed"),
+        ("G", math.nan, "NotImmersed"),
+        ("normal", AmbientVec((0.0, 0.0, 0.0), 2.0), "NumericalError"),
+        ("nu", 1.5, "NumericalError"),
+    ])
+    def test_every_way_of_building_runs_the_checks(self, field, entry, error):
+        """Positional, keyword, _make, _replace, copies and pickle round
+        trips of spoiled forms all raise what direct construction raises."""
+        fields = dict(zip(FundamentalForms._fields, self.GOOD_FORMS), **{field: entry})
+        with pytest.raises(GeometryError) as direct:
+            FundamentalForms(**fields)
+        want = (type(direct.value).__name__, str(direct.value))
+        assert want[0] == error
+        got = building_outcomes(FundamentalForms, self.GOOD_FORMS, field, entry)
+        assert set(got.values()) == {want}, got
+
+    def test_every_way_of_building_keeps_good_forms(self):
+        forms = FundamentalForms(*self.GOOD_FORMS)
+        built = [copy.copy(forms), copy.deepcopy(forms), FundamentalForms._make(forms),
+                 forms._replace(), forms.flipped().flipped(),
+                 *(pickle.loads(pickle.dumps(forms, p))
+                   for p in range(pickle.HIGHEST_PROTOCOL + 1))]
+        assert all(type(b) is FundamentalForms and b == forms for b in built)
 
 
 class TestShapeData:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from h2xr import flows
 from h2xr.classifier import _ruling_verticality
 from h2xr.errors import (DegenerateDirection, GeometryError, InsufficientSamples,
-                         NotParabolic, NumericalError, PlanarSample)
+                         NotParabolic, NumericalError, OutOfDomain, PlanarSample)
 from h2xr.flows import (DOMAIN_EDGE, MAX_LENGTH, PLANAR_HIT, STEP_FAILURE,
                         TRACE_CSV_HEADER, TraceRecord, _vec, fit_inverse_H,
                         frame_ode_residuals, geodesic_deviation, trace_asymptotic)
@@ -19,7 +19,8 @@ from h2xr.hyperbolic import H2Point
 from h2xr.product import AmbientVec, _prod_inner
 from h2xr.surfaces import finite_difference_surface, preset
 
-from conftest import loop_cov_norm, loop_geodesic_deviation, reference_trace, turned_chart
+from conftest import (loop_cov_norm, loop_geodesic_deviation, reference_trace,
+                      reference_trace_csv, turned_chart)
 
 # both deviations and ODE residuals on cylinder traces sit at the metric /
 # roundoff floor at every step size; step-halving assertions compare against
@@ -87,8 +88,7 @@ class TestTraceAsymptotic:
             if v <= 0.25:
                 return jet
             (a0, a1, a2), at = jet.Xuu
-            return dataclasses.replace(jet, Xuu=AmbientVec((scale * a0, scale * a1,
-                                                            scale * a2), at))
+            return jet._replace(Xuu=AmbientVec((scale * a0, scale * a1, scale * a2), at))
 
         S = dataclasses.replace(circle_cylinder, chart=chart)
         tr = trace_asymptotic(S, 1.0, 0.0, 1.0, 1e-3)
@@ -105,6 +105,38 @@ class TestTraceAsymptotic:
         lines = csv.strip().split("\n")
         assert lines[0] == TRACE_CSV_HEADER
         assert len(lines) == len(circle_trace) + 1
+
+    def test_csv_matches_the_loop_writer(self, circle_trace, inflection_cylinder):
+        """The same text as repr(float(x)) field by field, also for NaN, signed
+        zeros, subnormals, infinities and the extremes of the float range."""
+        bare = trace_asymptotic(inflection_cylinder, 1.0, 0.0, 0.3, 1e-3, with_connection=False)
+        specials = np.resize([-0.0, 5e-324, -1e-300, 1.7976931348623157e308, -math.inf,
+                              math.nan, 0.1, -3.0], len(circle_trace))
+        for tr in (circle_trace, bare, dataclasses.replace(circle_trace, lam=specials)):
+            # lines, whose first difference pytest reports without diffing the texts
+            assert tr.to_csv().split("\n") == reference_trace_csv(tr).split("\n")
+
+    def test_seed_that_cannot_step_either_way_raises(self, bent_cylinder):
+        """At the corner (u1, v1) of the bent chart both legs leave the domain
+        at their first stage: a domain error that names the seed and the
+        stop, not a record of the seed alone."""
+        u1, v1 = bent_cylinder.domain.u_range[1], bent_cylinder.domain.v_range[1]
+        with pytest.raises(OutOfDomain, match=rf"seed \({u1}, {v1}\) .* \(DOMAIN_EDGE\)"):
+            trace_asymptotic(bent_cylinder, u1, v1, 1.0, 1e-3)
+
+    def test_seed_whose_neighbours_all_fail_raises(self, circle_cylinder):
+        """Every point but the seed has a NaN shape operator: both legs stop
+        with STEP_FAILURE at their first step, a numerical error."""
+        def chart(u, v, base=circle_cylinder.chart):
+            jet = base(u, v)
+            if (u, v) == (1.0, 0.0):
+                return jet
+            (a0, a1, a2), at = jet.Xuu
+            return jet._replace(Xuu=AmbientVec((1.5e308 * a0, 1.5e308 * a1, 1.5e308 * a2), at))
+
+        S = dataclasses.replace(circle_cylinder, chart=chart)
+        with pytest.raises(NumericalError, match=r"seed \(1.0, 0.0\) .* \(STEP_FAILURE\)"):
+            trace_asymptotic(S, 1.0, 0.0, 1.0, 1e-3)
 
 
 def _outcome(trace, S, u, v, length, step, with_connection):

@@ -96,10 +96,7 @@ def _hand_built(P, w):
 def _unchecked(**fields) -> SurfaceJet:
     """A SurfaceJet that skipped its checks, to reach those of the normal
     and the forms."""
-    jet = object.__new__(SurfaceJet)
-    for name, w in fields.items():
-        object.__setattr__(jet, name, w)
-    return jet
+    return tuple.__new__(SurfaceJet, (fields[name] for name in FIELDS))
 
 
 class TestCurveBuild:

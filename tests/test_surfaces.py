@@ -1,16 +1,18 @@
 """Chart presets: jets, consistency between derivative modes, perturbation,
 and the JSON config constructor."""
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from h2xr.curvature import (curvature_grid, fundamental_forms, grid_points,
                             shape_at)
-from h2xr.errors import (ConfigError, NonUnitCurve, NotImmersed, NumericalError,
-                         OutOfDomain)
+from h2xr.errors import (ConfigError, GeometryError, NonUnitCurve, NotImmersed,
+                         NumericalError, OutOfDomain)
 from h2xr.hyperbolic import curve_from_curvature
 from h2xr.minkowski import _mdot
 from h2xr.product import AmbientVec
@@ -19,6 +21,8 @@ from h2xr.surfaces import (ChartDomain, SurfaceJet, bilinear_height,
                            linear_height, make_cylinder, make_graph,
                            make_slice, perturb, preset, rescale_chart,
                            zero_height)
+
+from conftest import building_outcomes
 
 # A valid jet at the origin of the hyperboloid, height 0: horizontal u-line,
 # vertical v-line.  The check tests below spoil one entry at a time.
@@ -156,6 +160,17 @@ class TestFiniteDifferenceJets:
                 assert np.allclose(a.htup, f.htup, atol=1e-4)
                 assert abs(a.t - f.t) < 1e-4
 
+    @pytest.mark.parametrize("offset", [4e-232, 1e-300])
+    def test_stencil_step_that_underflows_is_out_of_domain(self, offset):
+        """So close to the u edge the stencil step's square is 0: the single
+        jet is a domain error, not a ZeroDivisionError, and a block flags
+        the same point."""
+        fd = finite_difference_surface(preset("cylinder_spline"))
+        u, v = fd.domain.u_range[0] + offset, fd.domain.center[1]
+        with pytest.raises(OutOfDomain, match="stencil does not fit"):
+            fd.jet(u, v)
+        assert fd.jets([u, 1.0], [v, v]).bad.tolist() == [True, False]
+
     def test_graph_mode(self):
         g = make_graph(bilinear_height(0.3))
         fd = finite_difference_surface(g)
@@ -217,6 +232,30 @@ class TestJetChecks:
         with pytest.raises(NumericalError, match="not tangent"):
             SurfaceJet(**spoiled(Xu=AmbientVec((0.5, 1.0, 0.0), 0.0)))
 
+    @pytest.mark.parametrize("field, entry, error", [
+        *((f, AmbientVec((0.0, math.nan, 0.0), 0.0), "NumericalError") for f in JET_FIELDS),
+        ("X", AmbientVec((2.0, 0.0, 0.0), 0.0), "NumericalError"),
+        ("Xvv", AmbientVec((0.0, 0.0, 0.0), math.inf), "NumericalError"),
+        ("Xu", AmbientVec((0.5, 1.0, 0.0), 0.0), "NumericalError"),
+        ("Xv", GOOD_JET["Xu"], "NotImmersed"),
+    ])
+    def test_every_way_of_building_runs_the_checks(self, field, entry, error):
+        """Positional, keyword, _make, _replace, copies and pickle round
+        trips of a spoiled jet all raise what direct construction raises."""
+        with pytest.raises(GeometryError) as direct:
+            SurfaceJet(**spoiled(**{field: entry}))
+        want = (type(direct.value).__name__, str(direct.value))
+        assert want[0] == error
+        got = building_outcomes(SurfaceJet, tuple(GOOD_JET.values()), field, entry)
+        assert set(got.values()) == {want}, got
+
+    def test_every_way_of_building_keeps_a_good_jet(self):
+        jet = SurfaceJet(**GOOD_JET)
+        built = [copy.copy(jet), copy.deepcopy(jet), SurfaceJet._make(jet), jet._replace(),
+                 *(pickle.loads(pickle.dumps(jet, p))
+                   for p in range(pickle.HIGHEST_PROTOCOL + 1))]
+        assert all(type(b) is SurfaceJet and b == jet for b in built)
+
     @pytest.mark.parametrize("field", ["X", "Xuu"])
     def test_grid_records_rejected_jet_as_numerical_failure(self, circle_cylinder,
                                                             field):
@@ -227,7 +266,7 @@ class TestJetChecks:
             if (u, v) != bad_uv:
                 return jet
             h, t = getattr(jet, field)
-            return dataclasses.replace(jet, **{field: AmbientVec((h[0], math.nan, h[2]), t)})
+            return jet._replace(**{field: AmbientVec((h[0], math.nan, h[2]), t)})
 
         S = dataclasses.replace(circle_cylinder, chart=chart)
         rows = curvature_grid(S, 4, 4, brioschi=False).rows
