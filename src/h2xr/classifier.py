@@ -209,7 +209,8 @@ def extract_rulings(S: Surface, seeds: list[tuple[float, float]], length: float,
 
 def _farthest_point_seeds(cells: list[tuple[float, float]], k: int,
                           start_near: tuple[float, float]) -> list[tuple[float, float]]:
-    """Deterministic farthest-point subsample of candidate chart points."""
+    """Deterministic farthest-point subsample of candidate chart points, as
+    Python floats (the traces from them run on float arithmetic)."""
     if len(cells) <= k:
         return list(cells)
     pts = np.asarray(cells)
@@ -221,7 +222,7 @@ def _farthest_point_seeds(cells: list[tuple[float, float]], k: int,
         chosen.append(nxt)
         dist = np.minimum(dist, np.hypot(pts[:, 0] - pts[nxt, 0],
                                          pts[:, 1] - pts[nxt, 1]))
-    return [tuple(pts[i]) for i in chosen]
+    return [tuple(pts[i].tolist()) for i in chosen]
 
 
 def recover_generating_curve(S: Surface, t0: float, n: int) -> H2Curve:

@@ -48,7 +48,9 @@ Instead the scalar chain is kept cheap: ``forms_from_jet`` and
 unpacked floats, with no triple helpers, closures, loops or intermediate
 tuples, and keep the operations and their order, so the bits, checks and
 messages stay those of the helper-based formulas; ``FundamentalForms`` is a
-checked tuple, like ``SurfaceJet``.
+checked tuple, like ``SurfaceJet``.  Neither reads the height ``X.t`` of a
+jet (vertical translations are isometries), so a trace reuses the shape data
+of a point whose jet differs from the last one's only there.
 """
 
 from __future__ import annotations

@@ -14,13 +14,14 @@ import pytest
 from hypothesis import strategies as st
 
 from h2xr.curvature import (PARABOLIC, CurvatureGrid, FundamentalForms, GridRow,
-                            classify_point, grid_points, shape_at, shape_data)
+                            classify_point, forms_from_jet, grid_points,
+                            principal_curvatures, shape_at, shape_data)
 from h2xr.errors import (BadCurvatureFunction, DegenerateDirection, GeometryError,
                          NonUnitTangent, NotImmersed, NotParabolic, NumericalError,
                          OutOfDomain)
 from h2xr.flows import (DOMAIN_EDGE, MAX_LENGTH, PLANAR_HIT, STEP_FAILURE,
                         TRACE_CSV_HEADER, GeodesicDeviation, TraceRecord, _aligned,
-                        _ambient_dir, _connection, _principal_at, trace_half_steps)
+                        _ambient_dir, _connection, trace_half_steps)
 from h2xr.hyperbolic import (ORIGIN, UNIT_TOL, H2Point, H2Tangent, _check_on_sheet,
                              curve_from_curvature)
 from h2xr.minkowski import (SpacetimeVec, _check_finite, _mcomb, _mcross, _mdot,
@@ -158,6 +159,21 @@ def scalar_grid(S: Surface, nu_: int, nv_: int, tol: float = 1e-7,
     return CurvatureGrid(rows, nu_, nv_)
 
 
+def reference_principal_at(S: Surface, u: float, v: float):
+    """flows._principal_at without its memo of the last point's shape data:
+    every point runs the whole chain."""
+    jet = S.jet(u, v)
+    try:
+        forms = forms_from_jet(jet)
+        k1, k2, d1, d2 = principal_curvatures(forms)
+    except ArithmeticError as exc:
+        raise NumericalError(f"{type(exc).__name__} in the shape operator at ({u}, {v})") \
+            from exc
+    if not math.isfinite(k1 + k2 + d1[0] + d1[1] + d2[0] + d2[1]):
+        raise NumericalError(f"non-finite principal curvatures or directions at ({u}, {v})")
+    return jet, forms, k1, k2, d1, d2
+
+
 def _prod_inner4(a, b):
     return float(-a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3])
 
@@ -177,7 +193,7 @@ def scalar_lambdas(S: Surface, tr, delta: float = 1e-5) -> np.ndarray:
     lam = np.empty(len(tr))
     for i in range(len(tr)):
         u, v = (float(x) for x in tr.uv[i])
-        jet, _, _, _, d1, d2 = _principal_at(S, u, v)
+        jet, _, _, _, d1, d2 = reference_principal_at(S, u, v)
         e1 = _ambient_dir4(jet, d1)
         j, k = max(i - 1, 0), min(i + 1, len(tr) - 1)
         ds = np.append(tr.h[k] - tr.h[j], tr.t[k] - tr.t[j])
@@ -190,7 +206,7 @@ def scalar_lambdas(S: Surface, tr, delta: float = 1e-5) -> np.ndarray:
             continue
 
         def e2_field(uu, vv):
-            pj, _, _, _, _, d2o = _principal_at(S, uu, vv)
+            pj, _, _, _, _, d2o = reference_principal_at(S, uu, vv)
             w = _ambient_dir4(pj, d2o)
             return -w if _prod_inner4(w, tr.e2[i]) < 0.0 else w
 
@@ -498,10 +514,10 @@ def reference_trace(S: Surface, u0: float, v0: float, length: float,
     def eval_at(u: float, v: float):
         hit = memo.get((u, v))
         if hit is None:
-            hit = memo[u, v] = _principal_at(S, u, v)
+            hit = memo[u, v] = reference_principal_at(S, u, v)
         return hit
 
-    seed = jet0, forms0, k1_0, k2_0, d1_0, d2_0 = _principal_at(S, u0, v0)
+    seed = jet0, forms0, k1_0, k2_0, d1_0, d2_0 = reference_principal_at(S, u0, v0)
     cls = classify_point(shape_data(forms0), tol)
     if cls.tag != PARABOLIC:
         raise NotParabolic(f"seed ({u0}, {v0}) classifies {cls.tag}")
@@ -667,6 +683,17 @@ def turned_chart(S: Surface) -> Surface:
                 ((0.0, 0.0, 0.0), (0.0, 0.0, 2.0 * v)))
 
     return reparametrised(S, phi, ChartDomain((-0.5, 0.5), (-0.9, 0.9)), f"{S.label}+turned")
+
+
+def lifted(S: Surface, c: float) -> Surface:
+    """S translated vertically by c, an isometry of H2xR: every jet the same
+    but for its height X.t + c."""
+
+    def chart(u: float, v: float) -> SurfaceJet:
+        jet = S.chart(u, v)
+        return jet._replace(X=AmbientVec(jet.X.htup, jet.X.t + c))
+
+    return dataclasses.replace(S, chart=chart, label=f"{S.label}+lifted")
 
 
 @pytest.fixture(scope="session")

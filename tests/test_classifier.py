@@ -139,6 +139,11 @@ class TestClassifySurface:
         assert len(v.evidence.planar_map.components) == 1  # the planar strip
         assert len(v.evidence.rulings) >= 5
 
+    def test_ruling_seeds_are_python_floats(self, inflection_cylinder):
+        # numpy scalars would carry numpy arithmetic through every RK4 step
+        rulings = classify_surface(inflection_cylinder).evidence.rulings
+        assert rulings and all(type(x) is float for r in rulings for x in r.seed)
+
     def test_geodesic_cylinder_planar_branch(self, geodesic_cylinder):
         v = classify_surface(geodesic_cylinder)
         assert v.verdict == CYLINDER

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,8 +21,9 @@ from h2xr.hyperbolic import H2Point
 from h2xr.product import AmbientVec, _prod_inner
 from h2xr.surfaces import finite_difference_surface, preset
 
-from conftest import (loop_cov_norm, loop_geodesic_deviation, reference_trace,
-                      reference_trace_csv, turned_chart)
+from conftest import (lifted, loop_cov_norm, loop_geodesic_deviation,
+                      reference_principal_at, reference_trace, reference_trace_csv,
+                      turned_chart)
 
 # both deviations and ODE residuals on cylinder traces sit at the metric /
 # roundoff floor at every step size; step-halving assertions compare against
@@ -139,6 +142,101 @@ class TestTraceAsymptotic:
             trace_asymptotic(S, 1.0, 0.0, 1.0, 1e-3)
 
 
+def _counting(monkeypatch, name):
+    """Calls of flows.<name> from here on, into a list of their arguments."""
+    calls = []
+
+    def counted(*args, inner=getattr(flows, name)):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(flows, name, counted)
+    return calls
+
+
+class TestShapeMemo:
+    """_principal_at reuses the last point's shape data for a jet equal to
+    it in every number but the height, bit for bit, and nothing else."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(flows, "_shape_memo", (None, None))
+
+    def test_ruling_computes_its_shape_once(self, circle_cylinder, monkeypatch):
+        points, forms = (_counting(monkeypatch, name) for name in ("_principal_at",
+                                                                    "forms_from_jet"))
+        trace_asymptotic(circle_cylinder, 1.0, 0.0, 1.0, 1e-3, with_connection=False)
+        assert (len(points), len(forms)) == (2001, 1)
+
+    def test_bent_chart_misses_at_every_point(self, bent_cylinder, monkeypatch):
+        points, forms = (_counting(monkeypatch, name) for name in ("_principal_at",
+                                                                    "forms_from_jet"))
+        trace_asymptotic(bent_cylinder, 1.0, 0.0, 1.0, 1e-3, with_connection=False)
+        assert len(points) > 2900 and len(forms) == len(points)
+
+    def test_negative_zero_is_another_jet(self, circle_cylinder, monkeypatch):
+        def chart(u, v, base=circle_cylinder.chart):
+            jet = base(u, v)
+            (a0, a1, a2), at = jet.Xuv
+            return jet._replace(Xuv=AmbientVec((a0, -a1, a2), at))
+
+        negated = dataclasses.replace(circle_cylinder, chart=chart)
+        assert repr(circle_cylinder.jet(1.0, 0.0).Xuv.htup[1]) == "0.0"
+        forms = _counting(monkeypatch, "forms_from_jet")
+        for S, v in ((circle_cylinder, 0.0), (circle_cylinder, 0.5), (negated, 0.5),
+                     (negated, 0.0), (circle_cylinder, 0.0)):
+            flows._principal_at(S, 1.0, v)
+        assert len(forms) == 3
+
+    @pytest.mark.parametrize("scale", [1e300, 1.5e308], ids=["overflow", "nan"])
+    def test_a_point_that_raises_is_not_stored(self, circle_cylinder, monkeypatch, scale):
+        def chart(u, v, base=circle_cylinder.chart):  # the charts of the leg test above
+            jet = base(u, v)
+            if v <= 0.25:
+                return jet
+            (a0, a1, a2), at = jet.Xuu
+            return jet._replace(Xuu=AmbientVec((scale * a0, scale * a1, scale * a2), at))
+
+        S = dataclasses.replace(circle_cylinder, chart=chart)
+        good = flows._principal_at(S, 1.0, 0.0)
+        stored = flows._shape_memo
+        forms = _counting(monkeypatch, "forms_from_jet")
+        for _ in range(2):
+            with pytest.raises(NumericalError, match=r"at \(1.0, 0.5\)"):
+                flows._principal_at(S, 1.0, 0.5)
+            assert flows._shape_memo is stored
+        assert len(forms) == 2
+        assert flows._principal_at(S, 1.0, 0.1)[1] is good[1] and len(forms) == 2
+
+    def test_threads_never_mix_up_their_points(self):
+        """Four threads walking rulings of four cylinders, with a short switch
+        interval, each get the shape data of their own points."""
+        walks = [(preset(name), u) for name, u in (("cylinder_circle", 1.0),
+                                                   ("cylinder_spline", 2.0),
+                                                   ("cylinder_inflection", 1.0),
+                                                   ("cylinder_horocycle", 0.5))]
+        vs = np.linspace(-1.0, 1.0, 300).tolist()
+        want = [[repr(reference_principal_at(S, u, v)) for v in vs] for S, u in walks]
+        got = [[] for _ in walks]
+
+        def walk(k):
+            S, u = walks[k]
+            got[k] += [repr(flows._principal_at(S, u, v)) for v in vs]
+
+        threads = [threading.Thread(target=walk, args=(k,)) for k in range(len(walks))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+
+
 def _outcome(trace, S, u, v, length, step, with_connection):
     try:
         return trace(S, u, v, length, step, with_connection=with_connection)
@@ -209,6 +307,26 @@ class TestReferenceTrace:
                     field.name
             else:
                 assert a == b, field.name
+
+
+class TestVerticalTranslation:
+    @pytest.mark.parametrize("name, u, v", [("cylinder_circle", 1.0, 0.0),
+                                            ("cylinder_spline", 2.0, -1.0),
+                                            ("cylinder_inflection+bent", 1.0, 0.0),
+                                            ("cylinder_inflection+turned", 0.4, 0.2)])
+    @pytest.mark.parametrize("c", [-2.5, 1e-3, 7e5])
+    def test_lifted_chart_traces_the_lifted_line(self, traced_surfaces, name, u, v, c):
+        """A trace on the chart lifted by c is the trace on the chart, bit
+        for bit in every field, but for its heights, each lifted by c."""
+        S = traced_surfaces[name]
+        tr, up = (trace_asymptotic(X, u, v, 1.0, 1e-3) for X in (S, lifted(S, c)))
+        assert up.t.tobytes() == (tr.t + c).tobytes()
+        assert up.stop_reason == tr.stop_reason
+        for field in dataclasses.fields(TraceRecord):
+            a, b = getattr(up, field.name), getattr(tr, field.name)
+            if field.name != "t":
+                assert a.tobytes() == b.tobytes() if isinstance(b, np.ndarray) else a == b, \
+                    field.name
 
 
 class TestGeodesicDeviation:

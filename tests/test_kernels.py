@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (h2_points, h2_unit_tangents, reference_curve, reference_forms,
+from conftest import (h2_points, h2_unit_tangents, lifted, reference_curve, reference_forms,
                       reference_frames_at, reference_hermite_frame, reference_jet_checks,
                       reference_principal_curvatures, reference_unit_normal)
 from h2xr.classifier import recover_generating_curve
@@ -19,7 +19,7 @@ from h2xr.hyperbolic import (constant_curvature, curve_from_curvature, linear_cu
                              spline_curvature)
 from h2xr.minkowski import _project_tangent
 from h2xr.product import AmbientVec
-from h2xr.surfaces import SurfaceJet, preset, rescale_chart, unit_normal
+from h2xr.surfaces import CORPUS_CONFIGS, SurfaceJet, preset, rescale_chart, unit_normal
 from test_bulk import SURFACES
 
 FIELDS = ("X", "Xu", "Xv", "Xuu", "Xuv", "Xvv")
@@ -204,6 +204,29 @@ class TestPointChain:
             xu = AmbientVec((0.0, 1.0, 0.0), 0.05)
             xv = AmbientVec((0.0, -0.0, 1.0), -0.02)
             _chain_matches_reference((AmbientVec(P, 0.0), xu, xv, xu, xv, xu))
+
+
+LIFTED_SURFACES = dict({name: preset(name) for name in CORPUS_CONFIGS},
+                       graph_bump=SURFACES["graph_bump"], fd_graph=SURFACES["fd_graph"])
+
+
+class TestVerticalTranslation:
+    """Vertical translations are isometries of H2xR: the forms and the
+    shape operator never read a jet's height, which flows._principal_at's
+    memo of shape data relies on."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(sorted(LIFTED_SURFACES)), fu=st.floats(0.02, 0.98),
+           fv=st.floats(0.02, 0.98), c=st.floats(-1e300, 1e300))
+    def test_shape_data_ignore_the_height(self, name, fu, fv, c):
+        S = LIFTED_SURFACES[name]
+        (u0, u1), (v0, v1) = S.domain.u_range, S.domain.v_range
+        u, v = u0 + fu * (u1 - u0), v0 + fv * (v1 - v0)
+        jet, up = S.jet(u, v), lifted(S, c).jet(u, v)
+        assert up.X.t == jet.X.t + c and up[1:] == jet[1:]
+        assert _outcome(forms_from_jet, up) == _outcome(forms_from_jet, jet)
+        assert _outcome(lambda j: principal_curvatures(forms_from_jet(j)), up) \
+            == _outcome(lambda j: principal_curvatures(forms_from_jet(j)), jet)
 
 
 def _good_fields():
