@@ -50,7 +50,8 @@ Run configuration schema (all fields optional)::
 Numbers: every config number is read by ``surfaces.config_number``, which
 takes finite JSON integers and floats only (no bool, string, null, NaN or
 Infinity), integral ones for ``grid.nu``/``grid.nv`` (20.0 is 20, 2.9 is not).
-``--tol`` values go through float() first; ``--seed`` is an integer >= 0.  To
+``--tol`` values, the ``trace`` seed and the ``geodesic`` numbers go through
+float() first; ``--seed`` is an integer >= 0.  To
 bound memory and time (a few hundred MB, about a minute) the work of one input
 is capped, before it starts, by ``curvature.MAX_GRID_CELLS`` (250,000 cells),
 ``hyperbolic.MAX_CURVE_STEPS`` (1,000,000), ``flows.MAX_TRACE_HALF_STEPS``
@@ -239,8 +240,8 @@ def cmd_classify(cfg: RunConfig) -> int:
 def cmd_geodesic(cfg: RunConfig, point: str, velocity: str,
                  length: float, step: float) -> int:
     try:
-        x1, x2, t = (float(x) for x in point.split(","))
-        w1, w2, vt = (float(x) for x in velocity.split(","))
+        x1, x2, t = (config_number(float(x), "--point") for x in point.split(","))
+        w1, w2, vt = (config_number(float(x), "--velocity") for x in velocity.split(","))
     except ValueError as exc:
         raise ConfigError("--point and --velocity expect comma-separated triples") from exc
     length = config_number(length, "--length")
@@ -325,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "curvature":
             return cmd_curvature(cfg)
         if args.command == "trace":
-            return cmd_trace(cfg, args.u0, args.v0)
+            return cmd_trace(cfg, config_number(args.u0, "u0"), config_number(args.v0, "v0"))
         if args.command == "classify":
             return cmd_classify(cfg)
         if args.command == "geodesic":

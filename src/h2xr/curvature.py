@@ -36,10 +36,11 @@ the same order, so every value keeps the bits of the scalar path.  A grid
 runs in blocks of at most ``POINT_BLOCK`` chart evaluations, counting the
 nine base evaluations behind a finite-difference jet, which bounds the
 memory of a block; a cell with a point the block flags is evaluated again
-alone, so its status comes from the scalar exception.  The Brioschi value
-of a cell is the scalar ``brioschi_curvature`` of its array-sampled stencil:
-numpy sums small dot products in its BLAS kernel's fused order, which no
-array expression reproduces.  The sequential RK4 steps of asymptotic traces
+alone, so its status comes from the scalar exception.  The Brioschi values
+of a block come from one ``brioschi_curvatures`` call on the stack of its
+array-sampled stencils; every derivative there is an explicit sum in a fixed
+order, so a cell gets the bits of the one-stencil ``brioschi_curvature``,
+whatever the memory layout.  The sequential RK4 steps of asymptotic traces
 stay scalar: an array call costs several scalar jets (an array call on 16
 cylinder points costs about as much as 16 scalar points), and a trace
 steps one seed at a time, so points in lockstep do not pay for it.
@@ -340,53 +341,47 @@ def sample_metric_stencil(S: Surface, u: float, v: float) -> MetricStencil:
     return MetricStencil(E, F, G, h_eff)
 
 
-_W1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_W2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+# 12 h times the first and 12 h^2 times the second derivative at the middle
+# of 5 samples at spacing h along the last axis
+def _d1(a: np.ndarray) -> np.ndarray:
+    return (a[..., 0] - a[..., 4]) + 8.0 * (a[..., 3] - a[..., 1])
+
+
+def _d2(a: np.ndarray) -> np.ndarray:
+    return 16.0 * (a[..., 1] + a[..., 3]) - (a[..., 0] + a[..., 4]) - 30.0 * a[..., 2]
 
 
 @np.errstate(all="ignore")  # an overflow yields a non-finite value, failed by the callers
-def brioschi_curvature(st: MetricStencil) -> float:
-    """Intrinsic curvature from E, F, G alone (Brioschi determinant formula).
+def brioschi_curvatures(E: np.ndarray, F: np.ndarray, G: np.ndarray,
+                        h: np.ndarray) -> np.ndarray:
+    """Intrinsic curvature from E, F, G alone (Brioschi determinant formula)
+    for a stack of stencils: E, F, G of shape (n, 5, 5), axis 1 u and axis 2
+    v, at the steps h of shape (n,).
 
-    Axis 0 of the stencil arrays is u, axis 1 is v; derivatives use
-    fourth-order central weights.
+    Derivatives use fourth-order central weights, each an explicit sum with
+    integer weights in one fixed order, so a value has the same bits at any
+    stack size and memory layout.
     """
-    h = st.h
-    E, F, G = st.E, st.F, st.G
-
-    def du(a):
-        return float(_W1 @ a[:, 2]) / h
-
-    def dv(a):
-        return float(_W1 @ a[2, :]) / h
-
-    def duu(a):
-        return float(_W2 @ a[:, 2]) / (h * h)
-
-    def dvv(a):
-        return float(_W2 @ a[2, :]) / (h * h)
-
-    def duv(a):
-        return float(_W1 @ a @ _W1) / (h * h)
-
-    e, f, g = E[2, 2], F[2, 2], G[2, 2]
-    eu, ev = du(E), dv(E)
-    fu, fv = du(F), dv(F)
-    gu, gv = du(G), dv(G)
-    evv, guu, fuv = dvv(E), duu(G), duv(F)
-
-    m1 = np.array([
-        [-0.5 * evv + fuv - 0.5 * guu, 0.5 * eu, fu - 0.5 * ev],
-        [fv - 0.5 * gu, e, f],
-        [0.5 * gv, f, g],
-    ])
-    m2 = np.array([
-        [0.0, 0.5 * ev, 0.5 * gu],
-        [0.5 * ev, e, f],
-        [0.5 * gu, f, g],
-    ])
+    h12, hh12 = 12.0 * h, 12.0 * h * h
+    e, f, g = E[:, 2, 2], F[:, 2, 2], G[:, 2, 2]
+    eu, ev = _d1(E[:, :, 2]) / h12, _d1(E[:, 2, :]) / h12
+    fu, fv = _d1(F[:, :, 2]) / h12, _d1(F[:, 2, :]) / h12
+    gu, gv = _d1(G[:, :, 2]) / h12, _d1(G[:, 2, :]) / h12
+    evv, guu, fuv = _d2(E[:, 2, :]) / hh12, _d2(G[:, :, 2]) / hh12, _d1(_d1(F)) / (h12 * h12)
+    m1 = np.stack([-0.5 * evv + fuv - 0.5 * guu, 0.5 * eu, fu - 0.5 * ev,
+                   fv - 0.5 * gu, e, f,
+                   0.5 * gv, f, g], axis=-1).reshape(-1, 3, 3)
+    m2 = np.stack([np.zeros_like(e), 0.5 * ev, 0.5 * gu,
+                   0.5 * ev, e, f,
+                   0.5 * gu, f, g], axis=-1).reshape(-1, 3, 3)
     det1 = e * g - f * f
-    return float((np.linalg.det(m1) - np.linalg.det(m2)) / (det1 * det1))
+    return (np.linalg.det(m1) - np.linalg.det(m2)) / (det1 * det1)
+
+
+def brioschi_curvature(st: MetricStencil) -> float:
+    """:func:`brioschi_curvatures` of one stencil."""
+    return float(brioschi_curvatures(st.E[None], st.F[None], st.G[None],
+                                     np.array([st.h]))[0])
 
 
 def shape_data(forms: FundamentalForms, stencil: MetricStencil | None = None) -> ShapeData:
@@ -558,8 +553,7 @@ def _grid_block(S: Surface, cells: list[tuple[float, float]], tol: float,
                 _prod_inner(jets.Xu, jets.Xu), _prod_inner(jets.Xu, jets.Xv),
                 _prod_inner(jets.Xv, jets.Xv)))
         bad = bad | ~(h > 1e-8) | jets.bad.reshape(len(cells), 25).any(axis=1)
-        for i in np.flatnonzero(~bad):
-            kb[i] = brioschi_curvature(MetricStencil(E[i], F[i], G[i], float(h[i])))
+        kb = brioschi_curvatures(E, F, G, h).tolist()
     k1s, k2s, nus = pb.k1.tolist(), pb.k2.tolist(), pb.forms.normal.t.tolist()
     return [one((u, v)) if bad[i]
             else _grid_row(u, v, k1s[i], k2s[i], nus[i], kb[i], tol, brioschi)

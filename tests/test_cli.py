@@ -258,18 +258,41 @@ class TestRejectedInputs:
         ({"surface": CONSTANT_CYLINDER, "trace": {"length": 1e-4, "step": 1e-3}}, ["classify"]),
         ({"surface": dict(CONSTANT_CYLINDER, domain={"u": [-1e6, 1e6]})}, ["curvature"]),
         ({"surface": dict(CONSTANT_CYLINDER, domain={"u": [0.0, 10**400]})}, ["curvature"]),
+        ({"surface": CONSTANT_CYLINDER}, ["trace", "nan", "0"]),
+        ({"surface": CONSTANT_CYLINDER}, ["trace", "0.5", "inf"]),
+        ({}, ["geodesic", "--point", "nan,0,0"]),
+        ({}, ["geodesic", "--point", "0,0,inf"]),
+        ({}, ["geodesic", "--velocity", "inf,0,0"]),
+        ({}, ["geodesic", "--velocity", "1,nan,0"]),
     ], ids=["nu_str", "nu_nan", "nu_inf", "nu_fraction", "nu_bool", "nu_null", "nu_1e9",
             "radius_bool", "t0_str", "seed_negative", "expect_not_a_verdict", "fd_not_bool",
             "geodesic_length_inf", "geodesic_step_nan", "geodesic_samples",
             "trace_half_steps", "classify_trace_half_steps", "trace_length_str",
             "trace_no_step", "classify_trace_no_step",
-            "curve_steps", "u_beyond_floats"])
+            "curve_steps", "u_beyond_floats", "trace_u0_nan", "trace_v0_inf",
+            "geodesic_point_nan", "geodesic_point_inf", "geodesic_velocity_inf",
+            "geodesic_velocity_nan"])
     def test_exits_2(self, tmp_path, capsys, cfg, argv):
         path = write_cfg(tmp_path, cfg)
         assert main(["--config", path, "--out", str(tmp_path / "out")] + argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, name", [
+        (["trace", "nan", "0"], "u0"), (["trace", "0.5", "inf"], "v0"),
+        (["geodesic", "--point", "0,0,inf"], "--point"),
+        (["geodesic", "--velocity", "inf,0,0"], "--velocity"),
+    ])
+    def test_non_finite_argument_named(self, tmp_path, capsys, argv, name):
+        path = write_cfg(tmp_path, {"surface": CONSTANT_CYLINDER})
+        assert main(["--config", path, "--out", str(tmp_path / "out")] + argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} must be a finite number")
+
+    def test_finite_seed_outside_the_domain_exits_3(self, tmp_path):
+        path = write_cfg(tmp_path, {"surface": CONSTANT_CYLINDER})
+        assert main(["--config", path, "--out", str(tmp_path / "out"),
+                     "trace", "1e6", "0"]) == 3
 
     def test_integral_float_is_an_integer(self, tmp_path):
         cfg = write_cfg(tmp_path, _grid(4.0))

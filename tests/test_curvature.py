@@ -6,16 +6,20 @@ import dataclasses
 import math
 import pickle
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from h2xr.classifier import CYLINDER, NOT_FLAT, ClassifierConfig, classify_surface
 from h2xr.curvature import (GENERIC, GRID_HEADER, PARABOLIC, PLANAR, FundamentalForms,
+                            MetricStencil, brioschi_curvature, brioschi_curvatures,
                             classify_point, curvature_grid, fundamental_forms,
                             sample_metric_stencil, shape_at, shape_data)
 from h2xr.errors import ConfigError, GeometryError, OutOfDomain
 from h2xr.product import AmbientVec
-from h2xr.surfaces import (SurfaceJet, bilinear_height, make_graph, preset,
-                           rescale_chart)
+from h2xr.surfaces import (HeightFunction, SurfaceJet, bilinear_height, make_graph,
+                           preset, rescale_chart)
 
 from conftest import COTH1, building_outcomes
 
@@ -115,6 +119,42 @@ class TestShapeData:
     def test_stencil_out_of_domain(self, slice_surface):
         with pytest.raises(OutOfDomain):
             sample_metric_stencil(slice_surface, slice_surface.domain.u_range[0], 3.0)
+
+
+STENCIL_SURFACES = {"graph": make_graph(bilinear_height(0.3)), "slice": preset("slice"),
+                    "cylinder": preset("cylinder_inflection")}
+
+
+def _layouts(a: np.ndarray):
+    """C-ordered, Fortran-ordered and strided copies of a stack of stencils."""
+    big = np.full((a.shape[0], 11, 13), np.nan)
+    big[:, 1::2, ::3] = a
+    return np.ascontiguousarray(a), np.asfortranarray(a), big[:, 1::2, ::3]
+
+
+class TestBrioschiKernel:
+    """The stacked Brioschi kernel gives each stencil the bits of its
+    one-stencil value, at any stack size and memory layout."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(points=st.lists(st.tuples(st.sampled_from(sorted(STENCIL_SURFACES)),
+                                     st.floats(0.02, 0.98), st.floats(0.02, 0.98)),
+                           min_size=1, max_size=6))
+    def test_stack_and_layout_keep_the_bits(self, points):
+        stencils = []
+        for name, fu, fv in points:
+            S = STENCIL_SURFACES[name]
+            (u0, u1), (v0, v1) = S.domain.u_range, S.domain.v_range
+            stencils.append(sample_metric_stencil(S, u0 + fu * (u1 - u0), v0 + fv * (v1 - v0)))
+        single = np.array([brioschi_curvature(s) for s in stencils])
+        assert np.isfinite(single).all()
+        h = np.array([s.h for s in stencils])
+        stacks = [_layouts(np.stack([getattr(s, k) for s in stencils])) for k in "EFG"]
+        for E, F, G in zip(*stacks):
+            assert brioschi_curvatures(E, F, G, h).tobytes() == single.tobytes()
+            for i, s in enumerate(stencils):
+                one = MetricStencil(E[i], F[i], G[i], s.h)
+                assert brioschi_curvature(one) == single[i]
 
 
 class TestClassifyPoint:
@@ -281,6 +321,26 @@ class TestNormalFlip:
         assert forms.flipped().nu == -forms.nu
         assert sdf.Kext == pytest.approx(sd.Kext, abs=1e-13)
         assert sdf.Kint_gauss == pytest.approx(sd.Kint_gauss, abs=1e-13)
+
+
+class TestOrientationSwitch:
+    """On the graph f = 6 v^2, nu = 1 / sqrt(1 + 144 v^2) crosses 0.1 at
+    v = sqrt(99) / 12, where ``unit_normal`` changes its orientation rule.
+    The quantities that do not see the orientation stay continuous there."""
+
+    GRAPH = make_graph(HeightFunction(lambda u, v: 6.0 * v * v, lambda u, v: 0.0,
+                                      lambda u, v: 12.0 * v, lambda u, v: 0.0,
+                                      lambda u, v: 0.0, lambda u, v: 12.0))
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-9])
+    def test_even_quantities_continuous(self, delta):
+        v = math.sqrt(99.0) / 12.0
+        f0, a = shape_at(self.GRAPH, 0.2, v - delta, with_brioschi=False)
+        f1, b = shape_at(self.GRAPH, 0.2, v + delta, with_brioschi=False)
+        assert abs(f0.nu) > 0.1 > abs(f1.nu)
+        for x, y in ((a.Kext, b.Kext), (a.Kint_gauss, b.Kint_gauss), (abs(a.k1), abs(b.k1)),
+                     (abs(a.k2), abs(b.k2)), (abs(a.H), abs(b.H))):
+            assert abs(x - y) < 2.0 * delta, (x, y)
 
 
 class TestWeingartenOracle:
