@@ -18,13 +18,14 @@ Intrinsic curvature is computed twice, on purpose:
 The two must agree on every surface; the second never sees the normal, which
 makes it an independent check of the first.
 
-Sign conventions: the normal points so that nu > 0 where the normal is far
-from horizontal (|nu| > 0.1); otherwise its horizontal part aligns with the
-conormal of the u-direction (footprint x u-direction in the Minkowski cross
-product).  On cylinders this makes the nonzero principal curvature equal the
-signed geodesic curvature of the generating curve.  Principal curvatures are
-ordered by absolute value, |k1| <= |k2|, so d1 is the asymptotic direction
-at parabolic points.
+Sign conventions: the normal is ``S.orientation`` times the normalized
+Xu x Xv, one sign for the whole chart, so nu, k1, k2 and H vary
+continuously along any immersed chart.  Cylinders take -1, which makes the
+nonzero principal curvature equal the signed geodesic curvature of the
+generating curve; slices and graphs take +1 (nu > 0); a rescaled chart
+multiplies the sign by that of the scale factors' product, so its normal is
+the base's.  Principal curvatures are ordered by absolute value,
+|k1| <= |k2|, so d1 is the asymptotic direction at parabolic points.
 
 Bulk evaluation: where the chart points are known up front (the cell
 centres and 5x5 stencils of ``curvature_grid``, the transverse connection
@@ -129,11 +130,12 @@ class PointClass:
 
 def fundamental_forms(S: Surface, u: float, v: float) -> FundamentalForms:
     """Evaluate both fundamental forms of the surface at a chart point."""
-    jet = S.jet(u, v)
-    return forms_from_jet(jet)
+    return forms_from_jet(S.jet(u, v), S.orientation)
 
 
-def forms_from_jet(jet: SurfaceJet) -> FundamentalForms:
+def forms_from_jet(jet: SurfaceJet, orientation: float) -> FundamentalForms:
+    """Both fundamental forms of a jet, the normal oriented by
+    ``orientation`` (see :func:`unit_normal`)."""
     (p0, p1, p2), _ = jet.X
     (u0, u1, u2), ut = jet.Xu
     (v0, v1, v2), vt = jet.Xv
@@ -142,7 +144,7 @@ def forms_from_jet(jet: SurfaceJet) -> FundamentalForms:
     G = -v0 * v0 + v1 * v1 + v2 * v2 + vt * vt
     if E * G - F * F <= 1e-12:
         raise NotImmersed("degenerate jet")
-    normal = (n0, n1, n2), nt = unit_normal(jet)
+    normal = (n0, n1, n2), nt = unit_normal(jet, orientation)
     # each row pairs the normal with w + c p, the tangential part of w
     (w0, w1, w2), wt = jet.Xuu
     c = -w0 * p0 + w1 * p1 + w2 * p2
@@ -164,13 +166,13 @@ class FormsBlock(namedtuple("FormsBlock", (*FundamentalForms._fields[:-1], "bad"
     __slots__ = ()
 
 
-def forms_from_jets(jets: JetBlock) -> FormsBlock:
+def forms_from_jets(jets: JetBlock, orientation: float) -> FormsBlock:
     """:func:`forms_from_jet` on a block of jets, with the checks of
     ``FundamentalForms`` as a mask."""
     E = _prod_inner(jets.Xu, jets.Xu)
     F = _prod_inner(jets.Xu, jets.Xv)
     G = _prod_inner(jets.Xv, jets.Xv)
-    normal, bad = unit_normals(jets)
+    normal, bad = unit_normals(jets, orientation)
     p = jets.X.htup
 
     def second(w: AmbientVec) -> np.ndarray:
@@ -299,7 +301,7 @@ def point_block(S: Surface, us, vs) -> PointBlock:
     chain for arrays of chart points at once."""
     with np.errstate(all="ignore"):
         jets = S.jets(us, vs)
-        forms = forms_from_jets(jets)
+        forms = forms_from_jets(jets, S.orientation)
         k1, k2, d1, d2, bad = principal_curvature_arrays(forms)
     return PointBlock(jets, forms, k1, k2, d1, d2, bad | forms.bad)
 

@@ -128,24 +128,26 @@ class GeodesicDeviation:
 
 # -- tracing ----------------------------------------------------------------------
 
-_pack23 = struct.Struct("23d").pack
-# (the bits of the last checked point's jet but X.t, its forms, k1, k2, d1, d2):
-# one tuple set in one statement, so no reader pairs a key with other data
+_pack24 = struct.Struct("24d").pack
+# (the bits of the surface's orientation and of the last checked point's jet
+# but X.t, its forms, k1, k2, d1, d2): one tuple set in one statement, so no
+# reader pairs a key with other data
 _shape_memo: tuple = (None, None)
 
 
 def _principal_at(S: Surface, u: float, v: float):
     """Jet, forms, k1, k2, d1, d2 at (u, v); the shape data are the last
-    point's where the two jets agree bit for bit in all but X.t."""
+    point's where the two jets agree bit for bit in all but X.t, on surfaces
+    of the same orientation."""
     global _shape_memo
     jet = S.jet(u, v)
     (p, _), (a, at), (b, bt), (c, ct), (d, dt), (e, et) = jet
-    key = _pack23(*p, *a, at, *b, bt, *c, ct, *d, dt, *e, et)
+    key = _pack24(S.orientation, *p, *a, at, *b, bt, *c, ct, *d, dt, *e, et)
     last_key, shape = _shape_memo
     if key == last_key:
         return (jet, *shape)
     try:
-        forms = forms_from_jet(jet)
+        forms = forms_from_jet(jet, S.orientation)
         k1, k2, d1, d2 = principal_curvatures(forms)
     except ArithmeticError as exc:
         raise NumericalError(f"{type(exc).__name__} in the shape operator at ({u}, {v})") \

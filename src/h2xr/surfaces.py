@@ -202,15 +202,22 @@ def _chart_jets(chart, us: np.ndarray, vs: np.ndarray) -> JetBlock:
 
 @dataclass(frozen=True)
 class Surface:
-    """Chart evaluator plus its domain and bookkeeping.
+    """Chart evaluator plus its domain, bookkeeping and orientation.
 
-    Evaluators must be pure.
+    Evaluators must be pure.  ``orientation`` (+1.0 or -1.0, ConfigError
+    otherwise) is the sign of the unit normal against Xu x Xv on the whole
+    chart (see :func:`unit_normal`).
     """
 
     chart: Callable[[float, float], SurfaceJet]
     domain: ChartDomain
     derivative_mode: str
     label: str
+    orientation: float
+
+    def __post_init__(self):
+        if self.orientation not in (1.0, -1.0):
+            raise ConfigError(f"orientation must be +1.0 or -1.0, got {self.orientation!r}")
 
     def jet(self, u: float, v: float) -> SurfaceJet:
         if not self.domain.contains(u, v):
@@ -240,19 +247,16 @@ class Surface:
         return block._replace(bad=block.bad | ~inside)
 
 
-def unit_normal(jet: SurfaceJet) -> AmbientVec:
-    """Oriented unit normal of a chart jet in the product metric.
+def unit_normal(jet: SurfaceJet, orientation: float) -> AmbientVec:
+    """Unit normal of a chart jet in the product metric: ``orientation``
+    (+1.0 or -1.0, one sign per chart) times the normalized Xu x Xv.
 
-    Solved in an orthonormal frame of the ambient tangent space (two
-    horizontal directions plus the vertical one), so unit length and
-    orthogonality to the first derivatives are exact by construction.
-
-    Orientation: the vertical component is made positive where the normal is
-    far from horizontal (|nu| > 0.1); otherwise the horizontal part aligns
-    with the conormal of the u-direction (footprint x u-direction under the
-    Minkowski cross product).  On cylinder charts the second rule picks the
-    Frenet normal of the generating curve, so the nonzero principal
-    curvature equals the curve's signed geodesic curvature.
+    Xu and Xv are written in an orthonormal frame of the ambient tangent
+    space (two horizontal directions plus the vertical one), so unit length
+    and orthogonality to the first derivatives are exact by construction.
+    The frame, and so the cross product in it, varies continuously over the
+    hyperbolic plane, so on an immersed chart the normal and every signed
+    curvature vary continuously too.
     """
     p0, p1, p2 = jet.X.htup
     (u0, u1, u2), ut = jet.Xu
@@ -268,37 +272,20 @@ def unit_normal(jet: SurfaceJet) -> AmbientVec:
     nn = math.sqrt(n0 ** 2 + n1 ** 2 + n2 ** 2)
     if nn < 1e-12:
         raise NotImmersed("first derivatives are parallel")
-    n0, n1, n2 = n0 / nn, n1 / nn, n2 / nn
-    if abs(n2) > 0.1:
-        sign = 1.0 if n2 > 0.0 else -1.0
-    else:
-        hu = jet.Xu.htup
-        if -u0 * u0 + u1 * u1 + u2 * u2 < -v0 * v0 + v1 * v1 + v2 * v2:
-            hu = jet.Xv.htup
-        s0, s1, s2 = _normalize_spacelike(hu)
-        h0, h1, h2 = n0 * b10 + n1 * b20, n0 * b11 + n1 * b21, n0 * b12 + n1 * b22
-        conormal = (-(p1 * s2 - p2 * s1), p2 * s0 - p0 * s2, p0 * s1 - p1 * s0)
-        sign = 1.0 if -h0 * conormal[0] + h1 * conormal[1] + h2 * conormal[2] >= 0.0 else -1.0
-    n0, n1, n2 = sign * n0, sign * n1, sign * n2
+    n0, n1, n2 = orientation * n0 / nn, orientation * n1 / nn, orientation * n2 / nn
     nh = (n0 * b10 + n1 * b20, n0 * b11 + n1 * b21, n0 * b12 + n1 * b22)
     _check_finite(nh)
     return AmbientVec(nh, n2)
 
 
-def _unit_spacelikes(v):
-    """Normalized spacelike vectors (triple of coordinate arrays) and the mask
-    of those ``_normalize_spacelike`` rejects."""
-    q = _mdot(v, v)
-    c = 1.0 / np.sqrt(q)
-    return (c * v[0], c * v[1], c * v[2]), ~(q > 0.0)
-
-
-def unit_normals(jets: JetBlock) -> tuple[AmbientVec, np.ndarray]:
+def unit_normals(jets: JetBlock, orientation: float) -> tuple[AmbientVec, np.ndarray]:
     """:func:`unit_normal` on a block of jets: the normals, as an ambient
-    vector of arrays, and the mask of the points where it raises.  The
-    orientation rule picks its branch per point."""
+    vector of arrays, and the mask of the points where it raises."""
     p = jets.X.htup
-    b1, bad = _unit_spacelikes(_project_tangent(p, (0.0, 1.0, 0.0)))
+    b1 = _project_tangent(p, (0.0, 1.0, 0.0))
+    q = _mdot(b1, b1)  # normalized as by _normalize_spacelike, which rejects q <= 0
+    c, bad = 1.0 / np.sqrt(q), ~(q > 0.0)
+    b1 = (c * b1[0], c * b1[1], c * b1[2])
     b2 = _mcross(p, b1)
     xu = (_mdot(jets.Xu.htup, b1), _mdot(jets.Xu.htup, b2), jets.Xu.t)
     xv = (_mdot(jets.Xv.htup, b1), _mdot(jets.Xv.htup, b2), jets.Xv.t)
@@ -307,17 +294,7 @@ def unit_normals(jets: JetBlock) -> tuple[AmbientVec, np.ndarray]:
           xu[0] * xv[1] - xu[1] * xv[0])
     nn = np.sqrt(_sq(nc[0]) + _sq(nc[1]) + _sq(nc[2]))
     bad |= ~(nn >= 1e-12)
-    nc = (nc[0] / nn, nc[1] / nn, nc[2] / nn)
-    steep = np.abs(nc[2]) > 0.1
-    use_v = _mdot(jets.Xu.htup, jets.Xu.htup) < _mdot(jets.Xv.htup, jets.Xv.htup)
-    hu = tuple(np.where(use_v, b, a) for a, b in zip(jets.Xu.htup, jets.Xv.htup))
-    hu, flat_bad = _unit_spacelikes(hu)
-    bad |= ~steep & flat_bad
-    conormal = _mcross(p, hu)
-    nh = _mcomb(nc[0], b1, nc[1], b2)
-    sign = np.where(steep, np.where(nc[2] > 0.0, 1.0, -1.0),
-                    np.where(_mdot(nh, conormal) >= 0.0, 1.0, -1.0))
-    nc = (sign * nc[0], sign * nc[1], sign * nc[2])
+    nc = (orientation * nc[0] / nn, orientation * nc[1] / nn, orientation * nc[2] / nn)
     nh = _mcomb(nc[0], b1, nc[1], b2)
     bad |= ~(np.isfinite(nh[0]) & np.isfinite(nh[1]) & np.isfinite(nh[2]))
     return AmbientVec(nh, nc[2]), bad
@@ -356,7 +333,9 @@ def make_cylinder(alpha: H2Curve, v_range: tuple[float, float] = (-DEFAULT_CYLIN
 
     The chart is X(u, v) = (alpha(u), v) with u the curve arclength, so the
     vertical field is a chart direction by construction and Xuv = Xvv = 0
-    exactly.
+    exactly.  Orientation -1: the normal Xv x Xu is the curve's Frenet
+    normal (footprint x tangent), so the nonzero principal curvature is the
+    curve's signed geodesic curvature.
     """
     tt = -alpha.tangents[:, 0] ** 2 + alpha.tangents[:, 1] ** 2 + alpha.tangents[:, 2] ** 2
     if np.max(np.abs(tt - 1.0)) > 1e-8:
@@ -381,13 +360,14 @@ def make_cylinder(alpha: H2Curve, v_range: tuple[float, float] = (-DEFAULT_CYLIN
 
     chart.jets = lambda us, vs: body(*curve.frames_at(us), curve.kg_at(us), vs, _jet_block)
     dom = ChartDomain((curve.s_min, curve.s_max), v_range)
-    return Surface(chart, dom, "analytic", label)
+    return Surface(chart, dom, "analytic", label, -1.0)
 
 
 # -- horizontal slices -----------------------------------------------------------
 
 def make_slice(t0: float, radius: float, label: str = "slice") -> Surface:
-    """Horizontal slice in geodesic polar coordinates around the origin."""
+    """Horizontal slice in geodesic polar coordinates around the origin;
+    orientation +1, the normal points up."""
     if radius <= 0.0:
         raise ConfigError("slice radius must be positive")
 
@@ -405,7 +385,7 @@ def make_slice(t0: float, radius: float, label: str = "slice") -> Surface:
         )
 
     dom = ChartDomain((SLICE_INNER_RADIUS, radius), (0.0, 2.0 * math.pi))
-    return Surface(_chart(body), dom, "analytic", label)
+    return Surface(_chart(body), dom, "analytic", label, 1.0)
 
 
 # -- graphs over a Fermi chart ----------------------------------------------------
@@ -476,7 +456,7 @@ def make_graph(height: HeightFunction,
 
     The chart of the hyperbolic plane is sigma(u, v) = point at signed
     distance v from the axis point at arclength u; its metric is
-    cosh^2(v) du^2 + dv^2.
+    cosh^2(v) du^2 + dv^2.  Orientation +1, the normal points up (nu > 0).
     """
 
     def body(u, v, m):
@@ -496,7 +476,7 @@ def make_graph(height: HeightFunction,
             AmbientVec(sigma, m.call(height.fvv, u, v)),
         )
 
-    return Surface(_chart(body), domain, "analytic", label)
+    return Surface(_chart(body), domain, "analytic", label, 1.0)
 
 
 # -- finite-difference jets ----------------------------------------------------------
@@ -582,7 +562,7 @@ def finite_difference_surface(base: Surface) -> Surface:
         return jets.X.htup, jets.X.t, jets.bad
 
     return Surface(_fd_chart(pos, pos_arrays, base.domain), base.domain,
-                   "finite-difference", f"{base.label}(fd)")
+                   "finite-difference", f"{base.label}(fd)", base.orientation)
 
 
 # -- perturbation ------------------------------------------------------------------
@@ -611,7 +591,7 @@ def perturb(base: Surface, eps: float, bump: HeightFunction | None = None,
 
     def pos(u: float, v: float) -> tuple[Triple, float]:
         jet = base.chart(u, v)
-        n = unit_normal(jet)
+        n = unit_normal(jet, base.orientation)
         d = eps * bump.f(u, v)
         p = jet.X.htup
         a_h = math.sqrt(max(0.0, _mdot(n.htup, n.htup)))
@@ -622,7 +602,7 @@ def perturb(base: Surface, eps: float, bump: HeightFunction | None = None,
 
     def pos_arrays(us: np.ndarray, vs: np.ndarray):
         jets = _chart_jets(base.chart, us, vs)
-        n, bad = unit_normals(jets)
+        n, bad = unit_normals(jets, base.orientation)
         d = eps * _each(bump.f, us, vs)
         p = jets.X.htup
         a_h = np.sqrt(np.maximum(0.0, _mdot(n.htup, n.htup)))
@@ -632,11 +612,13 @@ def perturb(base: Surface, eps: float, bump: HeightFunction | None = None,
                 jets.X.t + d * n.t, jets.bad | bad)
 
     return Surface(_fd_chart(pos, pos_arrays, base.domain), base.domain,
-                   "finite-difference", label or f"{base.label}+bump({eps})")
+                   "finite-difference", label or f"{base.label}+bump({eps})",
+                   base.orientation)
 
 
 def rescale_chart(base: Surface, a: float, b: float) -> Surface:
-    """Reparametrize the chart by (u, v) = (a * u', b * v')."""
+    """Reparametrize the chart by (u, v) = (a * u', b * v'); the orientation
+    takes the sign of a * b, so the normal stays the base's."""
     if a == 0.0 or b == 0.0:
         raise ConfigError("scale factors must be nonzero")
 
@@ -648,7 +630,8 @@ def rescale_chart(base: Surface, a: float, b: float) -> Surface:
     (u0, u1) = sorted((base.domain.u_range[0] / a, base.domain.u_range[1] / a))
     (v0, v1) = sorted((base.domain.v_range[0] / b, base.domain.v_range[1] / b))
     dom = ChartDomain((u0, u1), (v0, v1))
-    return Surface(chart, dom, base.derivative_mode, f"{base.label}(x{a},x{b})")
+    return Surface(chart, dom, base.derivative_mode, f"{base.label}(x{a},x{b})",
+                   base.orientation * math.copysign(1.0, a * b))
 
 
 # -- JSON configuration ---------------------------------------------------------------

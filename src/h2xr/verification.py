@@ -22,6 +22,10 @@ self-auditing.  Check identifiers:
                    recovers generating curves faithfully;
 * ``DIVERGENCE`` - distinct hyperbolic geodesics move apart beyond any bound.
 
+Report: a check's "worst" sub-check is a failing one, NaN first, or else
+the one of least relative margin (``SubCheck.margin``, also in each JSON
+detail), so thresholds of different scales compare.
+
 Step-halving details: traces on cylinder presets are exact in chart
 coordinates (the asymptotic direction is exactly vertical), so their
 deviations sit at roundoff level at every step size.  The halving
@@ -75,6 +79,15 @@ class SubCheck:
             return bool(self.measured < self.threshold)
         return bool(self.measured >= self.threshold)
 
+    @property
+    def margin(self) -> float:
+        """Relative headroom, comparable across thresholds of any scale:
+        threshold / measured for "<", measured / threshold for ">="; NaN
+        for a NaN measurement, inf where the divisor is zero."""
+        num, den = ((self.threshold, self.measured) if self.op == "<"
+                    else (self.measured, self.threshold))
+        return num / den if den != 0.0 else math.inf
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -90,17 +103,10 @@ class CheckResult:
         return "PASS" if self.passed else "FAIL"
 
     def worst(self) -> SubCheck:
-        failing = [s for s in self.subs if not s.passed]
-        pool = failing or list(self.subs)
-
-        def margin(s: SubCheck) -> float:
-            if math.isnan(s.measured):
-                return -math.inf
-            if s.op == "<":
-                return s.threshold - s.measured
-            return s.measured - s.threshold
-
-        return min(pool, key=margin)
+        """The failing sub-check, NaN first, else the passing one, of least
+        relative margin (the first of equals)."""
+        pool = [s for s in self.subs if not s.passed] or self.subs
+        return min(pool, key=lambda s: -math.inf if math.isnan(s.measured) else s.margin)
 
 
 @dataclass(frozen=True)
@@ -397,7 +403,8 @@ def report_to_json(report: VerificationReport) -> dict:
                 "details": [
                     {"name": s.name,
                      "measured": None if math.isnan(s.measured) else float(s.measured),
-                     "threshold": float(s.threshold), "op": s.op, "passed": s.passed}
+                     "threshold": float(s.threshold), "op": s.op, "passed": s.passed,
+                     "margin": float(s.margin) if math.isfinite(s.margin) else None}
                     for s in c.subs
                 ],
             }

@@ -164,7 +164,7 @@ def reference_principal_at(S: Surface, u: float, v: float):
     every point runs the whole chain."""
     jet = S.jet(u, v)
     try:
-        forms = forms_from_jet(jet)
+        forms = forms_from_jet(jet, S.orientation)
         k1, k2, d1, d2 = principal_curvatures(forms)
     except ArithmeticError as exc:
         raise NumericalError(f"{type(exc).__name__} in the shape operator at ({u}, {v})") \
@@ -373,7 +373,9 @@ def reference_jet_checks(X, Xu, Xv, Xuu, Xuv, Xvv):
         raise NotImmersed(f"Gram determinant {e * g - f * f} too small")
 
 
-def reference_unit_normal(jet) -> AmbientVec:
+def reference_unit_normal(jet, orientation) -> AmbientVec:
+    """unit_normal with the triple helpers: orientation times the
+    normalized Xu x Xv in the frame b1, b2 = p x b1, vertical."""
     p = jet.X.htup
     b1 = _normalize_spacelike(_project_tangent(p, (0.0, 1.0, 0.0)))
     b2 = _mcross(p, b1)
@@ -385,30 +387,20 @@ def reference_unit_normal(jet) -> AmbientVec:
     nn = math.sqrt(nc[0] ** 2 + nc[1] ** 2 + nc[2] ** 2)
     if nn < 1e-12:
         raise NotImmersed("first derivatives are parallel")
-    nc = (nc[0] / nn, nc[1] / nn, nc[2] / nn)
-    if abs(nc[2]) > 0.1:
-        sign = 1.0 if nc[2] > 0.0 else -1.0
-    else:
-        hu = jet.Xu.htup
-        if _mdot(hu, hu) < _mdot(jet.Xv.htup, jet.Xv.htup):
-            hu = jet.Xv.htup
-        conormal = _mcross(p, _normalize_spacelike(hu))
-        nh = _mcomb(nc[0], b1, nc[1], b2)
-        sign = 1.0 if _mdot(nh, conormal) >= 0.0 else -1.0
-    nc = (sign * nc[0], sign * nc[1], sign * nc[2])
+    nc = tuple(orientation * (c / nn) for c in nc)
     nh = _mcomb(nc[0], b1, nc[1], b2)
     _check_finite(nh)
     return AmbientVec(nh, nc[2])
 
 
-def reference_forms(jet) -> FundamentalForms:
+def reference_forms(jet, orientation) -> FundamentalForms:
     """forms_from_jet, with the checks of FundamentalForms run here first."""
     E = _prod_inner(jet.Xu, jet.Xu)
     F = _prod_inner(jet.Xu, jet.Xv)
     G = _prod_inner(jet.Xv, jet.Xv)
     if E * G - F * F <= 1e-12:
         raise NotImmersed("degenerate jet")
-    normal = reference_unit_normal(jet)
+    normal = reference_unit_normal(jet, orientation)
     p = jet.X.htup
 
     def second(w):

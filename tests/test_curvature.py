@@ -18,8 +18,9 @@ from h2xr.curvature import (GENERIC, GRID_HEADER, PARABOLIC, PLANAR, Fundamental
                             sample_metric_stencil, shape_at, shape_data)
 from h2xr.errors import ConfigError, GeometryError, OutOfDomain
 from h2xr.product import AmbientVec
-from h2xr.surfaces import (HeightFunction, SurfaceJet, bilinear_height, make_graph,
-                           preset, rescale_chart)
+from h2xr.surfaces import (HeightFunction, SurfaceJet, bilinear_height,
+                           finite_difference_surface, make_graph, perturb, preset,
+                           rescale_chart)
 
 from conftest import COTH1, building_outcomes
 
@@ -254,6 +255,25 @@ class TestFrameIndependence:
         assert sd1.Kext == pytest.approx(sd0.Kext, abs=1e-8)
         assert sd1.Kint_gauss == pytest.approx(sd0.Kint_gauss, abs=1e-8)
 
+    @pytest.mark.parametrize("name", ["cylinder_circle", "slice"])
+    @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (1.0, -1.0)])
+    def test_reversed_axis_keeps_the_normal(self, name, a, b):
+        """A chart run backwards along one axis takes the other orientation,
+        so the normal and every signed curvature stay the base's."""
+        S = preset(name)
+        r = rescale_chart(S, a, b)
+        assert r.orientation == -S.orientation
+        (u0, u1), (v0, v1) = S.domain.u_range, S.domain.v_range
+        for fu in (0.15, 0.5, 0.85):
+            for fv in (0.1, 0.45, 0.8):
+                u, v = u0 + fu * (u1 - u0), v0 + fv * (v1 - v0)
+                f0, sd0 = shape_at(S, u, v, with_brioschi=False)
+                f1, sd1 = shape_at(r, u / a, v / b, with_brioschi=False)
+                pairs = [*zip((*f0.normal.htup, f0.normal.t), (*f1.normal.htup, f1.normal.t)),
+                         (sd0.k1, sd1.k1), (sd0.k2, sd1.k2), (sd0.H, sd1.H), (f0.nu, f1.nu)]
+                for x, y in pairs:
+                    assert abs(x - y) <= 1e-12, (u, v, x, y)
+
 
 def _isometric(S, theta: float, beta: float, c: float):
     """S moved by an isometry of H^2 x R: a rotation by theta about the
@@ -325,8 +345,10 @@ class TestNormalFlip:
 
 class TestOrientationSwitch:
     """On the graph f = 6 v^2, nu = 1 / sqrt(1 + 144 v^2) crosses 0.1 at
-    v = sqrt(99) / 12, where ``unit_normal`` changes its orientation rule.
-    The quantities that do not see the orientation stay continuous there."""
+    v = sqrt(99) / 12, where an earlier ``unit_normal`` switched from one
+    orientation rule to another, flipping nu, k1, k2 and H.  With one
+    orientation per chart the signed quantities are continuous there, as are
+    those that do not see the orientation."""
 
     GRAPH = make_graph(HeightFunction(lambda u, v: 6.0 * v * v, lambda u, v: 0.0,
                                       lambda u, v: 12.0 * v, lambda u, v: 0.0,
@@ -340,6 +362,15 @@ class TestOrientationSwitch:
         assert abs(f0.nu) > 0.1 > abs(f1.nu)
         for x, y in ((a.Kext, b.Kext), (a.Kint_gauss, b.Kint_gauss), (abs(a.k1), abs(b.k1)),
                      (abs(a.k2), abs(b.k2)), (abs(a.H), abs(b.H))):
+            assert abs(x - y) < 2.0 * delta, (x, y)
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-9])
+    def test_signed_quantities_continuous(self, delta):
+        v = math.sqrt(99.0) / 12.0
+        f0, a = shape_at(self.GRAPH, 0.2, v - delta, with_brioschi=False)
+        f1, b = shape_at(self.GRAPH, 0.2, v + delta, with_brioschi=False)
+        assert f0.nu > 0.1 > f1.nu > 0.0 and a.k2 > 0.6 and b.k2 > 0.6
+        for x, y in ((a.k1, b.k1), (a.k2, b.k2), (a.H, b.H), (f0.nu, f1.nu)):
             assert abs(x - y) < 2.0 * delta, (x, y)
 
 
@@ -368,7 +399,7 @@ class TestWeingartenOracle:
         base = jet.X.htup
 
         def n_at(uu, vv):
-            n = unit_normal(surface.jet(uu, vv))
+            n = unit_normal(surface.jet(uu, vv), surface.orientation)
             return n.htup, n.t
 
         def cov_diff(pa, ta, pb, tb):
@@ -400,3 +431,16 @@ class TestCylinderPrincipalMatchesCurve:
             assert abs(r.nu) < 1e-10
             assert abs(r.k1) < 1e-10
             assert r.k2 == pytest.approx(kg_of_u(r.u), abs=1e-6)
+
+    @pytest.mark.parametrize("twin", ["fd", "perturbed"])
+    def test_twins_keep_the_sign_of_kg(self, twin):
+        """The finite-difference and perturbed twins of a cylinder keep its
+        orientation: sign(k2) = sign(kg) where the curve bends, kg = u on
+        the inflection cylinder."""
+        base = preset("cylinder_inflection")
+        S = finite_difference_surface(base) if twin == "fd" else perturb(base, 1e-3)
+        assert S.orientation == base.orientation
+        rows = [r for r in curvature_grid(S, 10, 4, brioschi=False).valid_rows()
+                if abs(r.u) > 0.1]
+        assert len(rows) == 40
+        assert all(math.copysign(1.0, r.k2) == math.copysign(1.0, r.u) for r in rows)

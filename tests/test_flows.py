@@ -188,6 +188,16 @@ class TestShapeMemo:
             flows._principal_at(S, 1.0, v)
         assert len(forms) == 3
 
+    def test_orientation_is_part_of_the_key(self, circle_cylinder):
+        """The same jet on a surface of the other orientation is another
+        point: the memo hands it no shape data of the first."""
+        flipped = dataclasses.replace(circle_cylinder, orientation=-circle_cylinder.orientation)
+        jet, forms, _, k2, _, _ = flows._principal_at(circle_cylinder, 1.0, 0.5)
+        jet_f, forms_f, _, k2_f, _, _ = flows._principal_at(flipped, 1.0, 0.5)
+        assert jet_f == jet and forms_f.nu == -forms.nu and k2_f == -k2 != 0.0
+        assert forms_f.normal.htup == tuple(-x for x in forms.normal.htup)
+        assert forms_f.normal.t == -forms.normal.t
+
     @pytest.mark.parametrize("scale", [1e300, 1.5e308], ids=["overflow", "nan"])
     def test_a_point_that_raises_is_not_stored(self, circle_cylinder, monkeypatch, scale):
         def chart(u, v, base=circle_cylinder.chart):  # the charts of the leg test above

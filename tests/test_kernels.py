@@ -61,23 +61,30 @@ def _forms_bits(forms):
 
 
 def _chain_matches_reference(fields):
-    """SurfaceJet checks, then unit normal, forms and principal curvatures:
-    each stage agrees with its reference, exceptions included."""
+    """SurfaceJet checks, then unit normal, forms and principal curvatures
+    at both orientations: each stage agrees with its reference, exceptions
+    included, and orientation -1 gives the flipped forms of +1.  Returns
+    the forms at +1 (None where they raise)."""
     want = _outcome(reference_jet_checks, *fields)
     got = _outcome(_check, *fields)
     assert got[0] == want[0] and (got[0] == "ok" or got == want)
     if got[0] != "ok":
         return None
     jet = SurfaceJet(*fields)
-    assert _outcome(unit_normal, jet) == _outcome(reference_unit_normal, jet)
-    assert _outcome(lambda j: _forms_bits(forms_from_jet(j)), jet) \
-        == _outcome(lambda j: _forms_bits(reference_forms(j)), jet)
-    try:
-        forms = forms_from_jet(jet)
-    except GeometryError:
-        return None
-    assert _bits(principal_curvatures(forms)) == _bits(reference_principal_curvatures(forms))
-    return forms
+    out = []
+    for o in (1.0, -1.0):
+        assert _outcome(unit_normal, jet, o) == _outcome(reference_unit_normal, jet, o)
+        assert _outcome(lambda j: _forms_bits(forms_from_jet(j, o)), jet) \
+            == _outcome(lambda j: _forms_bits(reference_forms(j, o)), jet)
+        try:
+            forms = forms_from_jet(jet, o)
+        except GeometryError:
+            return None
+        assert _bits(principal_curvatures(forms)) \
+            == _bits(reference_principal_curvatures(forms))
+        out.append(forms)
+    assert out[1] == out[0].flipped()  # equal values; a sum of zeros may lose its sign
+    return out[0]
 
 
 def _fields(jet):
@@ -160,11 +167,14 @@ class TestPointChain:
         assert _chain_matches_reference(_fields(jet)) is not None
 
     def test_orientation_switch_both_sides(self):
-        # |nu| = 1 / sqrt(1 + STEEP^2 / cosh^2 v) crosses 0.1 at |v| ~ 0.1
+        # |nu| = 1 / sqrt(1 + STEEP^2 / cosh^2 v) crosses 0.1 at |v| ~ 0.1,
+        # where an earlier rule switched the normal's side; the signed nu
+        # keeps its sign across
         S = SURFACES["graph_steep"]
         nus = [_chain_matches_reference(_fields(S.jet(0.25, v))).nu
                for v in np.linspace(-0.3, 0.3, 61).tolist()]
         assert sum(abs(nu) < 0.1 for nu in nus) >= 5 and sum(abs(nu) > 0.1 for nu in nus) >= 5
+        assert all(nu > 0.0 for nu in nus)
 
     @settings(max_examples=200, deadline=None)
     @given(p=h2_points(3.0), w=st.lists(st.floats(-3.0, 3.0), min_size=21, max_size=21))
@@ -224,9 +234,10 @@ class TestVerticalTranslation:
         u, v = u0 + fu * (u1 - u0), v0 + fv * (v1 - v0)
         jet, up = S.jet(u, v), lifted(S, c).jet(u, v)
         assert up.X.t == jet.X.t + c and up[1:] == jet[1:]
-        assert _outcome(forms_from_jet, up) == _outcome(forms_from_jet, jet)
-        assert _outcome(lambda j: principal_curvatures(forms_from_jet(j)), up) \
-            == _outcome(lambda j: principal_curvatures(forms_from_jet(j)), jet)
+        o = S.orientation
+        assert _outcome(forms_from_jet, up, o) == _outcome(forms_from_jet, jet, o)
+        assert _outcome(lambda j: principal_curvatures(forms_from_jet(j, o)), up) \
+            == _outcome(lambda j: principal_curvatures(forms_from_jet(j, o)), jet)
 
 
 def _good_fields():
@@ -281,8 +292,9 @@ class TestExceptionParity:
         fields = dict(zip(FIELDS, _good_fields()))
         hu, ut = fields["Xu"]
         jet = _unchecked(**dict(fields, Xv=AmbientVec(tuple(2.0 * x for x in hu), 2.0 * ut)))
-        want = _outcome(reference_unit_normal, jet)
-        assert want == ("NotImmersed", "first derivatives are parallel")
-        assert _outcome(unit_normal, jet) == want
-        assert _outcome(forms_from_jet, jet) == _outcome(reference_forms, jet) \
-            == ("NotImmersed", "degenerate jet")
+        for o in (1.0, -1.0):
+            want = _outcome(reference_unit_normal, jet, o)
+            assert want == ("NotImmersed", "first derivatives are parallel")
+            assert _outcome(unit_normal, jet, o) == want
+            assert _outcome(forms_from_jet, jet, o) == _outcome(reference_forms, jet, o) \
+                == ("NotImmersed", "degenerate jet")

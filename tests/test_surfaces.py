@@ -16,7 +16,7 @@ from h2xr.errors import (ConfigError, GeometryError, NonUnitCurve, NotImmersed,
 from h2xr.hyperbolic import curve_from_curvature
 from h2xr.minkowski import _mdot
 from h2xr.product import AmbientVec
-from h2xr.surfaces import (ChartDomain, SurfaceJet, bilinear_height,
+from h2xr.surfaces import (ChartDomain, Surface, SurfaceJet, bilinear_height,
                            finite_difference_surface, from_config,
                            linear_height, make_cylinder, make_graph,
                            make_slice, perturb, preset, rescale_chart,
@@ -280,6 +280,27 @@ class TestRescale:
         j1 = r.jet(0.5, 0.25)
         assert j0.X.htup == j1.X.htup
         assert j0.X.t == j1.X.t
+
+
+class TestOrientation:
+    def test_presets_and_derived_charts(self, circle_cylinder, slice_surface):
+        graph = make_graph(zero_height())
+        assert (circle_cylinder.orientation, slice_surface.orientation,
+                graph.orientation) == (-1.0, 1.0, 1.0)
+        for S in (circle_cylinder, slice_surface, graph):
+            assert finite_difference_surface(S).orientation == S.orientation
+            assert perturb(S, 1e-3).orientation == S.orientation
+            for a, b, sign in ((2.0, 3.0, 1.0), (-2.0, 3.0, -1.0), (2.0, -3.0, -1.0),
+                               (-2.0, -3.0, 1.0)):
+                assert rescale_chart(S, a, b).orientation == sign * S.orientation
+
+    @pytest.mark.parametrize("orientation", [0.0, 0.5, 2.0, -1.5, math.nan, math.inf])
+    def test_other_than_plus_minus_one_refused(self, circle_cylinder, orientation):
+        with pytest.raises(ConfigError, match="orientation"):
+            Surface(circle_cylinder.chart, circle_cylinder.domain, "analytic", "cylinder",
+                    orientation)
+        with pytest.raises(ConfigError, match="orientation"):
+            dataclasses.replace(circle_cylinder, orientation=orientation)
 
 
 class TestFromConfig:
