@@ -173,6 +173,11 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _json_number(x: float) -> float | None:
+    """x, or null where it is not finite (JSON has no NaN or Infinity)."""
+    return x if math.isfinite(x) else None
+
+
 def _dump_json(path: Path, obj) -> None:
     _write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -207,20 +212,21 @@ def cmd_trace(cfg: RunConfig, u0: float, v0: float) -> int:
     tr = trace_asymptotic(surface, u0, v0, c.trace_length, c.trace_step, c.planar_tol)
     dev = geodesic_deviation(tr)
     res = frame_ode_residuals(tr)
+    num = _json_number
     sidecar = {
         "label": surface.label,
         "seed": [u0, v0],
         "samples": len(tr),
         "stop_reason": tr.stop_reason,
-        "deviation": {"max_dev": dev.max_dev, "at_s": dev.at_s},
-        "residuals": {"lambda_ode": res.lambda_ode, "k2_ode": res.k2_ode,
-                      "de2": res.de2, "de3": res.de3},
+        "deviation": {"max_dev": num(dev.max_dev), "at_s": num(dev.at_s)},
+        "residuals": {"lambda_ode": num(res.lambda_ode), "k2_ode": num(res.k2_ode),
+                      "de2": num(res.de2), "de3": num(res.de3)},
         "fit": None,
     }
     try:
         fit = fit_inverse_H(tr)
-        sidecar["fit"] = {"a": fit.a, "b": fit.b,
-                          "rms_residual": fit.rms_residual, "n": fit.n}
+        sidecar["fit"] = {"a": num(fit.a), "b": num(fit.b),
+                          "rms_residual": num(fit.rms_residual), "n": fit.n}
     except GeometryError:
         pass  # planar samples present; no affine law to fit
     _write(cfg.out / "trace.csv", tr.to_csv())

@@ -46,13 +46,14 @@ stay scalar: an array call costs several scalar jets (an array call on 16
 cylinder points costs about as much as 16 scalar points), and a trace
 steps one seed at a time, so points in lockstep do not pay for it.
 Instead the scalar chain is kept cheap: ``forms_from_jet`` and
-``principal_curvatures`` (like ``SurfaceJet`` and ``unit_normal``) work on
+``principal_curvatures`` (like ``check_jet`` and ``unit_normal``) work on
 unpacked floats, with no triple helpers, closures, loops or intermediate
 tuples, and keep the operations and their order, so the bits, checks and
-messages stay those of the helper-based formulas; ``FundamentalForms`` is a
-checked tuple, like ``SurfaceJet``.  Neither reads the height ``X.t`` of a
-jet (vertical translations are isometries), so a trace reuses the shape data
-of a point whose jet differs from the last one's only there.
+messages stay those of the helper-based formulas.  Neither reads the
+height ``X.t`` of a jet (vertical translations are isometries), so a trace
+reuses the shape data of a point whose jet differs from the last one's only
+there.  ``forms_from_jet`` checks the plain tuple ``FundamentalForms`` it
+returns; ``FundamentalForms.flipped`` keeps every checked quantity.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from .errors import ConfigError, GeometryError, NotImmersed, NumericalError, Out
 from .minkowski import _mdot, _project_tangent
 from .numerics import _sq
 from .product import AmbientVec, _prod_inner
-from .surfaces import JetBlock, Surface, SurfaceJet, _Checked, unit_normal, unit_normals
+from .surfaces import JetBlock, Surface, SurfaceJet, unit_normal, unit_normals
 
 PLANAR = "PLANAR"
 PARABOLIC = "PARABOLIC"
@@ -83,22 +84,11 @@ POINT_BLOCK = 936      # chart evaluations per block of bulk evaluation
 MAX_GRID_CELLS = 250_000  # 0.8 KB (row, CSV line) and 0.2 ms each (2-core VM)
 
 
-class FundamentalForms(_Checked, namedtuple("FundamentalForms", "E F G L M2 N2 normal nu")):
-    """First and second fundamental forms plus the oriented unit normal."""
+class FundamentalForms(namedtuple("FundamentalForms", "E F G L M2 N2 normal nu")):
+    """First and second fundamental forms plus the oriented unit normal,
+    checked where they are computed (:func:`forms_from_jet`)."""
 
     __slots__ = ()
-
-    def __new__(cls, E: float, F: float, G: float, L: float, M2: float, N2: float,
-                normal: AmbientVec, nu: float) -> "FundamentalForms":
-        if not (E > 0.0 and G > 0.0 and E * G - F ** 2 > 0.0):
-            raise NotImmersed("first form is not positive definite")
-        (h0, h1, h2), nt = normal
-        n2 = -h0 * h0 + h1 * h1 + h2 * h2 + nt ** 2
-        if abs(n2 - 1.0) > 1e-9:
-            raise NumericalError(f"normal norm^2 = {n2}")
-        if abs(nu) > 1.0 + 1e-12:
-            raise NumericalError(f"|nu| = {abs(nu)} exceeds 1")
-        return tuple.__new__(cls, (E, F, G, L, M2, N2, normal, nu))
 
     def flipped(self) -> "FundamentalForms":
         """Same point with the opposite normal orientation."""
@@ -135,7 +125,9 @@ def fundamental_forms(S: Surface, u: float, v: float) -> FundamentalForms:
 
 def forms_from_jet(jet: SurfaceJet, orientation: float) -> FundamentalForms:
     """Both fundamental forms of a jet, the normal oriented by
-    ``orientation`` (see :func:`unit_normal`)."""
+    ``orientation`` (see :func:`unit_normal`), checked: NotImmersed unless
+    the first form is positive definite, NumericalError unless the normal
+    is a unit vector with |nu| <= 1."""
     (p0, p1, p2), _ = jet.X
     (u0, u1, u2), ut = jet.Xu
     (v0, v1, v2), vt = jet.Xv
@@ -155,6 +147,13 @@ def forms_from_jet(jet: SurfaceJet, orientation: float) -> FundamentalForms:
     (w0, w1, w2), wt = jet.Xvv
     c = -w0 * p0 + w1 * p1 + w2 * p2
     N2 = -(w0 + c * p0) * n0 + (w1 + c * p1) * n1 + (w2 + c * p2) * n2 + wt * nt
+    if not (E > 0.0 and G > 0.0 and E * G - F ** 2 > 0.0):
+        raise NotImmersed("first form is not positive definite")
+    nn = -n0 * n0 + n1 * n1 + n2 * n2 + nt ** 2
+    if abs(nn - 1.0) > 1e-9:
+        raise NumericalError(f"normal norm^2 = {nn}")
+    if abs(nt) > 1.0 + 1e-12:
+        raise NumericalError(f"|nu| = {abs(nt)} exceeds 1")
     return FundamentalForms(E, F, G, L, M2, N2, normal, nt)
 
 
@@ -167,8 +166,8 @@ class FormsBlock(namedtuple("FormsBlock", (*FundamentalForms._fields[:-1], "bad"
 
 
 def forms_from_jets(jets: JetBlock, orientation: float) -> FormsBlock:
-    """:func:`forms_from_jet` on a block of jets, with the checks of
-    ``FundamentalForms`` as a mask."""
+    """:func:`forms_from_jet` on a block of jets, with its checks as a
+    mask."""
     E = _prod_inner(jets.Xu, jets.Xu)
     F = _prod_inner(jets.Xu, jets.Xv)
     G = _prod_inner(jets.Xv, jets.Xv)

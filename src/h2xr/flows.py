@@ -382,7 +382,8 @@ class FrameOdeResiduals:
 
 
 def frame_ode_residuals(tr: TraceRecord) -> FrameOdeResiduals:
-    """Residuals of lam' = lam^2, k2' = lam k2, and covariant constancy of e2, e3."""
+    """Residuals of lam' = lam^2, k2' = lam k2, and covariant constancy of e2,
+    e3, each the largest over the samples that are not NaN (NaN if none)."""
     n = len(tr)
     if n < 5:
         raise InsufficientSamples("need at least five samples")
@@ -391,16 +392,18 @@ def frame_ode_residuals(tr: TraceRecord) -> FrameOdeResiduals:
     k2_p = (tr.k2[2:] - tr.k2[:-2]) / (2.0 * h)
     lam_c = tr.lam[1:-1]
     k2_c = tr.k2[1:-1]
-    r1 = float(np.nanmax(np.abs(lam_p - lam_c ** 2)))
-    r2 = float(np.nanmax(np.abs(k2_p - lam_c * k2_c)))
+
+    def worst(r: np.ndarray) -> float:
+        r = r[~np.isnan(r)]  # NaN: no data, as lam where no connection step fits
+        return float(np.max(r)) if r.size else math.nan
 
     def cov_norm(rows: np.ndarray) -> float:
         der = (rows[2:] - rows[:-2]) / (2.0 * h)
         ch = _project_tangent(tuple(tr.h[1:-1].T), tuple(der[:, :3].T))
-        norms = np.sqrt(np.fmax(0.0, _mdot(ch, ch)) + _sq(der[:, 3]))
-        return float(np.max(norms, initial=0.0, where=~np.isnan(norms)))
+        return worst(np.sqrt(np.fmax(0.0, _mdot(ch, ch)) + _sq(der[:, 3])))
 
-    return FrameOdeResiduals(r1, r2, cov_norm(tr.e2), cov_norm(tr.e3))
+    return FrameOdeResiduals(worst(np.abs(lam_p - lam_c ** 2)),
+                             worst(np.abs(k2_p - lam_c * k2_c)), cov_norm(tr.e2), cov_norm(tr.e3))
 
 
 def fit_inverse_H(tr: TraceRecord) -> AffineFit:

@@ -14,11 +14,12 @@ built.  Presets:
   (negative controls for the flatness tests).
 
 A jet is six plain ambient vectors (coordinate triple plus height), the
-first of them the point.  ``SurfaceJet`` is a tuple that checks it once, in
-``__new__``, however it is built (``_make``, ``_replace``, copies, pickles):
-finite coordinates and heights, a footprint on the upper sheet, first
-derivatives tangent to it, and a Gram determinant that makes the chart an
-immersion.
+first of them the point, in the plain tuple ``SurfaceJet``.  ``check_jet``
+checks it once, where a chart's output enters the library (``Surface.jet``,
+the point-by-point fallback of bulk evaluation, and a derived chart's call
+of its base's chart): finite coordinates and heights, a footprint on the
+upper sheet, first derivatives tangent to it, and a Gram determinant that
+makes the chart an immersion.
 
 Bulk evaluation: ``Surface.jets`` evaluates many chart points at once into a
 ``JetBlock`` (struct of arrays) whose ``bad`` mask marks every point where
@@ -85,58 +86,12 @@ class ChartDomain:
         return (self.u_range[1] - self.u_range[0], self.v_range[1] - self.v_range[0])
 
 
-class _Checked:
-    """Mixin for a NamedTuple whose ``__new__`` checks its fields: ``_make``
-    (behind ``_replace``), pickling and copying build through ``__new__``
-    too, so no way of building one skips the checks."""
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    def __reduce__(self):
-        return type(self), tuple(self)
-
-
-class SurfaceJet(_Checked, namedtuple("SurfaceJet", "X Xu Xv Xuu Xuv Xvv")):
+class SurfaceJet(namedtuple("SurfaceJet", "X Xu Xv Xuu Xuv Xvv")):
     """Chart point ``X`` (footprint triple and height) with coordinate
-    derivatives through second order; checked once, here (NumericalError,
-    or NotImmersed for a degenerate Gram determinant)."""
+    derivatives through second order, ambient vectors; a chart's jet is
+    checked where it enters the library (:func:`check_jet`)."""
 
     __slots__ = ()
-
-    def __new__(cls, X: AmbientVec, Xu: AmbientVec, Xv: AmbientVec, Xuu: AmbientVec,
-                Xuv: AmbientVec, Xvv: AmbientVec) -> "SurfaceJet":
-        ws = (X, Xu, Xv, Xuu, Xuv, Xvv)
-        ((p0, p1, p2), pt), ((u0, u1, u2), ut), ((v0, v1, v2), vt), \
-            ((a0, a1, a2), at), ((b0, b1, b2), bt), ((c0, c1, c2), ct) = ws
-        # a non-finite number makes the sum non-finite (as, rarely, does an
-        # overflowing sum); the field by field checks then name the first
-        # bad one, or pass
-        if not math.isfinite(p0 + p1 + p2 + pt + u0 + u1 + u2 + ut + v0 + v1 + v2 + vt
-                             + a0 + a1 + a2 + at + b0 + b1 + b2 + bt + c0 + c1 + c2 + ct):
-            for w in ws:
-                _check_finite(w.htup)
-            for w in ws:
-                if not math.isfinite(w.t):
-                    raise NumericalError(f"non-finite height {w.t}")
-        _check_on_sheet(X.htup)
-        e = -u0 * u0 + u1 * u1 + u2 * u2
-        drift = -u0 * p0 + u1 * p1 + u2 * p2
-        if abs(drift) > 1e-8 * (1.0 + abs(e)):
-            raise NumericalError(f"first derivative not tangent, <w,p> = {drift}")
-        g = -v0 * v0 + v1 * v1 + v2 * v2
-        drift = -v0 * p0 + v1 * p1 + v2 * p2
-        if abs(drift) > 1e-8 * (1.0 + abs(g)):
-            raise NumericalError(f"first derivative not tangent, <w,p> = {drift}")
-        e += ut ** 2
-        g += vt ** 2
-        f = -u0 * v0 + u1 * v1 + u2 * v2 + ut * vt
-        if e * g - f * f <= 1e-12:
-            raise NotImmersed(f"Gram determinant {e * g - f * f} too small")
-        return tuple.__new__(cls, ws)
 
 
 class JetBlock(namedtuple("JetBlock", (*SurfaceJet._fields, "bad"))):
@@ -148,9 +103,43 @@ class JetBlock(namedtuple("JetBlock", (*SurfaceJet._fields, "bad"))):
     __slots__ = ()
 
 
+def check_jet(jet: SurfaceJet) -> SurfaceJet:
+    """The jet, after checking it (NumericalError, or NotImmersed for a
+    degenerate Gram determinant): finite coordinates and heights, a
+    footprint on the upper sheet, first derivatives tangent to it, and a
+    Gram determinant that makes the chart an immersion."""
+    ((p0, p1, p2), pt), ((u0, u1, u2), ut), ((v0, v1, v2), vt), \
+        ((a0, a1, a2), at), ((b0, b1, b2), bt), ((c0, c1, c2), ct) = jet
+    # a non-finite number makes the sum non-finite (as, rarely, does an
+    # overflowing sum); the field by field checks then name the first
+    # bad one, or pass
+    if not math.isfinite(p0 + p1 + p2 + pt + u0 + u1 + u2 + ut + v0 + v1 + v2 + vt
+                         + a0 + a1 + a2 + at + b0 + b1 + b2 + bt + c0 + c1 + c2 + ct):
+        for w in jet:
+            _check_finite(w.htup)
+        for w in jet:
+            if not math.isfinite(w.t):
+                raise NumericalError(f"non-finite height {w.t}")
+    _check_on_sheet(jet.X.htup)
+    e = -u0 * u0 + u1 * u1 + u2 * u2
+    drift = -u0 * p0 + u1 * p1 + u2 * p2
+    if abs(drift) > 1e-8 * (1.0 + abs(e)):
+        raise NumericalError(f"first derivative not tangent, <w,p> = {drift}")
+    g = -v0 * v0 + v1 * v1 + v2 * v2
+    drift = -v0 * p0 + v1 * p1 + v2 * p2
+    if abs(drift) > 1e-8 * (1.0 + abs(g)):
+        raise NumericalError(f"first derivative not tangent, <w,p> = {drift}")
+    e += ut ** 2
+    g += vt ** 2
+    f = -u0 * v0 + u1 * v1 + u2 * v2 + ut * vt
+    if e * g - f * f <= 1e-12:
+        raise NotImmersed(f"Gram determinant {e * g - f * f} too small")
+    return jet
+
+
 def _jet_block(X, Xu, Xv, Xuu, Xuv, Xvv, bad=False) -> JetBlock:
     """JetBlock from ambient vectors of arrays or floats (broadcast to one
-    length), flagging the points that ``SurfaceJet`` would reject."""
+    length), flagging the points that :func:`check_jet` would reject."""
     cols = [np.asarray(c, dtype=float) for w in (X, Xu, Xv, Xuu, Xuv, Xvv)
             for c in (*w.htup, w.t)]
     n = max(c.size for c in cols)
@@ -169,14 +158,14 @@ def _jet_block(X, Xu, Xv, Xuu, Xuv, Xvv, bad=False) -> JetBlock:
     return JetBlock(X, Xu, Xv, Xuu, Xuv, Xvv, bad)
 
 
-def _stack_jets(chart, us: np.ndarray, vs: np.ndarray) -> JetBlock:
-    """Jets of a float chart called point by point, stacked into a block;
-    a point whose call raises is bad."""
+def _stack_jets(jet_at, us: np.ndarray, vs: np.ndarray) -> JetBlock:
+    """Checked jets ``jet_at(u, v)``, called point by point, stacked into a
+    block; a point whose call raises is bad."""
     rows = np.full((len(us), 24), math.nan)
     bad = np.zeros(len(us), dtype=bool)
     for k, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
         try:
-            jet = chart(u, v)
+            jet = jet_at(u, v)
         except (GeometryError, ArithmeticError):
             bad[k] = True
             continue
@@ -197,7 +186,7 @@ def _chart_jets(chart, us: np.ndarray, vs: np.ndarray) -> JetBlock:
                 return bulk(us, vs)
         except (GeometryError, ArithmeticError, ValueError):
             pass
-    return _stack_jets(chart, us, vs)
+    return _stack_jets(lambda u, v: check_jet(chart(u, v)), us, vs)
 
 
 @dataclass(frozen=True)
@@ -223,7 +212,7 @@ class Surface:
         if not self.domain.contains(u, v):
             raise OutOfDomain(f"({u}, {v}) outside chart domain of {self.label}")
         try:
-            return self.chart(u, v)
+            return check_jet(self.chart(u, v))
         except OverflowError as exc:
             raise NumericalError(f"overflow evaluating {self.label} at ({u}, {v})") from exc
 
@@ -262,8 +251,8 @@ def unit_normal(jet: SurfaceJet, orientation: float) -> AmbientVec:
     (u0, u1, u2), ut = jet.Xu
     (v0, v1, v2), vt = jet.Xv
     # b1 projects (0, 1, 0), whose pairing with p is p1 up to the sign of a
-    # zero, which the projection cannot see (SurfaceJet checked p finite
-    # with p0 > 0)
+    # zero, which the projection cannot see (check_jet found p finite with
+    # p0 > 0)
     b10, b11, b12 = _normalize_spacelike((0.0 + p1 * p0, 1.0 + p1 * p1, 0.0 + p1 * p2))
     b20, b21, b22 = -(p1 * b12 - p2 * b11), p2 * b10 - p0 * b12, p0 * b11 - p1 * b10
     x0, x1 = -u0 * b10 + u1 * b11 + u2 * b12, -u0 * b20 + u1 * b21 + u2 * b22
@@ -555,7 +544,7 @@ def finite_difference_surface(base: Surface) -> Surface:
     of positions only."""
 
     def pos(u: float, v: float) -> AmbientVec:
-        return base.chart(u, v).X
+        return check_jet(base.chart(u, v)).X
 
     def pos_arrays(us: np.ndarray, vs: np.ndarray):
         jets = _chart_jets(base.chart, us, vs)
@@ -590,7 +579,7 @@ def perturb(base: Surface, eps: float, bump: HeightFunction | None = None,
         bump = gaussian_bump(base.domain.center, 0.25 * min(wu, wv))
 
     def pos(u: float, v: float) -> tuple[Triple, float]:
-        jet = base.chart(u, v)
+        jet = check_jet(base.chart(u, v))
         n = unit_normal(jet, base.orientation)
         d = eps * bump.f(u, v)
         p = jet.X.htup
@@ -623,7 +612,7 @@ def rescale_chart(base: Surface, a: float, b: float) -> Surface:
         raise ConfigError("scale factors must be nonzero")
 
     def chart(u: float, v: float) -> SurfaceJet:
-        j = base.chart(a * u, b * v)
+        j = check_jet(base.chart(a * u, b * v))
         return SurfaceJet(j.X, *(AmbientVec(_mscale(c, w.htup), c * w.t)
                                  for w, c in zip(j[1:], (a, b, a * a, a * b, b * b))))
 

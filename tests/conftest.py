@@ -4,10 +4,8 @@ Everything heavy is session-scoped; surfaces are immutable and safe to
 share.
 """
 
-import copy
 import dataclasses
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -237,14 +235,16 @@ def loop_geodesic_deviation(tr) -> GeodesicDeviation:
 
 
 def loop_cov_norm(tr, rows: np.ndarray) -> float:
-    """frame_ode_residuals' covariant-derivative norm, one sample at a time."""
+    """frame_ode_residuals' covariant-derivative norm, one sample at a time:
+    the largest norm that is not NaN, or NaN when there is none."""
     der = (rows[2:] - rows[:-2]) / (2.0 * tr.step)
-    worst = 0.0
+    norms = []
     for i in range(der.shape[0]):
         ch = _project_tangent(tuple(tr.h[i + 1]), tuple(der[i, :3]))
         n2 = max(0.0, _mdot(ch, ch)) + der[i, 3] ** 2
-        worst = max(worst, math.sqrt(n2))
-    return worst
+        if not math.isnan(n2):
+            norms.append(math.sqrt(n2))
+    return max(norms) if norms else math.nan
 
 
 # -- helper-based references for the plain-float kernels --------------------------
@@ -353,7 +353,7 @@ def reference_hermite_frame(curve, s: float):
 
 
 def reference_jet_checks(X, Xu, Xv, Xuu, Xuv, Xvv):
-    """The checks of SurfaceJet, in their order."""
+    """The checks of check_jet, in their order."""
     ws = (X, Xu, Xv, Xuu, Xuv, Xvv)
     for w in ws:
         _check_finite(w.htup)
@@ -394,7 +394,8 @@ def reference_unit_normal(jet, orientation) -> AmbientVec:
 
 
 def reference_forms(jet, orientation) -> FundamentalForms:
-    """forms_from_jet, with the checks of FundamentalForms run here first."""
+    """forms_from_jet, with the checks of its forms run before the second
+    forms are paired."""
     E = _prod_inner(jet.Xu, jet.Xu)
     F = _prod_inner(jet.Xu, jet.Xv)
     G = _prod_inner(jet.Xv, jet.Xv)
@@ -451,36 +452,6 @@ def reference_principal_curvatures(forms):
         d2 = (-F * d1[0] - G * d1[1], E * d1[0] + F * d1[1])
     g12 = (E * d1[0] * d2[0] + F * (d1[0] * d2[1] + d1[1] * d2[0]) + G * d1[1] * d2[1])
     return k1, k2, d1, unit_in_form((d2[0] - g12 * d1[0], d2[1] - g12 * d1[1]))
-
-
-def building_outcomes(cls, fields: tuple, name: str, value) -> dict:
-    """How each way of building a checked tuple ``cls`` from ``fields``, with
-    field ``name`` set to ``value``, ends: ('ok',) or the class and message
-    of the GeometryError it raises.  The ways: positional, keyword,
-    ``_make``, ``_replace`` on a good value, and ``copy``, ``deepcopy`` and
-    a pickle round trip (every protocol) of a tuple built unchecked."""
-    spoiled = tuple(value if f == name else x for f, x in zip(cls._fields, fields))
-    unchecked = tuple.__new__(cls, spoiled)
-    ways = {
-        "positional": lambda: cls(*spoiled),
-        "keyword": lambda: cls(**dict(zip(cls._fields, spoiled))),
-        "_make": lambda: cls._make(spoiled),
-        "_replace": lambda: cls(*fields)._replace(**{name: value}),
-        "copy": lambda: copy.copy(unchecked),
-        "deepcopy": lambda: copy.deepcopy(unchecked),
-        **{f"pickle{p}": (lambda p=p: pickle.loads(pickle.dumps(unchecked, p)))
-           for p in range(pickle.HIGHEST_PROTOCOL + 1)},
-    }
-    out = {}
-    for way, build in ways.items():
-        try:
-            built = build()
-        except GeometryError as exc:
-            out[way] = (type(exc).__name__, str(exc))
-        else:
-            assert type(built) is cls and built == spoiled
-            out[way] = ("ok",)
-    return out
 
 
 # -- the trace loop on objects, the reference for flows._leg -------------------------

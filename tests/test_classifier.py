@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from h2xr.classifier import (CYLINDER, INCONSISTENT, NOT_FLAT, classify_surface,
-                             extract_rulings, flatness_scan, planar_set_map,
-                             recover_generating_curve, verdict_to_json)
+from h2xr.classifier import (CYLINDER, INCONSISTENT, NOT_FLAT, ClassifierConfig,
+                             classify_surface, extract_rulings, flatness_scan,
+                             planar_set_map, recover_generating_curve, verdict_to_json)
 from h2xr.curvature import curvature_grid
 from h2xr.errors import EmptyIntersection, NotParabolic
 from h2xr.hyperbolic import (H2Point, curvature_profile, curve_hausdorff,
@@ -17,10 +19,11 @@ from h2xr.hyperbolic import (H2Point, curvature_profile, curve_hausdorff,
 from h2xr.product import ProdGeodesic, ProdPoint, ProdTangent
 from h2xr.hyperbolic import H2Tangent
 from h2xr.minkowski import SpacetimeVec
-from h2xr.surfaces import CYLINDER_PRESETS, preset
+from h2xr.surfaces import (CORPUS_CONFIGS, CYLINDER_PRESETS, from_config,
+                           generating_curve_of_config, perturb, preset)
 from h2xr.verification import parabolic_seeds
 
-from conftest import COTH1, faulty_at_cell_centres
+from conftest import COTH1, faulty_at_cell_centres, lifted
 
 
 class TestFlatnessScan:
@@ -172,6 +175,38 @@ class TestClassifySurface:
                             H2Point.of(tuple(b.points[i])))
                     for i in range(0, len(a.s), 40))
         assert worst < 1e-6
+
+
+# Theorem 1 beyond the corpus: spline cylinders with the knots of
+# cylinder_spline and random curvatures there, at reduced sizes (about 0.25 s
+# a classification on a 2-core VM)
+SMALL = ClassifierConfig(grid_n=11, trace_length=1.0, recovery_samples=301)
+KNOT_CURVATURES = st.lists(st.floats(-1.5, 1.5), min_size=5, max_size=5)
+
+
+def _spline_cylinder_config(knots_k):
+    return dict(CORPUS_CONFIGS["cylinder_spline"], label="random_spline",
+                curve=dict(CORPUS_CONFIGS["cylinder_spline"]["curve"], knots_k=knots_k))
+
+
+class TestTheorem1Properties:
+    @settings(max_examples=4, deadline=None)
+    @given(knots_k=KNOT_CURVATURES, c=st.floats(-5.0, 5.0))
+    def test_random_spline_cylinder_is_recovered(self, knots_k, c):
+        """A flat vertical surface is a cylinder, and the classifier finds
+        its generating curve; a vertical translation changes neither."""
+        cfg = _spline_cylinder_config(knots_k)
+        S, true_curve = from_config(cfg), generating_curve_of_config(cfg)
+        for D in (S, lifted(S, c)):
+            v = classify_surface(D, SMALL)
+            assert v.verdict == CYLINDER, (D.label, knots_k, v.evidence.notes)
+            assert curve_hausdorff(v.generating_curve, true_curve) < 1e-5, (D.label, knots_k)
+
+    @settings(max_examples=5, deadline=None)
+    @given(knots_k=KNOT_CURVATURES)
+    def test_bumped_spline_cylinder_is_not_flat(self, knots_k):
+        S = from_config(_spline_cylinder_config(knots_k))
+        assert classify_surface(perturb(S, 1e-2), SMALL).verdict == NOT_FLAT, knots_k
 
 
 class TestVerdictJson:

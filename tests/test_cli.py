@@ -28,11 +28,17 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
     return str(p)
 
 
+def read_json(path):
+    """An output JSON file, which must be strict JSON: no NaN or Infinity."""
+    return json.loads(Path(path).read_text(encoding="utf-8"),
+                      parse_constant=lambda c: pytest.fail(f"{c} in {path}"))
+
+
 class TestCurvatureCommand:
     def test_slice_summary(self, tmp_path):
         cfg = write_cfg(tmp_path, SLICE_CFG)
         assert main(["--config", cfg, "--out", str(tmp_path / "out"), "curvature"]) == 0
-        summary = json.loads((tmp_path / "out" / "curvature_summary.json").read_text())
+        summary = read_json(tmp_path / "out" / "curvature_summary.json")
         assert abs(summary["max_abs_Kint_gauss"] - 1.0) < 1e-9
         csv = (tmp_path / "out" / "curvature.csv").read_text()
         assert csv.splitlines()[0] == \
@@ -41,7 +47,7 @@ class TestCurvatureCommand:
     def test_circle_all_parabolic(self, tmp_path):
         cfg = write_cfg(tmp_path, CIRCLE_CFG)
         assert main(["--config", cfg, "--out", str(tmp_path / "out"), "curvature"]) == 0
-        summary = json.loads((tmp_path / "out" / "curvature_summary.json").read_text())
+        summary = read_json(tmp_path / "out" / "curvature_summary.json")
         assert summary["class_counts"] == {"PARABOLIC": 400}
 
     def test_empty_domain_is_bad_config(self, tmp_path):
@@ -94,7 +100,7 @@ class TestTraceCommand:
         cfg = write_cfg(tmp_path, CIRCLE_CFG)
         assert main(["--config", cfg, "--out", str(tmp_path / "out"),
                      "trace", "1.0", "0.0"]) == 0
-        side = json.loads((tmp_path / "out" / "trace_summary.json").read_text())
+        side = read_json(tmp_path / "out" / "trace_summary.json")
         assert side["deviation"]["max_dev"] < 1e-6
         assert abs(side["fit"]["a"]) < 1e-8
         assert abs(side["fit"]["b"] - 2.0 * math.tanh(1.0)) < 1e-6
@@ -117,11 +123,29 @@ class TestTraceCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "seed (0.5, 0.0002)" in err and "DOMAIN_EDGE" in err
 
+    def test_residuals_without_samples_are_null(self, tmp_path):
+        """Seeded 1e-9 from the u edge of the chart, the trace has no sample
+        where a connection step fits, so every lam is NaN: the run warns
+        nothing and writes the residuals of lam as null."""
+        cfg = write_cfg(tmp_path, {"surface": {"kind": "cylinder",
+                                               "curve": {"kind": "constant", "value": 1.0},
+                                               "domain": {"u": [0.0, 3.0]}},
+                                   "trace": {"length": 0.2}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", cfg, "--out", str(tmp_path / "out"),
+                         "trace", "1e-9", "0"]) == 0
+        assert not caught
+        side = read_json(tmp_path / "out" / "trace_summary.json")
+        assert side["residuals"]["lambda_ode"] is None
+        assert side["residuals"]["k2_ode"] is None
+        assert side["samples"] > 5
+
     def test_inflection_never_planar_hit(self, tmp_path):
         cfg = write_cfg(tmp_path, INFLECTION_CFG)
         assert main(["--config", cfg, "--out", str(tmp_path / "out"),
                      "trace", "1.0", "0.0"]) == 0
-        side = json.loads((tmp_path / "out" / "trace_summary.json").read_text())
+        side = read_json(tmp_path / "out" / "trace_summary.json")
         assert side["stop_reason"] != "PLANAR_HIT"
 
     def test_determinism(self, tmp_path):
@@ -138,14 +162,14 @@ class TestClassifyCommand:
     def test_cylinder(self, tmp_path):
         cfg = write_cfg(tmp_path, CIRCLE_CFG)
         assert main(["--config", cfg, "--out", str(tmp_path / "out"), "classify"]) == 0
-        verdict = json.loads((tmp_path / "out" / "verdict.json").read_text())
+        verdict = read_json(tmp_path / "out" / "verdict.json")
         assert verdict["verdict"] == "CYLINDER"
         assert verdict["ruling_verticality"] < 1e-6
 
     def test_slice(self, tmp_path):
         cfg = write_cfg(tmp_path, SLICE_CFG)
         assert main(["--config", cfg, "--out", str(tmp_path / "out"), "classify"]) == 0
-        verdict = json.loads((tmp_path / "out" / "verdict.json").read_text())
+        verdict = read_json(tmp_path / "out" / "verdict.json")
         assert verdict["verdict"] == "NOT_FLAT"
 
     def test_determinism(self, tmp_path):
@@ -171,7 +195,7 @@ class TestClassifyCommand:
             from_config(cfg), 21, 2.8))
         cfg = write_cfg(tmp_path, CIRCLE_CFG)
         assert main(["--config", cfg, "--out", str(tmp_path / "out"), "classify"]) == 5
-        verdict = json.loads((tmp_path / "out" / "verdict.json").read_text())
+        verdict = read_json(tmp_path / "out" / "verdict.json")
         assert verdict["verdict"] == "INCONSISTENT"
         assert verdict["notes"] == ["flatness scan: 21 cells failed with NOT_IMMERSED"]
 
@@ -297,7 +321,7 @@ class TestRejectedInputs:
     def test_integral_float_is_an_integer(self, tmp_path):
         cfg = write_cfg(tmp_path, _grid(4.0))
         assert main(["--config", cfg, "--out", str(tmp_path), "curvature"]) == 0
-        summary = json.loads((tmp_path / "curvature_summary.json").read_text())
+        summary = read_json(tmp_path / "curvature_summary.json")
         assert summary["grid"] == [4, 3]
 
 
@@ -373,7 +397,7 @@ class TestOverflowingChart:
 
     def _json_files_are_finite(self, out):
         for path in out.glob("*.json"):
-            json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in {path}"))
+            read_json(path)
 
     def test_curvature_exits_3(self, tmp_path, capsys):
         """Every Brioschi stencil overflows too: numpy stays silent, and the
@@ -411,7 +435,7 @@ class TestVerifyPaperCommand:
         code = main(["--config", cfg, "--out", str(tmp_path / "out"),
                      "--tol", "verticality=1e-12", "verify-paper"])
         assert code == 1
-        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        report = read_json(tmp_path / "out" / "verify_report.json")
         assert report["overall"] == "FAIL"
         by_id = {c["id"]: c for c in report["checks"]}
         assert set(by_id) == {"PROP1", "PROP2", "LEMMA2", "PROP3", "GEO_LEMMA",

@@ -1,20 +1,19 @@
 """Fundamental forms, shape operator, the two intrinsic-curvature routes,
 point classification and the grid scanner."""
 
-import copy
 import dataclasses
 import math
-import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from h2xr import curvature
 from h2xr.classifier import CYLINDER, NOT_FLAT, ClassifierConfig, classify_surface
-from h2xr.curvature import (GENERIC, GRID_HEADER, PARABOLIC, PLANAR, FundamentalForms,
-                            MetricStencil, brioschi_curvature, brioschi_curvatures,
-                            classify_point, curvature_grid, fundamental_forms,
+from h2xr.curvature import (GENERIC, GRID_HEADER, PARABOLIC, PLANAR, MetricStencil,
+                            brioschi_curvature, brioschi_curvatures, classify_point,
+                            curvature_grid, forms_from_jet, fundamental_forms,
                             sample_metric_stencil, shape_at, shape_data)
 from h2xr.errors import ConfigError, GeometryError, OutOfDomain
 from h2xr.product import AmbientVec
@@ -22,7 +21,7 @@ from h2xr.surfaces import (HeightFunction, SurfaceJet, bilinear_height,
                            finite_difference_surface, make_graph, perturb, preset,
                            rescale_chart)
 
-from conftest import COTH1, building_outcomes
+from conftest import COTH1
 
 
 class TestFundamentalForms:
@@ -53,34 +52,37 @@ class TestFundamentalForms:
             inner = _mdot(f.normal.htup, w.htup) + f.normal.t * w.t
             assert abs(inner) < 1e-12
 
-    # E, F, G, L, M2, N2, normal, nu of a flat unit chart with a vertical normal
-    GOOD_FORMS = (1.0, 0.0, 1.0, 0.0, 0.0, 0.0, AmbientVec((0.0, 0.0, 0.0), 1.0), 1.0)
+    # (spoiled entry of the jet at the origin below, or None, the normal
+    # unit_normal is made to give, or None, error, message): a spoiled
+    # first form or normal, each raised by forms_from_jet
+    SPOILED_FORMS = [
+        (("Xu", AmbientVec((0.0, 0.0, 0.0), 0.0)), None, "NotImmersed", "degenerate jet"),
+        (("Xv", AmbientVec((0.0, 1.0, 0.0), 0.0)), None, "NotImmersed", "degenerate jet"),
+        (("Xu", AmbientVec((0.0, 1.0, 0.0), math.nan)), AmbientVec((0.0, 0.0, 0.0), 1.0),
+         "NotImmersed", "first form is not positive definite"),
+        (("Xv", AmbientVec((0.0, 0.0, 0.0), math.nan)), AmbientVec((0.0, 0.0, 0.0), 1.0),
+         "NotImmersed", "first form is not positive definite"),
+        (None, AmbientVec((0.0, 0.0, 0.0), 2.0), "NumericalError", "normal norm^2 = 4.0"),
+        (None, AmbientVec((1.25 ** 0.5, 0.0, 0.0), 1.5), "NumericalError", "|nu| = 1.5 exceeds 1"),
+    ]
 
-    @pytest.mark.parametrize("field, entry, error", [
-        ("E", 0.0, "NotImmersed"),
-        ("F", 1.0, "NotImmersed"),
-        ("G", math.nan, "NotImmersed"),
-        ("normal", AmbientVec((0.0, 0.0, 0.0), 2.0), "NumericalError"),
-        ("nu", 1.5, "NumericalError"),
-    ])
-    def test_every_way_of_building_runs_the_checks(self, field, entry, error):
-        """Positional, keyword, _make, _replace, copies and pickle round
-        trips of spoiled forms all raise what direct construction raises."""
-        fields = dict(zip(FundamentalForms._fields, self.GOOD_FORMS), **{field: entry})
-        with pytest.raises(GeometryError) as direct:
-            FundamentalForms(**fields)
-        want = (type(direct.value).__name__, str(direct.value))
-        assert want[0] == error
-        got = building_outcomes(FundamentalForms, self.GOOD_FORMS, field, entry)
-        assert set(got.values()) == {want}, got
-
-    def test_every_way_of_building_keeps_good_forms(self):
-        forms = FundamentalForms(*self.GOOD_FORMS)
-        built = [copy.copy(forms), copy.deepcopy(forms), FundamentalForms._make(forms),
-                 forms._replace(), forms.flipped().flipped(),
-                 *(pickle.loads(pickle.dumps(forms, p))
-                   for p in range(pickle.HIGHEST_PROTOCOL + 1))]
-        assert all(type(b) is FundamentalForms and b == forms for b in built)
+    @pytest.mark.parametrize("entry, normal, error, message", SPOILED_FORMS,
+                             ids=["E_zero", "F_degenerate", "E_nan", "G_nan", "normal_norm",
+                                  "nu_above_one"])
+    def test_spoiled_forms_raise(self, monkeypatch, entry, normal, error, message):
+        """forms_from_jet checks the forms it computes; a spoiled normal,
+        which unit_normal never gives, is put in its place."""
+        fields = {"X": AmbientVec((1.0, 0.0, 0.0), 0.0), "Xu": AmbientVec((0.0, 1.0, 0.0), 0.0),
+                  "Xv": AmbientVec((0.0, 0.0, 1.0), 0.0), "Xuu": AmbientVec((1.0, 0.0, 0.0), 0.0),
+                  "Xuv": AmbientVec((0.0, 0.0, 0.0), 0.0), "Xvv": AmbientVec((1.0, 0.0, 0.0), 0.0)}
+        assert forms_from_jet(SurfaceJet(**fields), 1.0).nu == 1.0
+        if entry is not None:
+            fields[entry[0]] = entry[1]
+        if normal is not None:
+            monkeypatch.setattr(curvature, "unit_normal", lambda jet, orientation: normal)
+        with pytest.raises(GeometryError) as got:
+            forms_from_jet(SurfaceJet(**fields), 1.0)
+        assert (type(got.value).__name__, str(got.value)) == (error, message)
 
 
 class TestShapeData:

@@ -450,6 +450,18 @@ class TestVectorisedDiagnostics:
         tr.e2[40:50, 3] = np.arange(10) * 1e3
         assert frame_ode_residuals(tr).de2 == loop_cov_norm(tr, tr.e2)
 
+    def test_no_sample_to_measure_gives_nan(self, circle_curve):
+        """All four residuals follow one rule: a residual with no sample
+        that is not NaN is NaN (de2 and de3 once gave 0.0)."""
+        tr = _slanted_record(circle_curve, np.random.default_rng(3))
+        tr.lam[:] = np.nan
+        tr.e2[:] = np.nan
+        res = frame_ode_residuals(tr)
+        assert [math.isnan(x) for x in (res.lambda_ode, res.k2_ode, res.de2, res.de3)] \
+            == [True, True, True, False]
+        assert math.isnan(loop_cov_norm(tr, tr.e2))
+        assert res.de3 == loop_cov_norm(tr, tr.e3)
+
     def test_zero_deviation_reports_the_first_sample(self):
         # a vertical product geodesic sampled exactly: every distance is 0.0
         p = H2Point.of((1.0, 0.0, 0.0))

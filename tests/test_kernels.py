@@ -19,7 +19,8 @@ from h2xr.hyperbolic import (constant_curvature, curve_from_curvature, linear_cu
                              spline_curvature)
 from h2xr.minkowski import _project_tangent
 from h2xr.product import AmbientVec
-from h2xr.surfaces import CORPUS_CONFIGS, SurfaceJet, preset, rescale_chart, unit_normal
+from h2xr.surfaces import (CORPUS_CONFIGS, SurfaceJet, check_jet, preset, rescale_chart,
+                           unit_normal)
 from test_bulk import SURFACES
 
 FIELDS = ("X", "Xu", "Xv", "Xuu", "Xuv", "Xvv")
@@ -53,7 +54,7 @@ def _outcome(fn, *args):
 
 
 def _check(*fields) -> None:
-    SurfaceJet(*fields)
+    check_jet(SurfaceJet(*fields))
 
 
 def _forms_bits(forms):
@@ -61,7 +62,7 @@ def _forms_bits(forms):
 
 
 def _chain_matches_reference(fields):
-    """SurfaceJet checks, then unit normal, forms and principal curvatures
+    """Jet checks, then unit normal, forms and principal curvatures
     at both orientations: each stage agrees with its reference, exceptions
     included, and orientation -1 gives the flipped forms of +1.  Returns
     the forms at +1 (None where they raise)."""
@@ -98,12 +99,6 @@ def _hand_built(P, w):
     xv = AmbientVec(_project_tangent(P, tuple(w[4:7])), w[7])
     second = [AmbientVec(tuple(w[k:k + 3]), w[k + 3]) for k in (8, 12, 16)]
     return (AmbientVec(P, w[20]), xu, xv, *second)
-
-
-def _unchecked(**fields) -> SurfaceJet:
-    """A SurfaceJet that skipped its checks, to reach those of the normal
-    and the forms."""
-    return tuple.__new__(SurfaceJet, (fields[name] for name in FIELDS))
 
 
 class TestCurveBuild:
@@ -291,7 +286,9 @@ class TestExceptionParity:
     def test_parallel_derivatives(self):
         fields = dict(zip(FIELDS, _good_fields()))
         hu, ut = fields["Xu"]
-        jet = _unchecked(**dict(fields, Xv=AmbientVec(tuple(2.0 * x for x in hu), 2.0 * ut)))
+        # check_jet would reject it; the normal and the forms are reached
+        # unchecked
+        jet = SurfaceJet(**dict(fields, Xv=AmbientVec(tuple(2.0 * x for x in hu), 2.0 * ut)))
         for o in (1.0, -1.0):
             want = _outcome(reference_unit_normal, jet, o)
             assert want == ("NotImmersed", "first derivatives are parallel")

@@ -1,10 +1,8 @@
 """Chart presets: jets, consistency between derivative modes, perturbation,
 and the JSON config constructor."""
 
-import copy
 import dataclasses
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -16,13 +14,11 @@ from h2xr.errors import (ConfigError, GeometryError, NonUnitCurve, NotImmersed,
 from h2xr.hyperbolic import curve_from_curvature
 from h2xr.minkowski import _mdot
 from h2xr.product import AmbientVec
-from h2xr.surfaces import (ChartDomain, Surface, SurfaceJet, bilinear_height,
+from h2xr.surfaces import (ChartDomain, Surface, SurfaceJet, bilinear_height, check_jet,
                            finite_difference_surface, from_config,
                            linear_height, make_cylinder, make_graph,
                            make_slice, perturb, preset, rescale_chart,
                            zero_height)
-
-from conftest import building_outcomes
 
 # A valid jet at the origin of the hyperboloid, height 0: horizontal u-line,
 # vertical v-line.  The check tests below spoil one entry at a time.
@@ -39,6 +35,18 @@ JET_FIELDS = tuple(GOOD_JET)
 
 def spoiled(**entries):
     return {**GOOD_JET, **entries}
+
+
+# (field, entry, error): GOOD_JET with one entry spoiled, each case caught by
+# one check of check_jet
+SPOILED_JETS = [
+    *((f, AmbientVec((0.0, math.nan, 0.0), 0.0), "NumericalError") for f in JET_FIELDS),
+    ("X", AmbientVec((2.0, 0.0, 0.0), 0.0), "NumericalError"),
+    ("Xvv", AmbientVec((0.0, 0.0, 0.0), math.inf), "NumericalError"),
+    ("Xu", AmbientVec((0.5, 1.0, 0.0), 0.0), "NumericalError"),
+    ("Xv", GOOD_JET["Xu"], "NotImmersed"),
+    ("X", AmbientVec((-1.0, 0.0, 0.0), 0.0), "NumericalError"),
+]
 
 
 def probe_points(surface, n=4, inset=0.05):
@@ -193,68 +201,45 @@ class TestImmersionInvariant:
 
     def test_degenerate_jet_rejected(self):
         with pytest.raises(NotImmersed):
-            SurfaceJet(**spoiled(Xv=GOOD_JET["Xu"]))
+            check_jet(SurfaceJet(**spoiled(Xv=GOOD_JET["Xu"])))
 
 
 class TestJetChecks:
-    """SurfaceJet is the one place a jet is checked; each case below is
-    caught by exactly one of its checks."""
+    """check_jet is the one scalar jet check; each case below is caught by
+    exactly one of its checks."""
 
     def test_valid_jet_accepted(self):
         jet = SurfaceJet(**GOOD_JET)
+        assert check_jet(jet) is jet
         assert jet.X == ((1.0, 0.0, 0.0), 0.0)
 
     @pytest.mark.parametrize("field", JET_FIELDS)
     def test_nan_coordinate_rejected(self, field):
         h, t = GOOD_JET[field]
         with pytest.raises(NumericalError, match="non-finite coordinates"):
-            SurfaceJet(**spoiled(**{field: AmbientVec((h[0], math.nan, h[2]), t)}))
+            check_jet(SurfaceJet(**spoiled(**{field: AmbientVec((h[0], math.nan, h[2]), t)})))
 
     @pytest.mark.parametrize("footprint", [(2.0, 0.0, 0.0), (-1.0, 0.0, 0.0)],
                              ids=["off_sheet", "lower_sheet"])
     def test_footprint_off_upper_sheet_rejected(self, footprint):
         with pytest.raises(NumericalError):
-            SurfaceJet(**spoiled(X=AmbientVec(footprint, 0.0)))
+            check_jet(SurfaceJet(**spoiled(X=AmbientVec(footprint, 0.0))))
 
     @pytest.mark.parametrize("height", [math.nan, math.inf])
     def test_non_finite_height_rejected(self, height):
         with pytest.raises(NumericalError, match="non-finite height"):
-            SurfaceJet(**spoiled(X=AmbientVec((1.0, 0.0, 0.0), height)))
+            check_jet(SurfaceJet(**spoiled(X=AmbientVec((1.0, 0.0, 0.0), height))))
 
     @pytest.mark.parametrize("field", JET_FIELDS)
     def test_non_finite_derivative_height_rejected(self, field):
         h, _ = GOOD_JET[field]
         with pytest.raises(NumericalError, match="non-finite height"):
-            SurfaceJet(**spoiled(**{field: AmbientVec(h, math.nan)}))
+            check_jet(SurfaceJet(**spoiled(**{field: AmbientVec(h, math.nan)})))
 
     def test_non_tangent_first_derivative_rejected(self):
         # <Xu, p> = -0.5 while the Gram determinant stays 0.75
         with pytest.raises(NumericalError, match="not tangent"):
-            SurfaceJet(**spoiled(Xu=AmbientVec((0.5, 1.0, 0.0), 0.0)))
-
-    @pytest.mark.parametrize("field, entry, error", [
-        *((f, AmbientVec((0.0, math.nan, 0.0), 0.0), "NumericalError") for f in JET_FIELDS),
-        ("X", AmbientVec((2.0, 0.0, 0.0), 0.0), "NumericalError"),
-        ("Xvv", AmbientVec((0.0, 0.0, 0.0), math.inf), "NumericalError"),
-        ("Xu", AmbientVec((0.5, 1.0, 0.0), 0.0), "NumericalError"),
-        ("Xv", GOOD_JET["Xu"], "NotImmersed"),
-    ])
-    def test_every_way_of_building_runs_the_checks(self, field, entry, error):
-        """Positional, keyword, _make, _replace, copies and pickle round
-        trips of a spoiled jet all raise what direct construction raises."""
-        with pytest.raises(GeometryError) as direct:
-            SurfaceJet(**spoiled(**{field: entry}))
-        want = (type(direct.value).__name__, str(direct.value))
-        assert want[0] == error
-        got = building_outcomes(SurfaceJet, tuple(GOOD_JET.values()), field, entry)
-        assert set(got.values()) == {want}, got
-
-    def test_every_way_of_building_keeps_a_good_jet(self):
-        jet = SurfaceJet(**GOOD_JET)
-        built = [copy.copy(jet), copy.deepcopy(jet), SurfaceJet._make(jet), jet._replace(),
-                 *(pickle.loads(pickle.dumps(jet, p))
-                   for p in range(pickle.HIGHEST_PROTOCOL + 1))]
-        assert all(type(b) is SurfaceJet and b == jet for b in built)
+            check_jet(SurfaceJet(**spoiled(Xu=AmbientVec((0.5, 1.0, 0.0), 0.0))))
 
     @pytest.mark.parametrize("field", ["X", "Xuu"])
     def test_grid_records_rejected_jet_as_numerical_failure(self, circle_cylinder,
@@ -271,6 +256,38 @@ class TestJetChecks:
         S = dataclasses.replace(circle_cylinder, chart=chart)
         rows = curvature_grid(S, 4, 4, brioschi=False).rows
         assert [r.status for r in rows] == ["ok"] * 5 + ["NUMERICAL_FAILURE"] + ["ok"] * 10
+
+
+class TestCheckAtTheBoundary:
+    """A chart's jets are checked where they enter the library.  The wrapper
+    chart below has no array evaluator and returns one spoiled jet, as a
+    user chart might, at BAD_UV: the surface and the finite-difference,
+    perturbed and rescaled surfaces over it raise there what check_jet
+    raises, and their blocks flag exactly that point."""
+
+    BAD_UV = (1.0, 0.5)
+
+    @pytest.mark.parametrize("field, entry, error", SPOILED_JETS)
+    def test_spoiled_jet_raised_and_flagged(self, circle_cylinder, field, entry, error):
+        jet = SurfaceJet(**spoiled(**{field: entry}))
+        with pytest.raises(GeometryError) as direct:
+            check_jet(jet)
+        want = (type(direct.value).__name__, str(direct.value))
+        assert want[0] == error
+
+        def chart(u, v, base=circle_cylinder.chart):
+            return jet if (u, v) == self.BAD_UV else base(u, v)
+
+        S = dataclasses.replace(circle_cylinder, chart=chart)
+        (u, v), us = self.BAD_UV, np.array([0.5, 1.0, 1.5])
+        # the rescaled chart reaches BAD_UV at (0.5, -1.0) and the points
+        # us at us / 2, exactly
+        for D, a, b in ((S, 1.0, 1.0), (finite_difference_surface(S), 1.0, 1.0),
+                        (perturb(S, 1e-2), 1.0, 1.0), (rescale_chart(S, 2.0, -0.5), 2.0, -0.5)):
+            with pytest.raises(GeometryError) as got:
+                D.jet(u / a, v / b)
+            assert (type(got.value).__name__, str(got.value)) == want, D.label
+            assert D.jets(us / a, np.full(3, v / b)).bad.tolist() == [False, True, False]
 
 
 class TestRescale:
