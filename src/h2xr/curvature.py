@@ -27,33 +27,23 @@ multiplies the sign by that of the scale factors' product, so its normal is
 the base's.  Principal curvatures are ordered by absolute value,
 |k1| <= |k2|, so d1 is the asymptotic direction at parabolic points.
 
-Bulk evaluation: where the chart points are known up front (the cell
-centres and 5x5 stencils of ``curvature_grid``, the transverse connection
-samples of a trace), ``point_block`` evaluates jets, unit normals, forms and
-principal curvatures for many points at once on arrays
-(``Surface.jets``, ``unit_normals``, ``forms_from_jets``,
-``principal_curvature_arrays``), with the formulas of the scalar twins in
-the same order, so every value keeps the bits of the scalar path.  A grid
-runs in blocks of at most ``POINT_BLOCK`` chart evaluations, counting the
-nine base evaluations behind a finite-difference jet, which bounds the
-memory of a block; a cell with a point the block flags is evaluated again
-alone, so its status comes from the scalar exception.  The Brioschi values
-of a block come from one ``brioschi_curvatures`` call on the stack of its
-array-sampled stencils; every derivative there is an explicit sum in a fixed
-order, so a cell gets the bits of the one-stencil ``brioschi_curvature``,
-whatever the memory layout.  The sequential RK4 steps of asymptotic traces
-stay scalar: an array call costs several scalar jets (an array call on 16
-cylinder points costs about as much as 16 scalar points), and a trace
-steps one seed at a time, so points in lockstep do not pay for it.
-Instead the scalar chain is kept cheap: ``forms_from_jet`` and
-``principal_curvatures`` (like ``check_jet`` and ``unit_normal``) work on
-unpacked floats, with no triple helpers, closures, loops or intermediate
-tuples, and keep the operations and their order, so the bits, checks and
-messages stay those of the helper-based formulas.  Neither reads the
-height ``X.t`` of a jet (vertical translations are isometries), so a trace
-reuses the shape data of a point whose jet differs from the last one's only
-there.  ``forms_from_jet`` checks the plain tuple ``FundamentalForms`` it
-returns; ``FundamentalForms.flipped`` keeps every checked quantity.
+Bulk evaluation: where the chart points are known up front (the cells of
+``curvature_grid``, the transverse connection samples of a trace),
+``shape_block`` takes a block of jets (``Surface.jets``; ``point_block``
+chains the two) to normals, forms and principal curvatures by the scalar
+formulas in the same order, so every value keeps the scalar bits.  A
+Brioschi grid takes a cell's centre jet from the middle of its 5x5 stencil
+(u + 0.0 h is u) and calls the shape kernel once per block of
+``block_size(S, 1)`` cells; the stencils go to ``S.jets`` in sub-blocks of
+at most ``POINT_BLOCK`` chart evaluations (nine per finite-difference jet),
+which bounds the memory held.  A flagged cell, or each cell of a sub-block
+that raises, is evaluated again alone, so its status is the scalar
+exception's.  ``brioschi_curvatures`` sums each derivative explicitly in a
+fixed order, so a stacked stencil has the bits of ``brioschi_curvature``.
+Traces stay on the scalar chain (each RK4 step needs the last, and an array
+call costs several scalar jets), which works on unpacked floats and never
+reads a jet's height ``X.t`` (vertical translations are isometries): a trace
+reuses the last point's shape data where only that differs.
 """
 
 from __future__ import annotations
@@ -295,14 +285,19 @@ class PointBlock(NamedTuple):
     bad: np.ndarray
 
 
-def point_block(S: Surface, us, vs) -> PointBlock:
-    """The scalar ``S.jet`` -> ``forms_from_jet`` -> ``principal_curvatures``
-    chain for arrays of chart points at once."""
+def shape_block(jets: JetBlock, orientation: float) -> PointBlock:
+    """The scalar ``forms_from_jet`` -> ``principal_curvatures`` chain for a
+    block of jets at once."""
     with np.errstate(all="ignore"):
-        jets = S.jets(us, vs)
-        forms = forms_from_jets(jets, S.orientation)
+        forms = forms_from_jets(jets, orientation)
         k1, k2, d1, d2, bad = principal_curvature_arrays(forms)
     return PointBlock(jets, forms, k1, k2, d1, d2, bad | forms.bad)
+
+
+def point_block(S: Surface, us, vs) -> PointBlock:
+    """:func:`shape_block` of the jets ``S.jets(us, vs)``."""
+    with np.errstate(all="ignore"):
+        return shape_block(S.jets(us, vs), S.orientation)
 
 
 def block_size(S: Surface, points_per_item: int) -> int:
@@ -325,14 +320,11 @@ class MetricStencil:
 def sample_metric_stencil(S: Surface, u: float, v: float) -> MetricStencil:
     """Sample E, F, G around (u, v) at spacing STENCIL_H, shrunk near the
     boundary."""
-    (u0, u1) = S.domain.u_range
-    (v0, v1) = S.domain.v_range
+    (u0, u1), (v0, v1) = S.domain.u_range, S.domain.v_range
     h_eff = min(STENCIL_H, 0.5 * (u - u0), 0.5 * (u1 - u), 0.5 * (v - v0), 0.5 * (v1 - v))
     if h_eff <= 1e-8:
         raise OutOfDomain("metric stencil leaves the chart domain")
-    E = np.empty((5, 5))
-    F = np.empty((5, 5))
-    G = np.empty((5, 5))
+    E, F, G = np.empty((5, 5)), np.empty((5, 5)), np.empty((5, 5))
     for i in range(5):
         for j in range(5):
             jet = S.jet(u + (i - 2) * h_eff, v + (j - 2) * h_eff)
@@ -463,10 +455,8 @@ class CurvatureGrid:
 
 def grid_points(S: Surface, nu_: int, nv_: int) -> list[tuple[float, float]]:
     """Cell centers of a uniform nu_ x nv_ partition of the chart domain."""
-    (u0, u1) = S.domain.u_range
-    (v0, v1) = S.domain.v_range
-    du = (u1 - u0) / nu_
-    dv = (v1 - v0) / nv_
+    (u0, u1), (v0, v1) = S.domain.u_range, S.domain.v_range
+    du, dv = (u1 - u0) / nu_, (v1 - v0) / nv_
     return [(u0 + (i + 0.5) * du, v0 + (j + 0.5) * dv)
             for i in range(nu_) for j in range(nv_)]
 
@@ -482,10 +472,10 @@ def curvature_grid(S: Surface, nu_: int, nv_: int,
     stencil (25 more jets per cell) is skipped and ``Kint_brioschi`` is NaN
     in every row.
 
-    Cells are evaluated in blocks of at most POINT_BLOCK chart evaluations
-    (see the module docstring); a cell the block flags, or every cell of a
-    block that raises, is evaluated alone, as one scalar row.  Under 2 cells
-    per axis, over MAX_GRID_CELLS cells or a tolerance <= 0 raise ConfigError.
+    One shape kernel call per block of ``block_size(S, 1)`` cells (module
+    docstring); a flagged cell, or each cell of a block or stencil sub-block
+    that raises, is evaluated alone, as one scalar row.  Under 2 cells per
+    axis, over MAX_GRID_CELLS cells or a tolerance <= 0 raise ConfigError.
     """
     if nu_ < 2 or nv_ < 2:
         raise ConfigError("grid needs at least 2 cells per axis")
@@ -504,7 +494,7 @@ def curvature_grid(S: Surface, nu_: int, nv_: int,
         return _grid_row(u, v, sd.k1, sd.k2, forms.nu, sd.Kint_brioschi, tol, brioschi)
 
     points = grid_points(S, nu_, nv_)
-    size = block_size(S, 26 if brioschi else 1)
+    size = block_size(S, 1)
     rows: list[GridRow] = []
     for k in range(0, len(points), size):
         cells = points[k:k + size]
@@ -516,8 +506,7 @@ def curvature_grid(S: Surface, nu_: int, nv_: int,
 
 
 def _failed_row(u: float, v: float, code: str) -> GridRow:
-    nan = math.nan
-    return GridRow(u, v, nan, nan, nan, nan, nan, nan, nan, "", code)
+    return GridRow(u, v, *[math.nan] * 7, "", code)
 
 
 def _grid_row(u: float, v: float, k1: float, k2: float, nu: float, kb: float,
@@ -533,29 +522,39 @@ def _grid_row(u: float, v: float, k1: float, k2: float, nu: float, kb: float,
 
 def _grid_block(S: Surface, cells: list[tuple[float, float]], tol: float,
                 brioschi: bool, one) -> list[GridRow]:
-    """Grid rows of a block of cells from one bulk evaluation of their
-    centres (and stencils); flagged cells go to the scalar ``one``."""
-    us = np.array([u for u, _ in cells])
-    vs = np.array([v for _, v in cells])
-    pb = point_block(S, us, vs)
-    bad = pb.bad
-    kb = [math.nan] * len(cells)
-    if brioschi:
-        (u0, u1) = S.domain.u_range
-        (v0, v1) = S.domain.v_range
-        h = np.minimum.reduce([np.full(us.shape, STENCIL_H), 0.5 * (us - u0),
-                               0.5 * (u1 - us), 0.5 * (vs - v0), 0.5 * (v1 - vs)])
-        off = np.arange(-2.0, 3.0)
-        su, sv = np.broadcast_arrays(us[:, None, None] + off[None, :, None] * h[:, None, None],
-                                     vs[:, None, None] + off[None, None, :] * h[:, None, None])
-        with np.errstate(all="ignore"):
-            jets = S.jets(su.ravel(), sv.ravel())
-            E, F, G = (a.reshape(len(cells), 5, 5) for a in (
-                _prod_inner(jets.Xu, jets.Xu), _prod_inner(jets.Xu, jets.Xv),
-                _prod_inner(jets.Xv, jets.Xv)))
-        bad = bad | ~(h > 1e-8) | jets.bad.reshape(len(cells), 25).any(axis=1)
-        kb = brioschi_curvatures(E, F, G, h).tolist()
+    """Grid rows of a block of cells from one shape kernel call on their
+    centres; flagged cells go to the scalar ``one``."""
+    us, vs = (np.array(x) for x in zip(*cells))
+    pb, kb = (_brioschi_block(S, us, vs) if brioschi
+              else (point_block(S, us, vs), [math.nan] * len(cells)))
     k1s, k2s, nus = pb.k1.tolist(), pb.k2.tolist(), pb.forms.normal.t.tolist()
-    return [one((u, v)) if bad[i]
+    return [one((u, v)) if pb.bad[i]
             else _grid_row(u, v, k1s[i], k2s[i], nus[i], kb[i], tol, brioschi)
             for i, (u, v) in enumerate(cells)]
+
+
+def _brioschi_block(S: Surface, us: np.ndarray, vs: np.ndarray) -> tuple[PointBlock, list]:
+    """The shape block of cells' centre jets, copied from the middles of
+    their 5x5 stencils so that no stencil outlives its sub-block, and their
+    Brioschi values; a stencil that does not fit or fails flags its cell."""
+    (u0, u1), (v0, v1) = S.domain.u_range, S.domain.v_range
+    h = np.minimum.reduce([np.full(us.shape, STENCIL_H), 0.5 * (us - u0),
+                           0.5 * (u1 - us), 0.5 * (vs - v0), 0.5 * (v1 - vs)])
+    pu, pv = (x[:, None] + h[:, None] * np.arange(-2.0, 3.0) for x in (us, vs))
+    centre, kb = np.full((24, len(us)), math.nan), np.full(len(us), math.nan)
+    bad, size = ~(h > 1e-8), block_size(S, 25)
+    for k in range(0, len(us), size):
+        s = slice(k, k + size)
+        su, sv = np.broadcast_arrays(pu[s, :, None], pv[s, None, :])
+        try:
+            with np.errstate(all="ignore"):
+                jets = S.jets(su.ravel(), sv.ravel())
+                E, F, G = (_prod_inner(a, b).reshape(-1, 5, 5) for a, b in (
+                    (jets.Xu, jets.Xu), (jets.Xu, jets.Xv), (jets.Xv, jets.Xv)))
+            kb[s] = brioschi_curvatures(E, F, G, h[s])
+            centre[:, s] = [c[12::25] for w in jets[:6] for c in (*w.htup, w.t)]
+            bad[s] |= jets.bad.reshape(-1, 25).any(axis=1)
+        except (GeometryError, ArithmeticError, ValueError):
+            bad[s] = True
+    return shape_block(JetBlock(*(AmbientVec(tuple(centre[k:k + 3]), centre[k + 3])
+                                  for k in range(0, 24, 4)), bad), S.orientation), kb.tolist()

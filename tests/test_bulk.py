@@ -19,7 +19,7 @@ from h2xr.errors import NumericalError
 from h2xr.flows import trace_asymptotic
 from h2xr.hyperbolic import (H2Curve, curve_from_curvature, linear_curvature,
                              spline_curvature)
-from h2xr.surfaces import (ChartDomain, HeightFunction, bilinear_height,
+from h2xr.surfaces import (ChartDomain, HeightFunction, Surface, bilinear_height,
                            finite_difference_surface, gaussian_bump, linear_height,
                            make_cylinder, make_graph, preset, zero_height)
 
@@ -178,8 +178,9 @@ class TestBlockedGrid:
     @pytest.mark.parametrize("name,n,m,brioschi", [
         ("cylinder_spline", 37, 29, False),      # 1073 cells: 936 + 137
         ("perturbed_slice", 11, 10, False),      # 104 + 6 per block of 936 / 9
-        ("graph_bilinear", 7, 6, True),          # 36 + 6 per block of 936 / 26
-    ])
+        ("graph_bilinear", 7, 6, True),          # one block; stencils 37 + 5 (936 / 25)
+        ("perturbed_cylinder", 11, 10, True),    # 104 + 6; stencils 26 + 2 sub-blocks
+    ])                                           # of at most 936 / (25 * 9) = 4 cells
     def test_counts_not_a_multiple_of_the_block(self, name, n, m, brioschi):
         assert (n * m) % POINT_BLOCK
         self._check(SURFACES[name], n, m, brioschi=brioschi)
@@ -195,11 +196,65 @@ class TestBlockedGrid:
         assert curvature_grid(plain, 4, 4).to_csv() == curvature_grid(S, 4, 4).to_csv()
 
     def test_failing_block_runs_scalar(self, monkeypatch, perturbed_cylinder):
+        # the failure hits what both grid paths call: the shape kernel, and
+        # the jets of the cell centres or of the Brioschi stencils
+        calls = []
+
         def boom(*_):
+            calls.append(1)
             raise OverflowError("injected")
 
-        monkeypatch.setattr(curvature, "point_block", boom)
+        for owner, name in ((curvature, "shape_block"), (Surface, "jets")):
+            for brioschi in (True, False):
+                calls.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(owner, name, boom)
+                    self._check(perturbed_cylinder, 4, 3, brioschi=brioschi)
+                assert calls, (name, brioschi)
+
+    def test_failing_stencil_sub_block_runs_its_cells_scalar(self, monkeypatch,
+                                                              perturbed_cylinder):
+        # 12 cells of a finite-difference chart: stencil sub-blocks of 4 cells,
+        # the second of which raises; only its cells are evaluated alone
+        real_jets, real_shape_at, calls, alone = Surface.jets, curvature.shape_at, [], []
+
+        def jets(S, us, vs):
+            calls.append(len(us))
+            if len(calls) == 2:
+                raise OverflowError("injected")
+            return real_jets(S, us, vs)
+
+        def shape_at(S, u, v, with_brioschi=True):
+            alone.append((u, v))
+            return real_shape_at(S, u, v, with_brioschi)
+
+        monkeypatch.setattr(Surface, "jets", jets)
+        monkeypatch.setattr(curvature, "shape_at", shape_at)
         self._check(perturbed_cylinder, 4, 3)
+        assert calls == [100, 100, 100]
+        assert alone == curvature.grid_points(perturbed_cylinder, 4, 3)[4:8]
+
+    @pytest.mark.parametrize("fd", [False, True])
+    def test_each_point_evaluated_once(self, monkeypatch, fd):
+        # a 10 x 10 Brioschi grid asks for the 25 stencil points of each cell,
+        # the centre among them, and runs the shape kernel once: 100 cells fit
+        # one block of 936 (analytic) or 104 (finite-difference) cells
+        S = finite_difference_surface(preset("cylinder_circle")) if fd else SURFACES["slice"]
+        real_jets, real_shape_block, points, kernel = Surface.jets, curvature.shape_block, [], []
+
+        def jets(S, us, vs):
+            points.append(len(us))
+            return real_jets(S, us, vs)
+
+        def shape_block(jets, orientation):
+            kernel.append(len(jets.bad))
+            return real_shape_block(jets, orientation)
+
+        monkeypatch.setattr(Surface, "jets", jets)
+        monkeypatch.setattr(curvature, "shape_block", shape_block)
+        curvature_grid(S, 10, 10)
+        assert sum(points) == 2500 and max(points) * (9 if fd else 1) <= POINT_BLOCK
+        assert kernel == [100]
 
     def test_finite_difference_cylinders_stay_exactly_flat(self):
         g = curvature_grid(finite_difference_surface(preset("cylinder_circle")), 21, 21)

@@ -19,11 +19,11 @@ from h2xr.hyperbolic import (H2Point, curvature_profile, curve_hausdorff,
 from h2xr.product import ProdGeodesic, ProdPoint, ProdTangent
 from h2xr.hyperbolic import H2Tangent
 from h2xr.minkowski import SpacetimeVec
-from h2xr.surfaces import (CORPUS_CONFIGS, CYLINDER_PRESETS, from_config,
-                           generating_curve_of_config, perturb, preset)
+from h2xr.surfaces import (CORPUS_CONFIGS, CYLINDER_PRESETS, finite_difference_surface,
+                           from_config, generating_curve_of_config, perturb, preset)
 from h2xr.verification import parabolic_seeds
 
-from conftest import COTH1, faulty_at_cell_centres, lifted
+from conftest import COTH1, bent_chart, faulty_at_cell_centres, lifted
 
 
 class TestFlatnessScan:
@@ -179,7 +179,8 @@ class TestClassifySurface:
 
 # Theorem 1 beyond the corpus: spline cylinders with the knots of
 # cylinder_spline and random curvatures there, at reduced sizes (about 0.25 s
-# a classification on a 2-core VM)
+# a classification on a 2-core VM; 1-2 s on a finite-difference twin or on a
+# reparametrised chart, which has no array evaluator)
 SMALL = ClassifierConfig(grid_n=11, trace_length=1.0, recovery_samples=301)
 KNOT_CURVATURES = st.lists(st.floats(-1.5, 1.5), min_size=5, max_size=5)
 
@@ -200,6 +201,21 @@ class TestTheorem1Properties:
         for D in (S, lifted(S, c)):
             v = classify_surface(D, SMALL)
             assert v.verdict == CYLINDER, (D.label, knots_k, v.evidence.notes)
+            assert curve_hausdorff(v.generating_curve, true_curve) < 1e-5, (D.label, knots_k)
+
+    @settings(max_examples=2, deadline=None)
+    @given(knots_k=KNOT_CURVATURES)
+    def test_chart_changes_keep_the_cylinder(self, knots_k):
+        """The verdict and the curve belong to the surface, not to its chart:
+        the finite-difference twin and the orientation-preserving
+        reparametrisation ``bent_chart`` (whose u range shrinks, so its curve
+        is the start of the true one) are cylinders over the same curve."""
+        cfg = _spline_cylinder_config(knots_k)
+        S = from_config(cfg)
+        for D in (finite_difference_surface(S), bent_chart(S)):
+            v = classify_surface(D, SMALL)
+            assert v.verdict == CYLINDER, (D.label, knots_k, v.evidence.notes)
+            true_curve = generating_curve_of_config(dict(cfg, domain={"u": D.domain.u_range}))
             assert curve_hausdorff(v.generating_curve, true_curve) < 1e-5, (D.label, knots_k)
 
     @settings(max_examples=5, deadline=None)
