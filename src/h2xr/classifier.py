@@ -17,20 +17,19 @@ a cylinder as a vertical surface over a plane curve.
 
 from __future__ import annotations
 
-import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import CurvatureGrid, PARABOLIC, PLANAR, curvature_grid
+from .curvature import CurvatureGrid, PARABOLIC, PLANAR, block_size, curvature_grid
 from .errors import (ConfigError, EmptyIntersection, GeometryError,
                      NumericalError)
 from .flows import (PLANAR_HIT, TraceRecord, geodesic_deviation, trace_asymptotic,
                     trace_half_steps)
 from .hyperbolic import H2Curve, _dists_raw, curvature_profile
-from .minkowski import _mcross, _mdot, _normalize_spacelike, _project_tangent
-from .numerics import bracket_root
+from .minkowski import _mcross, _mdot, _mscale, _normalize_spacelike, _project_tangent
+from .numerics import bracket_root, bracket_root_batch
 from .surfaces import Surface
 
 CYLINDER = "CYLINDER"
@@ -225,6 +224,47 @@ def _farthest_point_seeds(cells: list[tuple[float, float]], k: int,
     return [tuple(pts[i].tolist()) for i in chosen]
 
 
+def _slice_frenet(jets):
+    """Footprints, unit tangents, normals, geodesic curvatures and speeds of
+    the slice curve through chart jets (floats, or the arrays of a JetBlock,
+    with the same bits); the speed is not positive where the tangent is not
+    spacelike, and the other entries are meaningless there."""
+    X, Xu, Xv, Xuu, Xuv, Xvv = jets[:6]
+    vp = -Xu.t / Xv.t
+    bp = tuple(a + vp * b for a, b in zip(Xu.htup, Xv.htup))
+    q = _mdot(bp, bp)
+    speed = np.sqrt(np.maximum(0.0, q))
+    vpp = -(Xuu.t + 2.0 * Xuv.t * vp + Xvv.t * vp * vp) / Xv.t
+    bpp = tuple(a + 2.0 * vp * b + vp * vp * c + vpp * d
+                for a, b, c, d in zip(Xuu.htup, Xuv.htup, Xvv.htup, Xv.htup))
+    that = _mscale(1.0 / np.sqrt(q), bp)  # as _normalize_spacelike
+    nhat = _mcross(X.htup, that)
+    kg = _mdot(_project_tangent(X.htup, bpp), nhat) / (speed * speed)
+    return X.htup, that, nhat, kg, speed
+
+
+def _frenet_alone(S: Surface, u: float, v: float):
+    """:func:`_slice_frenet` of one chart point on the scalar path, raising
+    what a point-by-point loop raises there."""
+    jet = S.jet(u, v)
+    if abs(jet.Xv.t) < 1e-12:
+        raise NumericalError("slice is not transversal to the chart")
+    vp = -jet.Xu.t / jet.Xv.t
+    _normalize_spacelike(tuple(a + vp * b for a, b in zip(jet.Xu.htup, jet.Xv.htup)))
+    return _slice_frenet(jet)
+
+
+def _frenet_block(S: Surface, us: np.ndarray, vs: np.ndarray):
+    """:func:`_slice_frenet` at arrays of chart points through one call of
+    ``S.jets``, as a (n, 11) array of rows (footprint, tangent, normal, kg,
+    speed), and the mask of the points where :func:`_frenet_alone` raises."""
+    jets = S.jets(us, vs)
+    with np.errstate(all="ignore"):
+        beta, that, nhat, kg, speed = _slice_frenet(jets)
+    bad = jets.bad | (np.abs(jets.Xv.t) < 1e-12) | ~(speed > 0.0)
+    return np.column_stack([*beta, *that, *nhat, kg, speed]), bad
+
+
 def recover_generating_curve(S: Surface, t0: float, n: int) -> H2Curve:
     """Intersect the chart with the height-t0 slice and project horizontally.
 
@@ -232,6 +272,18 @@ def recover_generating_curve(S: Surface, t0: float, n: int) -> H2Curve:
     root finding; tangents, arclength (per-interval Simpson) and signed
     curvature all come from the chart jets, so the recovered curve carries
     full Frenet data.
+
+    Only the chain of hits is sequential, since each hit's bracket is
+    centred on the previous hit's v: it runs scalar ``bracket_root`` on
+    ``S.jet``.  Everything after it runs on ``S.jets`` in blocks of
+    ``block_size(S, 1)`` samples: the Frenet data of the hits, the interval
+    midpoints' root searches (in lockstep, ``bracket_root_batch``) and the
+    midpoints' speeds.  A midpoint whose bracket has no sign change, or
+    whose low end is a root, is solved alone by the scalar search.  A
+    sample flagged as failing is run again alone on the scalar path, in the
+    order of a point-by-point loop (all hits, then each midpoint's solve
+    before its Frenet data), so the first failure raises the error of that
+    loop; every value has the bits of that loop.
     """
     (u0, u1) = S.domain.u_range
     (v0, v1) = S.domain.v_range
@@ -239,13 +291,13 @@ def recover_generating_curve(S: Surface, t0: float, n: int) -> H2Curve:
     us = np.linspace(u0 + margin, u1 - margin, n)
 
     v_lo, v_hi = v0 + 1e-12, v1 - 1e-12
+    w = 0.05 * (v1 - v0)
 
     def solve_v(u: float, guess: float | None) -> float | None:
         def height(v: float) -> float:
             return S.jet(u, v).X.t - t0
 
         if guess is not None:
-            w = 0.05 * (v1 - v0)
             lo, hi = max(v_lo, guess - w), min(v_hi, guess + w)
             flo, fhi = height(lo), height(hi)
             if flo == 0.0:
@@ -276,45 +328,49 @@ def recover_generating_curve(S: Surface, t0: float, n: int) -> H2Curve:
     if len(hits) < 9:
         raise EmptyIntersection(f"slice t = {t0} meets {S.label} in fewer than 9 samples")
 
-    m = len(hits)
-    pts = np.empty((m, 3))
-    tans = np.empty((m, 3))
-    nrms = np.empty((m, 3))
-    kgs = np.empty(m)
-    speeds = np.empty(m)
+    hu, hv = np.array(hits).T
+    um, gm = 0.5 * (hu[:-1] + hu[1:]), 0.5 * (hv[:-1] + hv[1:])
+    rows = np.empty((len(hits), 11))
+    mid_speed = np.empty(len(um))
+    step = block_size(S, 1)
 
-    def frenet(u: float, v: float):
-        jet = S.jet(u, v)
-        if abs(jet.Xv.t) < 1e-12:
-            raise NumericalError("slice is not transversal to the chart")
-        vp = -jet.Xu.t / jet.Xv.t
-        beta = jet.X.htup
-        bp = tuple(a + vp * b for a, b in zip(jet.Xu.htup, jet.Xv.htup))
-        speed = math.sqrt(max(0.0, _mdot(bp, bp)))
-        vpp = -(jet.Xuu.t + 2.0 * jet.Xuv.t * vp + jet.Xvv.t * vp * vp) / jet.Xv.t
-        bpp = tuple(a + 2.0 * vp * b + vp * vp * c + vpp * d
-                    for a, b, c, d in zip(jet.Xuu.htup, jet.Xuv.htup,
-                                          jet.Xvv.htup, jet.Xv.htup))
-        that = _normalize_spacelike(bp)
-        nhat = _mcross(beta, that)
-        cov = _project_tangent(beta, bpp)
-        kg = _mdot(cov, nhat) / (speed * speed)
-        return beta, that, nhat, kg, speed
+    def heights(u, v):
+        jets = S.jets(u, v)
+        return jets.X.t - t0, jets.bad
 
-    for i, (u, v) in enumerate(hits):
-        pts[i], tans[i], nrms[i], kgs[i], speeds[i] = frenet(u, v)
+    for k in range(0, len(hits), step):
+        rows[k:k + step], bad = _frenet_block(S, hu[k:k + step], hv[k:k + step])
+        for i in k + np.flatnonzero(bad):
+            rows[i] = np.hstack(_frenet_alone(S, hits[i][0], hits[i][1]))
+    for k in range(0, len(um), step):
+        u, g = um[k:k + step], gm[k:k + step]
+        lo = np.where(g - w > v_lo, g - w, v_lo)  # max(v_lo, g - w), as for floats
+        hi = np.where(g + w < v_hi, g + w, v_hi)
+        (flo, bad_lo), (fhi, bad_hi) = heights(u, lo), heights(u, hi)
+        failed = bad_lo | bad_hi | ~(flo * fhi < 0.0)  # also where flo is 0
+        inner, vm = np.flatnonzero(~failed), lo.copy()
 
-    s = np.empty(m)
-    s[0] = 0.0
-    for i in range(m - 1):
-        um = 0.5 * (hits[i][0] + hits[i + 1][0])
-        vm = solve_v(um, 0.5 * (hits[i][1] + hits[i + 1][1]))
-        if vm is None:
-            raise NumericalError("lost the slice between recovery samples")
-        sm = frenet(um, vm)[4]
-        h = hits[i + 1][0] - hits[i][0]
-        s[i + 1] = s[i] + h * (speeds[i] + 4.0 * sm + speeds[i + 1]) / 6.0
-    return H2Curve(s, pts, tans, "hermite", nrms, kgs)
+        def f(idx, x):
+            fx, bad = heights(u[inner[idx]], x)
+            failed[inner[idx[bad]]] = True
+            return fx
+
+        vm[inner] = bracket_root_batch(f, lo[inner], hi[inner], flo[inner], fhi[inner])
+        ok = np.flatnonzero(~failed)
+        frenet, bad = _frenet_block(S, u[ok], vm[ok])
+        mid_speed[k + ok] = frenet[:, 10]
+        failed[ok[bad]] = True
+        for i in k + np.flatnonzero(failed):
+            v = solve_v(float(um[i]), float(gm[i]))
+            if v is None:
+                raise NumericalError("lost the slice between recovery samples")
+            mid_speed[i] = _frenet_alone(S, float(um[i]), v)[4]
+
+    speeds = rows[:, 10]
+    s = np.concatenate([[0.0], np.cumsum(
+        (hu[1:] - hu[:-1]) * (speeds[:-1] + 4.0 * mid_speed + speeds[1:]) / 6.0)])
+    pts, tans, nrms = (rows[:, k:k + 3].copy() for k in (0, 3, 6))
+    return H2Curve(s, pts, tans, "hermite", nrms, rows[:, 9].copy())
 
 
 # -- the verdict --------------------------------------------------------------------

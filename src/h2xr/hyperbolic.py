@@ -589,17 +589,24 @@ def points_to_curve_dist(q: np.ndarray, curve: H2Curve) -> np.ndarray:
     return d
 
 
-def curve_hausdorff(a: H2Curve, b: H2Curve) -> float:
-    """Symmetric Hausdorff distance between two curves (hyperbolic metric).
+def curve_distances(a: H2Curve, b: H2Curve) -> tuple[float, float]:
+    """The two one-sided distances between two curves (hyperbolic metric):
+    the farthest sample of ``a`` from the dense ``b``, and of ``b`` from
+    the dense ``a``.
 
     Every sample of each curve is measured against the dense other curve by
     :func:`points_to_curve_dist`: two lockstep golden-section searches in
     all, whose cost is about 50 dense evaluations of each curve at arrays of
     as many arclengths as the other curve has samples.
     """
-    d1 = float(np.max(points_to_curve_dist(a.points, b)))
-    d2 = float(np.max(points_to_curve_dist(b.points, a)))
-    return max(d1, d2)
+    return (float(np.max(points_to_curve_dist(a.points, b))),
+            float(np.max(points_to_curve_dist(b.points, a))))
+
+
+def curve_hausdorff(a: H2Curve, b: H2Curve) -> float:
+    """Symmetric Hausdorff distance between two curves, the larger of
+    :func:`curve_distances`."""
+    return max(curve_distances(a, b))
 
 
 # -- curvature profile factories -----------------------------------------------

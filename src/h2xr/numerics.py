@@ -1,6 +1,6 @@
-"""Small numerical utilities: bracketed root finding, golden-section
-minimization (one bracket or many in lockstep), natural cubic splines, and a
-least-squares affine fit.
+"""Small numerical utilities: bracketed root finding and golden-section
+minimization (each on one bracket or many in lockstep), natural cubic
+splines, and a least-squares affine fit.
 
 Nothing here knows about geometry; everything is deterministic.
 """
@@ -145,6 +145,52 @@ def bracket_root(f: Callable[[float], float], a: float, b: float,
         else:
             a, fa = x, fx
     return 0.5 * (a + b)
+
+
+def bracket_root_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                       a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
+                       tol: float = 1e-14, max_iter: int = 200) -> np.ndarray:
+    """Roots on the brackets [a[k], b[k]], with end values fa[k] and fb[k],
+    in lockstep.
+
+    ``f(idx, x)`` returns, for each k in the index array ``idx``, the value
+    of the k-th function at the matching entry of ``x``.  Every bracket
+    follows :func:`bracket_root`'s rule until it meets its tolerance, hits
+    an exact zero or has been updated ``max_iter`` times, so each root
+    equals a search of that bracket alone bit for bit; NumericalError names
+    the first bracket without a sign change.
+    """
+    a, b, fa, fb = (np.array(z, dtype=float) for z in (a, b, fa, fb))
+    same = np.flatnonzero(fa * fb > 0.0)
+    if same.size:
+        k = same[0]
+        raise NumericalError(f"no sign change on [{float(a[k])}, {float(b[k])}]")
+    root = np.where(fa == 0.0, a, b)
+    idx = np.flatnonzero((fa != 0.0) & (fb != 0.0))
+    a, b, fa, fb = a[idx], b[idx], fa[idx], fb[idx]
+    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic
+        for _ in range(max_iter):
+            open_ = ~(np.abs(b - a) <= tol * (1.0 + np.abs(a) + np.abs(b)))
+            if not open_.all():
+                root[idx[~open_]] = 0.5 * (a[~open_] + b[~open_])
+                idx, a, b, fa, fb = (v[open_] for v in (idx, a, b, fa, fb))
+            if not idx.size:
+                return root
+            # secant candidate, fall back to midpoint if it leaves the bracket
+            denom = fb - fa
+            xs = b - fb * (b - a) / np.where(denom != 0.0, denom, 1.0)
+            x = np.where((denom != 0.0) & (a < xs) & (xs < b), xs, 0.5 * (a + b))
+            fx = f(idx, x)
+            zero = fx == 0.0
+            if zero.any():
+                root[idx[zero]] = x[zero]
+                keep = ~zero
+                idx, a, b, fa, fb, x, fx = (v[keep] for v in (idx, a, b, fa, fb, x, fx))
+            left = fa * fx < 0.0
+            a, fa, b, fb = (np.where(left, a, x), np.where(left, fa, fx),
+                            np.where(left, x, b), np.where(left, fx, fb))
+        root[idx] = 0.5 * (a + b)
+    return root
 
 
 class CubicSpline1D:

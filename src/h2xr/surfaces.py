@@ -26,9 +26,11 @@ Bulk evaluation: ``Surface.jets`` evaluates many chart points at once into a
 the scalar path would raise.  The charts built here carry an array evaluator
 as the ``jets`` attribute of the chart function, written from the same
 formulas in the same order as the float chart, with cosh, sinh, cos, sin,
-squares and height functions taken elementwise from the scalar functions, so
-every element has the bits of the float chart; any other chart (rescaled,
-wrapped, user-supplied) is called point by point.
+squares and height functions taken elementwise from the scalar functions (a
+height function's array twin, such as the Gaussian bump's, does the same
+without a Python call per point), so every element has the bits of the float
+chart; any other chart (rescaled, wrapped, user-supplied) is called point by
+point.
 """
 
 from __future__ import annotations
@@ -289,6 +291,14 @@ def unit_normals(jets: JetBlock, orientation: float) -> tuple[AmbientVec, np.nda
     return AmbientVec(nh, nc[2]), bad
 
 
+def _call_arrays(fn, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The float function ``fn(u, v)`` at arrays of chart points: through
+    its array twin ``fn.arrays``, written with the same operations in the
+    same order, where it has one, else point by point."""
+    bulk = getattr(fn, "arrays", None)
+    return _each(fn, us, vs) if bulk is None else bulk(us, vs)
+
+
 # Float and array versions of the math a chart body calls: a chart written
 # once against ``m`` gives the float chart with ``_FLOATS`` and its array
 # evaluator with ``_ARRAYS``.
@@ -296,7 +306,7 @@ _FLOATS = SimpleNamespace(cosh=math.cosh, sinh=math.sinh, cos=math.cos, sin=math
                           call=lambda fn, u, v: fn(u, v), jet=SurfaceJet)
 _ARRAYS = SimpleNamespace(cosh=partial(_each, math.cosh), sinh=partial(_each, math.sinh),
                           cos=partial(_each, math.cos), sin=partial(_each, math.sin),
-                          call=_each, jet=_jet_block)
+                          call=_call_arrays, jet=_jet_block)
 
 
 def _chart(body):
@@ -419,7 +429,8 @@ def bilinear_height(coef: float) -> HeightFunction:
 
 
 def gaussian_bump(center: tuple[float, float], width: float) -> HeightFunction:
-    """Smooth localized bump exp(-((u-cu)^2 + (v-cv)^2) / width^2)."""
+    """Smooth localized bump exp(-((u-cu)^2 + (v-cv)^2) / width^2); its
+    height ``f`` carries its array twin (see :func:`_call_arrays`)."""
     if not width > 0.0:
         raise ConfigError("bump width must be positive")
     cu, cv = center
@@ -428,6 +439,7 @@ def gaussian_bump(center: tuple[float, float], width: float) -> HeightFunction:
     def val(u, v):
         return math.exp(-((u - cu) ** 2 + (v - cv) ** 2) / w2)
 
+    val.arrays = lambda us, vs: _each(math.exp, -(_sq(us - cu) + _sq(vs - cv)) / w2)
     return HeightFunction(
         f=val,
         fu=lambda u, v: val(u, v) * (-2.0 * (u - cu) / w2),
@@ -592,7 +604,7 @@ def perturb(base: Surface, eps: float, bump: HeightFunction | None = None,
     def pos_arrays(us: np.ndarray, vs: np.ndarray):
         jets = _chart_jets(base.chart, us, vs)
         n, bad = unit_normals(jets, base.orientation)
-        d = eps * _each(bump.f, us, vs)
+        d = eps * _call_arrays(bump.f, us, vs)
         p = jets.X.htup
         a_h = np.sqrt(np.maximum(0.0, _mdot(n.htup, n.htup)))
         moved = _exp_raw(p, _mscale(1.0 / a_h, n.htup), d * a_h)

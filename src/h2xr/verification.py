@@ -19,7 +19,10 @@ self-auditing.  Check identifiers:
 * ``GEO_LEMMA``  - product geodesics project to hyperbolic geodesics with
                    affine height;
 * ``THEOREM1``   - the classifier labels the whole corpus correctly and
-                   recovers generating curves faithfully;
+                   recovers generating curves faithfully (the Hausdorff
+                   distance to the true curve, and next to it the one-sided
+                   recovered -> true distance, which the end trim of
+                   recovery does not enter);
 * ``DIVERGENCE`` - distinct hyperbolic geodesics move apart beyond any bound.
 
 Report: a check's "worst" sub-check is a failing one, NaN first, or else
@@ -48,7 +51,7 @@ from .curvature import DEFAULT_CLASS_TOL, PARABOLIC, curvature_grid, shape_at
 from .errors import DivergenceNotReached
 from .flows import (PLANAR_HIT, fit_inverse_H, frame_ode_residuals,
                     geodesic_deviation, trace_asymptotic)
-from .hyperbolic import H2Point, H2Tangent, curve_hausdorff, h2_dist
+from .hyperbolic import H2Point, H2Tangent, curve_distances, h2_dist
 from .minkowski import SpacetimeVec, _normalize_spacelike, _project_tangent
 from .numerics import affine_fit
 from .product import (H2Geodesic, ProdGeodesic, ProdPoint, ProdTangent,
@@ -330,9 +333,11 @@ def check_theorem1(corpus: list[dict] | None = None,
                                      config.verticality_tol, "<"))
             true_curve = generating_curve_of_config(scfg)
             if true_curve is not None and verdict.generating_curve is not None:
-                d_h = curve_hausdorff(verdict.generating_curve, true_curve)
+                to_true, from_true = curve_distances(verdict.generating_curve, true_curve)
                 subs.append(SubCheck(f"{label} recovered-curve Hausdorff",
-                                     d_h, 1e-5, "<"))
+                                     max(to_true, from_true), 1e-5, "<"))
+                subs.append(SubCheck(f"{label} recovered -> true distance",
+                                     to_true, 1e-5, "<"))
     subs.append(SubCheck("INCONSISTENT verdicts", float(inconsistent), 1.0, "<"))
     return CheckResult("THEOREM1", subs)
 

@@ -14,18 +14,19 @@ from hypothesis import strategies as st
 from h2xr.curvature import (PARABOLIC, CurvatureGrid, FundamentalForms, GridRow,
                             classify_point, forms_from_jet, grid_points,
                             principal_curvatures, shape_at, shape_data)
-from h2xr.errors import (BadCurvatureFunction, DegenerateDirection, GeometryError,
-                         NonUnitTangent, NotImmersed, NotParabolic, NumericalError,
-                         OutOfDomain)
+from h2xr.errors import (BadCurvatureFunction, DegenerateDirection, EmptyIntersection,
+                         GeometryError, NonUnitTangent, NotImmersed, NotParabolic,
+                         NumericalError, OutOfDomain)
 from h2xr.flows import (DOMAIN_EDGE, MAX_LENGTH, PLANAR_HIT, STEP_FAILURE,
                         TRACE_CSV_HEADER, GeodesicDeviation, TraceRecord, _aligned,
                         _ambient_dir, _connection, trace_half_steps)
-from h2xr.hyperbolic import (ORIGIN, UNIT_TOL, H2Point, H2Tangent, _check_on_sheet,
-                             curve_from_curvature)
+from h2xr.hyperbolic import (ORIGIN, UNIT_TOL, H2Curve, H2Point, H2Tangent,
+                             _check_on_sheet, curve_from_curvature)
 from h2xr.minkowski import (SpacetimeVec, _check_finite, _mcomb, _mcross, _mdot,
                             _mscale, _msub, _normalize_point, _normalize_points,
                             _normalize_spacelike, _normalize_spacelikes,
                             _project_tangent, minkowski_inner)
+from h2xr.numerics import bracket_root
 from h2xr.product import AmbientVec, ProdGeodesic, ProdTangent, _prod_inner, prod_dist
 from h2xr.surfaces import ChartDomain, Surface, SurfaceJet, preset
 
@@ -155,6 +156,99 @@ def scalar_grid(S: Surface, nu_: int, nv_: int, tol: float = 1e-7,
         rows.append(GridRow(u, v, sd.k1, sd.k2, sd.H, sd.Kext, sd.Kint_gauss,
                             sd.Kint_brioschi, forms.nu, classify_point(sd, tol).tag, "ok"))
     return CurvatureGrid(rows, nu_, nv_)
+
+
+def reference_slice_hits(S: Surface, t0: float, n: int):
+    """The chain of slice hits (u, v) of recover_generating_curve, whose
+    solver ``solve_v(u, guess)`` it returns with them."""
+    (u0, u1) = S.domain.u_range
+    (v0, v1) = S.domain.v_range
+    margin = 1e-9 * (u1 - u0)
+    us = np.linspace(u0 + margin, u1 - margin, n)
+
+    v_lo, v_hi = v0 + 1e-12, v1 - 1e-12
+
+    def solve_v(u: float, guess: float | None) -> float | None:
+        def height(v: float) -> float:
+            return S.jet(u, v).X.t - t0
+
+        if guess is not None:
+            w = 0.05 * (v1 - v0)
+            lo, hi = max(v_lo, guess - w), min(v_hi, guess + w)
+            flo, fhi = height(lo), height(hi)
+            if flo == 0.0:
+                return lo
+            if flo * fhi < 0.0:
+                return bracket_root(height, lo, hi, flo, fhi)
+        probes = np.linspace(v_lo, v_hi, 9)
+        vals = [height(p) for p in probes]
+        for a, b, fa, fb in zip(probes[:-1], probes[1:], vals[:-1], vals[1:]):
+            if fa == 0.0:
+                return float(a)
+            if fa * fb < 0.0:
+                return bracket_root(height, float(a), float(b), fa, fb)
+        if vals[-1] == 0.0:
+            return float(probes[-1])
+        return None
+
+    hits: list[tuple[float, float]] = []
+    guess = None
+    for u in us:
+        v = solve_v(float(u), guess)
+        if v is None:
+            if hits:
+                break  # keep the contiguous run that contains the first hits
+            continue
+        hits.append((float(u), v))
+        guess = v
+    if len(hits) < 9:
+        raise EmptyIntersection(f"slice t = {t0} meets {S.label} in fewer than 9 samples")
+    return hits, solve_v
+
+
+def scalar_recover_generating_curve(S: Surface, t0: float, n: int) -> H2Curve:
+    """recover_generating_curve as one scalar jet per evaluation, sample by
+    sample: the reference for the blocked, lockstep version."""
+    hits, solve_v = reference_slice_hits(S, t0, n)
+    m = len(hits)
+    pts = np.empty((m, 3))
+    tans = np.empty((m, 3))
+    nrms = np.empty((m, 3))
+    kgs = np.empty(m)
+    speeds = np.empty(m)
+
+    def frenet(u: float, v: float):
+        jet = S.jet(u, v)
+        if abs(jet.Xv.t) < 1e-12:
+            raise NumericalError("slice is not transversal to the chart")
+        vp = -jet.Xu.t / jet.Xv.t
+        beta = jet.X.htup
+        bp = tuple(a + vp * b for a, b in zip(jet.Xu.htup, jet.Xv.htup))
+        speed = math.sqrt(max(0.0, _mdot(bp, bp)))
+        vpp = -(jet.Xuu.t + 2.0 * jet.Xuv.t * vp + jet.Xvv.t * vp * vp) / jet.Xv.t
+        bpp = tuple(a + 2.0 * vp * b + vp * vp * c + vpp * d
+                    for a, b, c, d in zip(jet.Xuu.htup, jet.Xuv.htup,
+                                          jet.Xvv.htup, jet.Xv.htup))
+        that = _normalize_spacelike(bp)
+        nhat = _mcross(beta, that)
+        cov = _project_tangent(beta, bpp)
+        kg = _mdot(cov, nhat) / (speed * speed)
+        return beta, that, nhat, kg, speed
+
+    for i, (u, v) in enumerate(hits):
+        pts[i], tans[i], nrms[i], kgs[i], speeds[i] = frenet(u, v)
+
+    s = np.empty(m)
+    s[0] = 0.0
+    for i in range(m - 1):
+        um = 0.5 * (hits[i][0] + hits[i + 1][0])
+        vm = solve_v(um, 0.5 * (hits[i][1] + hits[i + 1][1]))
+        if vm is None:
+            raise NumericalError("lost the slice between recovery samples")
+        sm = frenet(um, vm)[4]
+        h = hits[i + 1][0] - hits[i][0]
+        s[i + 1] = s[i] + h * (speeds[i] + 4.0 * sm + speeds[i + 1]) / 6.0
+    return H2Curve(s, pts, tans, "hermite", nrms, kgs)
 
 
 def reference_principal_at(S: Surface, u: float, v: float):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from h2xr.errors import (BadCurvatureFunction, NonUnitTangent, NumericalError,
                          OutOfDomain)
 from h2xr.hyperbolic import (H2Curve, H2Point, H2Tangent, _dists_raw,
-                             curvature_profile, curve_from_curvature, curve_hausdorff,
-                             h2_covariant_deriv, h2_dist, h2_exp,
+                             curvature_profile, curve_distances, curve_from_curvature,
+                             curve_hausdorff, h2_covariant_deriv, h2_dist, h2_exp,
                              h2_project_tangent, linear_curvature,
                              measure_geodesic_curvature, spline_curvature)
 from h2xr.minkowski import (SpacetimeVec, _normalize_point, _normalize_points,
@@ -329,6 +329,7 @@ class TestDenseBatch:
     def test_hausdorff_equals_scalar_searches(self, name):
         a = DENSE_CURVES[name]
         b = hermite_copy(curve_from_curvature(a.kg_fn, (0.0, 2.5), 0.03))
-        ref = max(max(reference_point_to_curve_dist(p, b) for p in a.points),
-                  max(reference_point_to_curve_dist(p, a) for p in b.points))
-        assert curve_hausdorff(a, b) == pytest.approx(ref, abs=1e-15)
+        ref = (max(reference_point_to_curve_dist(p, b) for p in a.points),
+               max(reference_point_to_curve_dist(p, a) for p in b.points))
+        assert curve_distances(a, b) == pytest.approx(ref, abs=1e-15)
+        assert curve_hausdorff(a, b) == max(curve_distances(a, b))

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from h2xr.curvature import (curvature_grid, fundamental_forms, grid_points,
                             shape_at)
@@ -16,7 +18,7 @@ from h2xr.minkowski import _mdot
 from h2xr.product import AmbientVec
 from h2xr.surfaces import (ChartDomain, Surface, SurfaceJet, bilinear_height, check_jet,
                            finite_difference_surface, from_config,
-                           linear_height, make_cylinder, make_graph,
+                           gaussian_bump, linear_height, make_cylinder, make_graph,
                            make_slice, perturb, preset, rescale_chart,
                            zero_height)
 
@@ -149,6 +151,17 @@ class TestPerturb:
     def test_negative_eps_rejected(self, circle_cylinder):
         with pytest.raises(ConfigError):
             perturb(circle_cylinder, -1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(centre=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+           width=st.floats(0.05, 3.0),
+           points=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+                           min_size=1, max_size=30))
+    def test_bump_array_twin_has_the_float_bits(self, centre, width, points):
+        """The bump height a perturbed chart's array evaluator reads."""
+        f = gaussian_bump(centre, width).f
+        us, vs = np.array(points).T
+        assert f.arrays(us, vs).tobytes() == np.array([f(u, v) for u, v in points]).tobytes()
 
 
 class TestFiniteDifferenceJets:

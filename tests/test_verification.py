@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from h2xr.surfaces import CYLINDER_PRESETS
 from h2xr.verification import CheckResult, SubCheck, report_to_json, report_to_text
 
 
@@ -63,3 +64,17 @@ class TestReportWorstLines:
         for check, c in zip(doc["checks"], verification_report.checks):
             for d, s in zip(check["details"], c.subs):
                 assert d["margin"] == (s.margin if math.isfinite(s.margin) else None)
+
+
+def test_theorem1_reports_recovered_to_true_next_to_the_hausdorff(verification_report):
+    """The one-sided distance the end trim of recovery does not enter, a
+    sub-check of its own that can never move the verdict or the worst line."""
+    check = next(c for c in verification_report.checks if c.check_id == "THEOREM1")
+    names = [s.name for s in check.subs]
+    for name in CYLINDER_PRESETS:
+        k = names.index(f"{name} recovered-curve Hausdorff")
+        hausdorff, one_sided = check.subs[k], check.subs[k + 1]
+        assert one_sided.name == f"{name} recovered -> true distance"
+        assert one_sided.threshold == hausdorff.threshold == 1e-5
+        assert one_sided.measured <= hausdorff.measured and one_sided.passed
+    assert check.worst().name == "cylinder_geodesic verdict == CYLINDER"
