@@ -396,10 +396,12 @@ def classify_surface(S: Surface, config: ClassifierConfig = ClassifierConfig()) 
         return verdict(NOT_FLAT)
 
     pmap = planar_set_map(S, rep.grid)
-    parabolic_cells = [(r.u, r.v) for r in rep.grid.rows if r.cls == PARABOLIC]
+    # only seeds the tracer accepts: principal curvatures 10 planar_tol apart
+    parabolic_cells = [(r.u, r.v) for r in rep.grid.rows if r.cls == PARABOLIC
+                       and abs(r.k2) - abs(r.k1) >= 10.0 * config.planar_tol]
 
     if not parabolic_cells:
-        # everything planar: the chart must be a vertical plane over a geodesic
+        # planar, or too weakly curved to trace: the curve must be a geodesic
         t_center = S.jet(*S.domain.center).X.t
         try:
             curve = recover_generating_curve(S, t_center, config.recovery_samples)

@@ -10,7 +10,8 @@ Python floats (``_leg``) that keeps every accepted sample as one row of
 numbers; the record's frames are then array expressions over those rows.
 A point whose jet differs from the last point's only in its height reuses
 that point's shape data (``_principal_at``): vertical translations are
-isometries, and on a cylinder ruling only the height changes.
+isometries, and on a cylinder ruling only the height changes.  Such a jet
+skips ``surfaces.check_jet`` too if its height is finite: the last one passed.
 
 Per-sample diagnostics recorded along the trace:
 
@@ -47,7 +48,7 @@ from .minkowski import SpacetimeVec, _mcomb, _mdot, _project_tangent
 from .numerics import _each, _sq, affine_fit
 from .product import (AmbientVec, ProdGeodesic, ProdPoint, ProdTangent, _prod_exp_raw,
                       _prod_inner)
-from .surfaces import Surface
+from .surfaces import Surface, check_jet
 
 DOMAIN_EDGE = "DOMAIN_EDGE"
 MAX_LENGTH = "MAX_LENGTH"
@@ -95,9 +96,12 @@ class TraceRecord:
         return ProdPoint(H2Point.of(tuple(self.h[i])), float(self.t[i]))
 
     def to_csv(self) -> str:
-        rows = np.column_stack([self.s, self.uv, self.h, self.t, self.k2, self.H,
-                                self.lam]).tolist()
-        return "\n".join([TRACE_CSV_HEADER, *(",".join(map(repr, r)) for r in rows)]) + "\n"
+        cols = []
+        for c in (self.s, *self.uv.T, *self.h.T, self.t, self.k2, self.H, self.lam):
+            bits = c.view(np.int64)  # a column of one bit pattern is written once
+            cols.append([repr(c[0].item())] * len(c) if (bits == bits[0]).all()
+                        else list(map(repr, c.tolist())))
+        return "\n".join([TRACE_CSV_HEADER, *map(",".join, zip(*cols))]) + "\n"
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,10 +144,17 @@ def _principal_at(S: Surface, u: float, v: float):
     point's where the two jets agree bit for bit in all but X.t, on surfaces
     of the same orientation."""
     global _shape_memo
-    jet = S.jet(u, v)
-    (p, _), (a, at), (b, bt), (c, ct), (d, dt), (e, et) = jet
-    key = _pack24(S.orientation, *p, *a, at, *b, bt, *c, ct, *d, dt, *e, et)
     last_key, shape = _shape_memo
+
+    def keyed(jet):
+        (p, pt), (a, at), (b, bt), (c, ct), (d, dt), (e, et) = jet
+        key = _pack24(S.orientation, *p, *a, at, *b, bt, *c, ct, *d, dt, *e, et)
+        # the memo's jet passed check_jet, which reads X.t only for finiteness
+        if key != last_key or not math.isfinite(pt):
+            check_jet(jet)
+        return jet, key
+
+    jet, key = S.evaluate(u, v, keyed)
     if key == last_key:
         return (jet, *shape)
     try:
@@ -254,29 +265,35 @@ def _leg(S: Surface, u: float, v: float, here, ref, steps: int, step: float,
     """Rows of the samples after (u, v), whose ``_principal_at`` result is
     ``here``, walking the d1 field aligned to ``ref``; and why the leg stopped.
 
-    A point of a step equal to an earlier one of the same step reuses its
-    result: on cylinders the third stage is the second, and the next sample
-    the fourth stage.
+    A point of a step equal to an earlier one of the same step reuses the
+    result of the first such: on cylinders the third stage is the second,
+    and the next sample the fourth stage.
     """
     rows = []
     for _ in range(steps):
-        pts, res = [(u, v)], [here]
-        slopes = [_aligned(here[4], ref)]
+        m1 = _aligned(here[4], ref)
         try:
-            for c in (0.5, 0.5, 1.0, None):
-                if c is None:  # the next sample
-                    p = tuple(x + step * (m1 + 2.0 * m2 + 2.0 * m3 + m4) / 6.0
-                              for x, m1, m2, m3, m4 in zip((u, v), *slopes))
-                else:
-                    p = (u + c * step * slopes[-1][0], v + c * step * slopes[-1][1])
-                res.append(res[pts.index(p)] if p in pts else _principal_at(S, *p))
-                pts.append(p)
-                slopes.append(_aligned(res[-1][4], slopes[0]))
+            u2, v2 = u + 0.5 * step * m1[0], v + 0.5 * step * m1[1]
+            r2 = here if u2 == u and v2 == v else _principal_at(S, u2, v2)
+            m2 = _aligned(r2[4], m1)
+            u3, v3 = u + 0.5 * step * m2[0], v + 0.5 * step * m2[1]
+            r3 = (here if u3 == u and v3 == v else r2 if u3 == u2 and v3 == v2
+                  else _principal_at(S, u3, v3))
+            m3 = _aligned(r3[4], m1)
+            u4, v4 = u + step * m3[0], v + step * m3[1]
+            r4 = (here if u4 == u and v4 == v else r2 if u4 == u2 and v4 == v2
+                  else r3 if u4 == u3 and v4 == v3 else _principal_at(S, u4, v4))
+            m4 = _aligned(r4[4], m1)
+            u5 = u + step * (m1[0] + 2.0 * m2[0] + 2.0 * m3[0] + m4[0]) / 6.0
+            v5 = v + step * (m1[1] + 2.0 * m2[1] + 2.0 * m3[1] + m4[1]) / 6.0
+            here = (here if u5 == u and v5 == v else r2 if u5 == u2 and v5 == v2
+                    else r3 if u5 == u3 and v5 == v3 else r4 if u5 == u4 and v5 == v4
+                    else _principal_at(S, u5, v5))
         except OutOfDomain:
             return rows, DOMAIN_EDGE
         except NumericalError:
             return rows, STEP_FAILURE
-        (u, v), here, ref = p, res[-1], slopes[-1]
+        u, v, ref = u5, v5, _aligned(here[4], m1)
         _, _, k1, k2, _, _ = here
         if abs(k2) < tol:
             return rows, PLANAR_HIT
@@ -296,12 +313,13 @@ def trace_asymptotic(S: Surface, u0: float, v0: float, length: float,
     breakdown of the direction field (an evaluation that raises or is not
     finite).  ``with_connection=False`` skips the transverse measurement of
     the connection coefficient (NaN in the record), for when only the path is
-    needed: about a fifth of a 1.0-long cylinder trace at step 1e-3, whose
-    legs reuse their shape data, and a third on a chart whose trace points
-    all differ (2-core VM).  Over MAX_TRACE_HALF_STEPS steps per
-    leg, or none, raise ConfigError before the seed is evaluated.  Legs that
-    both stop at their first step raise OutOfDomain (at the domain edge) or
-    NumericalError, naming the seed and the stop reason.
+    needed: about two fifths of a 1.0-long cylinder trace at step 1e-3,
+    whose legs reuse their shape data and skip their jet checks, and a third
+    on a chart whose trace points all differ (2-core VM).  Over
+    MAX_TRACE_HALF_STEPS steps per leg, or none, raise ConfigError before
+    the seed is evaluated.  Legs that both stop at their first step raise
+    OutOfDomain (at the domain edge) or NumericalError, naming the seed and
+    the stop reason.
     """
     if step <= 0.0 or length <= 0.0:
         raise NumericalError("length and step must be positive")

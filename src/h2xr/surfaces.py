@@ -19,7 +19,8 @@ checks it once, where a chart's output enters the library (``Surface.jet``,
 the point-by-point fallback of bulk evaluation, and a derived chart's call
 of its base's chart): finite coordinates and heights, a footprint on the
 upper sheet, first derivatives tangent to it, and a Gram determinant that
-makes the chart an immersion.
+makes the chart an immersion.  ``flows._principal_at`` skips it for a jet
+equal to the last one it checked in all but a finite height.
 
 Bulk evaluation: ``Surface.jets`` evaluates many chart points at once into a
 ``JetBlock`` (struct of arrays) whose ``bad`` mask marks every point where
@@ -109,7 +110,8 @@ def check_jet(jet: SurfaceJet) -> SurfaceJet:
     """The jet, after checking it (NumericalError, or NotImmersed for a
     degenerate Gram determinant): finite coordinates and heights, a
     footprint on the upper sheet, first derivatives tangent to it, and a
-    Gram determinant that makes the chart an immersion."""
+    Gram determinant that makes the chart an immersion.  ``flows._principal_at``
+    skips it for a repeat of its last checked jet but for a finite X.t."""
     ((p0, p1, p2), pt), ((u0, u1, u2), ut), ((v0, v1, v2), vt), \
         ((a0, a1, a2), at), ((b0, b1, b2), bt), ((c0, c1, c2), ct) = jet
     # a non-finite number makes the sum non-finite (as, rarely, does an
@@ -211,10 +213,15 @@ class Surface:
             raise ConfigError(f"orientation must be +1.0 or -1.0, got {self.orientation!r}")
 
     def jet(self, u: float, v: float) -> SurfaceJet:
+        return self.evaluate(u, v, check_jet)
+
+    def evaluate(self, u: float, v: float, check):
+        """``check(jet)`` of the chart's jet at (u, v): OutOfDomain outside
+        the domain, NumericalError where the chart or ``check`` overflows."""
         if not self.domain.contains(u, v):
             raise OutOfDomain(f"({u}, {v}) outside chart domain of {self.label}")
         try:
-            return check_jet(self.chart(u, v))
+            return check(self.chart(u, v))
         except OverflowError as exc:
             raise NumericalError(f"overflow evaluating {self.label} at ({u}, {v})") from exc
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 import threading
 
@@ -111,11 +112,22 @@ class TestTraceAsymptotic:
 
     def test_csv_matches_the_loop_writer(self, circle_trace, inflection_cylinder):
         """The same text as repr(float(x)) field by field, also for NaN, signed
-        zeros, subnormals, infinities and the extremes of the float range."""
+        zeros, subnormals, infinities and the extremes of the float range, and
+        for columns of one value (lam without connection, u and h on a ruling)."""
         bare = trace_asymptotic(inflection_cylinder, 1.0, 0.0, 0.3, 1e-3, with_connection=False)
+        assert np.isnan(bare.lam).all()
+        n = len(circle_trace)
         specials = np.resize([-0.0, 5e-324, -1e-300, 1.7976931348623157e308, -math.inf,
-                              math.nan, 0.1, -3.0], len(circle_trace))
-        for tr in (circle_trace, bare, dataclasses.replace(circle_trace, lam=specials)):
+                              math.nan, 0.1, -3.0], n)
+        # columns written once only where all their bit patterns agree: not a
+        # single -0.0 among zeros, nor NaNs of differing payloads
+        one_negative_zero = np.where(np.arange(n) == n // 3, -0.0, 0.0)
+        nans = np.resize(np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                                   0x7FF0000000000001], dtype=np.uint64).view(np.float64), n)
+        for tr in (circle_trace, bare, dataclasses.replace(circle_trace, lam=specials),
+                   dataclasses.replace(circle_trace, lam=one_negative_zero,
+                                       t=np.full(n, -0.0)),
+                   dataclasses.replace(circle_trace, lam=nans)):
             # lines, whose first difference pytest reports without diffing the texts
             assert tr.to_csv().split("\n") == reference_trace_csv(tr).split("\n")
 
@@ -163,16 +175,18 @@ class TestShapeMemo:
         monkeypatch.setattr(flows, "_shape_memo", (None, None))
 
     def test_ruling_computes_its_shape_once(self, circle_cylinder, monkeypatch):
-        points, forms = (_counting(monkeypatch, name) for name in ("_principal_at",
-                                                                    "forms_from_jet"))
+        """It checks its jet once too: every later jet repeats the seed's but
+        for a finite X.t."""
+        points, forms, checks = (_counting(monkeypatch, name) for name in (
+            "_principal_at", "forms_from_jet", "check_jet"))
         trace_asymptotic(circle_cylinder, 1.0, 0.0, 1.0, 1e-3, with_connection=False)
-        assert (len(points), len(forms)) == (2001, 1)
+        assert (len(points), len(forms), len(checks)) == (2001, 1, 1)
 
     def test_bent_chart_misses_at_every_point(self, bent_cylinder, monkeypatch):
-        points, forms = (_counting(monkeypatch, name) for name in ("_principal_at",
-                                                                    "forms_from_jet"))
+        points, forms, checks = (_counting(monkeypatch, name) for name in (
+            "_principal_at", "forms_from_jet", "check_jet"))
         trace_asymptotic(bent_cylinder, 1.0, 0.0, 1.0, 1e-3, with_connection=False)
-        assert len(points) > 2900 and len(forms) == len(points)
+        assert len(points) > 2900 and len(forms) == len(checks) == len(points)
 
     def test_negative_zero_is_another_jet(self, circle_cylinder, monkeypatch):
         def chart(u, v, base=circle_cylinder.chart):
@@ -217,6 +231,36 @@ class TestShapeMemo:
             assert flows._shape_memo is stored
         assert len(forms) == 2
         assert flows._principal_at(S, 1.0, 0.1)[1] is good[1] and len(forms) == 2
+
+    @pytest.mark.parametrize("spoil", [
+        lambda jet: jet._replace(X=AmbientVec(jet.X.htup, math.nan)),
+        lambda jet: jet._replace(X=AmbientVec(jet.X.htup, math.inf)),
+        lambda jet: jet._replace(X=AmbientVec(jet.X.htup, -math.inf)),
+        lambda jet: jet._replace(Xu=AmbientVec(jet.Xu.htup, 1e200)),
+        lambda jet: jet._replace(Xu=AmbientVec(tuple(a + p for a, p in zip(jet.Xu.htup,
+                                                                           jet.X.htup)),
+                                               jet.Xu.t)),
+    ], ids=["nan-height", "inf-height", "minus-inf-height", "overflow", "not-tangent"])
+    def test_a_jet_that_fails_its_check_raises_as_surface_jet(self, circle_cylinder, spoil):
+        """Above v = 0.25 the chart's jet is spoiled: in its height alone, so
+        that the rest repeats the last checked jet, in a height derivative
+        whose square overflows, or in a first derivative off the tangent
+        plane.  _principal_at raises there what Surface.jet raises, every
+        time, and the failed jet's key never enters the memo."""
+        def chart(u, v, base=circle_cylinder.chart):
+            jet = base(u, v)
+            return jet if v <= 0.25 else spoil(jet)
+
+        S = dataclasses.replace(circle_cylinder, chart=chart)
+        with pytest.raises(NumericalError) as want:
+            S.jet(1.0, 0.5)
+        good = flows._principal_at(S, 1.0, 0.0)
+        stored = flows._shape_memo
+        for _ in range(2):
+            with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+                flows._principal_at(S, 1.0, 0.5)
+            assert flows._shape_memo is stored
+        assert flows._principal_at(S, 1.0, 0.1)[1] is good[1]
 
     def test_threads_never_mix_up_their_points(self):
         """Four threads walking rulings of four cylinders, with a short switch
