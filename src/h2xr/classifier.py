@@ -396,9 +396,10 @@ def classify_surface(S: Surface, config: ClassifierConfig = ClassifierConfig()) 
         return verdict(NOT_FLAT)
 
     pmap = planar_set_map(S, rep.grid)
+    parabolic = [r for r in rep.grid.rows if r.cls == PARABOLIC]
     # only seeds the tracer accepts: principal curvatures 10 planar_tol apart
-    parabolic_cells = [(r.u, r.v) for r in rep.grid.rows if r.cls == PARABOLIC
-                       and abs(r.k2) - abs(r.k1) >= 10.0 * config.planar_tol]
+    parabolic_cells = [(r.u, r.v) for r in parabolic
+                       if abs(r.k2) - abs(r.k1) >= 10.0 * config.planar_tol]
 
     if not parabolic_cells:
         # planar, or too weakly curved to trace: the curve must be a geodesic
@@ -413,7 +414,9 @@ def classify_surface(S: Surface, config: ClassifierConfig = ClassifierConfig()) 
         if max_kg >= config.planar_tol * 100.0:
             notes.append(f"planar chart but recovered curvature reaches {max_kg}")
             return verdict(INCONSISTENT, pmap)
-        notes.append("totally geodesic chart; rulings degenerate to the vertical field")
+        notes.append("chart too weakly curved to trace: no parabolic cell separates its "
+                     "principal curvatures by 10 planar_tol" if parabolic else
+                     "totally geodesic chart; rulings degenerate to the vertical field")
         return verdict(CYLINDER, pmap, verticality=0.0, curve=curve)
 
     seeds = _farthest_point_seeds(parabolic_cells, RULING_SEEDS, S.domain.center)

@@ -12,6 +12,9 @@ A point whose jet differs from the last point's only in its height reuses
 that point's shape data (``_principal_at``): vertical translations are
 isometries, and on a cylinder ruling only the height changes.  Such a jet
 skips ``surfaces.check_jet`` too if its height is finite: the last one passed.
+On a ruling the cylinder chart reuses the last jet's footprint triple and
+derivative vectors, and ``_principal_at`` knows these objects again without
+packing their numbers.
 
 Per-sample diagnostics recorded along the trace:
 
@@ -48,7 +51,7 @@ from .minkowski import SpacetimeVec, _mcomb, _mdot, _project_tangent
 from .numerics import _each, _sq, affine_fit
 from .product import (AmbientVec, ProdGeodesic, ProdPoint, ProdTangent, _prod_exp_raw,
                       _prod_inner)
-from .surfaces import Surface, check_jet
+from .surfaces import Surface, SurfaceJet, check_jet
 
 DOMAIN_EDGE = "DOMAIN_EDGE"
 MAX_LENGTH = "MAX_LENGTH"
@@ -134,29 +137,41 @@ class GeodesicDeviation:
 
 _pack24 = struct.Struct("24d").pack
 # (the bits of the surface's orientation and of the last checked point's jet
-# but X.t, its forms, k1, k2, d1, d2): one tuple set in one statement, so no
-# reader pairs a key with other data
+# but X.t; its forms, k1, k2, d1, d2, that jet and the orientation): one
+# tuple set in one statement, so no reader pairs a key with other data
 _shape_memo: tuple = (None, None)
+# the shape data of no point: a jet of objects that no chart returns
+_NO_SHAPE = (None,) * 5 + (SurfaceJet(*[AmbientVec(object(), math.nan)] * 6), None)
 
 
 def _principal_at(S: Surface, u: float, v: float):
     """Jet, forms, k1, k2, d1, d2 at (u, v); the shape data are the last
     point's where the two jets agree bit for bit in all but X.t, on surfaces
-    of the same orientation."""
+    of the same orientation.
+
+    A jet whose footprint triple and derivative vectors are the very objects
+    of the last point's (a cylinder chart on a ruling) agrees without packing
+    its numbers: the same objects have the same bits.
+    """
     global _shape_memo
     last_key, shape = _shape_memo
+    forms, k1, k2, d1, d2, ((p0, _), a0, b0, c0, d0, e0), orientation = shape or _NO_SHAPE
 
     def keyed(jet):
+        (p, pt), a, b, c, d, e = jet
+        # the memo's jet passed check_jet, which reads X.t only for finiteness
+        if (p is p0 and a is a0 and b is b0 and c is c0 and d is d0 and e is e0
+                and S.orientation == orientation and math.isfinite(pt)):
+            return jet, last_key
         (p, pt), (a, at), (b, bt), (c, ct), (d, dt), (e, et) = jet
         key = _pack24(S.orientation, *p, *a, at, *b, bt, *c, ct, *d, dt, *e, et)
-        # the memo's jet passed check_jet, which reads X.t only for finiteness
         if key != last_key or not math.isfinite(pt):
             check_jet(jet)
         return jet, key
 
     jet, key = S.evaluate(u, v, keyed)
     if key == last_key:
-        return (jet, *shape)
+        return jet, forms, k1, k2, d1, d2
     try:
         forms = forms_from_jet(jet, S.orientation)
         k1, k2, d1, d2 = principal_curvatures(forms)
@@ -166,7 +181,7 @@ def _principal_at(S: Surface, u: float, v: float):
     # one test for all six: a sum is finite only where every term is
     if not math.isfinite(k1 + k2 + d1[0] + d1[1] + d2[0] + d2[1]):
         raise NumericalError(f"non-finite principal curvatures or directions at ({u}, {v})")
-    _shape_memo = key, (forms, k1, k2, d1, d2)
+    _shape_memo = key, (forms, k1, k2, d1, d2, jet, S.orientation)
     return jet, forms, k1, k2, d1, d2
 
 
@@ -313,9 +328,9 @@ def trace_asymptotic(S: Surface, u0: float, v0: float, length: float,
     breakdown of the direction field (an evaluation that raises or is not
     finite).  ``with_connection=False`` skips the transverse measurement of
     the connection coefficient (NaN in the record), for when only the path is
-    needed: about two fifths of a 1.0-long cylinder trace at step 1e-3,
-    whose legs reuse their shape data and skip their jet checks, and a third
-    on a chart whose trace points all differ (2-core VM).  Over
+    needed: about 45% of a 1.0-long cylinder trace at step 1e-3, whose
+    legs reuse their jets' objects and shape data and skip their jet checks,
+    and a third on a chart whose trace points all differ (2-core VM).  Over
     MAX_TRACE_HALF_STEPS steps per leg, or none, raise ConfigError before
     the seed is evaluated.  Legs that both stop at their first step raise
     OutOfDomain (at the domain edge) or NumericalError, naming the seed and

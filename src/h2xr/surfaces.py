@@ -111,7 +111,9 @@ def check_jet(jet: SurfaceJet) -> SurfaceJet:
     degenerate Gram determinant): finite coordinates and heights, a
     footprint on the upper sheet, first derivatives tangent to it, and a
     Gram determinant that makes the chart an immersion.  ``flows._principal_at``
-    skips it for a repeat of its last checked jet but for a finite X.t."""
+    skips it for a repeat of its last checked jet but for a finite X.t: the
+    same bits, or that jet's own footprint triple and derivative vectors
+    (which the cylinder chart hands out along a ruling)."""
     ((p0, p1, p2), pt), ((u0, u1, u2), ut), ((v0, v1, v2), vt), \
         ((a0, a1, a2), at), ((b0, b1, b2), bt), ((c0, c1, c2), ct) = jet
     # a non-finite number makes the sum non-finite (as, rarely, does an
@@ -331,6 +333,7 @@ def _chart(body):
 
 _ZERO = AmbientVec((0.0, 0.0, 0.0), 0.0)
 _VERTICAL = AmbientVec((0.0, 0.0, 0.0), 1.0)
+_new = tuple.__new__
 
 
 def make_cylinder(alpha: H2Curve, v_range: tuple[float, float] = (-DEFAULT_CYLINDER_HEIGHT, DEFAULT_CYLINDER_HEIGHT),
@@ -342,6 +345,12 @@ def make_cylinder(alpha: H2Curve, v_range: tuple[float, float] = (-DEFAULT_CYLIN
     exactly.  Orientation -1: the normal Xv x Xu is the curve's Frenet
     normal (footprint x tangent), so the nonzero principal curvature is the
     curve's signed geodesic curvature.
+
+    The scalar chart keeps the last frame ``frame_at`` returned with the jet
+    built on it.  Where ``frame_at`` returns that very frame object again (a
+    ruling: every point has the same u), the jet reuses the last jet's
+    footprint triple and derivative vectors and builds only X; the objects
+    tell ``flows._principal_at`` that its shape data still hold.
     """
     tt = -alpha.tangents[:, 0] ** 2 + alpha.tangents[:, 1] ** 2 + alpha.tangents[:, 2] ** 2
     if np.max(np.abs(tt - 1.0)) > 1e-8:
@@ -358,11 +367,22 @@ def make_cylinder(alpha: H2Curve, v_range: tuple[float, float] = (-DEFAULT_CYLIN
         return jet(AmbientVec(a, v), AmbientVec(t, 0.0), _VERTICAL, AmbientVec(acc, 0.0),
                    _ZERO, _ZERO)
 
+    # (frame, jet): set and read in one statement each, so that no thread
+    # pairs one frame with another's jet
+    last = (None, None)
+
     def chart(u: float, v: float) -> SurfaceJet:
-        a, t, n, kg = curve.frame_at(u)
+        nonlocal last
+        frame = curve.frame_at(u)
+        last_frame, jet = last
+        if frame is last_frame:  # tuple.__new__ skips the namedtuples' Python __new__
+            return _new(SurfaceJet, (_new(AmbientVec, (jet.X.htup, v)), *jet[1:]))
+        a, t, n, kg = frame
         if not math.isfinite(kg):
             raise NumericalError(f"no curvature data at u = {u}")
-        return body(a, t, n, kg, v, SurfaceJet)
+        jet = body(a, t, n, kg, v, SurfaceJet)
+        last = frame, jet
+        return jet
 
     chart.jets = lambda us, vs: body(*curve.frames_at(us), curve.kg_at(us), vs, _jet_block)
     dom = ChartDomain((curve.s_min, curve.s_max), v_range)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from h2xr.classifier import (CYLINDER, INCONSISTENT, NOT_FLAT, ClassifierConfig,
                              classify_surface, extract_rulings, flatness_scan,
                              planar_set_map, recover_generating_curve, verdict_to_json)
-from h2xr.curvature import curvature_grid
+from h2xr.curvature import PARABOLIC, curvature_grid
 from h2xr.errors import EmptyIntersection, NotParabolic
 from h2xr.hyperbolic import (H2Point, curvature_profile, curve_hausdorff,
                              h2_covariant_deriv, h2_dist,
@@ -151,6 +151,8 @@ class TestClassifySurface:
         v = classify_surface(geodesic_cylinder)
         assert v.verdict == CYLINDER
         assert v.evidence.rulings == []
+        assert v.evidence.notes == [
+            "totally geodesic chart; rulings degenerate to the vertical field"]
         assert v.generating_curve is not None
         _, kg = curvature_profile(v.generating_curve)
         assert np.max(np.abs(kg)) < 1e-6
@@ -237,8 +239,12 @@ class TestTheorem1Properties:
         """Cells parabolic at planar_tol but too weakly curved to trace a
         ruling from (|k2| - |k1| < 10 planar_tol) seed none: the chart takes
         the planar branch, whose recovered curve is a geodesic to 100
-        planar_tol."""
-        self._check_recovered({"kind": "constant", "value": 5e-7})
+        planar_tol, and whose note says why it traced nothing."""
+        v = self._check_recovered({"kind": "constant", "value": 5e-7})
+        assert any(r.cls == PARABOLIC for r in v.evidence.flatness.grid.rows)
+        assert (v.ruling_verticality, v.evidence.rulings) == (0.0, [])
+        assert v.evidence.notes == ["chart too weakly curved to trace: no parabolic cell "
+                                    "separates its principal curvatures by 10 planar_tol"]
 
     @staticmethod
     def _check_recovered(curve):
@@ -248,6 +254,7 @@ class TestTheorem1Properties:
         assert v.verdict == CYLINDER, (curve, v.evidence.notes)
         true_curve = generating_curve_of_config(cfg)
         assert curve_hausdorff(v.generating_curve, true_curve) < 1e-5, curve
+        return v
 
     @settings(max_examples=5, deadline=None)
     @given(knots_k=KNOT_CURVATURES)

@@ -20,7 +20,7 @@ from h2xr.flows import (DOMAIN_EDGE, MAX_LENGTH, PLANAR_HIT, STEP_FAILURE,
                         frame_ode_residuals, geodesic_deviation, trace_asymptotic)
 from h2xr.hyperbolic import H2Point
 from h2xr.product import AmbientVec, _prod_inner
-from h2xr.surfaces import finite_difference_surface, preset
+from h2xr.surfaces import SurfaceJet, finite_difference_surface, preset
 
 from conftest import (lifted, loop_cov_norm, loop_geodesic_deviation,
                       reference_principal_at, reference_trace, reference_trace_csv,
@@ -176,11 +176,20 @@ class TestShapeMemo:
 
     def test_ruling_computes_its_shape_once(self, circle_cylinder, monkeypatch):
         """It checks its jet once too: every later jet repeats the seed's but
-        for a finite X.t."""
+        for a finite X.t, in the very objects of the seed's jet."""
         points, forms, checks = (_counting(monkeypatch, name) for name in (
             "_principal_at", "forms_from_jet", "check_jet"))
+        jets = []
+
+        def kept(*args, inner=flows._principal_at):
+            out = inner(*args)
+            jets.append(out[0])
+            return out
+
+        monkeypatch.setattr(flows, "_principal_at", kept)
         trace_asymptotic(circle_cylinder, 1.0, 0.0, 1.0, 1e-3, with_connection=False)
         assert (len(points), len(forms), len(checks)) == (2001, 1, 1)
+        assert len(jets) == 2001 and all(jet.Xu is jets[0].Xu for jet in jets)
 
     def test_bent_chart_misses_at_every_point(self, bent_cylinder, monkeypatch):
         points, forms, checks = (_counting(monkeypatch, name) for name in (
@@ -262,19 +271,100 @@ class TestShapeMemo:
             assert flows._shape_memo is stored
         assert flows._principal_at(S, 1.0, 0.1)[1] is good[1]
 
+    @pytest.mark.parametrize("height", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_memo_objects_with_a_non_finite_height_raise_as_surface_jet(
+            self, circle_cylinder, monkeypatch, height):
+        """Above v = 0.25 the chart returns the very objects of the memo's
+        jet with a height that is not finite: the objects alone never make
+        it a repeat, so it is checked, raises what Surface.jet raises, and
+        leaves the memo as it was.  With a finite height the same objects
+        are a repeat that is neither packed nor checked."""
+        good = []
+
+        def chart(u, v, base=circle_cylinder.chart):
+            if v <= 0.25:
+                return base(u, v)
+            jet = good[0][0]
+            return SurfaceJet(AmbientVec(jet.X.htup, height), *jet[1:])
+
+        S = dataclasses.replace(circle_cylinder, chart=chart)
+        good.append(flows._principal_at(S, 1.0, 0.0))
+        with pytest.raises(NumericalError) as want:
+            S.jet(1.0, 0.5)
+        stored = flows._shape_memo
+        for _ in range(2):
+            with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+                flows._principal_at(S, 1.0, 0.5)
+            assert flows._shape_memo is stored
+        packs, checks = (_counting(monkeypatch, name) for name in ("_pack24", "check_jet"))
+        height = 0.75  # the chart reads it from here
+        jet, forms, *_ = flows._principal_at(S, 1.0, 0.5)
+        assert forms is good[0][1] and jet.X.t == 0.75 and jet.Xu is good[0][0].Xu
+        assert (len(packs), len(checks)) == (0, 0) and flows._shape_memo is stored
+
+    @pytest.mark.parametrize("field, new", [
+        ("X", lambda jet, S: AmbientVec(S.jet(1.0 + 1e-9, 0.0).X.htup, jet.X.t)),
+        ("Xu", lambda jet, S: AmbientVec(jet.Xu.htup, 1e-3)),
+        ("Xv", lambda jet, S: AmbientVec(jet.Xv.htup, 2.0)),
+        ("Xuu", lambda jet, S: AmbientVec(jet.Xuu.htup, 0.5)),
+        ("Xuv", lambda jet, S: AmbientVec(jet.Xuv.htup, 0.5)),
+        ("Xvv", lambda jet, S: AmbientVec(jet.Xvv.htup, 0.5)),
+    ])
+    def test_one_new_object_is_compared_by_its_numbers(self, circle_cylinder, monkeypatch,
+                                                       field, new):
+        """Above v = 0.25 the chart's jet keeps all of the last jet's objects
+        but one, replaced by another valid vector: that point is no repeat."""
+        def chart(u, v, base=circle_cylinder.chart):
+            jet = base(u, v)
+            return jet if v <= 0.25 else jet._replace(**{field: new(jet, circle_cylinder)})
+
+        S = dataclasses.replace(circle_cylinder, chart=chart)
+        first = flows._principal_at(S, 1.0, 0.0)
+        forms = _counting(monkeypatch, "forms_from_jet")
+        got = flows._principal_at(S, 1.0, 0.5)
+        assert repr(got) == repr(reference_principal_at(S, 1.0, 0.5))
+        assert len(forms) == 1 and getattr(got[0], field) is not getattr(first[0], field)
+
+    def test_reversed_twin_sharing_the_chart_gets_its_own_shape(self, circle_cylinder,
+                                                                 monkeypatch):
+        """A twin of the other orientation calls the same chart, which hands
+        it the objects of the first surface's jet: the twin still never gets
+        the first surface's shape data, nor the first the twin's."""
+        flipped = dataclasses.replace(circle_cylinder,
+                                      orientation=-circle_cylinder.orientation)
+        forms = _counting(monkeypatch, "forms_from_jet")
+        got = []
+        for k, v in enumerate((0.0, 0.5, 0.6, 0.7, 0.8)):
+            S = flipped if k % 2 else circle_cylinder
+            out = flows._principal_at(S, 1.0, v)
+            assert repr(out) == repr(reference_principal_at(S, 1.0, v))
+            got.append(out)
+            assert len(forms) == k + 1
+        assert all(out[0].Xu is got[0][0].Xu for out in got)  # one chart, one jet reused
+        for a, b in zip(got, got[1:]):
+            assert b[1].nu == -a[1].nu and b[3] == -a[3] != 0.0
+
     def test_threads_never_mix_up_their_points(self):
-        """Four threads walking rulings of four cylinders, with a short switch
-        interval, each get the shape data of their own points."""
+        """Six threads walking rulings of four cylinders, with a short switch
+        interval, each get the shape data of their own points; two of the
+        cylinders have a second thread at another u, which shares the
+        first's chart and so its last frame and jet."""
         walks = [(preset(name), u) for name, u in (("cylinder_circle", 1.0),
                                                    ("cylinder_spline", 2.0),
                                                    ("cylinder_inflection", 1.0),
-                                                   ("cylinder_horocycle", 0.5))]
+                                                   ("cylinder_horocycle", 0.5),
+                                                   ("cylinder_spline", 0.7),
+                                                   ("cylinder_circle", 2.5))]
+        assert walks[1][0] is walks[4][0] and walks[0][0] is walks[5][0]
         vs = np.linspace(-1.0, 1.0, 300).tolist()
         want = [[repr(reference_principal_at(S, u, v)) for v in vs] for S, u in walks]
         got = [[] for _ in walks]
+        start = threading.Barrier(len(walks))
 
         def walk(k):
             S, u = walks[k]
+            start.wait(timeout=60.0)  # no thread finishes before the last starts
             got[k] += [repr(flows._principal_at(S, u, v)) for v in vs]
 
         threads = [threading.Thread(target=walk, args=(k,)) for k in range(len(walks))]
