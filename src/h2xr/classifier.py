@@ -265,6 +265,51 @@ def _frenet_block(S: Surface, us: np.ndarray, vs: np.ndarray):
     return np.column_stack([*beta, *that, *nhat, kg, speed]), bad
 
 
+def _lockstep_roots(S: Surface, t0: float, us: np.ndarray, guesses: np.ndarray,
+                    v_lo: float, v_hi: float, w: float):
+    """The root searches of ``solve_v`` from the guesses, in lockstep.
+
+    Each sample's bracket [max(v_lo, g - w), min(v_hi, g + w)] around its
+    guess g is solved by ``bracket_root_batch`` on ``S.jets``, in blocks of
+    ``block_size(S, 1)`` samples.  Returns the roots, with the bits of the
+    scalar search on the same bracket, and the mask of the samples that
+    search must solve instead: a bad point, no sign change or a zero at the
+    low end (their entries are meaningless).
+    """
+    roots, failed = np.empty(len(us)), np.empty(len(us), dtype=bool)
+    step = block_size(S, 1)
+
+    def heights(u, v):
+        jets = S.jets(u, v)
+        return jets.X.t - t0, jets.bad
+
+    for k in range(0, len(us), step):
+        u, g = us[k:k + step], guesses[k:k + step]
+        lo = np.where(g - w > v_lo, g - w, v_lo)  # max(v_lo, g - w), as for floats
+        hi = np.where(g + w < v_hi, g + w, v_hi)
+        (flo, bad_lo), (fhi, bad_hi) = heights(u, lo), heights(u, hi)
+        bad = bad_lo | bad_hi | ~(flo * fhi < 0.0)  # also where flo is 0
+        inner, v = np.flatnonzero(~bad), lo.copy()
+
+        def f(idx, x):
+            fx, bad_x = heights(u[inner[idx]], x)
+            bad[inner[idx[bad_x]]] = True
+            return fx
+
+        v[inner] = bracket_root_batch(f, lo[inner], hi[inner], flo[inner], fhi[inner])
+        roots[k:k + step], failed[k:k + step] = v, bad
+    return roots, failed
+
+
+def _frenet_rows(S: Surface, us: np.ndarray, vs: np.ndarray):
+    """:func:`_frenet_block` in blocks of ``block_size(S, 1)`` points."""
+    rows, bad = np.empty((len(us), 11)), np.empty(len(us), dtype=bool)
+    step = block_size(S, 1)
+    for k in range(0, len(us), step):
+        rows[k:k + step], bad[k:k + step] = _frenet_block(S, us[k:k + step], vs[k:k + step])
+    return rows, bad
+
+
 def recover_generating_curve(S: Surface, t0: float, n: int) -> H2Curve:
     """Intersect the chart with the height-t0 slice and project horizontally.
 
@@ -273,17 +318,26 @@ def recover_generating_curve(S: Surface, t0: float, n: int) -> H2Curve:
     curvature all come from the chart jets, so the recovered curve carries
     full Frenet data.
 
-    Only the chain of hits is sequential, since each hit's bracket is
-    centred on the previous hit's v: it runs scalar ``bracket_root`` on
-    ``S.jet``.  Everything after it runs on ``S.jets`` in blocks of
-    ``block_size(S, 1)`` samples: the Frenet data of the hits, the interval
-    midpoints' root searches (in lockstep, ``bracket_root_batch``) and the
-    midpoints' speeds.  A midpoint whose bracket has no sign change, or
-    whose low end is a root, is solved alone by the scalar search.  A
-    sample flagged as failing is run again alone on the scalar path, in the
-    order of a point-by-point loop (all hits, then each midpoint's solve
-    before its Frenet data), so the first failure raises the error of that
-    loop; every value has the bits of that loop.
+    Each hit's bracket is centred on the previous hit's v, a chain that
+    scalar ``solve_v`` on ``S.jet`` defines.  Only its first hit is found
+    that way.  The later samples are solved in lockstep rounds
+    (:func:`_lockstep_roots`), first on brackets centred on the first hit's
+    v.  A round keeps the longest prefix of samples that are regular (no
+    bad point, a sign change, a nonzero low end) and whose guess equals the
+    previous sample's root: each such root is the chain's own.  The next
+    round centres each remaining bracket on the root just found before it,
+    and rounds go on while each certifies at least half of what is left.
+    On a chart whose height is v, one round certifies the whole chain.  The
+    rest of the chain runs on the scalar path from the last certified hit,
+    so its breaks and errors are those of the scalar chain.
+
+    The hits' Frenet data, the midpoints' root searches (one lockstep
+    round) and the midpoints' speeds run on ``S.jets`` in blocks of
+    ``block_size(S, 1)`` samples.  A sample flagged as failing is run again
+    alone on the scalar path, in the order of a point-by-point loop (all
+    hits, then each midpoint's solve before its Frenet data), so the first
+    failure raises the error of that loop; every value has the bits of that
+    loop.
     """
     (u0, u1) = S.domain.u_range
     (v0, v1) = S.domain.v_range
@@ -315,56 +369,53 @@ def recover_generating_curve(S: Surface, t0: float, n: int) -> H2Curve:
             return float(probes[-1])
         return None
 
-    hits: list[tuple[float, float]] = []
-    guess = None
-    for u in us:
-        v = solve_v(float(u), guess)
-        if v is None:
-            if hits:
+    def chain_from(start: int, v: float) -> list[float]:
+        """The hits from the hit v at sample start - 1 on: lockstep rounds,
+        then the scalar chain from the last certified hit."""
+        hv, guesses = [v], np.full(n - start, v)
+        while start < n:
+            left = n - start
+            roots, failed = _lockstep_roots(S, t0, us[start:], guesses, v_lo, v_hi, w)
+            prev = np.concatenate([[hv[-1]], roots[:-1]])
+            sure = ~failed & (guesses == prev)  # +-0.0 centre the same bracket
+            c = left if sure.all() else int(np.argmin(sure))
+            hv.extend(roots[:c].tolist())
+            start += c
+            if 2 * c < left:
+                break
+            guesses = prev[c:]
+        for u in us[start:].tolist():
+            v = solve_v(u, hv[-1])
+            if v is None:
                 break  # keep the contiguous run that contains the first hits
-            continue
-        hits.append((float(u), v))
-        guess = v
-    if len(hits) < 9:
+            hv.append(v)
+        return hv
+
+    hv: list[float] = []
+    for first, u in enumerate(us.tolist()):
+        v = solve_v(u, None)
+        if v is not None:
+            hv = chain_from(first + 1, v)
+            break
+    if len(hv) < 9:
         raise EmptyIntersection(f"slice t = {t0} meets {S.label} in fewer than 9 samples")
 
-    hu, hv = np.array(hits).T
+    hu, hv = us[first:first + len(hv)], np.array(hv)
+    rows, bad = _frenet_rows(S, hu, hv)
+    for i in np.flatnonzero(bad):
+        rows[i] = np.hstack(_frenet_alone(S, float(hu[i]), float(hv[i])))
     um, gm = 0.5 * (hu[:-1] + hu[1:]), 0.5 * (hv[:-1] + hv[1:])
-    rows = np.empty((len(hits), 11))
+    vm, failed = _lockstep_roots(S, t0, um, gm, v_lo, v_hi, w)
+    ok = np.flatnonzero(~failed)
+    frenet, bad = _frenet_rows(S, um[ok], vm[ok])
     mid_speed = np.empty(len(um))
-    step = block_size(S, 1)
-
-    def heights(u, v):
-        jets = S.jets(u, v)
-        return jets.X.t - t0, jets.bad
-
-    for k in range(0, len(hits), step):
-        rows[k:k + step], bad = _frenet_block(S, hu[k:k + step], hv[k:k + step])
-        for i in k + np.flatnonzero(bad):
-            rows[i] = np.hstack(_frenet_alone(S, hits[i][0], hits[i][1]))
-    for k in range(0, len(um), step):
-        u, g = um[k:k + step], gm[k:k + step]
-        lo = np.where(g - w > v_lo, g - w, v_lo)  # max(v_lo, g - w), as for floats
-        hi = np.where(g + w < v_hi, g + w, v_hi)
-        (flo, bad_lo), (fhi, bad_hi) = heights(u, lo), heights(u, hi)
-        failed = bad_lo | bad_hi | ~(flo * fhi < 0.0)  # also where flo is 0
-        inner, vm = np.flatnonzero(~failed), lo.copy()
-
-        def f(idx, x):
-            fx, bad = heights(u[inner[idx]], x)
-            failed[inner[idx[bad]]] = True
-            return fx
-
-        vm[inner] = bracket_root_batch(f, lo[inner], hi[inner], flo[inner], fhi[inner])
-        ok = np.flatnonzero(~failed)
-        frenet, bad = _frenet_block(S, u[ok], vm[ok])
-        mid_speed[k + ok] = frenet[:, 10]
-        failed[ok[bad]] = True
-        for i in k + np.flatnonzero(failed):
-            v = solve_v(float(um[i]), float(gm[i]))
-            if v is None:
-                raise NumericalError("lost the slice between recovery samples")
-            mid_speed[i] = _frenet_alone(S, float(um[i]), v)[4]
+    mid_speed[ok] = frenet[:, 10]
+    failed[ok[bad]] = True
+    for i in np.flatnonzero(failed):
+        v = solve_v(float(um[i]), float(gm[i]))
+        if v is None:
+            raise NumericalError("lost the slice between recovery samples")
+        mid_speed[i] = _frenet_alone(S, float(um[i]), v)[4]
 
     speeds = rows[:, 10]
     s = np.concatenate([[0.0], np.cumsum(

@@ -195,8 +195,9 @@ class H2Curve:
 
     ``interpolation`` selects the dense-output rule:
 
-    * ``"rk4"`` - re-integrate the frame system from the nearest sample
-      (available when the curve was built from a curvature function);
+    * ``"rk4"`` - re-integrate the frame system from the nearest sample,
+      whose stored ``kg`` is the first stage's curvature (available when
+      the curve was built from a curvature function);
     * ``"hermite"`` - cubic Hermite on positions and tangents, re-projected
       onto the hyperboloid.
 
@@ -227,8 +228,10 @@ class H2Curve:
             raise NumericalError("curve samples are not unit speed")
         if self.interpolation not in ("rk4", "hermite"):
             raise NumericalError(f"unknown interpolation rule {self.interpolation!r}")
-        if self.interpolation == "rk4" and (self.kg_fn is None or self.normals is None):
-            raise NumericalError("rk4 interpolation needs the curvature function and normals")
+        if self.interpolation == "rk4" and (self.kg_fn is None or self.normals is None
+                                            or self.kg is None):
+            raise NumericalError("rk4 interpolation needs the curvature function, "
+                                 "normals and curvatures")
 
     # construction --------------------------------------------------------
 
@@ -285,8 +288,8 @@ class H2Curve:
             # Python floats: the chart jets and forms built on a frame do
             # scalar arithmetic, which costs several times more on numpy floats
             a, t, n = (tuple(x[i].tolist()) for x in (self.points, self.tangents, self.normals))
-            if ds != 0.0:
-                a, t, n = _frenet_rk4_step(a, t, n, self.kg_fn(s_i), s_i, ds, self.kg_fn)
+            if ds != 0.0:  # kg[i] is the build's kg_fn(s_i)
+                a, t, n = _frenet_rk4_step(a, t, n, self.kg[i].item(), s_i, ds, self.kg_fn)
                 a, t, n = _reproject_frame(a, t, n)
         else:
             a, t, n = (tuple(c.item() for c in x) for x in self.frames_at(np.array([s])))
@@ -341,7 +344,7 @@ class H2Curve:
         moved = np.flatnonzero(ds != 0.0)
         if moved.size:
             s_i = self.s[i[moved]]
-            step = _frenet_rk4_step(*(tuple(x[:, moved]) for x in frame), self.kg_fn(s_i),
+            step = _frenet_rk4_step(*(tuple(x[:, moved]) for x in frame), self.kg[i[moved]],
                                     s_i, ds[moved], self.kg_fn)
             for out, new in zip(frame, _reproject_frame(*step, _normalize_points,
                                                         _normalize_spacelikes)):

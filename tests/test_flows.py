@@ -349,7 +349,14 @@ class TestShapeMemo:
         """Six threads walking rulings of four cylinders, with a short switch
         interval, each get the shape data of their own points; two of the
         cylinders have a second thread at another u, which shares the
-        first's chart and so its last frame and jet."""
+        first's chart and so its last frame and jet.
+
+        This checks only that threads on one chart get their own points.  It
+        cannot provoke a race inside the chart's ``(frame, jet)`` store: on a
+        2-core machine a thread switch almost never lands within one chart
+        call, so a store split over two statements passes as well.  What
+        keeps the shared chart safe is that it sets and reads that pair in
+        one statement each."""
         walks = [(preset(name), u) for name, u in (("cylinder_circle", 1.0),
                                                    ("cylinder_spline", 2.0),
                                                    ("cylinder_inflection", 1.0),

@@ -2,6 +2,7 @@
 checks, unit normal, forms, principal curvatures) against the helper-based
 references kept in conftest: same bits, same exceptions, same messages."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,8 +20,8 @@ from h2xr.hyperbolic import (constant_curvature, curve_from_curvature, linear_cu
                              spline_curvature)
 from h2xr.minkowski import _project_tangent
 from h2xr.product import AmbientVec
-from h2xr.surfaces import (CORPUS_CONFIGS, SurfaceJet, check_jet, preset, rescale_chart,
-                           unit_normal)
+from h2xr.surfaces import (CORPUS_CONFIGS, CYLINDER_PRESETS, SurfaceJet, check_jet,
+                           generating_curve_of_config, preset, rescale_chart, unit_normal)
 from test_bulk import SURFACES
 
 FIELDS = ("X", "Xu", "Xv", "Xuu", "Xuv", "Xvv")
@@ -123,6 +124,35 @@ class TestCurveBuild:
         for k, x in enumerate(s.tolist()):
             a, t, n, _ = c.frame_at(x)
             assert _bits((a, t, n)) == _bits(tuple(tuple(y[k] for y in v) for v in ref))
+
+    @pytest.mark.parametrize("name", CYLINDER_PRESETS)
+    def test_dense_frames_take_the_first_stage_from_the_samples(self, name):
+        """frames_at and frame_at read the first RK4 stage's curvature from
+        the stored kg, the build's own kg_fn value at the sample: the frames
+        keep the bits of the old expression (kg_fn called there), with two
+        curvature calls per array evaluation and three per frame_at (the
+        third is kg_at)."""
+        base = generating_curve_of_config(CORPUS_CONFIGS[name])
+        assert base.interpolation == "rk4"
+        assert base.kg.tobytes() == np.broadcast_to(base.kg_fn(base.s), base.s.shape).tobytes()
+        calls = []
+
+        def kg_fn(s):
+            calls.append(s)
+            return base.kg_fn(s)
+
+        c = dataclasses.replace(base, kg_fn=kg_fn)
+        s = np.linspace(c.s_min, c.s_max, 2001)
+        ref = reference_frames_at(base, s)
+        assert _bits(c.frames_at(s)) == _bits(ref)
+        assert len(calls) == 2
+        mids = 0.5 * (c.s[:-1] + c.s[1:])
+        ref = reference_frames_at(base, mids)
+        for k, x in enumerate(mids[::37].tolist()):
+            calls.clear()
+            assert _bits(c.frame_at(x)[:3]) == _bits(
+                tuple(tuple(y[37 * k] for y in v) for v in ref))
+            assert len(calls) == 3
 
     def test_hermite_frame_at_matches_scalar_reference(self):
         """frame_at on a recovered curve reads frames_at at one arclength: the

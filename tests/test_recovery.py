@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from h2xr import curvature
+from h2xr import classifier, curvature
 from h2xr.classifier import recover_generating_curve
 from h2xr.errors import EmptyIntersection, NotImmersed, NumericalError
 from h2xr.product import AmbientVec
@@ -161,28 +161,164 @@ class TestBitParity:
             assert isinstance(same_as_loop(S, 0.5, n), list)
 
     def test_only_the_chain_is_scalar(self):
-        """After the chain of hits every evaluation runs through
+        """Of the chain of hits only the first is solved on ``Surface.jet``:
+        on a cylinder slice one lockstep round certifies every later hit,
+        so after the first hit every evaluation runs through
         ``Surface.jets``, and no call exceeds POINT_BLOCK chart points."""
         S, t0, n = preset("cylinder_spline"), 0.2, 1201
-        jet, jets, scalar, sizes = Surface.jet, Surface.jets, [], []
-
-        def counted_jet(self, u, v):
-            scalar.append((u, v))
-            return jet(self, u, v)
-
-        def sized_jets(self, us, vs):
-            sizes.append(len(us))
-            return jets(self, us, vs)
-
-        with mock.patch.object(Surface, "jet", counted_jet):
-            hits, _ = reference_slice_hits(S, t0, n)
-        in_chain, scalar[:] = scalar[:], []
-        with mock.patch.object(Surface, "jet", counted_jet), \
-                mock.patch.object(Surface, "jets", sized_jets):
-            recover_generating_curve(S, t0, n)
-        assert scalar == in_chain and len(hits) == n
+        hits, solve_v = reference_slice_hits(S, t0, n)
+        first_hit = scalar_calls(lambda: solve_v(hits[0][0], None))
+        scalar, sizes, rounds = counted_recovery(S, t0, n)
+        assert len(hits) == n and scalar == first_hit
+        assert [m for m, _ in rounds] == [n - 1, n - 1]  # the chain's round, the midpoints'
         assert max(sizes) <= curvature.POINT_BLOCK
-        assert sum(sizes) >= n + 4 * (n - 1)  # Frenet; brackets, searches, midpoints
+        assert sum(sizes) >= n + 7 * (n - 1)  # Frenet; chain and midpoint solves, midpoints
+
+
+def scalar_calls(run) -> list:
+    """The points of the ``Surface.jet`` calls that ``run()`` makes."""
+    jet, points = Surface.jet, []
+
+    def counted_jet(self, u, v):
+        points.append((u, v))
+        return jet(self, u, v)
+
+    with mock.patch.object(Surface, "jet", counted_jet):
+        run()
+    return points
+
+
+def counted_recovery(S, t0, n):
+    """recover_generating_curve(S, t0, n) with its jets recorded: the
+    points of its ``Surface.jet`` calls, the sizes of its
+    ``Surface.jets`` calls, and for each lockstep round (the chain's, then
+    the midpoints') its number of samples and of ``Surface.jets`` calls."""
+    jets, lockstep = Surface.jets, classifier._lockstep_roots
+    sizes, rounds = [], []
+
+    def sized_jets(self, us, vs):
+        sizes.append(len(us))
+        return jets(self, us, vs)
+
+    def counted_round(*args):
+        before = len(sizes)
+        out = lockstep(*args)
+        rounds.append((len(args[2]), len(sizes) - before))
+        return out
+
+    with mock.patch.object(Surface, "jets", sized_jets), \
+            mock.patch.object(classifier, "_lockstep_roots", counted_round):
+        scalar = scalar_calls(lambda: recover_generating_curve(S, t0, n))
+    return scalar, sizes, rounds
+
+
+def moving(q: float, a: float):
+    """v + q v^2 + a u: the slice moves with u, so no hit after the second
+    has its bracket centred on the first hit's v."""
+
+    def phi(u, v):
+        return v + q * v * v + a * u, a, 1.0 + 2.0 * q * v, 0.0, 0.0, 2.0 * q
+
+    return phi
+
+
+MOVING = resliced(preset("cylinder_spline"), moving(0.05, 0.2), "spline+moving")
+STEP_US = np.linspace(-1.5 + 3e-9, 1.5 - 3e-9, 41)  # u samples of cylinder_inflection, n = 41
+
+
+def stepped_at_20(a: float) -> Surface:
+    """cylinder_inflection resliced by a steep step of height a between the
+    u samples 20 and 21 of a 41-sample recovery."""
+    h = STEP_US[1] - STEP_US[0]
+    return resliced(preset("cylinder_inflection"),
+                    stepped(float(STEP_US[20] + 0.25 * h), 100.0 / h, a), "stepped")
+
+
+class TestChainFallback:
+    """Chains a round cannot certify whole: the rest runs on the scalar
+    chain from the last certified hit, with the chain's bits, breaks and
+    errors."""
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("t0", [-0.4, 0.3, 1.2])
+    def test_moving_slice(self, t0, block):
+        with mock.patch.object(curvature, "POINT_BLOCK", block or curvature.POINT_BLOCK):
+            assert isinstance(same_as_loop(MOVING, t0, 121), list)
+
+    def test_moving_slice_wastes_at_most_one_round(self):
+        """The one round certifies the sample after the first hit, whose
+        guess is the first hit's v.  From there the scalar path evaluates
+        what the scalar chain does, and the other ``Surface.jets`` calls
+        are the hits' and midpoints' Frenet blocks and the midpoints'
+        round: the chain's round is the only work beyond the scalar
+        chain's."""
+        t0, n = 0.3, 301
+        hits, solve_v = reference_slice_hits(MOVING, t0, n)
+        want = scalar_calls(lambda: [solve_v(hits[0][0], None)] + [
+            solve_v(u, hits[i - 1][1]) for i, (u, _) in enumerate(hits) if i > 1])
+        scalar, sizes, rounds = counted_recovery(MOVING, t0, n)
+        assert len(hits) == n and scalar == want
+        assert [m for m, _ in rounds] == [n - 1, n - 1]
+        assert len(sizes) == rounds[0][1] + rounds[1][1] + 2
+
+    def test_a_second_round_is_centred_on_the_first_rounds_roots(self):
+        """A slice that starts to move at u = 2 of [0, 3]: the first round
+        certifies the still part and the first moving hit k, more than half
+        of the chain, so a second round runs.  Centred on the first round's
+        roots, whose searches ended on the chain's bits, it certifies the
+        rest; no scalar jet follows the first hit."""
+
+        def phi(u, v):
+            p = 0.5 * ((u - 2.0) + abs(u - 2.0))  # max(u - 2, 0) with exact zeros
+            return v + 0.3 * p * p * p, 0.9 * p * p, 1.0, 1.8 * p, 0.0, 0.0
+
+        S, t0, n = resliced(preset("cylinder_spline"), phi, "late+moving"), 0.3, 301
+        hits, solve_v = reference_slice_hits(S, t0, n)
+        k = next(i for i, (_, v) in enumerate(hits) if v != hits[0][1])
+        assert len(hits) == n and 2 * k > n and hits[k + 1][1] != hits[k][1]
+        scalar, _, rounds = counted_recovery(S, t0, n)
+        assert [m for m, _ in rounds] == [n - 1, n - 1 - k, n - 1]
+        assert scalar == scalar_calls(lambda: solve_v(hits[0][0], None))
+        assert isinstance(same_as_loop(S, t0, n), list)
+
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_fault_in_the_chain(self, where):
+        """A fault that the chain's root search of hit 30 meets, at the low
+        end of its bracket or at its first secant point, raises there, as
+        in the scalar chain."""
+        hits, solve_v = reference_slice_hits(QUADRATIC, T0, N)
+        point = scalar_calls(lambda: solve_v(hits[30][0], hits[29][1]))[where]
+        got = same_as_loop(faulty(QUADRATIC, points={point}), T0, N)
+        assert got[0] is NotImmersed and got[1].startswith(at(*point)), got
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("t0, a, hit_us", [
+        (0.5, 1.5, STEP_US),        # the chain's bracket misses; its probes find the slice
+        (0.5, 4.0, STEP_US[:21]),   # the slice leaves the chart: the chain breaks
+        (3.2, 1.5, STEP_US[21:]),   # the slice enters the chart: the chain starts late
+        (0.5, -3.0, STEP_US[:21]),
+    ])
+    def test_stepped_chart(self, t0, a, hit_us, block):
+        S = stepped_at_20(a)
+        hits, _ = reference_slice_hits(S, t0, len(STEP_US))
+        assert [u for u, _ in hits] == hit_us.tolist()
+        with mock.patch.object(curvature, "POINT_BLOCK", block or curvature.POINT_BLOCK):
+            assert isinstance(same_as_loop(S, t0, len(STEP_US)), list)
+
+    @settings(max_examples=10, deadline=None)
+    @given(name=st.sampled_from(CYLINDER_PRESETS), t0=st.floats(-2.9, 2.9),
+           motion=st.one_of(st.just((0.0, 0.0)),
+                            st.tuples(st.floats(0.0, 0.1), st.floats(-0.3, 0.3))),
+           n=st.integers(9, 200))
+    def test_presets_and_moving_slices(self, name, t0, motion, n):
+        """Bit and failure parity on cylinder presets sliced at height v,
+        which one round certifies whole, and at heights that move with u."""
+        S = preset(name) if motion == (0.0, 0.0) else \
+            resliced(preset(name), moving(*motion), f"{name}+moving")
+        got = same_as_loop(S, t0, n)
+        if motion == (0.0, 0.0) and isinstance(got, list):
+            rounds = counted_recovery(S, t0, n)[2]
+            assert len(rounds) == 2 and rounds[0][0] == n - 1  # one round for the chain
 
 
 def _chart_points():
