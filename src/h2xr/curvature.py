@@ -35,11 +35,15 @@ formulas in the same order, so every value keeps the scalar bits.  A
 Brioschi grid takes a cell's centre jet from the middle of its 5x5 stencil
 (u + 0.0 h is u) and calls the shape kernel once per block of
 ``block_size(S, 1)`` cells; the stencils go to ``S.jets`` in sub-blocks of
-at most ``POINT_BLOCK`` chart evaluations (nine per finite-difference jet),
-which bounds the memory held.  A flagged cell, or each cell of a sub-block
-that raises, is evaluated again alone, so its status is the scalar
-exception's.  ``brioschi_curvatures`` sums each derivative explicitly in a
-fixed order, so a stacked stencil has the bits of ``brioschi_curvature``.
+at most ``POINT_BLOCK`` evaluations of the innermost chart (``S.cost`` per
+jet: 9 per level of finite differences, 81 for a perturbed perturbed
+chart), which bounds the memory held.  At 2808 a 10x10 grid is one block
+of cells, and its finite-difference stencils run in sub-blocks of 12
+cells, so a call's fixed cost no longer dominates.  A flagged cell, or
+each cell of a sub-block that raises, is evaluated again alone, so its
+status is the scalar exception's.  ``brioschi_curvatures`` sums each
+derivative explicitly in a fixed order, so a stacked stencil has the bits
+of ``brioschi_curvature``.
 Traces stay on the scalar chain (each RK4 step needs the last, and an array
 call costs several scalar jets), which works on unpacked floats and never
 reads a jet's height ``X.t`` (vertical translations are isometries): a trace
@@ -70,7 +74,7 @@ STENCIL_H = 1e-3       # spacing of the 5x5 Brioschi stencil (shrunk near the bo
 
 GRID_HEADER = "u,v,k1,k2,H,Kext,Kint_gauss,Kint_brioschi,nu,class,status"
 
-POINT_BLOCK = 936      # chart evaluations per block of bulk evaluation
+POINT_BLOCK = 2808     # chart evaluations per block of bulk evaluation
 MAX_GRID_CELLS = 250_000  # 0.8 KB (row, CSV line) and 0.2 ms each (2-core VM)
 
 
@@ -301,10 +305,10 @@ def point_block(S: Surface, us, vs) -> PointBlock:
 
 
 def block_size(S: Surface, points_per_item: int) -> int:
-    """Items per block of at most POINT_BLOCK chart evaluations, for items
-    of ``points_per_item`` chart points each."""
-    cost = 9 if S.derivative_mode == "finite-difference" else 1
-    return max(1, POINT_BLOCK // (points_per_item * cost))
+    """Items per block of at most POINT_BLOCK evaluations of the innermost
+    chart (``S.cost`` per jet), for items of ``points_per_item`` chart
+    points each; at least one item."""
+    return max(1, POINT_BLOCK // (points_per_item * S.cost))
 
 
 @dataclass(frozen=True, slots=True)

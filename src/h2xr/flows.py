@@ -227,11 +227,12 @@ def _connection(S: Surface, uv: np.ndarray, d2: np.ndarray, e2: np.ndarray,
     The e2 field is differenced centrally across the trace, along the chart
     direction d2, at a step of at most CONNECTION_STEP that keeps both
     points inside the chart (NaN where that step is below 1e-9).  All
-    transverse points are evaluated in blocks of POINT_BLOCK chart
-    evaluations; a sample whose pair the block flags has both points
-    evaluated again on the scalar path, which raises what a scalar trace
-    raises.  Rows of ``d2``, ``e2``, ``e1`` and ``foot``
-    are per sample.
+    transverse points are evaluated in blocks of ``block_size(S, 2)``
+    samples (1,404 on an analytic chart), at most POINT_BLOCK evaluations
+    of the innermost chart; a sample whose pair the block flags has both
+    points evaluated again on the scalar path, which raises what a scalar
+    trace raises.  Rows of ``d2``, ``e2``, ``e1`` and ``foot`` are per
+    sample.
     """
     (u0, u1) = S.domain.u_range
     (v0, v1) = S.domain.v_range

@@ -201,7 +201,9 @@ class Surface:
 
     Evaluators must be pure.  ``orientation`` (+1.0 or -1.0, ConfigError
     otherwise) is the sign of the unit normal against Xu x Xv on the whole
-    chart (see :func:`unit_normal`).
+    chart (see :func:`unit_normal`).  ``cost`` is the number of evaluations
+    of the innermost chart behind one jet: 1 for a chart evaluated directly,
+    9 times the base's for finite differences of a base's positions.
     """
 
     chart: Callable[[float, float], SurfaceJet]
@@ -209,6 +211,7 @@ class Surface:
     derivative_mode: str
     label: str
     orientation: float
+    cost: int = 1
 
     def __post_init__(self):
         if self.orientation not in (1.0, -1.0):
@@ -538,9 +541,10 @@ def _fd_jet(h, samples, jet):
     )
 
 
-def _fd_chart(pos, pos_arrays, domain: ChartDomain):
-    """Jet evaluator from a position-only chart, by central differences at
-    step FD_STEP.
+def _fd_surface(pos, pos_arrays, base: Surface, label: str) -> Surface:
+    """Surface over ``base``'s domain with jets from a position-only chart,
+    by central differences at step FD_STEP; a jet costs nine positions,
+    each of ``base.cost`` chart evaluations.
 
     First-derivative horizontal parts are re-projected onto the hyperboloid
     tangent space; second derivatives are the raw coordinate differences.
@@ -551,8 +555,8 @@ def _fd_chart(pos, pos_arrays, domain: ChartDomain):
     points with their bad mask, and serves the array evaluator, which takes
     the nine stencil positions of every point from one call.
     """
-    (u0, u1) = domain.u_range
-    (v0, v1) = domain.v_range
+    (u0, u1) = base.domain.u_range
+    (v0, v1) = base.domain.v_range
 
     def chart(u: float, v: float) -> SurfaceJet:
         h = min(FD_STEP, 0.5 * (u - u0), 0.5 * (u1 - u), 0.5 * (v - v0), 0.5 * (v1 - v))
@@ -575,7 +579,8 @@ def _fd_chart(pos, pos_arrays, domain: ChartDomain):
         return _fd_jet(h, samples, partial(_jet_block, bad=bad))
 
     chart.jets = chart_arrays
-    return chart
+    return Surface(chart, base.domain, "finite-difference", label, base.orientation,
+                   9 * base.cost)
 
 
 def finite_difference_surface(base: Surface) -> Surface:
@@ -589,8 +594,7 @@ def finite_difference_surface(base: Surface) -> Surface:
         jets = _chart_jets(base.chart, us, vs)
         return jets.X.htup, jets.X.t, jets.bad
 
-    return Surface(_fd_chart(pos, pos_arrays, base.domain), base.domain,
-                   "finite-difference", f"{base.label}(fd)", base.orientation)
+    return _fd_surface(pos, pos_arrays, base, f"{base.label}(fd)")
 
 
 # -- perturbation ------------------------------------------------------------------
@@ -639,9 +643,7 @@ def perturb(base: Surface, eps: float, bump: HeightFunction | None = None,
         return (tuple(np.where(still, a, b) for a, b in zip(p, moved)),
                 jets.X.t + d * n.t, jets.bad | bad)
 
-    return Surface(_fd_chart(pos, pos_arrays, base.domain), base.domain,
-                   "finite-difference", label or f"{base.label}+bump({eps})",
-                   base.orientation)
+    return _fd_surface(pos, pos_arrays, base, label or f"{base.label}+bump({eps})")
 
 
 def rescale_chart(base: Surface, a: float, b: float) -> Surface:
@@ -659,7 +661,7 @@ def rescale_chart(base: Surface, a: float, b: float) -> Surface:
     (v0, v1) = sorted((base.domain.v_range[0] / b, base.domain.v_range[1] / b))
     dom = ChartDomain((u0, u1), (v0, v1))
     return Surface(chart, dom, base.derivative_mode, f"{base.label}(x{a},x{b})",
-                   base.orientation * math.copysign(1.0, a * b))
+                   base.orientation * math.copysign(1.0, a * b), base.cost)
 
 
 # -- JSON configuration ---------------------------------------------------------------

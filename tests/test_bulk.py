@@ -11,17 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import faulty_at_cell_centres, scalar_grid, scalar_lambdas
-from h2xr import curvature, flows
-from h2xr.classifier import INCONSISTENT, ClassifierConfig, classify_surface
+from h2xr import curvature, flows, surfaces
+from h2xr.classifier import (INCONSISTENT, ClassifierConfig, classify_surface,
+                             recover_generating_curve)
 from h2xr.curvature import (POINT_BLOCK, curvature_grid, forms_from_jet,
                             point_block, principal_curvatures)
 from h2xr.errors import NumericalError
 from h2xr.flows import trace_asymptotic
 from h2xr.hyperbolic import (H2Curve, curve_from_curvature, linear_curvature,
                              spline_curvature)
-from h2xr.surfaces import (ChartDomain, HeightFunction, Surface, bilinear_height,
-                           finite_difference_surface, gaussian_bump, linear_height,
-                           make_cylinder, make_graph, preset, zero_height)
+from h2xr.surfaces import (CORPUS_CONFIGS, ChartDomain, HeightFunction, Surface,
+                           bilinear_height, finite_difference_surface, from_config,
+                           gaussian_bump, linear_height, make_cylinder, make_graph,
+                           preset, zero_height)
 
 STEEP = 10.0  # slope of a linear graph whose |nu| crosses 0.1 near v = +-0.1
 
@@ -175,15 +177,19 @@ class TestBlockedGrid:
         g = self._check(S, 4, 3, brioschi=False)
         assert {r.status for r in g.rows} == {"ok", "NOT_IMMERSED"}
 
-    @pytest.mark.parametrize("name,n,m,brioschi", [
-        ("cylinder_spline", 37, 29, False),      # 1073 cells: 936 + 137
-        ("perturbed_slice", 11, 10, False),      # 104 + 6 per block of 936 / 9
-        ("graph_bilinear", 7, 6, True),          # one block; stencils 37 + 5 (936 / 25)
-        ("perturbed_cylinder", 11, 10, True),    # 104 + 6; stencils 26 + 2 sub-blocks
-    ])                                           # of at most 936 / (25 * 9) = 4 cells
-    def test_counts_not_a_multiple_of_the_block(self, name, n, m, brioschi):
-        assert (n * m) % POINT_BLOCK
-        self._check(SURFACES[name], n, m, brioschi=brioschi)
+    @pytest.mark.parametrize("name,points,brioschi", [
+        ("cylinder_spline", 1, False),      # a block of POINT_BLOCK cells and a part
+        ("perturbed_slice", 1, False),      # a block of POINT_BLOCK // 9 cells and a part
+        ("graph_bilinear", 25, True),       # one block; a stencil sub-block and a part
+        ("perturbed_cylinder", 1, True),    # a block and a part, which ends mid-sub-block
+    ])
+    def test_counts_not_a_multiple_of_the_block(self, name, points, brioschi):
+        S = SURFACES[name]
+        size = curvature.block_size(S, points)
+        n, m = 7, size // 7 + 2  # 8 to 14 cells more than one block
+        assert size < n * m < 2 * size
+        assert not brioschi or (n * m) % curvature.block_size(S, 25)
+        self._check(S, n, m, brioschi=brioschi)
 
     def test_tiny_blocks(self, monkeypatch):
         monkeypatch.setattr(curvature, "POINT_BLOCK", 7)
@@ -214,8 +220,9 @@ class TestBlockedGrid:
 
     def test_failing_stencil_sub_block_runs_its_cells_scalar(self, monkeypatch,
                                                               perturbed_cylinder):
-        # 12 cells of a finite-difference chart: stencil sub-blocks of 4 cells,
-        # the second of which raises; only its cells are evaluated alone
+        # three stencil sub-blocks of cells of a finite-difference chart, the
+        # second of which raises; only its cells are evaluated alone
+        size = curvature.block_size(perturbed_cylinder, 25)
         real_jets, real_shape_at, calls, alone = Surface.jets, curvature.shape_at, [], []
 
         def jets(S, us, vs):
@@ -230,15 +237,16 @@ class TestBlockedGrid:
 
         monkeypatch.setattr(Surface, "jets", jets)
         monkeypatch.setattr(curvature, "shape_at", shape_at)
-        self._check(perturbed_cylinder, 4, 3)
-        assert calls == [100, 100, 100]
-        assert alone == curvature.grid_points(perturbed_cylinder, 4, 3)[4:8]
+        self._check(perturbed_cylinder, 3, size)
+        assert calls == [25 * size] * 3
+        assert alone == curvature.grid_points(perturbed_cylinder, 3, size)[size:2 * size]
 
     @pytest.mark.parametrize("fd", [False, True])
     def test_each_point_evaluated_once(self, monkeypatch, fd):
         # a 10 x 10 Brioschi grid asks for the 25 stencil points of each cell,
         # the centre among them, and runs the shape kernel once: 100 cells fit
-        # one block of 936 (analytic) or 104 (finite-difference) cells
+        # one block of POINT_BLOCK (analytic) or POINT_BLOCK // 9
+        # (finite-difference) cells
         S = finite_difference_surface(preset("cylinder_circle")) if fd else SURFACES["slice"]
         real_jets, real_shape_block, points, kernel = Surface.jets, curvature.shape_block, [], []
 
@@ -256,6 +264,41 @@ class TestBlockedGrid:
         assert sum(points) == 2500 and max(points) * (9 if fd else 1) <= POINT_BLOCK
         assert kernel == [100]
 
+    def test_nested_finite_differences_stay_within_the_block(self, monkeypatch):
+        # a perturbed perturbed slice, as a config builds it: a jet costs
+        # 9 x 9 evaluations of the slice chart, and no call of S.jets makes
+        # more than POINT_BLOCK of them
+        real_slice, inner = surfaces.make_slice, []
+
+        def make_slice(*args, **kw):
+            base = real_slice(*args, **kw)
+
+            def chart(u, v):
+                inner[-1] += 1
+                return base.chart(u, v)
+
+            def jets(us, vs):
+                inner[-1] += len(us)
+                return base.chart.jets(us, vs)
+
+            chart.jets = jets
+            return dataclasses.replace(base, chart=chart)
+
+        real_jets = Surface.jets
+
+        def top_jets(S, us, vs):
+            inner.append(0)
+            return real_jets(S, us, vs)
+
+        monkeypatch.setattr(surfaces, "make_slice", make_slice)
+        S = from_config({"kind": "perturbed", "eps": 1e-2,
+                         "base": CORPUS_CONFIGS["perturbed_slice"]})
+        monkeypatch.setattr(Surface, "jets", top_jets)
+        grid = curvature_grid(S, 6, 6)
+        assert {r.status for r in grid.rows} == {"ok"}
+        assert sum(inner) == 36 * 25 * 81 and max(inner) <= POINT_BLOCK
+        assert S.cost == 81
+
     def test_finite_difference_cylinders_stay_exactly_flat(self):
         g = curvature_grid(finite_difference_surface(preset("cylinder_circle")), 21, 21)
         assert max(abs(r.Kext) for r in g.rows) == 0.0
@@ -263,18 +306,28 @@ class TestBlockedGrid:
 
 
 class TestBulkConnection:
+    # SMALL_BLOCK makes blocks of 63 samples (analytic) and 7 (finite
+    # differences), so each trace below crosses block boundaries and ends
+    # mid-block whatever POINT_BLOCK is
+    SMALL_BLOCK = 126
+
+    @pytest.mark.parametrize("block", [None, SMALL_BLOCK])
     @pytest.mark.parametrize("name,seed", [
         ("cylinder_circle", (1.0, 0.0)), ("cylinder_inflection", (1.0, 0.0)),
         ("cylinder_spline", (0.4, 0.5)),
     ])
-    def test_equals_scalar_reference(self, name, seed):
+    def test_equals_scalar_reference(self, monkeypatch, name, seed, block):
         S = preset(name)
+        monkeypatch.setattr(curvature, "POINT_BLOCK", block or POINT_BLOCK)
         tr = trace_asymptotic(S, *seed, 0.4, 1e-3)
+        assert len(tr.lam) % curvature.block_size(S, 2)
         ref = scalar_lambdas(S, tr)
         assert all(_same(a, b) for a, b in zip(tr.lam, ref))
 
-    def test_finite_difference_surface(self):
+    @pytest.mark.parametrize("block", [None, SMALL_BLOCK])
+    def test_finite_difference_surface(self, monkeypatch, block):
         S = finite_difference_surface(preset("cylinder_inflection"))
+        monkeypatch.setattr(curvature, "POINT_BLOCK", block or POINT_BLOCK)
         tr = trace_asymptotic(S, 1.0, 0.0, 0.1, 1e-3)
         assert all(_same(a, b) for a, b in zip(tr.lam, scalar_lambdas(S, tr)))
 
@@ -311,3 +364,22 @@ class TestBulkConnection:
         trace_asymptotic(S, 1.0, 0.0, 0.2, 1e-3, with_connection=False)
         with pytest.raises(NumericalError, match="injected off the ruling"):
             trace_asymptotic(S, 1.0, 0.0, 0.2, 1e-3)
+
+
+def test_outputs_do_not_depend_on_the_block(monkeypatch):
+    """A Brioschi grid on a finite-difference chart, a recovered generating
+    curve and a trace's connection coefficients have the same bytes at any
+    POINT_BLOCK: at 7 every block is cut small, at 936 each of the three
+    spans more than one block, and at 2808 the grid does."""
+    fd, cylinder = SURFACES["perturbed_cylinder"], preset("cylinder_spline")
+
+    def outputs():
+        return (curvature_grid(fd, 19, 17).to_csv(),
+                recover_generating_curve(cylinder, 0.2, 1201).points.tobytes(),
+                trace_asymptotic(cylinder, 0.4, 0.5, 0.4, 1e-3).lam.tobytes())
+
+    runs = []
+    for block in (7, 936, POINT_BLOCK):
+        monkeypatch.setattr(curvature, "POINT_BLOCK", block)
+        runs.append(outputs())
+    assert runs[0] == runs[1] == runs[2]
