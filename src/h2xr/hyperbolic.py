@@ -31,12 +31,13 @@ handed out as Python floats, since numpy scalars make every later scalar
 operation several times dearer.
 
 Dense output between samples comes one arclength at a time, memoized, for
-chart jets and traces (``H2Curve.frame_at``), or for a whole array of
-arclengths at once (``H2Curve.frames_at``), which bulk chart jets and the
-Hausdorff distance use, and ``frame_at`` on Hermite curves: the same RK4
-step and the Hermite formula run on triples of coordinate arrays (Hairer,
-Norsett and Wanner, *Solving Ordinary Differential Equations I*, on dense
-output).
+chart jets and traces (``H2Curve.frame_at``); for a whole array of
+arclengths, for bulk chart jets and Hermite ``frame_at`` (``frames_at``:
+the RK4 step and the Hermite formula on triples of coordinate arrays); or
+as positions alone, for the Hausdorff distance (``positions_at``: only the
+stages the RK4 position reads, on stacked (3, M) coordinates, with the bits
+and checks of ``frames_at``).  The rule is Hairer, Norsett and Wanner's
+(*Solving Ordinary Differential Equations I*, on dense output).
 """
 
 from __future__ import annotations
@@ -320,20 +321,9 @@ class H2Curve:
         For ``rk4`` curves the curvature function is called on arrays of
         arclengths.
         """
-        s = np.asarray(s, dtype=float)
-        outside = (s < self.s_min - 1e-9) | (s > self.s_max + 1e-9)
-        if outside.any():
-            raise OutOfDomain(f"s = {s[outside][0]} outside [{self.s_min}, {self.s_max}]")
-        i = np.clip(np.searchsorted(self.s, s, side="right") - 1, 0, len(self.s) - 2)
-        if self.interpolation == "hermite":  # cubic Hermite on positions and tangents
-            s0 = self.s[i]
-            h = self.s[i + 1] - s0
-            t = (s - s0) / h
-            p0, p1 = self.points[i].T, self.points[i + 1].T
-            m0, m1 = self.tangents[i].T * h, self.tangents[i + 1].T * h
-            t2, t3 = t * t, t * t * t
-            pos = ((2 * t3 - 3 * t2 + 1) * p0 + (t3 - 2 * t2 + t) * m0
-                   + (-2 * t3 + 3 * t2) * p1 + (t3 - t2) * m1)
+        s, i = self._segments(s)
+        if self.interpolation == "hermite":
+            pos, (h, t, t2, p0, m0, p1, m1) = self._hermite(s, i)
             vel = ((6 * t2 - 6 * t) * p0 + (3 * t2 - 4 * t + 1) * m0
                    + (-6 * t2 + 6 * t) * p1 + (3 * t2 - 2 * t) * m1) / h
             a = _normalize_points(tuple(pos))
@@ -352,9 +342,43 @@ class H2Curve:
         return tuple(tuple(x) for x in frame)
 
     def positions_at(self, s: np.ndarray) -> np.ndarray:
-        """Dense positions at an array of arclengths, shape (len(s), 3): the
-        first element of :meth:`frames_at`."""
-        return np.stack(self.frames_at(s)[0], axis=1)
+        """Dense positions at an array of arclengths, shape (len(s), 3): those
+        of :meth:`frames_at`, bit for bit and with its checks, computed alone
+        on stacked (3, M) coordinates (:func:`_rk4_positions`, or the Hermite
+        position)."""
+        s, i = self._segments(s)
+        if self.interpolation == "hermite":
+            return np.stack(_normalize_points(self._hermite(s, i)[0]), axis=1)
+        pos = self.points.T.take(i, axis=1)
+        ds = s - self.s[i]
+        moved = np.flatnonzero(ds != 0.0)
+        if moved.size:
+            j = i[moved]
+            t, n = self.tangents.T.take(j, axis=1), self.normals.T.take(j, axis=1)
+            pos[:, moved] = _normalize_points(_rk4_positions(
+                pos[:, moved], t, n, self.kg[j], self.s[j], ds[moved], self.kg_fn))
+        return pos.T
+
+    def _segments(self, s):
+        """The arclengths as floats, checked against the range, and their intervals."""
+        s = np.asarray(s, dtype=float)
+        outside = (s < self.s_min - 1e-9) | (s > self.s_max + 1e-9)
+        if outside.any():
+            raise OutOfDomain(f"s = {s[outside][0]} outside [{self.s_min}, {self.s_max}]")
+        return s, np.clip(np.searchsorted(self.s, s, side="right") - 1, 0, len(self.s) - 2)
+
+    def _hermite(self, s, i):
+        """Cubic Hermite position over the intervals i, stacked (3, M), and
+        the pieces the velocity of :meth:`frames_at` reuses."""
+        s0 = self.s[i]
+        h = self.s[i + 1] - s0
+        t = (s - s0) / h
+        p0, p1 = self.points.T.take(i, axis=1), self.points.T.take(i + 1, axis=1)
+        m0, m1 = self.tangents.T.take(i, axis=1) * h, self.tangents.T.take(i + 1, axis=1) * h
+        t2, t3 = t * t, t * t * t
+        pos = ((2 * t3 - 3 * t2 + 1) * p0 + (t3 - 2 * t2 + t) * m0
+               + (-2 * t3 + 3 * t2) * p1 + (t3 - t2) * m1)
+        return pos, (h, t, t2, p0, m0, p1, m1)
 
     def eval(self, s: float) -> tuple[H2Point, H2Tangent]:
         a, t, _, _ = self.frame_at(s)
@@ -406,6 +430,18 @@ def _frenet_rk4_step(a, t, n, k, s, h, kfn):
              n2 + c * ((g12 + 2.0 * g22) + (2.0 * g32 + nke * t42))))
 
 
+def _rk4_positions(a, t, n, k, s, h, kfn):
+    """The position of :func:`_frenet_rk4_step` alone, on stacked (3, M)
+    coordinates, in its order; kfn(s + h) is called for its check only."""
+    hh, c = 0.5 * h, h / 6.0
+    km = kfn(s + hh)
+    kfn(s + h)
+    t2 = t + hh * (k * n + a)
+    t3 = t + hh * (km * (n + hh * (-k * t)) + (a + hh * t))
+    t4 = t + h * (km * (n + hh * (-km * t2)) + (a + hh * t2))
+    return a + c * ((t + 2.0 * t2) + (2.0 * t3 + t4))
+
+
 def _reproject_frame(a: Triple, t: Triple, n: Triple,
                      point=_normalize_point, spacelike=_normalize_spacelike):
     """Restore the frame constraints: a on the sheet, t the unit tangent
@@ -428,9 +464,9 @@ def curve_from_curvature(k_g: Callable[[float], float], s_range: tuple[float, fl
     The curve starts at ``start`` (origin by default) heading along
     ``direction``; k_g is signed with respect to the right-handed Frenet
     normal.  Samples land on a uniform grid covering s_range.  The build
-    calls k_g with floats; ``positions_at``, and so the Hausdorff distance,
-    calls it with numpy arrays of arclengths, which the curvature factories
-    of this module accept.
+    calls k_g with floats; ``frames_at`` and ``positions_at``, and so bulk
+    chart jets and the Hausdorff distance, call it with numpy arrays of
+    arclengths, which the curvature factories of this module accept.
     """
     s0, s1 = float(s_range[0]), float(s_range[1])
     if not (math.isfinite(s0) and math.isfinite(s1)) or s1 <= s0:
@@ -452,7 +488,7 @@ def curve_from_curvature(k_g: Callable[[float], float], s_range: tuple[float, fl
 
     def kfn(s, ndarray=np.ndarray):  # a local name keeps the scalar calls of the build fast
         k = k_g(s)
-        if type(k) is ndarray and k.ndim:  # arclength arrays, from positions_at
+        if type(k) is ndarray and k.ndim:  # arclength arrays, from frames_at or positions_at
             bad = ~np.isfinite(k)
             if bad.any():
                 raise BadCurvatureFunction(
@@ -571,7 +607,7 @@ def points_to_curve_dist(q: np.ndarray, curve: H2Curve) -> np.ndarray:
     two sample intervals around it.  The nearest samples come from the
     query x sample inner products, NEAREST_CHUNK query rows at a time, so
     memory stays bounded for long curves; the searches run in lockstep, so
-    each iteration evaluates the dense curve once at an array of arclengths.
+    each iteration calls ``curve.positions_at`` once on an array of arclengths.
     """
     q = np.asarray(q, dtype=float).reshape(-1, 3)
     pts, s = curve.points, curve.s
@@ -583,10 +619,13 @@ def points_to_curve_dist(q: np.ndarray, curve: H2Curve) -> np.ndarray:
         nearest[k:k + len(blk)] = np.argmax(inner, axis=1)  # -<p,q> smallest -> nearest
     lo = s[np.maximum(nearest - 1, 0)]
     hi = s[np.minimum(nearest + 1, len(s) - 1)]
-    qc = q.T
+    qc = np.ascontiguousarray(q.T)
+    held = [None, None]  # the last index array and its query columns
 
     def dist(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return _dists_raw(tuple(qc[:, idx]), curve.frames_at(x)[0])
+        if idx is not held[0]:
+            held[:] = idx, qc[:, idx]
+        return _dists_raw(held[1], curve.positions_at(x).T)
 
     _, d = golden_min_batch(dist, lo, hi, tol=1e-12)
     return d
@@ -599,8 +638,8 @@ def curve_distances(a: H2Curve, b: H2Curve) -> tuple[float, float]:
 
     Every sample of each curve is measured against the dense other curve by
     :func:`points_to_curve_dist`: two lockstep golden-section searches in
-    all, whose cost is about 50 dense evaluations of each curve at arrays of
-    as many arclengths as the other curve has samples.
+    all, whose cost is about 50 dense position evaluations of each curve at
+    arrays of as many arclengths as the other curve has samples.
     """
     return (float(np.max(points_to_curve_dist(a.points, b))),
             float(np.max(points_to_curve_dist(b.points, a))))

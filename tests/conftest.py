@@ -21,12 +21,12 @@ from h2xr.flows import (DOMAIN_EDGE, MAX_LENGTH, PLANAR_HIT, STEP_FAILURE,
                         TRACE_CSV_HEADER, GeodesicDeviation, TraceRecord, _aligned,
                         _ambient_dir, _connection, trace_half_steps)
 from h2xr.hyperbolic import (ORIGIN, UNIT_TOL, H2Curve, H2Point, H2Tangent,
-                             _check_on_sheet, curve_from_curvature)
+                             _check_on_sheet, _dists_raw, curve_from_curvature)
 from h2xr.minkowski import (SpacetimeVec, _check_finite, _mcomb, _mcross, _mdot,
                             _mscale, _msub, _normalize_point, _normalize_points,
                             _normalize_spacelike, _normalize_spacelikes,
                             _project_tangent, minkowski_inner)
-from h2xr.numerics import bracket_root
+from h2xr.numerics import bracket_root, golden_min_batch
 from h2xr.product import AmbientVec, ProdGeodesic, ProdTangent, _prod_inner, prod_dist
 from h2xr.surfaces import ChartDomain, Surface, SurfaceJet, preset
 
@@ -425,6 +425,23 @@ def reference_frames_at(curve, s):
                                                              _normalize_spacelikes)):
             out[:, moved] = new
     return tuple(tuple(x) for x in frame)
+
+
+def reference_points_to_curve_dist(q, curve):
+    """points_to_curve_dist as it was before positions_at: the lockstep
+    golden-section searches over the positions of frames_at."""
+    q = np.asarray(q, dtype=float).reshape(-1, 3)
+    inner = -(curve.points[:, 0] * q[:, 0:1]) + curve.points[:, 1] * q[:, 1:2] \
+        + curve.points[:, 2] * q[:, 2:3]
+    nearest = np.argmax(inner, axis=1)
+    lo = curve.s[np.maximum(nearest - 1, 0)]
+    hi = curve.s[np.minimum(nearest + 1, len(curve.s) - 1)]
+    qc = q.T
+
+    def dist(idx, x):
+        return _dists_raw(tuple(qc[:, idx]), curve.frames_at(x)[0])
+
+    return golden_min_batch(dist, lo, hi, tol=1e-12)[1]
 
 
 def reference_hermite_frame(curve, s: float):

@@ -7,18 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from h2xr.classifier import recover_generating_curve
 from h2xr.errors import (BadCurvatureFunction, NonUnitTangent, NumericalError,
                          OutOfDomain)
 from h2xr.hyperbolic import (H2Curve, H2Point, H2Tangent, _dists_raw,
                              curvature_profile, curve_distances, curve_from_curvature,
                              curve_hausdorff, h2_covariant_deriv, h2_dist, h2_exp,
                              h2_project_tangent, linear_curvature,
-                             measure_geodesic_curvature, spline_curvature)
+                             measure_geodesic_curvature, points_to_curve_dist,
+                             spline_curvature)
 from h2xr.minkowski import (SpacetimeVec, _normalize_point, _normalize_points,
                             _normalize_spacelike, _normalize_spacelikes,
                             minkowski_inner)
+from h2xr.surfaces import (CORPUS_CONFIGS, CYLINDER_PRESETS, from_config,
+                           generating_curve_of_config)
 
-from conftest import COTH1, h2_points, h2_unit_tangents, scalar_golden_min
+from conftest import (COTH1, h2_points, h2_unit_tangents, reference_points_to_curve_dist,
+                      scalar_golden_min)
 
 ORIGIN = H2Point.of((1.0, 0.0, 0.0))
 E1 = H2Tangent(ORIGIN, SpacetimeVec.of((0.0, 1.0, 0.0)))
@@ -324,6 +329,54 @@ class TestDenseBatch:
         with pytest.raises(NumericalError):
             _normalize_spacelikes((np.array([0.0, 1.0]), np.array([1.0, 0.0]),
                                    np.array([0.0, 0.0])))
+
+    @given(st.sampled_from(sorted(DENSE_CURVES)), st.sampled_from(sorted(DENSE_CURVES)),
+           st.booleans(), st.booleans(), st.lists(h2_points(2.0), max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_search_equals_frames_search_bitwise(self, name_a, name_b, herm_a, herm_b, extra):
+        """The searches over positions_at keep the bits of the searches over
+        the positions of frames_at, on rk4 and hermite curves both ways."""
+        a, b = DENSE_CURVES[name_a], DENSE_CURVES[name_b]
+        a, b = hermite_copy(a) if herm_a else a, hermite_copy(b) if herm_b else b
+        off = np.array([p.tup for p in extra]).reshape(-1, 3)
+        for x, y in ((a, b), (b, a)):
+            q = np.concatenate([x.points, off])
+            assert np.array_equal(points_to_curve_dist(q, y),
+                                  reference_points_to_curve_dist(q, y))
+
+    @pytest.mark.parametrize("t0", [-1.3, 0.7])
+    @pytest.mark.parametrize("name", CYLINDER_PRESETS)
+    def test_search_equals_frames_search_on_recovered_curves(self, name, t0):
+        """The pair of a compare benchmark item: a recovered curve of 201
+        samples and the generating curve at curve_step 0.02."""
+        cfg = CORPUS_CONFIGS[name]
+        a = recover_generating_curve(from_config(cfg), t0, 201)
+        b = generating_curve_of_config(dict(cfg, curve_step=0.02))
+        for x, y in ((a, b), (b, a)):
+            assert np.array_equal(points_to_curve_dist(x.points, y),
+                                  reference_points_to_curve_dist(x.points, y))
+
+    def test_curvature_checked_at_the_end_of_the_step(self):
+        """The position does not read the curvature at the end of an RK4
+        step, but a curvature that is not finite there still raises, with
+        the message of frames_at."""
+        c = curve_from_curvature(
+            lambda s: np.where(np.asarray(s) > 0.56, math.nan, 1.0) if np.ndim(s) else 1.0,
+            (0.0, 1.0), 0.1)
+        s = np.array([0.59])  # from the sample at 0.5: midpoint 0.545, end 0.59
+        with pytest.raises(BadCurvatureFunction) as want:
+            c.frames_at(s)
+        with pytest.raises(BadCurvatureFunction) as got:
+            c.positions_at(s)
+        assert str(got.value) == str(want.value)
+        # the searches from the samples at 0.5 and 0.6 first evaluate 0.4764
+        # and 0.5764, whose midpoints lie below 0.56
+        b = H2Curve.from_samples(c.s[5:7], c.points[5:7], c.tangents[5:7])
+        with pytest.raises(BadCurvatureFunction) as want:
+            reference_points_to_curve_dist(b.points, c)
+        with pytest.raises(BadCurvatureFunction) as got:
+            curve_distances(b, c)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("name", ["constant", "spline"])
     def test_hausdorff_equals_scalar_searches(self, name):

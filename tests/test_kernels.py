@@ -16,8 +16,8 @@ from conftest import (h2_points, h2_unit_tangents, lifted, reference_curve, refe
 from h2xr.classifier import recover_generating_curve
 from h2xr.curvature import FundamentalForms, forms_from_jet, principal_curvatures
 from h2xr.errors import BadCurvatureFunction, GeometryError
-from h2xr.hyperbolic import (constant_curvature, curve_from_curvature, linear_curvature,
-                             spline_curvature)
+from h2xr.hyperbolic import (_frenet_rk4_step, _rk4_positions, constant_curvature,
+                             curve_from_curvature, linear_curvature, spline_curvature)
 from h2xr.minkowski import _project_tangent
 from h2xr.product import AmbientVec
 from h2xr.surfaces import (CORPUS_CONFIGS, CYLINDER_PRESETS, SurfaceJet, check_jet,
@@ -124,6 +124,19 @@ class TestCurveBuild:
         for k, x in enumerate(s.tolist()):
             a, t, n, _ = c.frame_at(x)
             assert _bits((a, t, n)) == _bits(tuple(tuple(y[k] for y in v) for v in ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(CURVATURES)), r=st.floats(-1.5, 1.5),
+           rows=st.lists(st.lists(st.floats(-2.0, 2.0), min_size=12, max_size=12),
+                         min_size=1, max_size=20))
+    def test_position_stages_match_the_full_step(self, kind, r, rows):
+        """The position-only RK4 stages on stacked coordinates give the bits
+        of the full step's position, frame by frame."""
+        x = np.array(rows).T
+        k_g = CURVATURES[kind](r)
+        a, t, n, (k, s, h) = x[0:3], x[3:6], x[6:9], x[9:12]
+        full = _frenet_rk4_step(tuple(a), tuple(t), tuple(n), k, s, h, k_g)
+        assert _bits(_rk4_positions(a, t, n, k, s, h, k_g)) == _bits(full[0])
 
     @pytest.mark.parametrize("name", CYLINDER_PRESETS)
     def test_dense_frames_take_the_first_stage_from_the_samples(self, name):
