@@ -9,13 +9,10 @@ for the batch entry points.
 """
 
 from .errors import GeometryError
-from .minkowski import SpacetimeVec, minkowski_inner
-from .hyperbolic import (H2Curve, H2Point, H2Tangent, curve_from_curvature,
-                         h2_covariant_deriv, h2_dist, h2_exp,
-                         h2_project_tangent, measure_geodesic_curvature)
+from .hyperbolic import (H2Curve, check_point, check_tangent, check_unit,
+                         curve_from_curvature, h2_dist)
 from .product import (AmbientVec, DivergenceReport, H2Geodesic, ProdGeodesic,
-                      ProdPoint, ProdTangent, prod_dist, prod_exp,
-                      prod_geodesic_residual, prod_metric,
+                      prod_dist, prod_geodesic_residual,
                       verify_geodesic_divergence)
 from .surfaces import (ChartDomain, Surface, SurfaceJet, from_config,
                        make_cylinder, make_graph, make_slice, perturb)
@@ -36,16 +33,14 @@ __all__ = [
     "AffineFit", "AmbientVec", "ChartDomain", "ClassifierConfig",
     "CylinderVerdict", "DivergenceReport", "FlatnessReport",
     "FundamentalForms", "GeodesicDeviation", "GeometryError", "H2Curve",
-    "H2Geodesic", "H2Point", "H2Tangent", "PlanarSetMap", "PointClass",
-    "ProdGeodesic", "ProdPoint", "ProdTangent", "ShapeData", "SpacetimeVec",
+    "H2Geodesic", "PlanarSetMap", "PointClass", "ProdGeodesic", "ShapeData",
     "Surface", "SurfaceJet", "TraceRecord", "VerificationReport",
-    "classify_point", "classify_surface", "curvature_grid",
-    "curve_from_curvature", "extract_rulings", "fit_inverse_H",
-    "flatness_scan", "frame_ode_residuals", "from_config",
-    "fundamental_forms", "geodesic_deviation", "h2_covariant_deriv",
-    "h2_dist", "h2_exp", "h2_project_tangent", "make_cylinder", "make_graph",
-    "make_slice", "measure_geodesic_curvature", "minkowski_inner", "perturb",
-    "planar_set_map", "prod_dist", "prod_exp", "prod_geodesic_residual",
-    "prod_metric", "recover_generating_curve", "run_verification",
+    "check_point", "check_tangent", "check_unit", "classify_point",
+    "classify_surface", "curvature_grid", "curve_from_curvature",
+    "extract_rulings", "fit_inverse_H", "flatness_scan",
+    "frame_ode_residuals", "from_config", "fundamental_forms",
+    "geodesic_deviation", "h2_dist", "make_cylinder", "make_graph",
+    "make_slice", "perturb", "planar_set_map", "prod_dist",
+    "prod_geodesic_residual", "recover_generating_curve", "run_verification",
     "shape_data", "trace_asymptotic", "verify_geodesic_divergence",
 ]

@@ -57,8 +57,10 @@ is capped, before it starts, by ``curvature.MAX_GRID_CELLS`` (250,000 cells),
 ``hyperbolic.MAX_CURVE_STEPS`` (1,000,000), ``flows.MAX_TRACE_HALF_STEPS``
 (50,000 RK4 steps per leg, length / (2 step)) and ``MAX_GEODESIC_SAMPLES``
 (1,000,000); each constant's comment gives its per-unit cost.  Every refused
-input exits 2 with one ``error:`` line; a valid number that overflows in the
-computation exits 3 (5 for an INCONSISTENT ``classify`` verdict).
+input exits 2 with one ``error:`` line, a ``geodesic`` ``--point`` whose
+hyperboloid coordinate x0 overflows and a ``--velocity`` whose length does
+among them; a valid number that overflows later in the computation exits 3
+(5 for an INCONSISTENT ``classify`` verdict).
 
 Outputs are deterministic: a fixed config and seed produce byte-identical
 files.
@@ -80,9 +82,9 @@ from .curvature import curvature_grid
 from .errors import ConfigError, GeometryError, NotParabolic, NumericalError
 from .flows import (fit_inverse_H, frame_ode_residuals, geodesic_deviation,
                     trace_asymptotic)
-from .hyperbolic import H2Point, H2Tangent
-from .minkowski import SpacetimeVec, _mdot, _project_tangent
-from .product import ProdGeodesic, ProdPoint, ProdTangent
+from .hyperbolic import check_point
+from .minkowski import _mdot, _project_tangent
+from .product import ProdGeodesic
 from .surfaces import config_number, from_config
 from .verification import report_to_json, report_to_text, run_verification
 
@@ -257,23 +259,27 @@ def cmd_geodesic(cfg: RunConfig, point: str, velocity: str,
     if not length / step <= MAX_GEODESIC_SAMPLES:
         raise ConfigError(f"--length {length:g} at --step {step:g} gives more than "
                           f"MAX_GEODESIC_SAMPLES = {MAX_GEODESIC_SAMPLES} samples")
-    x0 = math.sqrt(1.0 + x1 * x1 + x2 * x2)
-    base = ProdPoint(H2Point.of((x0, x1, x2)), t)
-    wh = _project_tangent(base.h.tup, (0.0, w1, w2))
-    nh2 = max(0.0, _mdot(wh, wh))
-    norm = math.sqrt(nh2 + vt * vt)
+    foot = (math.sqrt(1.0 + x1 * x1 + x2 * x2), x1, x2)
+    try:
+        check_point(foot)
+    except NumericalError as exc:
+        raise ConfigError(f"--point {point} gives no point of the hyperboloid: {exc}") from None
+    wh = _project_tangent(foot, (0.0, w1, w2))
+    norm = math.sqrt(max(0.0, _mdot(wh, wh)) + vt * vt)
+    if not math.isfinite(norm):
+        raise ConfigError(f"--velocity {velocity} is too long: its length overflows")
     if norm < 1e-12:
         raise ConfigError("velocity must be nonzero")
-    tangent = ProdTangent(base, H2Tangent(base.h, SpacetimeVec.of(
-        tuple(c / norm for c in wh))), vt / norm)
-    geo = ProdGeodesic.from_tangent(tangent)
+    geo = ProdGeodesic.from_tangent(foot, t, tuple(c / norm for c in wh), vt / norm)
     lines = ["s,h_x0,h_x1,h_x2,t"]
     n = int(round(length / step))
     for i in range(n + 1):
         s = i * step
-        p = geo.point(s)
-        lines.append(",".join([repr(s), repr(p.h.v.x0), repr(p.h.v.x1),
-                               repr(p.h.v.x2), repr(p.t)]))
+        p, height = geo.point(s)
+        check_point(p)
+        if not math.isfinite(height):
+            raise NumericalError(f"non-finite height {height}")
+        lines.append(",".join(map(repr, (s, *p, height))))
     _write(cfg.out / "geodesic.csv", "\n".join(lines) + "\n")
     print(f"wrote {cfg.out / 'geodesic.csv'} ({n + 1} samples)")
     return EXIT_OK

@@ -35,12 +35,6 @@ class OutOfDomain(GeometryError):
     code = "OUT_OF_DOMAIN"
 
 
-class BaseMismatch(GeometryError):
-    """Two tangent vectors were combined but live at different base points."""
-
-    code = "BASE_MISMATCH"
-
-
 class InsufficientSamples(GeometryError):
     """An operation needs more samples than the input provides."""
 

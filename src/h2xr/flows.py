@@ -46,11 +46,10 @@ from .curvature import (PARABOLIC, _class_tag, block_size, forms_from_jet, point
 from .errors import (ConfigError, DegenerateDirection, GeometryError,
                      InsufficientSamples, NotParabolic, NumericalError, OutOfDomain,
                      PlanarSample)
-from .hyperbolic import H2Point, H2Tangent, _dists_raw
-from .minkowski import SpacetimeVec, _mcomb, _mdot, _project_tangent
+from .hyperbolic import _dists_raw
+from .minkowski import Triple, _mcomb, _mdot, _project_tangent
 from .numerics import _each, _sq, affine_fit
-from .product import (AmbientVec, ProdGeodesic, ProdPoint, ProdTangent, _prod_exp_raw,
-                      _prod_inner)
+from .product import AmbientVec, ProdGeodesic, _prod_inner
 from .surfaces import Surface, SurfaceJet, check_jet
 
 DOMAIN_EDGE = "DOMAIN_EDGE"
@@ -95,8 +94,9 @@ class TraceRecord:
     def __len__(self) -> int:
         return len(self.s)
 
-    def point(self, i: int) -> ProdPoint:
-        return ProdPoint(H2Point.of(tuple(self.h[i])), float(self.t[i]))
+    def point(self, i: int) -> tuple[Triple, float]:
+        """Footprint and height of sample i, as Python floats."""
+        return tuple(self.h[i].tolist()), float(self.t[i])
 
     def to_csv(self) -> str:
         cols = []
@@ -389,16 +389,13 @@ def geodesic_deviation(tr: TraceRecord) -> GeodesicDeviation:
     h = tr.step
     vh = (-3.0 * tr.h[0] + 4.0 * tr.h[1] - tr.h[2]) / (2.0 * h)
     vt = float(-3.0 * tr.t[0] + 4.0 * tr.t[1] - tr.t[2]) / (2.0 * h)
-    base = tr.point(0)
-    vh = _project_tangent(base.h.tup, tuple(vh))
+    p, t = tr.point(0)
+    vh = _project_tangent(p, tuple(vh))
     norm = math.sqrt(max(0.0, _mdot(vh, vh)) + vt * vt)
     if norm < 1e-12:
         raise NumericalError("trace samples do not define a direction")
-    tangent = ProdTangent(base, H2Tangent(base.h, SpacetimeVec.of(
-        tuple(c / norm for c in vh))), vt / norm)
-    geo = ProdGeodesic.from_tangent(tangent)
-    foot, height = _prod_exp_raw(geo.p0.h.tup, geo.p0.t, geo.v0.vh.tup, geo.v0.vt,
-                                 tr.s - tr.s[0])
+    geo = ProdGeodesic.from_tangent(p, t, tuple(c / norm for c in vh), vt / norm)
+    foot, height = geo.point(tr.s - tr.s[0])
     d = _each(math.hypot, _dists_raw(foot, tuple(tr.h.T)), height - tr.t)
     d = np.where(np.isnan(d), 0.0, d)  # a NaN distance never becomes the maximum
     i = int(np.argmax(d))  # the first sample at the maximum

@@ -1,8 +1,10 @@
 """The hyperbolic plane as the upper hyperboloid sheet in R^{2,1}.
 
-Points satisfy <v, v> = -1, v.x0 >= 1; tangent vectors at p satisfy
-<w, p> = 0 and are spacelike.  Geodesics, distance and the tangential
-projection are closed form:
+Points and tangent vectors are float triples.  Points satisfy <v, v> = -1,
+v.x0 >= 1; tangent vectors at p satisfy <w, p> = 0 and are spacelike.  The
+functions here assume so; ``check_point``, ``check_tangent`` and
+``check_unit`` enforce it where points and directions enter the library.
+Geodesics, distance and the tangential projection are closed form:
 
     exp_p(s v) = cosh(s) p + sinh(s) v          (v unit)
     d(p, q)    = arccosh(-<p, q>) = 2 arcsinh(|p - q| / 2)
@@ -50,10 +52,9 @@ import numpy as np
 
 from .errors import (BadCurvatureFunction, ConfigError, InsufficientSamples,
                      NonUnitTangent, NumericalError, OutOfDomain)
-from .minkowski import (SpacetimeVec, Triple, _mcomb, _mcross, _mdot,
-                        _mscale, _msub, _normalize_point, _normalize_points,
-                        _normalize_spacelike, _normalize_spacelikes,
-                        _project_tangent, minkowski_inner)
+from .minkowski import (Triple, _check_finite, _mcomb, _mcross, _mdot, _msub,
+                        _normalize_point, _normalize_points, _normalize_spacelike,
+                        _normalize_spacelikes, _project_tangent)
 from .numerics import CubicSpline1D, _each, golden_min_batch
 
 POINT_TOL = 1e-10      # |<v,v> + 1| for points
@@ -65,9 +66,22 @@ MAX_CURVE_STEPS = 1_000_000  # per build: 110 B and 10 us each (2-core VM)
 ORIGIN_T: Triple = (1.0, 0.0, 0.0)
 
 
+# -- checks where points and vectors enter the library ----------------------------
+
+def check_point(p: Triple) -> None:
+    """Raise NumericalError unless p is a finite point of the upper sheet.
+
+    The constraint residual is checked relative to the coordinate scale:
+    at double precision the residual of <v, v> = -1 necessarily grows like
+    the square of the coordinates, while distances stay relatively accurate.
+    Near the origin the bound coincides with the absolute 1e-10 tolerance.
+    """
+    _check_finite(p)
+    _check_on_sheet(p)
+
+
 def _check_on_sheet(v: Triple) -> None:
-    """Raise NumericalError unless the finite triple v lies on the upper sheet,
-    at the relative tolerance :class:`H2Point` documents."""
+    """:func:`check_point` on a triple already known to be finite."""
     v0, v1, v2 = v
     q = -v0 * v0 + v1 * v1 + v2 * v2
     if abs(q + 1.0) > POINT_TOL * (1.0 + v0 * v0):
@@ -83,76 +97,31 @@ def _off_sheet(v) -> np.ndarray:
     return (np.abs(q + 1.0) > POINT_TOL * (1.0 + v[0] * v[0])) | (v[0] < 1.0 - POINT_TOL)
 
 
-@dataclass(frozen=True, slots=True)
-class H2Point:
-    """Point on the upper sheet of the hyperboloid.
-
-    The constraint residual is checked relative to the coordinate scale:
-    at double precision the residual of <v, v> = -1 necessarily grows like
-    the square of the coordinates, while distances stay relatively accurate.
-    Near the origin the bound coincides with the absolute 1e-10 tolerance.
-    """
-
-    v: SpacetimeVec
-
-    def __post_init__(self):
-        _check_on_sheet(self.v.tup)
-
-    @property
-    def tup(self) -> Triple:
-        return self.v.tup
-
-    @classmethod
-    def of(cls, t: Triple) -> "H2Point":
-        return cls(SpacetimeVec.of(t))
+def check_tangent(p: Triple, w: Triple) -> None:
+    """Raise NumericalError unless w is a finite spacelike vector tangent to
+    the sheet at the point p, at a tolerance relative to the scales of both."""
+    _check_finite(w)
+    scale = (1.0 + p[0] * p[0]) * (1.0 + max(abs(w[0]), abs(w[1]), abs(w[2])))
+    c = _mdot(w, p)
+    if abs(c) > TANGENT_TOL * 100.0 * scale:
+        raise NumericalError(f"<w,p> = {c}, not tangent")
+    if _mdot(w, w) < -1e-10 * scale:
+        raise NumericalError("tangent vector is timelike")
 
 
-@dataclass(frozen=True, slots=True)
-class H2Tangent:
-    """Tangent vector of the hyperbolic plane at a base point."""
-
-    base: H2Point
-    w: SpacetimeVec
-
-    def __post_init__(self):
-        c = minkowski_inner(self.w, self.base.v)
-        scale = (1.0 + self.base.v.x0 * self.base.v.x0) \
-            * (1.0 + max(abs(self.w.x0), abs(self.w.x1), abs(self.w.x2)))
-        if abs(c) > TANGENT_TOL * 100.0 * scale:
-            raise NumericalError(f"<w,p> = {c}, not tangent")
-        if minkowski_inner(self.w, self.w) < -1e-10 * scale:
-            raise NumericalError("tangent vector is timelike")
-
-    @property
-    def tup(self) -> Triple:
-        return self.w.tup
-
-    def norm(self) -> float:
-        return math.sqrt(max(0.0, minkowski_inner(self.w, self.w)))
-
-
-ORIGIN = H2Point.of(ORIGIN_T)
-
-
-def h2_project_tangent(p: H2Point, w: SpacetimeVec) -> H2Tangent:
-    """Tangential projection w + <w, p> p at p."""
-    return H2Tangent(p, SpacetimeVec.of(_project_tangent(p.tup, w.tup)))
-
-
-def h2_exp(p: H2Point, v: H2Tangent, s: float) -> H2Point:
-    """Geodesic flow: the point at arclength s along the unit direction v."""
-    if not math.isfinite(s):
-        raise NumericalError(f"non-finite arclength {s}")
-    q = minkowski_inner(v.w, v.w)
+def check_unit(w: Triple, what: str = "tangent") -> None:
+    """Raise NonUnitTangent unless <w, w> = 1 within UNIT_TOL."""
+    q = _mdot(w, w)
     if abs(q - 1.0) > UNIT_TOL:
-        raise NonUnitTangent(f"<v,v> = {q}, expected a unit tangent")
-    return H2Point.of(_exp_raw(p.tup, v.tup, s))
+        raise NonUnitTangent(f"{what} must be unit, <w,w> = {q}")
 
+
+# -- closed forms -------------------------------------------------------------------
 
 def _exp_raw(p: Triple, v: Triple, s: float) -> Triple:
-    """exp_p(s v) on triples; given an array of arclengths (and triples of
-    floats or of coordinate arrays), cosh and sinh are taken elementwise
-    from math, so every element equals the float call."""
+    """exp_p(s v) for a unit tangent v at p, unchecked; given an array of
+    arclengths (and triples of floats or of coordinate arrays), cosh and sinh
+    are taken elementwise from math, so every element equals the float call."""
     if isinstance(s, np.ndarray):
         return _mcomb(_each(math.cosh, s), p, _each(math.sinh, s), v)
     return _mcomb(math.cosh(s), p, math.sinh(s), v)
@@ -161,7 +130,7 @@ def _exp_raw(p: Triple, v: Triple, s: float) -> Triple:
 DIST_NEAR = 2.0        # -<p,q> below which the chord form replaces arccosh
 
 
-def h2_dist(p: H2Point, q: H2Point) -> float:
+def h2_dist(p: Triple, q: Triple) -> float:
     """Geodesic distance between two points.
 
     arccosh(-<p, q>) loses half the digits near coincident points (an
@@ -169,10 +138,6 @@ def h2_dist(p: H2Point, q: H2Point) -> float:
     the distance comes from the Minkowski length of the chord p - q instead,
     which is accurate down to zero.
     """
-    return _dist_raw(p.tup, q.tup)
-
-
-def _dist_raw(p: Triple, q: Triple) -> float:
     m = -_mdot(p, q)
     if m >= DIST_NEAR:
         return math.acosh(m)
@@ -181,7 +146,7 @@ def _dist_raw(p: Triple, q: Triple) -> float:
 
 
 def _dists_raw(p, q):
-    """``_dist_raw`` on triples of coordinate arrays."""
+    """:func:`h2_dist` on triples of coordinate arrays."""
     m = -_mdot(p, q)
     d = _msub(p, q)
     near = 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(0.0, _mdot(d, d))))
@@ -365,7 +330,8 @@ class H2Curve:
         outside = (s < self.s_min - 1e-9) | (s > self.s_max + 1e-9)
         if outside.any():
             raise OutOfDomain(f"s = {s[outside][0]} outside [{self.s_min}, {self.s_max}]")
-        return s, np.clip(np.searchsorted(self.s, s, side="right") - 1, 0, len(self.s) - 2)
+        i = np.searchsorted(self.s, s, side="right") - 1
+        return s, np.minimum(np.maximum(i, 0), len(self.s) - 2)
 
     def _hermite(self, s, i):
         """Cubic Hermite position over the intervals i, stacked (3, M), and
@@ -379,11 +345,6 @@ class H2Curve:
         pos = ((2 * t3 - 3 * t2 + 1) * p0 + (t3 - 2 * t2 + t) * m0
                + (-2 * t3 + 3 * t2) * p1 + (t3 - t2) * m1)
         return pos, (h, t, t2, p0, m0, p1, m1)
-
-    def eval(self, s: float) -> tuple[H2Point, H2Tangent]:
-        a, t, _, _ = self.frame_at(s)
-        p = H2Point.of(a)
-        return p, H2Tangent(p, SpacetimeVec.of(t))
 
 
 # -- frame integration --------------------------------------------------------
@@ -457,16 +418,18 @@ def _reproject_frame(a: Triple, t: Triple, n: Triple,
 
 
 def curve_from_curvature(k_g: Callable[[float], float], s_range: tuple[float, float],
-                         step: float, start: H2Point | None = None,
-                         direction: H2Tangent | None = None) -> H2Curve:
+                         step: float, start: Triple | None = None,
+                         direction: Triple | None = None) -> H2Curve:
     """Unit-speed curve with prescribed signed geodesic curvature.
 
-    The curve starts at ``start`` (origin by default) heading along
-    ``direction``; k_g is signed with respect to the right-handed Frenet
-    normal.  Samples land on a uniform grid covering s_range.  The build
-    calls k_g with floats; ``frames_at`` and ``positions_at``, and so bulk
-    chart jets and the Hausdorff distance, call it with numpy arrays of
-    arclengths, which the curvature factories of this module accept.
+    The curve starts at the hyperboloid point ``start`` (origin by default)
+    heading along the unit tangent ``direction`` (by default the projection
+    of the x1 axis, normalized); both are checked here.  k_g is signed with
+    respect to the right-handed Frenet normal.  Samples land on a uniform
+    grid covering s_range.  The build calls k_g with floats; ``frames_at``
+    and ``positions_at``, and so bulk chart jets and the Hausdorff distance,
+    call it with numpy arrays of arclengths, which the curvature factories
+    of this module accept.
     """
     s0, s1 = float(s_range[0]), float(s_range[1])
     if not (math.isfinite(s0) and math.isfinite(s1)) or s1 <= s0:
@@ -476,14 +439,15 @@ def curve_from_curvature(k_g: Callable[[float], float], s_range: tuple[float, fl
     if not (s1 - s0) / step <= MAX_CURVE_STEPS:
         raise ConfigError(f"a curve of length {s1 - s0:g} at step {step:g} takes more "
                           f"than MAX_CURVE_STEPS = {MAX_CURVE_STEPS} steps")
-    a = (start or ORIGIN).tup
+    a = ORIGIN_T if start is None else tuple(map(float, start))
+    check_point(a)
     if direction is None:
         t = (0.0, 1.0, 0.0) if start is None else _normalize_spacelike(
             _project_tangent(a, (0.0, 1.0, 0.0)))
     else:
-        if abs(minkowski_inner(direction.w, direction.w) - 1.0) > UNIT_TOL:
-            raise NonUnitTangent("curve direction must be unit")
-        t = direction.tup
+        t = tuple(map(float, direction))
+        check_tangent(a, t)
+        check_unit(t, "curve direction")
     n = _mcross(a, t)
 
     def kfn(s, ndarray=np.ndarray):  # a local name keeps the scalar calls of the build fast
@@ -513,63 +477,6 @@ def curve_from_curvature(k_g: Callable[[float], float], s_range: tuple[float, fl
         k = kfn(s)  # the next step's first stage, too
         svals[i], pts[i], tts[i], nns[i], kgs[i] = s, a, t, n, k
     return H2Curve(svals, pts, tts, "rk4", nns, kgs, kfn)
-
-
-# -- covariant differentiation along curves ------------------------------------
-
-def h2_covariant_deriv(curve: H2Curve, fld, s: float) -> H2Tangent:
-    """Covariant derivative of a vector field along the curve at arclength s.
-
-    ``fld`` is either an (N, 3) array aligned with the curve samples or a
-    callable s -> SpacetimeVec.  The coordinate derivative is taken by
-    centered differences (five-point on sampled fields, short-step three-point
-    on callables) and projected onto the tangent space at the curve point.
-    """
-    if s < curve.s_min - 1e-9 or s > curve.s_max + 1e-9:
-        raise OutOfDomain(f"s = {s} outside [{curve.s_min}, {curve.s_max}]")
-    if callable(fld):
-        span = min(s - curve.s_min, curve.s_max - s)
-        h = min(1e-5 * (1.0 + abs(s)), 0.5 * span)
-        if h <= 0.0:
-            raise OutOfDomain("s must be interior to the sample range")
-        wp = fld(s + h)
-        wm = fld(s - h)
-        wp = wp.tup if isinstance(wp, SpacetimeVec) else tuple(wp)
-        wm = wm.tup if isinstance(wm, SpacetimeVec) else tuple(wm)
-        der = _mscale(1.0 / (2.0 * h), _msub(wp, wm))
-        a, _, _, _ = curve.frame_at(s)
-    else:
-        w = np.asarray(fld, dtype=float)
-        if w.shape != curve.points.shape:
-            raise InsufficientSamples("sampled field must align with the curve samples")
-        i = int(np.argmin(np.abs(curve.s - s)))
-        n = len(curve.s)
-        h = curve.uniform_step()
-        if 2 <= i <= n - 3:
-            row = (w[i - 2] - 8.0 * w[i - 1] + 8.0 * w[i + 1] - w[i + 2]) / (12.0 * h)
-        elif 1 <= i <= n - 2:
-            row = (w[i + 1] - w[i - 1]) / (2.0 * h)
-        else:
-            raise OutOfDomain("s must be interior to the sample range")
-        der = tuple(row)
-        a = tuple(curve.points[i])
-    p = H2Point.of(a)
-    return H2Tangent(p, SpacetimeVec.of(_project_tangent(a, der)))
-
-
-def measure_geodesic_curvature(curve: H2Curve, s: float) -> float:
-    """Signed geodesic curvature <D_T T, alpha x T> measured from samples."""
-    if curve.interpolation == "rk4":
-        def tangent_field(u: float) -> SpacetimeVec:
-            _, t, _, _ = curve.frame_at(u)
-            return SpacetimeVec.of(t)
-        acc = h2_covariant_deriv(curve, tangent_field, s)
-        a, t, _, _ = curve.frame_at(s)
-    else:
-        acc = h2_covariant_deriv(curve, curve.tangents, s)
-        i = int(np.argmin(np.abs(curve.s - s)))
-        a, t = tuple(curve.points[i]), tuple(curve.tangents[i])
-    return _mdot(acc.tup, _mcross(a, t))
 
 
 def curvature_profile(curve: H2Curve) -> tuple[np.ndarray, np.ndarray]:

@@ -5,12 +5,12 @@ The bilinear form has signature (-, +, +):
     <a, b> = -a0*b0 + a1*b1 + a2*b2
 
 Points of the hyperbolic plane live on the upper sheet of <x, x> = -1.
-Public code passes :class:`SpacetimeVec`; the ``_m*`` helpers operate on raw
-float triples and are what the integrators and chart evaluators use in their
-inner loops.  The arithmetic helpers also take triples of numpy arrays (one
-array per coordinate); the normalizations have array twins
-``_normalize_points`` and ``_normalize_spacelikes``, so the scalar ones keep
-their plain-float branches.
+Points and vectors are plain float triples throughout the package; the
+``_m*`` helpers operate on them and are what the integrators and chart
+evaluators use in their inner loops.  The arithmetic helpers also take
+triples of numpy arrays (one array per coordinate); the normalizations have
+array twins ``_normalize_points`` and ``_normalize_spacelikes``, so the
+scalar ones keep their plain-float branches.
 
 Array kernels that must reproduce the scalar path bit for bit take their
 transcendental functions and powers elementwise from ``math`` (see
@@ -20,7 +20,6 @@ transcendental functions and powers elementwise from ``math`` (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,33 +27,6 @@ from .errors import NumericalError
 
 Triple = tuple[float, float, float]
 
-
-@dataclass(frozen=True, slots=True)
-class SpacetimeVec:
-    """Coordinate vector in R^{2,1} (model coordinates, dimensionless)."""
-
-    x0: float
-    x1: float
-    x2: float
-
-    def __post_init__(self):
-        _check_finite((self.x0, self.x1, self.x2))
-
-    @property
-    def tup(self) -> Triple:
-        return (self.x0, self.x1, self.x2)
-
-    @classmethod
-    def of(cls, t: Triple) -> "SpacetimeVec":
-        return cls(t[0], t[1], t[2])
-
-
-def minkowski_inner(a: SpacetimeVec, b: SpacetimeVec) -> float:
-    """Minkowski inner product -a0*b0 + a1*b1 + a2*b2."""
-    return -a.x0 * b.x0 + a.x1 * b.x1 + a.x2 * b.x2
-
-
-# -- raw-triple helpers ------------------------------------------------------
 
 def _check_finite(v: Triple) -> None:
     if not (math.isfinite(v[0]) and math.isfinite(v[1]) and math.isfinite(v[2])):

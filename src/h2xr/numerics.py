@@ -234,8 +234,8 @@ class CubicSpline1D:
         function (elementwise through the float power on arrays)."""
         if isinstance(t, np.ndarray):
             i = np.searchsorted(self.x, t, side="right") - 1
-            return (np.clip(i, 0, len(self.x) - 2), self.x, self.y, self.h, self.m,
-                    _array_pow)
+            return (np.minimum(np.maximum(i, 0), len(self.x) - 2), self.x, self.y, self.h,
+                    self.m, _array_pow)
         x, y, h, m = self._lists
         i = bisect_right(x, t) - 1
         if i < 0:

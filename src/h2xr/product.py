@@ -1,42 +1,29 @@
 """The ambient product of the hyperbolic plane and the real line.
 
-A point is a hyperboloid point plus a height; a tangent vector splits into a
-horizontal part (tangent to the hyperbolic plane) and a vertical speed.  The
-metric is the sum of the two factors, so geodesics are closed form: their
-horizontal projection is a hyperbolic geodesic traversed at constant speed
-and their height is affine in arclength.  The covariant derivative splits the
-same way, which is what :func:`prod_geodesic_residual` checks numerically.
+A point is a footprint triple on the hyperboloid plus a height; a tangent
+vector splits into a horizontal triple (tangent to the hyperbolic plane) and
+a vertical speed.  The metric is the sum of the two factors, so geodesics
+are closed form: their horizontal projection is a hyperbolic geodesic
+traversed at constant speed and their height is affine in arclength.  The
+covariant derivative splits the same way, which is what
+:func:`prod_geodesic_residual` checks numerically.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (BaseMismatch, DivergenceNotReached, GeometryError,
-                     InsufficientSamples, NonUnitTangent, NumericalError)
-from .hyperbolic import H2Point, H2Tangent, _dist_raw, _exp_raw, h2_dist
-from .minkowski import SpacetimeVec, Triple, _mcross, _mdot, _mscale
+from .errors import (DivergenceNotReached, GeometryError, InsufficientSamples,
+                     NonUnitTangent, NumericalError)
+from .hyperbolic import UNIT_TOL, _exp_raw, check_point, check_tangent, check_unit, h2_dist
+from .minkowski import Triple, _mcross, _mdot, _mscale
 from .numerics import golden_min
 
-UNIT_TOL = 1e-8
 SCAN_STEP = 0.25       # arclength spacing of the divergence search along g1
-
-
-@dataclass(frozen=True, slots=True)
-class ProdPoint:
-    """Point of the product space: hyperbolic footprint plus height."""
-
-    h: H2Point
-    t: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise NumericalError(f"non-finite height {self.t}")
 
 
 class AmbientVec(NamedTuple):
@@ -54,39 +41,6 @@ def _prod_inner(a: AmbientVec, b: AmbientVec):
     return _mdot(a.htup, b.htup) + a.t * b.t
 
 
-@dataclass(frozen=True, slots=True)
-class ProdTangent:
-    """Tangent vector at a product point."""
-
-    base: ProdPoint
-    vh: H2Tangent
-    vt: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.vt):
-            raise NumericalError(f"non-finite vertical speed {self.vt}")
-        dh = max(abs(a - b) for a, b in zip(self.vh.base.tup, self.base.h.tup))
-        if dh > 1e-9:
-            raise BaseMismatch("horizontal part lives at a different footprint")
-
-    def norm(self) -> float:
-        return math.sqrt(max(0.0, _mdot(self.vh.tup, self.vh.tup)) + self.vt * self.vt)
-
-
-def prod_metric(u: ProdTangent, v: ProdTangent) -> float:
-    """Product metric: horizontal Minkowski pairing plus vertical product."""
-    du = max(abs(a - b) for a, b in zip(u.base.h.tup, v.base.h.tup))
-    if du > 1e-9 or abs(u.base.t - v.base.t) > 1e-9:
-        raise BaseMismatch("tangent vectors live at different points")
-    return _mdot(u.vh.tup, v.vh.tup) + u.vt * v.vt
-
-
-def prod_exp(p: ProdPoint, v: ProdTangent, s: float) -> ProdPoint:
-    """Geodesic flow of the product space (closed form)."""
-    foot, t = _prod_exp_raw(p.h.tup, p.t, v.vh.tup, v.vt, s)
-    return ProdPoint(H2Point.of(foot), t)
-
-
 def _prod_exp_raw(p: Triple, t: float, vh: Triple, vt: float, s):
     """Footprint and height at arclength s along the product geodesic from
     (p, t) with unit velocity (vh, vt); s a float, or an array, which gives
@@ -101,61 +55,56 @@ def _prod_exp_raw(p: Triple, t: float, vh: Triple, vt: float, s):
     return _exp_raw(p, _mscale(1.0 / a_h, vh), s * a_h), t + s * vt
 
 
-def prod_dist(p: ProdPoint, q: ProdPoint) -> float:
-    """Distance in the product: Pythagorean combination of the factors."""
-    dh = h2_dist(p.h, q.h)
-    dt = p.t - q.t
-    return math.hypot(dh, dt)
+def prod_dist(p: tuple[Triple, float], q: tuple[Triple, float]) -> float:
+    """Distance in the product between two (footprint, height) points:
+    Pythagorean combination of the factors."""
+    return math.hypot(h2_dist(p[0], q[0]), p[1] - q[1])
 
 
-@dataclass(frozen=True, slots=True)
-class ProdGeodesic:
-    """Normalized description of a product geodesic.
+class ProdGeodesic(NamedTuple):
+    """Product geodesic through the point (p, t) with unit velocity (vh, vt).
 
-    ``a_v`` is the constant vertical slope and ``p0.t`` the height intercept;
-    ``a_h`` is the constant horizontal speed.  The direction sign is carried
-    by the tangent so that a_h >= 0.
+    The horizontal speed |vh| and the vertical slope vt are constant along
+    it, with |vh|^2 + vt^2 = 1.
     """
 
-    p0: ProdPoint
-    v0: ProdTangent
-    a_h: float
-    a_v: float
-
-    def __post_init__(self):
-        if abs(self.a_h * self.a_h + self.a_v * self.a_v - 1.0) > 1e-12:
-            raise NonUnitTangent("speed components must satisfy a_h^2 + a_v^2 = 1")
-        if self.a_h < 0.0:
-            raise NumericalError("horizontal speed must be nonnegative")
+    p: Triple
+    t: float
+    vh: Triple
+    vt: float
 
     @classmethod
-    def from_tangent(cls, v: ProdTangent) -> "ProdGeodesic":
-        n = v.norm()
+    def from_tangent(cls, p: Triple, t: float, vh: Triple, vt: float) -> "ProdGeodesic":
+        """The geodesic along the tangent (vh, vt) at (p, t), normalized.
+        Checked here: p a point of the sheet, vh tangent there, t and vt
+        finite."""
+        check_point(p)
+        check_tangent(p, vh)
+        if not (math.isfinite(t) and math.isfinite(vt)):
+            raise NumericalError(f"non-finite height {t} or vertical speed {vt}")
+        n = math.sqrt(max(0.0, _mdot(vh, vh)) + vt * vt)
         if n <= 0.0:
             raise NonUnitTangent("zero tangent cannot direct a geodesic")
-        vh = _mscale(1.0 / n, v.vh.tup)
-        vt = v.vt / n
-        unit = ProdTangent(v.base, H2Tangent(v.base.h, SpacetimeVec.of(vh)), vt)
-        a_h = math.sqrt(max(0.0, _mdot(vh, vh)))
-        return cls(v.base, unit, a_h, vt)
+        return cls(p, t, _mscale(1.0 / n, vh), vt / n)
 
-    def point(self, s: float) -> ProdPoint:
-        return prod_exp(self.p0, self.v0, s)
+    def point(self, s):
+        """Footprint and height at arclength s (see :func:`_prod_exp_raw`)."""
+        return _prod_exp_raw(self.p, self.t, self.vh, self.vt, s)
 
 
-def prod_geodesic_residual(path: Sequence[ProdPoint], spacing: float) -> float:
-    """Max covariant-acceleration norm of a path sampled ``spacing`` apart.
+def prod_geodesic_residual(feet, heights, spacing: float) -> float:
+    """Max covariant-acceleration norm of a path sampled ``spacing`` apart,
+    given by its footprints (rows of an (n, 3) array) and heights.
 
     The horizontal velocity comes from centered differences of the footprint
     coordinates; its covariant derivative is the tangential projection of its
     centered difference.  The vertical part is the plain second difference of
     the height.  Exact geodesics give residuals at roundoff level.
     """
-    n = len(path)
-    if n < 5:
+    pts = np.asarray(feet, dtype=float)
+    ts = np.asarray(heights, dtype=float)
+    if len(pts) < 5:
         raise InsufficientSamples("need at least five samples")
-    pts = np.array([p.h.tup for p in path])
-    ts = np.array([p.t for p in path])
     h = float(spacing)
 
     vel = (pts[2:] - pts[:-2]) / (2.0 * h)          # rows 1..n-2
@@ -171,24 +120,18 @@ def prod_geodesic_residual(path: Sequence[ProdPoint], spacing: float) -> float:
 
 # -- divergence of hyperbolic geodesics -----------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class H2Geodesic:
+class H2Geodesic(NamedTuple):
     """Complete hyperbolic geodesic given by a point and a unit direction."""
 
-    p: H2Point
-    v: H2Tangent
+    p: Triple
+    v: Triple
 
-    def __post_init__(self):
-        q = _mdot(self.v.tup, self.v.tup)
-        if abs(q - 1.0) > UNIT_TOL:
-            raise NonUnitTangent("geodesic direction must be unit")
-
-    def point(self, s: float) -> H2Point:
-        return H2Point.of(_exp_raw(self.p.tup, self.v.tup, s))
+    def point(self, s: float) -> Triple:
+        return _exp_raw(self.p, self.v, s)
 
     def plane_normal(self) -> Triple:
         """Unit spacelike normal of the plane spanning the geodesic."""
-        return _mcross(self.p.tup, self.v.tup)
+        return _mcross(self.p, self.v)
 
     def same_geodesic(self, other: "H2Geodesic", tol: float = 1e-9) -> bool:
         n1 = self.plane_normal()
@@ -215,7 +158,7 @@ def _dist_point_to_geodesic(q: Triple, g: H2Geodesic, s_max: float) -> float:
     """Distance from a point to a geodesic arc (convex, golden-section)."""
 
     def f(t: float) -> float:
-        return _dist_raw(q, _exp_raw(g.p.tup, g.v.tup, t))
+        return h2_dist(q, _exp_raw(g.p, g.v, t))
 
     _, d = golden_min(f, -s_max, s_max, tol=1e-10)
     return d
@@ -228,8 +171,13 @@ def verify_geodesic_divergence(g1: H2Geodesic, g2: H2Geodesic, target: float,
     Scans arclength parameters of increasing magnitude, SCAN_STEP apart
     (positive direction first), and reports the first grid parameter whose distance to the arc
     g2([-s_max, s_max]) reaches the target.  Distinct geodesics always
-    diverge in at least one direction.
+    diverge in at least one direction.  Both geodesics are checked here: a
+    point of the sheet and a unit tangent there.
     """
+    for g in (g1, g2):
+        check_point(g.p)
+        check_tangent(g.p, g.v)
+        check_unit(g.v, "geodesic direction")
     if target <= 0.0:
         raise NumericalError("target must be positive")
     if g1.same_geodesic(g2):
@@ -238,7 +186,7 @@ def verify_geodesic_divergence(g1: H2Geodesic, g2: H2Geodesic, target: float,
     for sign in (1.0, -1.0):
         for i in range(n_steps + 1):
             s = sign * min(i * SCAN_STEP, s_max)
-            d = _dist_point_to_geodesic(g1.point(s).tup, g2, s_max)
+            d = _dist_point_to_geodesic(g1.point(s), g2, s_max)
             if d >= target:
                 return DivergenceReport(s, d, target)
     raise DivergenceNotReached(

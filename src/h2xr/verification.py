@@ -51,11 +51,11 @@ from .curvature import DEFAULT_CLASS_TOL, PARABOLIC, curvature_grid, shape_at
 from .errors import DivergenceNotReached
 from .flows import (PLANAR_HIT, fit_inverse_H, frame_ode_residuals,
                     geodesic_deviation, trace_asymptotic)
-from .hyperbolic import H2Point, H2Tangent, curve_distances, h2_dist
-from .minkowski import SpacetimeVec, _normalize_spacelike, _project_tangent
+from .hyperbolic import ORIGIN_T, curve_distances, h2_dist
+from .minkowski import _normalize_spacelike, _project_tangent
 from .numerics import affine_fit
-from .product import (H2Geodesic, ProdGeodesic, ProdPoint, ProdTangent,
-                      prod_geodesic_residual, verify_geodesic_divergence)
+from .product import (H2Geodesic, ProdGeodesic, prod_geodesic_residual,
+                      verify_geodesic_divergence)
 from .surfaces import (CORPUS_CONFIGS, CYLINDER_PRESETS, Surface, from_config,
                        finite_difference_surface, generating_curve_of_config,
                        preset)
@@ -236,26 +236,20 @@ def check_prop3() -> CheckResult:
 
 
 def check_geo_lemma() -> CheckResult:
-    origin = ProdPoint(H2Point.of((1.0, 0.0, 0.0)), 0.0)
     r2 = math.sqrt(0.5)
-
-    def tangent(vh, vt):
-        return ProdTangent(origin, H2Tangent(origin.h, SpacetimeVec.of(vh)), vt)
-
     cases = {
-        "vertical": tangent((0.0, 0.0, 0.0), 1.0),
-        "horizontal": tangent((0.0, 1.0, 0.0), 0.0),
-        "tilted": tangent((0.0, r2, 0.0), r2),
+        "vertical": ((0.0, 0.0, 0.0), 1.0),
+        "horizontal": ((0.0, 1.0, 0.0), 0.0),
+        "tilted": ((0.0, r2, 0.0), r2),
     }
     subs = []
     step = 1e-3
     svals = np.arange(0.0, 2.0 + 0.5 * step, step)
-    for name, v in cases.items():
-        geo = ProdGeodesic.from_tangent(v)
-        pts = [geo.point(float(s)) for s in svals]
-        res = prod_geodesic_residual(pts, spacing=step)
+    for name, (vh, vt) in cases.items():
+        geo = ProdGeodesic.from_tangent(ORIGIN_T, 0.0, vh, vt)
+        feet, heights = zip(*(geo.point(float(s)) for s in svals))
+        res = prod_geodesic_residual(feet, heights, spacing=step)
         subs.append(SubCheck(f"{name} geodesic residual", res, 1e-6, "<"))
-        heights = np.array([p.t for p in pts])
         _, _, rms = affine_fit(svals, heights)
         subs.append(SubCheck(f"{name} height affine rms", rms, 1e-12, "<"))
     return CheckResult("GEO_LEMMA", subs)
@@ -293,8 +287,7 @@ def check_foliation() -> CheckResult:
     c2 = recover_generating_curve(circ, 1.5, 801)
     worst = 0.0
     for i in range(len(c1.s)):
-        worst = max(worst, h2_dist(H2Point.of(tuple(c1.points[i])),
-                                   H2Point.of(tuple(c2.points[i]))))
+        worst = max(worst, h2_dist(tuple(c1.points[i]), tuple(c2.points[i])))
     subs.append(SubCheck("recovery t0-independence (pointwise)", worst, 1e-6, "<"))
     return CheckResult("FOLIATION", subs)
 
@@ -343,20 +336,11 @@ def check_theorem1(corpus: list[dict] | None = None,
 
 
 def check_divergence() -> CheckResult:
-    origin = H2Point.of((1.0, 0.0, 0.0))
-    e1 = H2Tangent(origin, SpacetimeVec.of((0.0, 1.0, 0.0)))
-    e2 = H2Tangent(origin, SpacetimeVec.of((0.0, 0.0, 1.0)))
-    g_x = H2Geodesic(origin, e1)
-    g_y = H2Geodesic(origin, e2)
-
-    c1, s1 = math.cosh(1.0), math.sinh(1.0)
-    q = H2Point.of((c1, 0.0, s1))
-    g_ultra = H2Geodesic(q, H2Tangent(q, SpacetimeVec.of((0.0, 1.0, 0.0))))
-
-    q2 = H2Point.of((math.cosh(0.7), math.sinh(0.7), 0.0))
-    w = (0.3, 0.0, 1.0)
-    wt = _normalize_spacelike(_project_tangent(q2.tup, w))
-    g_skew = H2Geodesic(q2, H2Tangent(q2, SpacetimeVec.of(wt)))
+    g_x = H2Geodesic(ORIGIN_T, (0.0, 1.0, 0.0))
+    g_y = H2Geodesic(ORIGIN_T, (0.0, 0.0, 1.0))
+    g_ultra = H2Geodesic((math.cosh(1.0), 0.0, math.sinh(1.0)), (0.0, 1.0, 0.0))
+    q2 = (math.cosh(0.7), math.sinh(0.7), 0.0)
+    g_skew = H2Geodesic(q2, _normalize_spacelike(_project_tangent(q2, (0.3, 0.0, 1.0))))
 
     pairs = [("orthogonal-through-origin", g_x, g_y),
              ("ultraparallel-dist-1", g_x, g_ultra),

@@ -15,19 +15,18 @@ from h2xr.curvature import (PARABOLIC, CurvatureGrid, FundamentalForms, GridRow,
                             classify_point, forms_from_jet, grid_points,
                             principal_curvatures, shape_at, shape_data)
 from h2xr.errors import (BadCurvatureFunction, DegenerateDirection, EmptyIntersection,
-                         GeometryError, NonUnitTangent, NotImmersed, NotParabolic,
+                         GeometryError, InsufficientSamples, NotImmersed, NotParabolic,
                          NumericalError, OutOfDomain)
 from h2xr.flows import (DOMAIN_EDGE, MAX_LENGTH, PLANAR_HIT, STEP_FAILURE,
                         TRACE_CSV_HEADER, GeodesicDeviation, TraceRecord, _aligned,
                         _ambient_dir, _connection, trace_half_steps)
-from h2xr.hyperbolic import (ORIGIN, UNIT_TOL, H2Curve, H2Point, H2Tangent,
-                             _check_on_sheet, _dists_raw, curve_from_curvature)
-from h2xr.minkowski import (SpacetimeVec, _check_finite, _mcomb, _mcross, _mdot,
-                            _mscale, _msub, _normalize_point, _normalize_points,
-                            _normalize_spacelike, _normalize_spacelikes,
-                            _project_tangent, minkowski_inner)
+from h2xr.hyperbolic import (ORIGIN_T, H2Curve, _check_on_sheet, _dists_raw,
+                             curve_from_curvature)
+from h2xr.minkowski import (_check_finite, _mcomb, _mcross, _mdot, _mscale, _msub,
+                            _normalize_point, _normalize_points, _normalize_spacelike,
+                            _normalize_spacelikes, _project_tangent)
 from h2xr.numerics import bracket_root, golden_min_batch
-from h2xr.product import AmbientVec, ProdGeodesic, ProdTangent, _prod_inner, prod_dist
+from h2xr.product import AmbientVec, ProdGeodesic, _prod_inner, prod_dist
 from h2xr.surfaces import ChartDomain, Surface, SurfaceJet, preset
 
 COTH1 = math.cosh(1.0) / math.sinh(1.0)
@@ -310,16 +309,15 @@ def scalar_lambdas(S: Surface, tr, delta: float = 1e-5) -> np.ndarray:
 
 
 def loop_geodesic_deviation(tr) -> GeodesicDeviation:
-    """geodesic_deviation with a ProdPoint per sample, as before vectorising."""
+    """geodesic_deviation with a product distance per sample, as before
+    vectorising."""
     h = tr.step
     vh = (-3.0 * tr.h[0] + 4.0 * tr.h[1] - tr.h[2]) / (2.0 * h)
     vt = float(-3.0 * tr.t[0] + 4.0 * tr.t[1] - tr.t[2]) / (2.0 * h)
-    base = tr.point(0)
-    vh = _project_tangent(base.h.tup, tuple(vh))
+    p, t = tr.point(0)
+    vh = _project_tangent(p, tuple(vh))
     norm = math.sqrt(max(0.0, _mdot(vh, vh)) + vt * vt)
-    tangent = ProdTangent(base, H2Tangent(base.h, SpacetimeVec.of(
-        tuple(c / norm for c in vh))), vt / norm)
-    geo = ProdGeodesic.from_tangent(tangent)
+    geo = ProdGeodesic.from_tangent(p, t, tuple(c / norm for c in vh), vt / norm)
     max_dev, at_s = 0.0, float(tr.s[0])
     for i in range(len(tr)):
         d = prod_dist(geo.point(float(tr.s[i] - tr.s[0])), tr.point(i))
@@ -339,6 +337,60 @@ def loop_cov_norm(tr, rows: np.ndarray) -> float:
         if not math.isnan(n2):
             norms.append(math.sqrt(n2))
     return max(norms) if norms else math.nan
+
+
+# -- covariant differentiation along curves ---------------------------------------
+
+def tangent_norm(w) -> float:
+    """Length of a spacelike (tangent) triple."""
+    return math.sqrt(max(0.0, _mdot(w, w)))
+
+
+def h2_covariant_deriv(curve: H2Curve, fld, s: float) -> tuple:
+    """Covariant derivative of a vector field along the curve at arclength s.
+
+    ``fld`` is either an (N, 3) array aligned with the curve samples or a
+    callable s -> triple.  The coordinate derivative is taken by centered
+    differences (five-point on sampled fields, short-step three-point on
+    callables) and projected onto the tangent space at the curve point.
+    """
+    if s < curve.s_min - 1e-9 or s > curve.s_max + 1e-9:
+        raise OutOfDomain(f"s = {s} outside [{curve.s_min}, {curve.s_max}]")
+    if callable(fld):
+        span = min(s - curve.s_min, curve.s_max - s)
+        h = min(1e-5 * (1.0 + abs(s)), 0.5 * span)
+        if h <= 0.0:
+            raise OutOfDomain("s must be interior to the sample range")
+        der = _mscale(1.0 / (2.0 * h), _msub(tuple(fld(s + h)), tuple(fld(s - h))))
+        a, _, _, _ = curve.frame_at(s)
+    else:
+        w = np.asarray(fld, dtype=float)
+        if w.shape != curve.points.shape:
+            raise InsufficientSamples("sampled field must align with the curve samples")
+        i = int(np.argmin(np.abs(curve.s - s)))
+        n = len(curve.s)
+        h = curve.uniform_step()
+        if 2 <= i <= n - 3:
+            row = (w[i - 2] - 8.0 * w[i - 1] + 8.0 * w[i + 1] - w[i + 2]) / (12.0 * h)
+        elif 1 <= i <= n - 2:
+            row = (w[i + 1] - w[i - 1]) / (2.0 * h)
+        else:
+            raise OutOfDomain("s must be interior to the sample range")
+        der = tuple(row)
+        a = tuple(curve.points[i])
+    return _project_tangent(a, der)
+
+
+def measure_geodesic_curvature(curve: H2Curve, s: float) -> float:
+    """Signed geodesic curvature <D_T T, alpha x T> measured from samples."""
+    if curve.interpolation == "rk4":
+        acc = h2_covariant_deriv(curve, lambda u: curve.frame_at(u)[1], s)
+        a, t, _, _ = curve.frame_at(s)
+    else:
+        acc = h2_covariant_deriv(curve, curve.tangents, s)
+        i = int(np.argmin(np.abs(curve.s - s)))
+        a, t = tuple(curve.points[i]), tuple(curve.tangents[i])
+    return _mdot(acc, _mcross(a, t))
 
 
 # -- helper-based references for the plain-float kernels --------------------------
@@ -383,14 +435,12 @@ def reference_curve(k_g, s_range, step, start=None, direction=None):
         raise OutOfDomain(f"bad arclength range {s_range}")
     if step <= 0.0:
         raise NumericalError("step must be positive")
-    a = (start or ORIGIN).tup
+    a = ORIGIN_T if start is None else start
     if direction is None:
         t = (0.0, 1.0, 0.0) if start is None else _normalize_spacelike(
             _project_tangent(a, (0.0, 1.0, 0.0)))
     else:
-        if abs(minkowski_inner(direction.w, direction.w) - 1.0) > UNIT_TOL:
-            raise NonUnitTangent("curve direction must be unit")
-        t = direction.tup
+        t = direction
     n = _mcross(a, t)
 
     def kfn(s):
@@ -780,21 +830,19 @@ def bent_cylinder(inflection_cylinder):
 def h2_points(max_coord: float = 3.0):
     """Points on the upper sheet with bounded spatial coordinates."""
 
-    def build(x1: float, x2: float) -> H2Point:
-        return H2Point.of((math.sqrt(1.0 + x1 * x1 + x2 * x2), x1, x2))
+    def build(x1: float, x2: float) -> tuple:
+        return (math.sqrt(1.0 + x1 * x1 + x2 * x2), x1, x2)
 
     finite = st.floats(-max_coord, max_coord, allow_nan=False)
     return st.builds(build, finite, finite)
 
 
 def h2_unit_tangents(max_coord: float = 3.0):
-    """(point, unit tangent) pairs; the raw direction is projected."""
+    """(point, unit tangent there) pairs of triples; the raw direction is
+    projected."""
 
-    def build(p: H2Point, w1: float, w2: float) -> H2Tangent:
-        raw = (0.0, w1, w2)
-        proj = _project_tangent(p.tup, raw)
-        unit = _normalize_spacelike(proj)
-        return H2Tangent(p, SpacetimeVec.of(unit))
+    def build(p: tuple, w1: float, w2: float) -> tuple:
+        return p, _normalize_spacelike(_project_tangent(p, (0.0, w1, w2)))
 
     nonzero = st.floats(-2.0, 2.0, allow_nan=False).filter(lambda x: abs(x) > 1e-3)
     return st.builds(build, h2_points(max_coord), nonzero, nonzero)

@@ -13,17 +13,14 @@ from h2xr.classifier import (CYLINDER, INCONSISTENT, NOT_FLAT, ClassifierConfig,
                              planar_set_map, recover_generating_curve, verdict_to_json)
 from h2xr.curvature import PARABOLIC, curvature_grid
 from h2xr.errors import EmptyIntersection, NotParabolic
-from h2xr.hyperbolic import (H2Point, curvature_profile, curve_hausdorff,
-                             h2_covariant_deriv, h2_dist,
-                             measure_geodesic_curvature)
-from h2xr.product import ProdGeodesic, ProdPoint, ProdTangent
-from h2xr.hyperbolic import H2Tangent
-from h2xr.minkowski import SpacetimeVec
+from h2xr.hyperbolic import ORIGIN_T, curvature_profile, curve_hausdorff, h2_dist
+from h2xr.product import ProdGeodesic
 from h2xr.surfaces import (CORPUS_CONFIGS, CYLINDER_PRESETS, finite_difference_surface,
                            from_config, generating_curve_of_config, perturb, preset)
 from h2xr.verification import parabolic_seeds
 
-from conftest import COTH1, bent_chart, faulty_at_cell_centres, lifted
+from conftest import (COTH1, bent_chart, faulty_at_cell_centres, h2_covariant_deriv, lifted,
+                      measure_geodesic_curvature, tangent_norm)
 
 
 class TestFlatnessScan:
@@ -78,14 +75,11 @@ class TestExtractRulings:
         """A tilted geodesic sampled as a fake ruling drifts by a_h * s."""
         from h2xr.classifier import _ruling_verticality
         from test_flows import control_record
-        origin = ProdPoint(H2Point.of((1.0, 0.0, 0.0)), 0.0)
         r2 = math.sqrt(0.5)
-        geo = ProdGeodesic.from_tangent(ProdTangent(
-            origin, H2Tangent(origin.h, SpacetimeVec.of((0.0, r2, 0.0))), r2))
+        geo = ProdGeodesic.from_tangent(ORIGIN_T, 0.0, (0.0, r2, 0.0), r2)
         s = np.arange(0.0, 1.0 + 5e-4, 1e-3)
-        pts = [geo.point(float(v)) for v in s]
-        tr = control_record(s, np.zeros((len(s), 2)),
-                            [p.h.tup for p in pts], [p.t for p in pts], 1e-3)
+        feet, heights = zip(*(geo.point(float(v)) for v in s))
+        tr = control_record(s, np.zeros((len(s), 2)), feet, heights, 1e-3)
         drift = _ruling_verticality(tr)
         assert drift == pytest.approx(r2, abs=1e-9)
 
@@ -100,7 +94,7 @@ class TestRecovery:
         # measured through the covariant-derivative oracle on the samples
         for s in np.linspace(rec.s_min + 0.2, rec.s_max - 0.2, 7):
             acc = h2_covariant_deriv(rec, rec.tangents, float(s))
-            assert acc.norm() == pytest.approx(COTH1, abs=1e-5)
+            assert tangent_norm(acc) == pytest.approx(COTH1, abs=1e-5)
 
     def test_inflection_profile_recovered_at_height_two(self, inflection_cylinder):
         rec = recover_generating_curve(inflection_cylinder, 2.0, 1201)
@@ -173,8 +167,7 @@ class TestClassifySurface:
     def test_t0_independence(self, circle_cylinder):
         a = recover_generating_curve(circle_cylinder, -1.0, 801)
         b = recover_generating_curve(circle_cylinder, 1.5, 801)
-        worst = max(h2_dist(H2Point.of(tuple(a.points[i])),
-                            H2Point.of(tuple(b.points[i])))
+        worst = max(h2_dist(tuple(a.points[i]), tuple(b.points[i]))
                     for i in range(0, len(a.s), 40))
         assert worst < 1e-6
 

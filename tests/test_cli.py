@@ -288,6 +288,8 @@ class TestRejectedInputs:
         ({}, ["geodesic", "--point", "0,0,inf"]),
         ({}, ["geodesic", "--velocity", "inf,0,0"]),
         ({}, ["geodesic", "--velocity", "1,nan,0"]),
+        ({}, ["geodesic", "--point", "1e200,0,0"]),
+        ({}, ["geodesic", "--velocity", "1e200,0,0"]),
     ], ids=["nu_str", "nu_nan", "nu_inf", "nu_fraction", "nu_bool", "nu_null", "nu_1e9",
             "radius_bool", "t0_str", "seed_negative", "expect_not_a_verdict", "fd_not_bool",
             "geodesic_length_inf", "geodesic_step_nan", "geodesic_samples",
@@ -295,7 +297,7 @@ class TestRejectedInputs:
             "trace_no_step", "classify_trace_no_step",
             "curve_steps", "u_beyond_floats", "trace_u0_nan", "trace_v0_inf",
             "geodesic_point_nan", "geodesic_point_inf", "geodesic_velocity_inf",
-            "geodesic_velocity_nan"])
+            "geodesic_velocity_nan", "geodesic_point_overflows", "geodesic_velocity_overflows"])
     def test_exits_2(self, tmp_path, capsys, cfg, argv):
         path = write_cfg(tmp_path, cfg)
         assert main(["--config", path, "--out", str(tmp_path / "out")] + argv) == 2
@@ -312,6 +314,16 @@ class TestRejectedInputs:
         path = write_cfg(tmp_path, {"surface": CONSTANT_CYLINDER})
         assert main(["--config", path, "--out", str(tmp_path / "out")] + argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {name} must be a finite number")
+
+    @pytest.mark.parametrize("argv, name", [
+        (["geodesic", "--point", "1e200,0,0"], "--point"),
+        (["geodesic", "--velocity", "1e200,0,0"], "--velocity"),
+    ])
+    def test_finite_argument_that_overflows_named(self, tmp_path, capsys, argv, name):
+        # the hyperboloid coordinate x0 of the point, or the length of the
+        # velocity, overflows: a bad input, not a numerical failure
+        assert main(["--out", str(tmp_path / "out")] + argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} ")
 
     def test_finite_seed_outside_the_domain_exits_3(self, tmp_path):
         path = write_cfg(tmp_path, {"surface": CONSTANT_CYLINDER})

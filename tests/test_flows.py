@@ -18,7 +18,7 @@ from h2xr.errors import (DegenerateDirection, GeometryError, InsufficientSamples
 from h2xr.flows import (DOMAIN_EDGE, MAX_LENGTH, PLANAR_HIT, STEP_FAILURE,
                         TRACE_CSV_HEADER, TraceRecord, _vec, fit_inverse_H,
                         frame_ode_residuals, geodesic_deviation, trace_asymptotic)
-from h2xr.hyperbolic import H2Point
+from h2xr.hyperbolic import ORIGIN_T
 from h2xr.product import AmbientVec, _prod_inner
 from h2xr.surfaces import SurfaceJet, finite_difference_surface, preset
 
@@ -521,9 +521,8 @@ class TestGeodesicDeviation:
         assert 0.5 < dev.max_dev < 0.8
 
     def test_too_few_samples(self):
-        p = H2Point.of((1.0, 0.0, 0.0))
         tr = control_record([0.0, 1.0], [[0, 0], [0, 1]],
-                            [p.tup, p.tup], [0.0, 1.0], 1.0)
+                            [ORIGIN_T, ORIGIN_T], [0.0, 1.0], 1.0)
         with pytest.raises(InsufficientSamples):
             geodesic_deviation(tr)
 
@@ -605,9 +604,8 @@ class TestVectorisedDiagnostics:
 
     def test_zero_deviation_reports_the_first_sample(self):
         # a vertical product geodesic sampled exactly: every distance is 0.0
-        p = H2Point.of((1.0, 0.0, 0.0))
         s = np.arange(9) * 0.25
-        tr = control_record(s, np.zeros((9, 2)), [p.tup] * 9, s, 0.25)
+        tr = control_record(s, np.zeros((9, 2)), [ORIGIN_T] * 9, s, 0.25)
         dev, ref = geodesic_deviation(tr), loop_geodesic_deviation(tr)
         assert (dev.max_dev, dev.at_s) == (ref.max_dev, ref.at_s) == (0.0, 0.0)
 
@@ -638,10 +636,9 @@ class TestFitInverseH:
         assert f2.rms_residual == pytest.approx(f1.rms_residual, abs=1e-12)
 
     def test_planar_sample_rejected(self):
-        p = H2Point.of((1.0, 0.0, 0.0))
         n = 5
         s = np.arange(n, dtype=float)
-        tr = control_record(s, np.zeros((n, 2)), [p.tup] * n, s, 1.0,
+        tr = control_record(s, np.zeros((n, 2)), [ORIGIN_T] * n, s, 1.0,
                             k2=[1.0, 1.0, 0.0, 1.0, 1.0],
                             H=[0.5, 0.5, 0.0, 0.5, 0.5])
         with pytest.raises(PlanarSample):
@@ -650,14 +647,12 @@ class TestFitInverseH:
 
 class TestTraceRecordValidation:
     def test_nonuniform_spacing_rejected(self):
-        p = H2Point.of((1.0, 0.0, 0.0))
         with pytest.raises(NumericalError):
             control_record([0.0, 1.0, 3.0], np.zeros((3, 2)),
-                           [p.tup] * 3, [0.0, 1.0, 3.0], 1.0)
+                           [ORIGIN_T] * 3, [0.0, 1.0, 3.0], 1.0)
 
     def test_mean_curvature_consistency_enforced(self):
-        p = H2Point.of((1.0, 0.0, 0.0))
         with pytest.raises(NumericalError):
-            control_record([0.0, 1.0, 2.0], np.zeros((3, 2)), [p.tup] * 3,
+            control_record([0.0, 1.0, 2.0], np.zeros((3, 2)), [ORIGIN_T] * 3,
                            [0.0, 1.0, 2.0], 1.0,
                            k2=[1.0, 1.0, 1.0], H=[0.5, 0.7, 0.5])

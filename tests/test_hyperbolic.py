@@ -10,97 +10,121 @@ from hypothesis import strategies as st
 from h2xr.classifier import recover_generating_curve
 from h2xr.errors import (BadCurvatureFunction, NonUnitTangent, NumericalError,
                          OutOfDomain)
-from h2xr.hyperbolic import (H2Curve, H2Point, H2Tangent, _dists_raw,
-                             curvature_profile, curve_distances, curve_from_curvature,
-                             curve_hausdorff, h2_covariant_deriv, h2_dist, h2_exp,
-                             h2_project_tangent, linear_curvature,
-                             measure_geodesic_curvature, points_to_curve_dist,
-                             spline_curvature)
-from h2xr.minkowski import (SpacetimeVec, _normalize_point, _normalize_points,
-                            _normalize_spacelike, _normalize_spacelikes,
-                            minkowski_inner)
+from h2xr.hyperbolic import (ORIGIN_T, H2Curve, _dists_raw, _exp_raw, check_point,
+                             check_tangent, check_unit, curvature_profile, curve_distances,
+                             curve_from_curvature, curve_hausdorff, h2_dist,
+                             linear_curvature, points_to_curve_dist, spline_curvature)
+from h2xr.minkowski import (_mdot, _normalize_point, _normalize_points,
+                            _normalize_spacelike, _normalize_spacelikes, _project_tangent)
 from h2xr.surfaces import (CORPUS_CONFIGS, CYLINDER_PRESETS, from_config,
                            generating_curve_of_config)
 
-from conftest import (COTH1, h2_points, h2_unit_tangents, reference_points_to_curve_dist,
-                      scalar_golden_min)
+from conftest import (COTH1, h2_covariant_deriv, h2_points, h2_unit_tangents,
+                      measure_geodesic_curvature, reference_points_to_curve_dist,
+                      scalar_golden_min, tangent_norm)
 
-ORIGIN = H2Point.of((1.0, 0.0, 0.0))
-E1 = H2Tangent(ORIGIN, SpacetimeVec.of((0.0, 1.0, 0.0)))
-E2 = H2Tangent(ORIGIN, SpacetimeVec.of((0.0, 0.0, 1.0)))
-
-
-def vec(x0, x1, x2):
-    return SpacetimeVec(x0, x1, x2)
+ORIGIN = ORIGIN_T
+E1 = (0.0, 1.0, 0.0)
+E2 = (0.0, 0.0, 1.0)
 
 
 class TestMinkowskiInner:
     def test_timelike_unit(self):
-        assert minkowski_inner(vec(1, 0, 0), vec(1, 0, 0)) == -1.0
+        assert _mdot((1, 0, 0), (1, 0, 0)) == -1.0
 
     def test_orthogonal_spacelike_axes(self):
-        assert minkowski_inner(vec(0, 1, 0), vec(0, 0, 1)) == 0.0
+        assert _mdot((0, 1, 0), (0, 0, 1)) == 0.0
 
     def test_hand_arithmetic(self):
         # -2*1 + 1*1 + 1*0
-        assert minkowski_inner(vec(2, 1, 1), vec(1, 1, 0)) == -1.0
+        assert _mdot((2, 1, 1), (1, 1, 0)) == -1.0
 
     @given(st.lists(st.floats(-10, 10), min_size=6, max_size=6))
     def test_symmetric(self, xs):
-        a, b = vec(*xs[:3]), vec(*xs[3:])
-        assert minkowski_inner(a, b) == minkowski_inner(b, a)
+        a, b = xs[:3], xs[3:]
+        assert _mdot(a, b) == _mdot(b, a)
+
+
+class TestBoundaryChecks:
+    """The checks run where points and tangents enter the library."""
 
     def test_non_finite_coordinates_rejected(self):
+        with pytest.raises(NumericalError, match="non-finite coordinates"):
+            check_point((math.nan, 0.0, 0.0))
+        with pytest.raises(NumericalError, match="non-finite coordinates"):
+            check_tangent(ORIGIN, (0.0, math.inf, 0.0))
+
+    @given(h2_points(1e6))
+    def test_sheet_points_accepted(self, p):
+        check_point(p)
+
+    @pytest.mark.parametrize("p", [(1.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (0.5, 0.0, 0.0)])
+    def test_off_sheet_rejected(self, p):
         with pytest.raises(NumericalError):
-            vec(math.nan, 0.0, 0.0)
+            check_point(p)
+
+    @given(h2_unit_tangents())
+    def test_unit_tangents_accepted(self, v):
+        p, w = v
+        check_tangent(p, w)
+        check_unit(w)
+
+    def test_not_tangent_rejected(self):
+        with pytest.raises(NumericalError, match="not tangent"):
+            check_tangent(ORIGIN, (1.0, 1.0, 0.0))
+
+    def test_non_unit_rejected(self):
+        with pytest.raises(NonUnitTangent):
+            check_unit((0.0, 0.5, 0.0))
+
+    def test_curve_start_and_direction_checked(self):
+        with pytest.raises(NumericalError):
+            curve_from_curvature(lambda s: 0.0, (0.0, 1.0), 0.1, start=(1.0, 1.0, 0.0))
+        with pytest.raises(NumericalError, match="not tangent"):
+            curve_from_curvature(lambda s: 0.0, (0.0, 1.0), 0.1, direction=(1.0, 1.0, 0.0))
+        with pytest.raises(NonUnitTangent):
+            curve_from_curvature(lambda s: 0.0, (0.0, 1.0), 0.1, direction=(0.0, 0.5, 0.0))
 
 
 class TestProjectTangent:
     def test_already_tangent(self):
-        t = h2_project_tangent(ORIGIN, vec(0, 1, 0))
-        assert t.tup == (0.0, 1.0, 0.0)
+        assert _project_tangent(ORIGIN, (0, 1, 0)) == (0.0, 1.0, 0.0)
 
     def test_normal_direction_maps_to_zero(self):
-        t = h2_project_tangent(ORIGIN, vec(1, 0, 0))
-        assert t.tup == (0.0, 0.0, 0.0)
+        assert _project_tangent(ORIGIN, (1, 0, 0)) == (0.0, 0.0, 0.0)
 
     def test_mixed_vector(self):
         # <w, p> = -3, so w + (-3) p = (0, 2, 0)
-        t = h2_project_tangent(ORIGIN, vec(3, 2, 0))
-        assert t.tup == (0.0, 2.0, 0.0)
+        assert _project_tangent(ORIGIN, (3, 2, 0)) == (0.0, 2.0, 0.0)
 
     @given(h2_points(), st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3))
     def test_result_is_tangent(self, p, w0, w1, w2):
-        t = h2_project_tangent(p, vec(w0, w1, w2))
-        assert abs(minkowski_inner(t.w, p.v)) < 1e-9 * (1 + p.v.x0 ** 2)
+        t = _project_tangent(p, (w0, w1, w2))
+        assert abs(_mdot(t, p)) < 1e-9 * (1 + p[0] ** 2)
 
 
 class TestExp:
     def test_zero_arclength(self):
-        assert h2_exp(ORIGIN, E1, 0.0).tup == (1.0, 0.0, 0.0)
+        assert _exp_raw(ORIGIN, E1, 0.0) == (1.0, 0.0, 0.0)
 
     def test_unit_arclength(self):
-        q = h2_exp(ORIGIN, E1, 1.0)
-        assert q.tup == pytest.approx((1.5430806348, 1.1752011936, 0.0), abs=1e-9)
+        q = _exp_raw(ORIGIN, E1, 1.0)
+        assert q == pytest.approx((1.5430806348, 1.1752011936, 0.0), abs=1e-9)
 
     def test_negative_arclength_other_axis(self):
-        q = h2_exp(ORIGIN, E2, -1.0)
-        assert q.tup == pytest.approx((1.5430806348, 0.0, -1.1752011936), abs=1e-9)
-
-    def test_non_unit_rejected(self):
-        bad = H2Tangent(ORIGIN, vec(0.0, 0.5, 0.0))
-        with pytest.raises(NonUnitTangent):
-            h2_exp(ORIGIN, bad, 1.0)
+        q = _exp_raw(ORIGIN, E2, -1.0)
+        assert q == pytest.approx((1.5430806348, 0.0, -1.1752011936), abs=1e-9)
 
     @given(h2_unit_tangents(), st.floats(-10, 10))
     @settings(max_examples=150)
     def test_stays_on_sheet_and_distance(self, v, s):
-        q = h2_exp(v.base, v, s)
-        assert abs(minkowski_inner(q.v, q.v) + 1.0) < 1e-9 * (1 + q.v.x0 ** 2)
+        p, w = v
+        q = _exp_raw(p, w, s)
+        assert abs(_mdot(q, q) + 1.0) < 1e-9 * (1 + q[0] ** 2)
         # arccosh near 1 cannot resolve distances below sqrt(eps) * scale;
         # away from the model origin that floor scales with the coordinates
-        floor = 1e-7 * v.base.v.x0
-        assert h2_dist(v.base, q) == pytest.approx(
+        floor = 1e-7 * p[0]
+        assert h2_dist(p, q) == pytest.approx(
             abs(s), abs=1e-9 * (1 + abs(s)) + floor)
 
 
@@ -109,12 +133,12 @@ class TestDist:
         assert h2_dist(ORIGIN, ORIGIN) == 0.0
 
     def test_inverts_exp(self):
-        q = H2Point.of((math.cosh(1.0), math.sinh(1.0), 0.0))
+        q = (math.cosh(1.0), math.sinh(1.0), 0.0)
         assert h2_dist(ORIGIN, q) == pytest.approx(1.0, abs=1e-12)
 
     def test_through_origin(self):
-        p = H2Point.of((math.cosh(1.0), math.sinh(1.0), 0.0))
-        q = H2Point.of((math.cosh(1.0), -math.sinh(1.0), 0.0))
+        p = (math.cosh(1.0), math.sinh(1.0), 0.0)
+        q = (math.cosh(1.0), -math.sinh(1.0), 0.0)
         assert h2_dist(p, q) == pytest.approx(2.0, abs=1e-12)
 
     @given(h2_points(), h2_points())
@@ -129,16 +153,15 @@ class TestDist:
     @pytest.mark.parametrize("d", [1e-12, 1e-9, 6e-8, 1e-4, 1.0, 1.3, 1.4, 5.0])
     def test_accurate_near_and_far(self, d):
         # arccosh(-<p,q>) alone would give 0 for 1e-12 and ~5.6e-8 for 6e-8
-        p = H2Point.of((math.sqrt(1.0 + 0.125 ** 2), 0.0, 0.125))
-        v = SpacetimeVec.of((0.0, 1.0, 0.0))
-        q = h2_exp(p, H2Tangent(p, v), d)
+        p = (math.sqrt(1.0 + 0.125 ** 2), 0.0, 0.125)
+        q = _exp_raw(p, (0.0, 1.0, 0.0), d)
         assert h2_dist(p, q) == pytest.approx(d, rel=1e-12)
         assert h2_dist(q, p) == h2_dist(p, q)
 
     @given(h2_points(), h2_points())
     def test_array_twin_matches_scalar(self, p, q):
-        batch = _dists_raw(tuple(np.array([x]) for x in p.tup),
-                           tuple(np.array([x]) for x in q.tup))
+        batch = _dists_raw(tuple(np.array([x]) for x in p),
+                           tuple(np.array([x]) for x in q))
         assert float(batch[0]) == pytest.approx(h2_dist(p, q), rel=1e-14, abs=1e-15)
 
 
@@ -147,18 +170,18 @@ class TestCovariantDeriv:
         c = curve_from_curvature(lambda s: 0.0, (0.0, 2.0), 1e-3)
         for s in (0.3, 1.0, 1.7):
             acc = h2_covariant_deriv(c, c.tangents, s)
-            assert acc.norm() < 1e-6
+            assert tangent_norm(acc) < 1e-6
 
     def test_constant_field_along_geodesic(self):
         c = curve_from_curvature(lambda s: 0.0, (-1.0, 1.0), 1e-3)
         field = np.tile([0.0, 0.0, 1.0], (len(c.s), 1))
         acc = h2_covariant_deriv(c, field, 0.0)
-        assert acc.norm() < 1e-6
+        assert tangent_norm(acc) < 1e-6
 
     def test_circle_velocity_norm_is_geodesic_curvature(self, circle_curve):
         for s in (0.5, 2.0, 5.0):
             acc = h2_covariant_deriv(circle_curve, circle_curve.tangents, s)
-            assert acc.norm() == pytest.approx(COTH1, abs=1e-8)
+            assert tangent_norm(acc) == pytest.approx(COTH1, abs=1e-8)
 
     def test_out_of_range(self):
         c = curve_from_curvature(lambda s: 0.0, (0.0, 1.0), 1e-3)
@@ -171,18 +194,17 @@ class TestCurveFromCurvature:
         # coordinatewise against the closed form: sharper than h2_dist,
         # whose arccosh floor is ~3e-8 for coincident points
         c = curve_from_curvature(lambda s: 0.0, (0.0, 2.0), 1e-3)
-        exact = np.array([h2_exp(ORIGIN, E1, float(s)).tup for s in c.s])
+        exact = np.array([_exp_raw(ORIGIN, E1, float(s)) for s in c.s])
         assert np.max(np.abs(c.points - exact)) < 1e-8
 
     def test_circle_closes(self, circle_curve):
-        end = H2Point.of(tuple(circle_curve.points[-1]))
-        start = H2Point.of(tuple(circle_curve.points[0]))
+        end = tuple(circle_curve.points[-1])
+        start = tuple(circle_curve.points[0])
         assert h2_dist(start, end) < 1e-5
         # cross-check at halved step
         c2 = curve_from_curvature(lambda s: COTH1,
                                   (0.0, 2.0 * math.pi * math.sinh(1.0)), 5e-4)
-        assert h2_dist(H2Point.of(tuple(c2.points[0])),
-                       H2Point.of(tuple(c2.points[-1]))) < 1e-5
+        assert h2_dist(tuple(c2.points[0]), tuple(c2.points[-1])) < 1e-5
 
     def test_inflection_at_zero(self):
         c = curve_from_curvature(lambda s: s, (-1.0, 1.0), 1e-3)
@@ -219,19 +241,18 @@ class TestCurveFromCurvature:
 
     def test_dense_eval_matches_nodes(self, circle_curve):
         s = float(circle_curve.s[100]) + 0.5 * circle_curve.step
-        p, t = circle_curve.eval(s)
-        assert abs(minkowski_inner(p.v, p.v) + 1.0) < 1e-12
-        assert abs(minkowski_inner(t.w, t.w) - 1.0) < 1e-12
-        assert h2_dist(H2Point.of(tuple(circle_curve.points[100])), p) == \
+        p, t, _, _ = circle_curve.frame_at(s)
+        assert abs(_mdot(p, p) + 1.0) < 1e-12
+        assert abs(_mdot(t, t) - 1.0) < 1e-12
+        assert h2_dist(tuple(circle_curve.points[100]), p) == \
             pytest.approx(0.5 * circle_curve.step, abs=1e-8)
 
 
 def hyperbolic_circle(r: float, step: float) -> H2Curve:
     """The circle of radius r about the model origin, once around."""
-    start = H2Point.of((math.cosh(r), math.sinh(r), 0.0))
     return curve_from_curvature(lambda s: math.cosh(r) / math.sinh(r),
-                                (0.0, 2.0 * math.pi * math.sinh(r)), step, start,
-                                H2Tangent(start, SpacetimeVec.of((0.0, 0.0, 1.0))))
+                                (0.0, 2.0 * math.pi * math.sinh(r)), step,
+                                (math.cosh(r), math.sinh(r), 0.0), (0.0, 0.0, 1.0))
 
 
 def hermite_copy(c: H2Curve) -> H2Curve:
@@ -253,8 +274,7 @@ def reference_point_to_curve_dist(p, curve: H2Curve) -> float:
     i = int(np.argmax(inner))
     lo = float(curve.s[max(0, i - 1)])
     hi = float(curve.s[min(len(curve.s) - 1, i + 1)])
-    return scalar_golden_min(lambda s: h2_dist(H2Point.of(tuple(p)),
-                                               H2Point.of(curve.frame_at(s)[0])), lo, hi)[1]
+    return scalar_golden_min(lambda s: h2_dist(tuple(p), curve.frame_at(s)[0]), lo, hi)[1]
 
 
 class TestDenseBatch:
@@ -338,7 +358,7 @@ class TestDenseBatch:
         the positions of frames_at, on rk4 and hermite curves both ways."""
         a, b = DENSE_CURVES[name_a], DENSE_CURVES[name_b]
         a, b = hermite_copy(a) if herm_a else a, hermite_copy(b) if herm_b else b
-        off = np.array([p.tup for p in extra]).reshape(-1, 3)
+        off = np.array(extra).reshape(-1, 3)
         for x, y in ((a, b), (b, a)):
             q = np.concatenate([x.points, off])
             assert np.array_equal(points_to_curve_dist(q, y),

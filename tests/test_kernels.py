@@ -112,8 +112,8 @@ class TestCurveBuild:
     def test_build_and_dense_frames_match_reference(self, kind, r, s0, length, step, frame,
                                                     with_direction, fr):
         k_g = CURVATURES[kind](r)
-        start = None if frame is None else frame.base
-        direction = frame if frame is not None and with_direction else None
+        start = None if frame is None else frame[0]
+        direction = frame[1] if frame is not None and with_direction else None
         c = curve_from_curvature(k_g, (s0, s0 + length), step, start, direction)
         want = reference_curve(k_g, (s0, s0 + length), step, start, direction)
         for got, ref in zip((c.s, c.points, c.tangents, c.normals, c.kg), want):
@@ -218,7 +218,7 @@ class TestPointChain:
     @given(p=h2_points(3.0), w=st.lists(st.floats(-3.0, 3.0), min_size=21, max_size=21))
     def test_random_jets_match_reference(self, p, w):
         # footprints include x1 = +-0.0
-        _chain_matches_reference(_hand_built(p.tup, w))
+        _chain_matches_reference(_hand_built(p, w))
 
     def test_many_generic_jets_match_reference(self):
         # generic floats, where a float power and a product round apart on
