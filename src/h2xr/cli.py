@@ -58,9 +58,10 @@ is capped, before it starts, by ``curvature.MAX_GRID_CELLS`` (250,000 cells),
 (50,000 RK4 steps per leg, length / (2 step)) and ``MAX_GEODESIC_SAMPLES``
 (1,000,000); each constant's comment gives its per-unit cost.  Every refused
 input exits 2 with one ``error:`` line, a ``geodesic`` ``--point`` whose
-hyperboloid coordinate x0 overflows and a ``--velocity`` whose length does
-among them; a valid number that overflows later in the computation exits 3
-(5 for an INCONSISTENT ``classify`` verdict).
+hyperboloid coordinate x0 overflows, a ``--velocity`` whose tangent projection
+or length does, and a config nested too deeply to read among them; a valid
+number that overflows later in the computation exits 3 (5 for an INCONSISTENT
+``classify`` verdict).
 
 Outputs are deterministic: a fixed config and seed produce byte-identical
 files.
@@ -128,6 +129,8 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ConfigError("config file nests too deeply to be read") from None
         if not isinstance(raw, dict):
             raise ConfigError("run config must be a JSON object")
     cfg.surface = raw.get("surface")
@@ -265,9 +268,11 @@ def cmd_geodesic(cfg: RunConfig, point: str, velocity: str,
     except NumericalError as exc:
         raise ConfigError(f"--point {point} gives no point of the hyperboloid: {exc}") from None
     wh = _project_tangent(foot, (0.0, w1, w2))
-    norm = math.sqrt(max(0.0, _mdot(wh, wh)) + vt * vt)
-    if not math.isfinite(norm):
-        raise ConfigError(f"--velocity {velocity} is too long: its length overflows")
+    q = _mdot(wh, wh)
+    norm = math.sqrt(max(0.0, q) + vt * vt)
+    if not (math.isfinite(q) and math.isfinite(norm)):
+        raise ConfigError(f"--velocity {velocity} is too long at --point {point}: "
+                          "its tangent projection or its length overflows")
     if norm < 1e-12:
         raise ConfigError("velocity must be nonzero")
     geo = ProdGeodesic.from_tangent(foot, t, tuple(c / norm for c in wh), vt / norm)

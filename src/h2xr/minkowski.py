@@ -13,8 +13,8 @@ array twins ``_normalize_points`` and ``_normalize_spacelikes``, so the
 scalar ones keep their plain-float branches.
 
 Array kernels that must reproduce the scalar path bit for bit take their
-transcendental functions and powers elementwise from ``math`` (see
-``numerics._each``).
+transcendental functions elementwise from ``math`` (see ``numerics._each``)
+and their powers from the C library's ``pow`` (``numerics._array_pow``).
 """
 
 from __future__ import annotations

@@ -26,10 +26,10 @@ def _each(fn, x, *consts) -> np.ndarray:
     as a Python float.
 
     Array code that must reproduce a scalar computation bit for bit takes
-    its transcendental functions and powers from ``math`` this way: numpy's
-    own cosh, sinh, exp and power round differently from the C library on
-    some arguments, and ``x ** 2`` on a float is the library's ``pow``, which
-    is not always ``x * x``.
+    its transcendental functions from ``math`` this way: numpy's own cosh,
+    sinh, exp and hypot round differently from the C library on some
+    arguments, and its sin and cos may dispatch to SIMD loops on some CPUs.
+    Powers need no such map (see :func:`_array_pow`).
     """
     x = np.asarray(x, dtype=float)
     args = [c.ravel().tolist() if isinstance(c, np.ndarray) else repeat(float(c))
@@ -38,8 +38,21 @@ def _each(fn, x, *consts) -> np.ndarray:
 
 
 def _array_pow(x: np.ndarray, k: float) -> np.ndarray:
-    """Elementwise ``x ** k``, rounded as the float power."""
-    return _each(math.pow, x, float(k))
+    """Elementwise ``x ** k``, rounded as the float power.
+
+    numpy's ``float_power`` has a single float64 loop, which calls the C
+    library's ``pow`` on each element with no SIMD dispatch: the function
+    behind ``math.pow`` and a float's ``x ** k``, which is not always
+    ``x * x``.  Like ``math.pow``, this raises OverflowError where a finite
+    element's power overflows, and it warns of nothing.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        y = np.float_power(x, float(k))
+    over = ~np.isfinite(y) & np.isfinite(x)
+    if over.any():
+        _each(math.pow, x[over], float(k))  # raises math.pow's OverflowError
+    return y
 
 
 def _sq(x) -> np.ndarray:

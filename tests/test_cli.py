@@ -250,6 +250,15 @@ def _grid(nu):
     return {"surface": SLICE_CFG["surface"], "grid": {"nu": nu, "nv": 3}}
 
 
+def _deep_cfg(tmp_path, depth=1500):
+    """A config whose surface is ``depth`` perturbations of a slice: nested
+    too deeply for the JSON reader (and for json.dumps, so written as text)."""
+    p = tmp_path / "deep.json"
+    p.write_text('{"surface": ' + '{"kind": "perturbed", "eps": 0.1, "base": ' * depth
+                 + json.dumps(SLICE_CFG["surface"]) + "}" * depth + "}", encoding="utf-8")
+    return str(p)
+
+
 class TestRejectedInputs:
     """Malformed numbers, and numbers asking for more work than the library's
     limits allow, exit 2 with a one-line error; every limit refuses its input
@@ -290,6 +299,8 @@ class TestRejectedInputs:
         ({}, ["geodesic", "--velocity", "1,nan,0"]),
         ({}, ["geodesic", "--point", "1e200,0,0"]),
         ({}, ["geodesic", "--velocity", "1e200,0,0"]),
+        ({}, ["geodesic", "--point", "1e150,0,0", "--velocity", "1e10,0,1"]),
+        (None, ["curvature"]),
     ], ids=["nu_str", "nu_nan", "nu_inf", "nu_fraction", "nu_bool", "nu_null", "nu_1e9",
             "radius_bool", "t0_str", "seed_negative", "expect_not_a_verdict", "fd_not_bool",
             "geodesic_length_inf", "geodesic_step_nan", "geodesic_samples",
@@ -297,9 +308,10 @@ class TestRejectedInputs:
             "trace_no_step", "classify_trace_no_step",
             "curve_steps", "u_beyond_floats", "trace_u0_nan", "trace_v0_inf",
             "geodesic_point_nan", "geodesic_point_inf", "geodesic_velocity_inf",
-            "geodesic_velocity_nan", "geodesic_point_overflows", "geodesic_velocity_overflows"])
+            "geodesic_velocity_nan", "geodesic_point_overflows", "geodesic_velocity_overflows",
+            "geodesic_projection_overflows", "config_too_deep"])
     def test_exits_2(self, tmp_path, capsys, cfg, argv):
-        path = write_cfg(tmp_path, cfg)
+        path = write_cfg(tmp_path, cfg) if cfg is not None else _deep_cfg(tmp_path)
         assert main(["--config", path, "--out", str(tmp_path / "out")] + argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -318,10 +330,12 @@ class TestRejectedInputs:
     @pytest.mark.parametrize("argv, name", [
         (["geodesic", "--point", "1e200,0,0"], "--point"),
         (["geodesic", "--velocity", "1e200,0,0"], "--velocity"),
+        (["geodesic", "--point", "1e150,0,0", "--velocity", "1e10,0,1"], "--velocity"),
     ])
     def test_finite_argument_that_overflows_named(self, tmp_path, capsys, argv, name):
         # the hyperboloid coordinate x0 of the point, or the length of the
-        # velocity, overflows: a bad input, not a numerical failure
+        # velocity or of its projection to the point's tangent plane,
+        # overflows: a bad input, not a numerical failure
         assert main(["--out", str(tmp_path / "out")] + argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {name} ")
 

@@ -1,6 +1,7 @@
 """Golden-section search, one bracket and many in lockstep, and the spline."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from h2xr.errors import NumericalError
-from h2xr.numerics import (CubicSpline1D, bracket_root, bracket_root_batch, golden_min,
-                           golden_min_batch)
+from h2xr.numerics import (CubicSpline1D, _array_pow, bracket_root, bracket_root_batch,
+                           golden_min, golden_min_batch)
+from h2xr.surfaces import (HeightFunction, _chart_jets, _stack_jets, check_jet,
+                           make_graph)
 
 from conftest import scalar_golden_min
 
@@ -129,3 +132,102 @@ class TestCubicSplineArrays:
         for fn in (self.spline, self.spline.deriv):
             scalar = np.array([fn(x) for x in ts])
             assert np.max(np.abs(fn(t) - scalar)) <= 1e-14 * (1.0 + np.max(np.abs(scalar)))
+
+
+def _bits(x: float) -> int:
+    """The float's bit pattern; one pattern for every NaN."""
+    return -1 if math.isnan(x) else int(np.float64(x).view(np.int64))
+
+
+# Every float, with the edges near which a square or a cube overflows
+# (sqrt(max) = 1.34e154, cbrt(max) = 5.64e102) and the subnormals, zeros,
+# infinities and NaN that st.floats draws.
+POW_ARGS = st.one_of(
+    st.floats(), st.floats(1.3e154, 1.4e154), st.floats(-1.4e154, -1.3e154),
+    st.floats(5.6e102, 5.7e102), st.floats(-5.7e102, -5.6e102),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160,
+                     math.inf, -math.inf, math.nan]))
+
+
+class TestArrayPow:
+    """The array power takes every element through the C library's pow, so
+    it is the float power ``math.pow(x, k)`` and ``x ** k`` bit for bit, and
+    raises OverflowError as they do."""
+
+    @given(st.lists(POW_ARGS, min_size=1, max_size=30), st.sampled_from([2, 3]))
+    @settings(max_examples=300)
+    def test_equals_the_float_power(self, xs, k):
+        try:
+            want = [math.pow(x, k) for x in xs]
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _array_pow(np.array(xs), k)
+            return
+        got = _array_pow(np.array(xs), k).tolist()
+        assert [_bits(g) for g in got] == [_bits(w) for w in want]
+        assert [_bits(g) for g in got] == [_bits(x ** k) for x in xs]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_random_floats_of_every_scale(self, k):
+        # numpy's SIMD power loops round about 3% of these unlike the C library
+        rng = np.random.default_rng(0)
+        x = rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-100.0, 100.0, 100_000)
+        want = np.array([math.pow(v, k) for v in x.tolist()])
+        assert np.array_equal(_array_pow(x, k).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("x, k", [(1.4e154, 2), (-1e200, 2), (5.7e102, 3),
+                                      (-5.7e102, 3), (1e300, 3)])
+    def test_finite_element_that_overflows_raises(self, x, k):
+        with pytest.raises(OverflowError):
+            math.pow(x, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                _array_pow(np.array([1.0, x, math.inf, math.nan]), k)
+            # non-finite elements alone are no overflow
+            got = _array_pow(np.array([math.inf, -math.inf, math.nan]), k)
+            assert got.tolist()[:2] == [math.inf, (-math.inf) ** k] and math.isnan(got[2])
+
+    def test_overflowing_block_falls_back_to_the_scalar_path(self):
+        # one chart point's height derivative squares past the float range
+        # in the array evaluator's Gram check, so the block is evaluated
+        # point by point, where that point is bad
+        zero = lambda u, v: 0.0
+        slope = lambda u, v: 2e154 if u > 0.5 else 0.3 * u
+        chart = make_graph(HeightFunction(zero, slope, zero, zero, zero, zero)).chart
+        spy = _Spy(chart)
+        us, vs = np.linspace(-0.9, 0.9, 7), np.linspace(0.2, -0.4, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = _chart_jets(spy, us, vs)
+        assert [type(e) for e in spy.raised] == [OverflowError]
+        scalar = _stack_jets(lambda u, v: check_jet(chart(u, v)), us, vs)
+        assert block.bad.tolist() == scalar.bad.tolist() == (us > 0.5).tolist()
+        assert _block_bits(block) == _block_bits(scalar)
+        # the points that stay good have the array evaluator's bits
+        good = ~block.bad
+        alone = _chart_jets(chart, us[good], vs[good])
+        assert not alone.bad.any()
+        assert _block_bits(alone) == [[b for b, g in zip(col, good) if g]
+                                      for col in _block_bits(block)]
+
+
+class _Spy:
+    """A chart whose array evaluator records the arithmetic errors it raises."""
+
+    def __init__(self, chart):
+        self.chart, self.raised = chart, []
+
+    def __call__(self, u, v):
+        return self.chart(u, v)
+
+    def jets(self, us, vs):
+        try:
+            return self.chart.jets(us, vs)
+        except ArithmeticError as exc:
+            self.raised.append(exc)
+            raise
+
+
+def _block_bits(block):
+    return [[_bits(x) for x in c.tolist()] for w in block[:6] for c in (*w.htup, w.t)]
