@@ -56,10 +56,13 @@ bound memory and time (a few hundred MB, about a minute) the work of one input
 is capped, before it starts, by ``curvature.MAX_GRID_CELLS`` (250,000 cells),
 ``hyperbolic.MAX_CURVE_STEPS`` (1,000,000), ``flows.MAX_TRACE_HALF_STEPS``
 (50,000 RK4 steps per leg, length / (2 step)) and ``MAX_GEODESIC_SAMPLES``
-(1,000,000); each constant's comment gives its per-unit cost.  Every refused
-input exits 2 with one ``error:`` line, a ``geodesic`` ``--point`` whose
-hyperboloid coordinate x0 overflows, a ``--velocity`` whose tangent projection
-or length does, and a config nested too deeply to read among them; a valid
+(1,000,000); each constant's comment gives its per-unit cost.  A surface
+whose jet costs more than ``surfaces.MAX_CHART_COST`` (112) evaluations of
+its innermost chart, such as a slice perturbed three times (729), is refused
+where it is built.  Every refused input exits 2 with one ``error:`` line, a
+``geodesic`` ``--point`` whose hyperboloid coordinate x0 overflows, a
+``--velocity`` whose tangent projection or length does, a config nested too
+deeply to read and a chart too costly among them; a valid
 number that overflows later in the computation exits 3 (5 for an INCONSISTENT
 ``classify`` verdict).
 

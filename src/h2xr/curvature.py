@@ -37,17 +37,19 @@ Brioschi grid takes a cell's centre jet from the middle of its 5x5 stencil
 ``block_size(S, 1)`` cells; the stencils go to ``S.jets`` in sub-blocks of
 at most ``POINT_BLOCK`` evaluations of the innermost chart (``S.cost`` per
 jet: 9 per level of finite differences, 81 for a perturbed perturbed
-chart), which bounds the memory held.  At 2808 a 10x10 grid is one block
+chart, at most ``surfaces.MAX_CHART_COST``, so a stencil always fits),
+which bounds the memory held.  At 2808 a 10x10 grid is one block
 of cells, and its finite-difference stencils run in sub-blocks of 12
 cells, so a call's fixed cost no longer dominates.  A flagged cell, or
 each cell of a sub-block that raises, is evaluated again alone, so its
 status is the scalar exception's.  ``brioschi_curvatures`` sums each
 derivative explicitly in a fixed order, so a stacked stencil has the bits
 of ``brioschi_curvature``.
-Traces stay on the scalar chain (each RK4 step needs the last, and an array
-call costs several scalar jets), which works on unpacked floats and never
-reads a jet's height ``X.t`` (vertical translations are isometries): a trace
-reuses the last point's shape data where only that differs.
+Traces run on the scalar chain (each RK4 step needs the last), which works
+on unpacked floats and never reads a jet's height ``X.t`` (vertical
+translations are isometries): a trace reuses the last point's shape data
+where only that differs, and where that makes its steps a straight line in
+the chart it evaluates their points in blocks of ``S.jets`` (``flows``).
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from .errors import ConfigError, GeometryError, NotImmersed, NumericalError, Out
 from .minkowski import _mdot, _project_tangent
 from .numerics import _sq
 from .product import AmbientVec, _prod_inner
-from .surfaces import JetBlock, Surface, SurfaceJet, unit_normal, unit_normals
+from .surfaces import POINT_BLOCK, JetBlock, Surface, SurfaceJet, unit_normal, unit_normals
 
 PLANAR = "PLANAR"
 PARABOLIC = "PARABOLIC"
@@ -74,7 +76,6 @@ STENCIL_H = 1e-3       # spacing of the 5x5 Brioschi stencil (shrunk near the bo
 
 GRID_HEADER = "u,v,k1,k2,H,Kext,Kint_gauss,Kint_brioschi,nu,class,status"
 
-POINT_BLOCK = 2808     # chart evaluations per block of bulk evaluation
 MAX_GRID_CELLS = 250_000  # 0.8 KB (row, CSV line) and 0.2 ms each (2-core VM)
 
 

@@ -14,7 +14,12 @@ isometries, and on a cylinder ruling only the height changes.  Such a jet
 skips ``surfaces.check_jet`` too if its height is finite: the last one passed.
 On a ruling the cylinder chart reuses the last jet's footprint triple and
 derivative vectors, and ``_principal_at`` knows these objects again without
-packing their numbers.
+packing their numbers.  Once a step's every stage has had the shape data of
+its start, the leg is a straight line in the chart, every later step the
+same increment: its next steps are predicted at once, their stage points
+evaluated by one ``Surface.jets`` call, and the steps whose jets all repeat
+the start's in their bits become rows without a scalar step
+(``_straight_block``).
 
 Per-sample diagnostics recorded along the trace:
 
@@ -22,8 +27,7 @@ Per-sample diagnostics recorded along the trace:
 * ``lam`` - the connection coefficient <D_{e2} e2, e1>, measured by a short
   transverse finite difference of the e2 field; the two transverse points of
   every sample are known once the trace is, so they are evaluated in bulk
-  (``curvature.point_block``), while the RK4 steps, each depending on the
-  last, stay on the scalar path;
+  (``curvature.point_block``);
 * ``e2``, ``e3`` - the transverse principal direction and the unit normal as
   ambient vectors.
 
@@ -60,7 +64,9 @@ STEP_FAILURE = "STEP_FAILURE"
 TRACE_CSV_HEADER = "s,u,v,h_x0,h_x1,h_x2,t,k2,H,lambda"
 
 CONNECTION_STEP = 1e-5  # transverse step of the connection coefficient's difference
-MAX_TRACE_HALF_STEPS = 50_000  # per leg: 3 KB and 0.2 ms per step of both (2-core VM)
+# per leg: 3 KB and 0.2 ms per step of both legs where all trace points
+# differ, under 10 us in the blocks of a cylinder ruling (2-core VM)
+MAX_TRACE_HALF_STEPS = 50_000
 
 
 @dataclass(frozen=True)
@@ -277,16 +283,33 @@ def _sample(u: float, v: float, point, d1) -> tuple:
 
 
 def _leg(S: Surface, u: float, v: float, here, ref, steps: int, step: float,
-         tol: float) -> tuple[list, str]:
+         tol: float) -> tuple[np.ndarray, str]:
     """Rows of the samples after (u, v), whose ``_principal_at`` result is
-    ``here``, walking the d1 field aligned to ``ref``; and why the leg stopped.
+    ``here``, walking the d1 field aligned to ``ref``, as an (n, 24) array;
+    and why the leg stopped.
 
     A point of a step equal to an earlier one of the same step reuses the
     result of the first such: on cylinders the third stage is the second,
-    and the next sample the fourth stage.
+    and the next sample the fourth stage.  A step whose every stage had the
+    shape data of its start and walked ``ref`` is a straight line in the
+    chart; the steps after it are predicted in blocks (``_straight_block``)
+    on a chart with an array evaluator, and the scalar loop resumes at the
+    first step a block cannot certify, where a leg makes no further blocks.
     """
-    rows = []
-    for _ in range(steps):
+    rows, parts = [], []
+    # without an array evaluator Surface.jets would call the chart point by
+    # point, each point checked: dearer than the scalar loop's repeats
+    blocks, straight = getattr(S.chart, "jets", None) is not None, False
+    reason, taken = MAX_LENGTH, 0
+    while taken < steps:
+        if straight:
+            size = min(steps - taken, block_size(S, 3))
+            block, u, v, here = _straight_block(S, u, v, here, ref, size, step)
+            parts += [np.array(rows).reshape(-1, 24), block]
+            rows, taken = [], taken + len(block)
+            blocks = straight = len(block) == size
+            continue
+        start = here
         m1 = _aligned(here[4], ref)
         try:
             u2, v2 = u + 0.5 * step * m1[0], v + 0.5 * step * m1[1]
@@ -306,17 +329,80 @@ def _leg(S: Surface, u: float, v: float, here, ref, steps: int, step: float,
                     else r3 if u5 == u3 and v5 == v3 else r4 if u5 == u4 and v5 == v4
                     else _principal_at(S, u5, v5))
         except OutOfDomain:
-            return rows, DOMAIN_EDGE
+            reason = DOMAIN_EDGE
+            break
         except NumericalError:
-            return rows, STEP_FAILURE
+            reason = STEP_FAILURE
+            break
         u, v, ref = u5, v5, _aligned(here[4], m1)
         _, _, k1, k2, _, _ = here
         if abs(k2) < tol:
-            return rows, PLANAR_HIT
+            reason = PLANAR_HIT
+            break
         if abs(k2) - abs(k1) < 10.0 * tol:
-            return rows, STEP_FAILURE
+            reason = STEP_FAILURE
+            break
         rows.append(_sample(u, v, here, ref))
-    return rows, MAX_LENGTH
+        taken += 1
+        # one memo entry's forms at every stage: all walked m1 == ref
+        straight = blocks and start[1] is r2[1] is r3[1] is r4[1] is here[1] and m1 == ref
+    parts.append(np.array(rows).reshape(-1, 24))
+    return np.concatenate(parts), reason
+
+
+def _straight_block(S: Surface, u: float, v: float, here, m, n: int, step: float):
+    """The rows of the next steps, at most ``n``, from the sample (u, v),
+    whose ``_principal_at`` result is ``here``, where every stage has
+    ``here``'s shape data and so walks ``m``; the last certified sample
+    with its result.
+
+    Every such step adds the same increment, so the samples are running
+    sums (``np.add.accumulate`` adds in order, as the scalar loop does) and
+    the stage points are sums of a sample and a constant: the scalar loop's
+    arithmetic, bit for bit.  All stage points go to one ``S.jets`` call.
+    A step is certified where none of its points is bad, every point's jet
+    has the bits of ``here``'s in all but X.t (``_principal_at`` would hand
+    out ``here``'s shape data, without ``check_jet``) and the sample moved;
+    the rows of the certified prefix are ``here``'s row with u, v and X.t
+    filled in.
+    """
+    mu, mv = m
+    # the fourth stage and the increment of the scalar step, m1 = ... = m4 = m
+    bu, bv = step * mu, step * mv
+    du = step * (mu + 2.0 * mu + 2.0 * mu + mu) / 6.0
+    dv = step * (mv + 2.0 * mv + 2.0 * mv + mv) / 6.0
+    us, vs = np.full(n + 1, du), np.full(n + 1, dv)
+    us[0], vs[0] = u, v
+    with np.errstate(over="ignore"):  # inf, as a float sum gives, is outside the domain
+        np.add.accumulate(us, out=us)
+        np.add.accumulate(vs, out=vs)
+        u0, v0 = us[:-1], vs[:-1]
+        pu = [u0 + 0.5 * step * mu, us[1:]]
+        pv = [v0 + 0.5 * step * mv, vs[1:]]
+        if not (bu == du and bv == dv):  # else the fourth stage is the next sample
+            pu.insert(1, u0 + bu)
+            pv.insert(1, v0 + bv)
+    try:
+        jets = S.jets(np.concatenate(pu), np.concatenate(pv))
+    except (GeometryError, ArithmeticError, ValueError):
+        return np.empty((0, 24)), u, v, here
+    ok = ~jets.bad
+    cols = [c for w in jets[:6] for c in (*w.htup, w.t)]
+    want = np.array([c for w in here[0] for c in (*w.htup, w.t)]).view(np.int64)
+    for k, col in enumerate(cols):
+        if k != 3:  # X.t
+            ok &= col.view(np.int64) == want[k]
+    ok = ok.reshape(len(pu), n).all(axis=0) & ((u0 != us[1:]) | (v0 != vs[1:]))
+    done = n if ok.all() else int(np.argmin(ok))
+    if done == 0:
+        return np.empty((0, 24)), u, v, here
+    t = cols[3][-n:][:done]  # the samples' heights
+    block = np.empty((done, 24))
+    block[:] = _sample(u, v, here, m)
+    block[:, 0], block[:, 1], block[:, 5] = us[1:done + 1], vs[1:done + 1], t
+    jet = here[0]
+    here = (SurfaceJet(AmbientVec(jet.X.htup, t[-1].item()), *jet[1:]), *here[1:])
+    return block, us[done].item(), vs[done].item(), here
 
 
 def trace_asymptotic(S: Surface, u0: float, v0: float, length: float,
@@ -329,9 +415,10 @@ def trace_asymptotic(S: Surface, u0: float, v0: float, length: float,
     breakdown of the direction field (an evaluation that raises or is not
     finite).  ``with_connection=False`` skips the transverse measurement of
     the connection coefficient (NaN in the record), for when only the path is
-    needed: about 45% of a 1.0-long cylinder trace at step 1e-3, whose
-    legs reuse their jets' objects and shape data and skip their jet checks,
-    and a third on a chart whose trace points all differ (2-core VM).  Over
+    needed: about 60% of a 1.0-long cylinder trace at step 1e-3, whose
+    legs walk all steps after their first in one block of straight steps
+    each, and a third on a chart whose trace points all differ (2-core VM).
+    Over
     MAX_TRACE_HALF_STEPS steps per leg, or none, raise ConfigError before
     the seed is evaluated.  Legs that both stop at their first step raise
     OutOfDomain (at the domain edge) or NumericalError, naming the seed and
@@ -351,12 +438,12 @@ def trace_asymptotic(S: Surface, u0: float, v0: float, length: float,
     bwd, reason_b = _leg(S, u0, v0, seed, (-d1[0], -d1[1]), steps, step, tol)
     priority = {PLANAR_HIT: 3, STEP_FAILURE: 2, DOMAIN_EDGE: 1, MAX_LENGTH: 0}
     stop = reason_f if priority[reason_f] >= priority[reason_b] else reason_b
-    if not fwd and not bwd:
+    if not len(fwd) and not len(bwd):
         error = OutOfDomain if stop == DOMAIN_EDGE else NumericalError
         raise error(f"trace from seed ({u0}, {v0}) stops at its first step both ways "
                     f"({stop})")
 
-    a = np.array([*reversed(bwd), _sample(u0, v0, seed, d1), *fwd])
+    a = np.concatenate([bwd[::-1], [_sample(u0, v0, seed, d1)], fwd])
     n, n_b = len(a), len(bwd)
     uv, hpts, xu, xv = a[:, 0:2], a[:, 2:5], _vec(a[:, 6:10]), _vec(a[:, 10:14])
     # e1 points along increasing s: the backward leg walked against d1

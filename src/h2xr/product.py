@@ -45,9 +45,12 @@ def _prod_exp_raw(p: Triple, t: float, vh: Triple, vt: float, s):
     """Footprint and height at arclength s along the product geodesic from
     (p, t) with unit velocity (vh, vt); s a float, or an array, which gives
     triples of coordinate arrays (or p itself for a vertical geodesic)."""
-    nh2 = max(0.0, _mdot(vh, vh))
+    q = _mdot(vh, vh)
+    # a square below zero is roundoff; one that is not finite (max() would
+    # take a NaN for 0.0) is no unit tangent, nor is a NaN total
+    nh2 = max(0.0, q) if math.isfinite(q) else math.nan
     total = nh2 + vt * vt
-    if abs(total - 1.0) > UNIT_TOL:
+    if not abs(total - 1.0) <= UNIT_TOL:
         raise NonUnitTangent(f"|v|^2 = {total}, expected a unit tangent")
     a_h = math.sqrt(nh2)
     if a_h < 1e-15:

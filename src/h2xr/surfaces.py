@@ -61,6 +61,8 @@ DEFAULT_CURVE_STEP = 1e-3
 SLICE_INNER_RADIUS = 1e-3
 FD_STEP = 1e-4
 DOMAIN_SLACK = 1e-9    # chart points this far outside the domain still count as inside
+POINT_BLOCK = 2808     # chart evaluations per block of bulk evaluation
+MAX_CHART_COST = POINT_BLOCK // 25  # 112: a 5x5 Brioschi stencil fits in one block
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,7 +205,10 @@ class Surface:
     otherwise) is the sign of the unit normal against Xu x Xv on the whole
     chart (see :func:`unit_normal`).  ``cost`` is the number of evaluations
     of the innermost chart behind one jet: 1 for a chart evaluated directly,
-    9 times the base's for finite differences of a base's positions.
+    9 times the base's for finite differences of a base's positions;
+    ConfigError above MAX_CHART_COST (two levels of finite differences are
+    81, three 729), so one Brioschi stencil, or 8 trace steps, always fit in
+    a block of POINT_BLOCK evaluations.
     """
 
     chart: Callable[[float, float], SurfaceJet]
@@ -216,6 +221,9 @@ class Surface:
     def __post_init__(self):
         if self.orientation not in (1.0, -1.0):
             raise ConfigError(f"orientation must be +1.0 or -1.0, got {self.orientation!r}")
+        if self.cost > MAX_CHART_COST:
+            raise ConfigError(f"{self.label} costs {self.cost} chart evaluations per jet, "
+                              f"more than MAX_CHART_COST = {MAX_CHART_COST}")
 
     def jet(self, u: float, v: float) -> SurfaceJet:
         return self.evaluate(u, v, check_jet)

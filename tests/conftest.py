@@ -6,6 +6,7 @@ share.
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from h2xr.curvature import (PARABOLIC, CurvatureGrid, FundamentalForms, GridRow,
 from h2xr.errors import (BadCurvatureFunction, DegenerateDirection, EmptyIntersection,
                          GeometryError, InsufficientSamples, NotImmersed, NotParabolic,
                          NumericalError, OutOfDomain)
+from h2xr import flows
 from h2xr.flows import (DOMAIN_EDGE, MAX_LENGTH, PLANAR_HIT, STEP_FAILURE,
                         TRACE_CSV_HEADER, GeodesicDeviation, TraceRecord, _aligned,
-                        _ambient_dir, _connection, trace_half_steps)
+                        _ambient_dir, _connection, _sample, trace_half_steps)
 from h2xr.hyperbolic import (ORIGIN_T, H2Curve, _check_on_sheet, _dists_raw,
                              curve_from_curvature)
 from h2xr.minkowski import (_check_finite, _mcomb, _mcross, _mdot, _mscale, _msub,
@@ -738,6 +740,82 @@ def reference_trace(S: Surface, u0: float, v0: float, length: float,
         else np.full(n, math.nan)
 
     return TraceRecord(s, uv, hpts, ts, k2s, hs, lams, e2s, e3s, stop, step, tol)
+
+
+def reference_leg(S: Surface, u: float, v: float, here, ref, steps: int, step: float,
+                  tol: float) -> tuple[list, str]:
+    """flows._leg as it was before straight steps went in blocks: every RK4
+    step on the scalar path, a point equal to an earlier one of the same
+    step reusing the first such's result."""
+    rows = []
+    for _ in range(steps):
+        m1 = _aligned(here[4], ref)
+        try:
+            u2, v2 = u + 0.5 * step * m1[0], v + 0.5 * step * m1[1]
+            r2 = here if u2 == u and v2 == v else flows._principal_at(S, u2, v2)
+            m2 = _aligned(r2[4], m1)
+            u3, v3 = u + 0.5 * step * m2[0], v + 0.5 * step * m2[1]
+            r3 = (here if u3 == u and v3 == v else r2 if u3 == u2 and v3 == v2
+                  else flows._principal_at(S, u3, v3))
+            m3 = _aligned(r3[4], m1)
+            u4, v4 = u + step * m3[0], v + step * m3[1]
+            r4 = (here if u4 == u and v4 == v else r2 if u4 == u2 and v4 == v2
+                  else r3 if u4 == u3 and v4 == v3 else flows._principal_at(S, u4, v4))
+            m4 = _aligned(r4[4], m1)
+            u5 = u + step * (m1[0] + 2.0 * m2[0] + 2.0 * m3[0] + m4[0]) / 6.0
+            v5 = v + step * (m1[1] + 2.0 * m2[1] + 2.0 * m3[1] + m4[1]) / 6.0
+            here = (here if u5 == u and v5 == v else r2 if u5 == u2 and v5 == v2
+                    else r3 if u5 == u3 and v5 == v3 else r4 if u5 == u4 and v5 == v4
+                    else flows._principal_at(S, u5, v5))
+        except OutOfDomain:
+            return rows, DOMAIN_EDGE
+        except NumericalError:
+            return rows, STEP_FAILURE
+        u, v, ref = u5, v5, _aligned(here[4], m1)
+        _, _, k1, k2, _, _ = here
+        if abs(k2) < tol:
+            return rows, PLANAR_HIT
+        if abs(k2) - abs(k1) < 10.0 * tol:
+            return rows, STEP_FAILURE
+        rows.append(_sample(u, v, here, ref))
+    return rows, MAX_LENGTH
+
+
+def scalar_leg_trace(S: Surface, u0: float, v0: float, length: float, step: float,
+                     tol: float = 1e-7, with_connection: bool = True) -> TraceRecord:
+    """trace_asymptotic with both legs walked by :func:`reference_leg`."""
+    def leg(*args):
+        rows, reason = reference_leg(*args)
+        return np.array(rows).reshape(-1, 24), reason
+
+    with mock.patch.object(flows, "_leg", leg):
+        return flows.trace_asymptotic(S, u0, v0, length, step, tol, with_connection)
+
+
+def kinked(S: Surface, v_c: float, scale: float) -> Surface:
+    """S with the horizontal part of Xuu times ``scale`` above v = v_c, in
+    its float chart and in its array evaluator alike (scaling by 1.0 keeps
+    every bit): on a cylinder, a ruling whose jet repeats up to v_c and,
+    for a finite new Xuu, again above it, with other shape data (the
+    curvature times ``scale``), or none where the shape operator overflows."""
+    base = S.chart
+
+    def chart(u: float, v: float) -> SurfaceJet:
+        jet = base(u, v)
+        if not v > v_c:
+            return jet
+        (a0, a1, a2), at = jet.Xuu
+        return jet._replace(Xuu=AmbientVec((scale * a0, scale * a1, scale * a2), at))
+
+    def jets(us, vs):
+        blk = base.jets(us, vs)
+        c = np.where(vs > v_c, scale, 1.0)
+        xuu = (c * blk.Xuu.htup[0], c * blk.Xuu.htup[1], c * blk.Xuu.htup[2])
+        bad = blk.bad | ~(np.isfinite(xuu[0]) & np.isfinite(xuu[1]) & np.isfinite(xuu[2]))
+        return blk._replace(Xuu=AmbientVec(xuu, blk.Xuu.t), bad=bad)
+
+    chart.jets = jets
+    return dataclasses.replace(S, chart=chart, label=f"{S.label}+kinked({v_c},{scale})")
 
 
 def reference_trace_csv(tr: TraceRecord) -> str:

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import copy
+import dataclasses
 import json
 import math
 import tempfile
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from h2xr import surfaces
 from h2xr.cli import RunConfig, build_parser, load_run_config, main
 from h2xr.errors import ConfigError
 from h2xr.surfaces import CORPUS_CONFIGS, Surface, from_config
@@ -349,6 +351,64 @@ class TestRejectedInputs:
         assert main(["--config", cfg, "--out", str(tmp_path), "curvature"]) == 0
         summary = read_json(tmp_path / "curvature_summary.json")
         assert summary["grid"] == [4, 3]
+
+
+def _perturbed(depth: int) -> dict:
+    """A slice perturbed ``depth`` times: a chart of cost 9 ** depth."""
+    cfg = SLICE_CFG["surface"]
+    for _ in range(depth):
+        cfg = {"kind": "perturbed", "eps": 0.01, "base": cfg}
+    return cfg
+
+
+class TestChartCost:
+    """A chart costing more than MAX_CHART_COST innermost evaluations per jet
+    is refused where the surface is built, before its chart is called."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """Chart points evaluated on every slice built from config, scalar
+        or in blocks."""
+        count = []
+
+        def counted_slice(*args, inner=surfaces.make_slice, **kwargs):
+            S = inner(*args, **kwargs)
+
+            def chart(u, v):
+                count.append(1)
+                return S.chart(u, v)
+
+            def jets(us, vs):
+                count.append(len(us))
+                return S.chart.jets(us, vs)
+
+            chart.jets = jets
+            return dataclasses.replace(S, chart=chart)
+
+        monkeypatch.setattr(surfaces, "make_slice", counted_slice)
+        return count
+
+    def test_three_levels_exit_2_before_any_chart_evaluation(self, tmp_path, capsys,
+                                                              evaluations):
+        path = write_cfg(tmp_path, {"surface": _perturbed(3), "grid": {"nu": 2, "nv": 2}})
+        assert main(["--config", path, "--out", str(tmp_path / "out"), "curvature"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "costs 729 chart evaluations per jet" in err and "MAX_CHART_COST = 112" in err
+        assert evaluations == [] and not (tmp_path / "out").exists()
+
+    def test_two_levels_are_accepted(self, tmp_path, evaluations):
+        path = write_cfg(tmp_path, {"surface": _perturbed(2), "grid": {"nu": 2, "nv": 2}})
+        assert main(["--config", path, "--out", str(tmp_path / "out"), "curvature"]) == 0
+        # four Brioschi stencils of 25 jets, each of 81 slice points
+        assert sum(evaluations) == 4 * 25 * 81
+
+    def test_limit_is_one_brioschi_stencil_per_block(self):
+        assert surfaces.MAX_CHART_COST == surfaces.POINT_BLOCK // 25 == 112
+        S = surfaces.preset("slice")
+        assert dataclasses.replace(S, cost=112).cost == 112
+        with pytest.raises(ConfigError, match="MAX_CHART_COST"):
+            dataclasses.replace(S, cost=113)
 
 
 # Every kind of JSON scalar, with the edges of each: integers past the float

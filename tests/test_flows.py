@@ -20,11 +20,12 @@ from h2xr.flows import (DOMAIN_EDGE, MAX_LENGTH, PLANAR_HIT, STEP_FAILURE,
                         frame_ode_residuals, geodesic_deviation, trace_asymptotic)
 from h2xr.hyperbolic import ORIGIN_T
 from h2xr.product import AmbientVec, _prod_inner
-from h2xr.surfaces import SurfaceJet, finite_difference_surface, preset
+from h2xr.surfaces import (CYLINDER_PRESETS, Surface, SurfaceJet, finite_difference_surface,
+                           from_config, preset)
 
-from conftest import (lifted, loop_cov_norm, loop_geodesic_deviation,
+from conftest import (kinked, lifted, loop_cov_norm, loop_geodesic_deviation,
                       reference_principal_at, reference_trace, reference_trace_csv,
-                      turned_chart)
+                      scalar_leg_trace, turned_chart)
 
 # both deviations and ODE residuals on cylinder traces sit at the metric /
 # roundoff floor at every step size; step-halving assertions compare against
@@ -63,24 +64,28 @@ class TestTraceAsymptotic:
         with pytest.raises(DegenerateDirection):
             trace_asymptotic(inflection_cylinder, 5e-7, 0.0, 1.0, 1e-3, tol=1e-7)
 
-    @pytest.mark.parametrize("length, step", [(1.0, 1e-3), (5.0, 1e-4)])
-    def test_point_evaluations_counted(self, circle_cylinder, monkeypatch, length, step):
+    @pytest.mark.parametrize("length, step, blocks", [
+        (1.0, 1e-3, [998]),
+        (5.0, 1e-4, [1872] * 26 + [1326]),
+    ])
+    def test_point_evaluations_counted(self, circle_cylinder, monkeypatch, length, step,
+                                       blocks):
         # The asymptotic direction of a cylinder is exactly vertical, so in
         # every step the second and third stages, and the fourth stage and
-        # the next sample, are the same chart point: two new points per step
-        # plus the seed.  The long trace evaluates 100,001 points; a memo of
-        # all points, capped at 65,536 entries, evaluated 151,698.
-        calls = []
-
-        def counted(S, u, v, inner=flows._principal_at):
-            calls.append((u, v))
-            return inner(S, u, v)
-
-        monkeypatch.setattr(flows, "_principal_at", counted)
+        # the next sample, are the same chart point: two new points per
+        # step.  The seed and the first step of each leg are scalar (5
+        # points); that step settles the leg, whose other steps go to
+        # Surface.jets in blocks of at most block_size(S, 3) = 936 steps,
+        # two points each.  The long trace evaluates 100,001 points, as
+        # when every step was scalar; a memo of all points, capped at
+        # 65,536 entries, evaluated 151,698.
+        calls = _counting(monkeypatch, "_principal_at")
+        sizes = _block_sizes(monkeypatch)
         tr = trace_asymptotic(circle_cylinder, 1.0, 0.0, length, step, with_connection=False)
         steps = len(tr) - 1
         assert steps == round(length / step)
-        assert len(calls) == 2 * steps + 1
+        assert len(calls) == 5 and sizes == 2 * blocks
+        assert len(calls) + sum(sizes) == 2 * steps + 1
 
     @pytest.mark.parametrize("scale", [1e300, 1.5e308], ids=["overflow", "nan"])
     def test_non_finite_shape_data_ends_the_leg(self, circle_cylinder, scale):
@@ -154,6 +159,18 @@ class TestTraceAsymptotic:
             trace_asymptotic(S, 1.0, 0.0, 1.0, 1e-3)
 
 
+def _block_sizes(monkeypatch):
+    """Points of every Surface.jets call from here on, into a list."""
+    sizes = []
+
+    def counted(S, us, vs, inner=Surface.jets):
+        sizes.append(len(us))
+        return inner(S, us, vs)
+
+    monkeypatch.setattr(Surface, "jets", counted)
+    return sizes
+
+
 def _counting(monkeypatch, name):
     """Calls of flows.<name> from here on, into a list of their arguments."""
     calls = []
@@ -176,9 +193,12 @@ class TestShapeMemo:
 
     def test_ruling_computes_its_shape_once(self, circle_cylinder, monkeypatch):
         """It checks its jet once too: every later jet repeats the seed's but
-        for a finite X.t, in the very objects of the seed's jet."""
+        for a finite X.t, in the very objects of the seed's jet (the seed and
+        each leg's first step), or in its bits (the two blocks of the legs'
+        other 499 steps, two points each)."""
         points, forms, checks = (_counting(monkeypatch, name) for name in (
             "_principal_at", "forms_from_jet", "check_jet"))
+        sizes = _block_sizes(monkeypatch)
         jets = []
 
         def kept(*args, inner=flows._principal_at):
@@ -188,14 +208,18 @@ class TestShapeMemo:
 
         monkeypatch.setattr(flows, "_principal_at", kept)
         trace_asymptotic(circle_cylinder, 1.0, 0.0, 1.0, 1e-3, with_connection=False)
-        assert (len(points), len(forms), len(checks)) == (2001, 1, 1)
-        assert len(jets) == 2001 and all(jet.Xu is jets[0].Xu for jet in jets)
+        assert (len(points), len(forms), len(checks), sizes) == (5, 1, 1, [998, 998])
+        assert len(jets) == 5 and all(jet.Xu is jets[0].Xu for jet in jets)
 
     def test_bent_chart_misses_at_every_point(self, bent_cylinder, monkeypatch):
+        """And makes no block: its chart has no array evaluator, and no
+        step of its legs is straight in the chart."""
         points, forms, checks = (_counting(monkeypatch, name) for name in (
             "_principal_at", "forms_from_jet", "check_jet"))
+        sizes = _block_sizes(monkeypatch)
         trace_asymptotic(bent_cylinder, 1.0, 0.0, 1.0, 1e-3, with_connection=False)
         assert len(points) > 2900 and len(forms) == len(checks) == len(points)
+        assert sizes == []
 
     def test_negative_zero_is_another_jet(self, circle_cylinder, monkeypatch):
         def chart(u, v, base=circle_cylinder.chart):
@@ -447,17 +471,153 @@ class TestReferenceTrace:
         S = traced_surfaces[name]
         (u0, u1), (v0, v1) = S.domain.u_range, S.domain.v_range
         args = (S, u0 + fu * (u1 - u0), v0 + fv * (v1 - v0), length, step, with_connection)
-        got, ref = _outcome(trace_asymptotic, *args), _outcome(reference_trace, *args)
-        if isinstance(ref, tuple):
-            assert got == ref
-            return
-        for field in dataclasses.fields(TraceRecord):
-            a, b = getattr(got, field.name), getattr(ref, field.name)
-            if isinstance(b, np.ndarray):
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), \
-                    field.name
-            else:
-                assert a == b, field.name
+        _assert_same(_outcome(trace_asymptotic, *args), _outcome(reference_trace, *args))
+
+
+def _assert_same(got, ref):
+    """Two outcomes of a trace: the same exception, or records equal bit for
+    bit in every field."""
+    if isinstance(ref, tuple):
+        assert got == ref
+        return
+    for field in dataclasses.fields(TraceRecord):
+        a, b = getattr(got, field.name), getattr(ref, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), \
+                field.name
+        else:
+            assert a == b, field.name
+
+
+KINKS = (2.0, 1e300, 1.5e308)  # another ruling above v = 0.25; an overflow; a NaN
+BLOCKED = (*(name for name in CYLINDER_PRESETS if name != "cylinder_geodesic"),
+           *(f"cylinder_circle+kinked(0.25,{scale})" for scale in KINKS),
+           "cylinder_spline(fd)")
+
+
+@pytest.fixture(scope="module")
+def blocked_surfaces():
+    out = {name: preset(name) for name in BLOCKED[:4]}
+    for S in (*(kinked(preset("cylinder_circle"), 0.25, scale) for scale in KINKS),
+              finite_difference_surface(preset("cylinder_spline"))):
+        out[S.label] = S
+    assert tuple(out) == BLOCKED
+    return out
+
+
+class TestStraightBlocks:
+    """Straight leg steps predicted in Surface.jets blocks against the
+    scalar leg they replace (conftest.reference_leg), bit for bit: on every
+    curved cylinder preset, on a finite-difference cylinder (whose jets
+    repeat on some stretches of a ruling only) and on a circle cylinder
+    whose jet changes above v = 0.25, so that a block certifies only a
+    prefix and the scalar loop takes over."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(BLOCKED), fu=st.floats(0.0, 1.0),
+           fv=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 0.03), st.floats(0.97, 1.0)),
+           length=st.sampled_from([0.3, 1.0, 2.0]), step=st.sampled_from([1e-3, 7e-4]),
+           with_connection=st.booleans())
+    def test_matches_scalar_leg_bit_for_bit(self, blocked_surfaces, name, fu, fv, length,
+                                            step, with_connection):
+        """Seeds within 3% of the v range of its edges put the domain edge
+        inside a block."""
+        S = blocked_surfaces[name]
+        (u0, u1), (v0, v1) = S.domain.u_range, S.domain.v_range
+        args = (S, u0 + fu * (u1 - u0), v0 + fv * (v1 - v0), length, step, with_connection)
+        _assert_same(_outcome(trace_asymptotic, *args), _outcome(scalar_leg_trace, *args))
+
+    def test_domain_edge_inside_a_block(self, circle_cylinder, monkeypatch):
+        """From v = 2.8 the forward leg's block of 499 steps certifies the
+        199 inside the domain (v <= 3 + DOMAIN_SLACK); the scalar step after
+        them leaves the domain at its second stage.  Scalar points: the
+        seed, each leg's first step (two) and that stage."""
+        calls = _counting(monkeypatch, "_principal_at")
+        sizes = _block_sizes(monkeypatch)
+        tr = trace_asymptotic(circle_cylinder, 1.0, 2.8, 1.0, 1e-3, with_connection=False)
+        assert tr.stop_reason == DOMAIN_EDGE and tr.uv[-1, 1] == 2.999999999999978
+        assert (len(tr), len(calls), sizes) == (701, 6, [998, 998])
+        monkeypatch.undo()
+        _assert_same(tr, scalar_leg_trace(circle_cylinder, 1.0, 2.8, 1.0, 1e-3,
+                                          with_connection=False))
+
+    @pytest.mark.parametrize("v0", [1.7e308, 1.79e308])
+    def test_sums_past_the_largest_float_end_at_the_domain_edge(self, v0):
+        """On a cylinder reaching to the largest float the block's running
+        sums overflow to inf, as the scalar sums do, without a warning; the
+        leg stops at the domain edge with the scalar leg's samples."""
+        S = from_config({"kind": "cylinder", "curve": {"kind": "constant", "value": 1.0},
+                         "domain": {"u": [0.0, 3.0], "v": [-1e308, sys.float_info.max]}})
+        args = (S, 1.0, v0, 2e307, 1e303)
+        tr = trace_asymptotic(*args, with_connection=False)
+        assert tr.stop_reason == DOMAIN_EDGE and sys.float_info.max - tr.uv[-1, 1] < 1e303
+        _assert_same(tr, scalar_leg_trace(*args, with_connection=False))
+
+    def test_a_sample_that_does_not_move_is_left_to_the_scalar_chain(self, monkeypatch):
+        """At v = 1e20 a step of 1e-3 moves no coordinate: every stage and
+        sample of the scalar chain is the seed's point, reusing its result.
+        A block certifies no step whose sample stays where it was (its
+        height would come from a point the scalar chain never evaluates), so
+        each leg makes one block, certifies nothing and walks on scalar."""
+        S = from_config({"kind": "cylinder", "curve": {"kind": "constant", "value": 1.0},
+                         "domain": {"u": [0.0, 3.0], "v": [-1e21, 1e21]}})
+        calls = _counting(monkeypatch, "_principal_at")
+        sizes = _block_sizes(monkeypatch)
+        blocks = []
+
+        def kept(*args, inner=flows._straight_block):
+            out = inner(*args)
+            blocks.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(flows, "_straight_block", kept)
+        tr = trace_asymptotic(S, 1.0, 1e20, 1.0, 1e-3, with_connection=False)
+        assert (tr.uv == (1.0, 1e20)).all() and len(tr) == 1001
+        assert (len(calls), sizes, blocks) == (1, [998, 998], [0, 0])
+        monkeypatch.undo()
+        _assert_same(tr, scalar_leg_trace(S, 1.0, 1e20, 1.0, 1e-3, with_connection=False))
+
+    def test_a_malformed_block_leaves_the_leg_scalar(self, circle_cylinder, monkeypatch):
+        """An array evaluator whose block does not fit its points (a bad
+        mask one short) makes Surface.jets raise ValueError: each leg's
+        block certifies nothing and the leg walks on scalar, two points a
+        step."""
+        def chart(u, v, base=circle_cylinder.chart):
+            return base(u, v)
+
+        def jets(us, vs, base=circle_cylinder.chart.jets):
+            blk = base(us, vs)
+            return blk._replace(bad=blk.bad[:-1])
+
+        chart.jets = jets
+        S = dataclasses.replace(circle_cylinder, chart=chart)
+        with pytest.raises(ValueError):
+            S.jets([1.0] * 3, [0.0, 0.5, 1.0])
+        calls = _counting(monkeypatch, "_principal_at")
+        tr = trace_asymptotic(S, 1.0, 0.0, 1.0, 1e-3, with_connection=False)
+        assert len(tr) == 1001 and len(calls) == 2001
+        monkeypatch.undo()
+        _assert_same(tr, scalar_leg_trace(S, 1.0, 0.0, 1.0, 1e-3, with_connection=False))
+
+    def test_block_certifies_a_prefix_and_the_scalar_loop_resumes(self, blocked_surfaces,
+                                                                   monkeypatch):
+        """Above v = 0.25 the kinked chart's jet differs: the leg that
+        crosses it certifies its block up to there and walks the rest
+        scalar, two points a step, making no further block though its jets
+        repeat again; the other leg starts with the new shape data in the
+        memo, so it settles one step later."""
+        S = blocked_surfaces["cylinder_circle+kinked(0.25,2.0)"]
+        monkeypatch.setattr(flows, "_shape_memo", (None, None))
+        calls = _counting(monkeypatch, "_principal_at")
+        forms = _counting(monkeypatch, "forms_from_jet")
+        sizes = _block_sizes(monkeypatch)
+        tr = trace_asymptotic(S, 1.0, 0.0, 1.0, 1e-3, with_connection=False)
+        assert tr.stop_reason == MAX_LENGTH and len(tr) == 1001
+        assert (len(calls), len(forms), sizes) == (509, 3, [998, 996])
+        above = tr.uv[:, 1] > 0.25
+        assert above.sum() == 251 and (tr.k2[above] == 2.0 * tr.k2[0]).all()
+        monkeypatch.undo()
+        _assert_same(tr, scalar_leg_trace(S, 1.0, 0.0, 1.0, 1e-3, with_connection=False))
 
 
 class TestVerticalTranslation:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from h2xr.errors import (DivergenceNotReached, GeometryError, InsufficientSamples,
                          NonUnitTangent, NumericalError)
 from h2xr.hyperbolic import ORIGIN_T, _exp_raw
-from h2xr.minkowski import _mdot
+from h2xr.minkowski import _mdot, _mscale
 from h2xr.product import (AmbientVec, DivergenceReport, H2Geodesic, ProdGeodesic,
                           _prod_exp_raw, _prod_inner, prod_dist, prod_geodesic_residual,
                           verify_geodesic_divergence)
@@ -56,6 +56,33 @@ class TestExp:
     def test_non_unit_rejected(self):
         with pytest.raises(NonUnitTangent):
             _prod_exp_raw(ORIGIN, 0.0, (0.0, 1.0, 0.0), 1.0, 1.0)
+
+    @pytest.mark.parametrize("s", [2.0, np.array([0.0, 2.0])], ids=["float", "array"])
+    @pytest.mark.parametrize("vh, vt", [
+        ((math.inf, math.inf, 0.0), 1.0),
+        ((math.inf, 0.0, 0.0), 1.0),
+        ((math.nan, 0.0, 0.0), 1.0),
+        ((0.0, 0.0, 0.0), math.nan),
+    ], ids=["inf_inf", "inf", "nan", "nan_vertical"])
+    def test_non_finite_velocity_rejected(self, vh, vt, s):
+        # max(0.0, nan) is 0.0: an inf or NaN horizontal part would
+        # otherwise pass for a vertical velocity, and a NaN total for a unit
+        with pytest.raises(NonUnitTangent):
+            ProdGeodesic((1.0, 0.0, 0.0), 0.0, vh, vt).point(s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pv=h2_unit_tangents(), t=st.floats(-5.0, 5.0), tilt=st.floats(0.0, 1.0),
+           s=st.floats(-3.0, 3.0))
+    def test_finite_velocity_keeps_its_bits(self, pv, t, tilt, s):
+        """The closed form as it read before non-finite squares were refused."""
+        p, w = pv
+        vh, vt = tuple(math.sqrt(1.0 - tilt * tilt) * c for c in w), tilt
+        nh2 = max(0.0, _mdot(vh, vh))
+        assert abs(nh2 + vt * vt - 1.0) <= 1e-9
+        a_h = math.sqrt(nh2)
+        want = (p, t + s * vt) if a_h < 1e-15 else (
+            _exp_raw(p, _mscale(1.0 / a_h, vh), s * a_h), t + s * vt)
+        assert repr(ProdGeodesic(p, t, vh, vt).point(s)) == repr(want)
 
     def test_unit_speed_locally(self):
         geo = ProdGeodesic.from_tangent(ORIGIN, 0.0, *TILTED)
