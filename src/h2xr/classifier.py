@@ -27,7 +27,7 @@ from .errors import (ConfigError, EmptyIntersection, GeometryError,
                      NumericalError)
 from .flows import (PLANAR_HIT, TraceRecord, geodesic_deviation, trace_asymptotic,
                     trace_half_steps)
-from .hyperbolic import H2Curve, _dists_raw, curvature_profile
+from .hyperbolic import H2Curve, _dists_raw
 from .minkowski import _mcross, _mdot, _mscale, _normalize_spacelike, _project_tangent
 from .numerics import bracket_root, bracket_root_batch
 from .surfaces import Surface
@@ -460,8 +460,9 @@ def classify_surface(S: Surface, config: ClassifierConfig = ClassifierConfig()) 
         except GeometryError as exc:
             notes.append(f"recovery failed: {exc.code}")
             return verdict(INCONSISTENT, pmap)
-        _, kg = curvature_profile(curve)
-        max_kg = float(np.max(np.abs(kg)))
+        # each sample's geodesic curvature from the chart jets: chart-independent,
+        # where a curvature profile needs samples uniform in the chart's u
+        max_kg = float(np.max(np.abs(curve.kg)))
         if max_kg >= config.planar_tol * 100.0:
             notes.append(f"planar chart but recovered curvature reaches {max_kg}")
             return verdict(INCONSISTENT, pmap)

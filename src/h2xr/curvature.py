@@ -47,9 +47,9 @@ derivative explicitly in a fixed order, so a stacked stencil has the bits
 of ``brioschi_curvature``.
 Traces run on the scalar chain (each RK4 step needs the last), which works
 on unpacked floats and never reads a jet's height ``X.t`` (vertical
-translations are isometries): a trace reuses the last point's shape data
-where only that differs, and where that makes its steps a straight line in
-the chart it evaluates their points in blocks of ``S.jets`` (``flows``).
+translations are isometries): where a trace's jets differ only in that, its
+steps are a straight line in the chart, and it evaluates their points in
+blocks of ``S.jets`` (``flows``).
 """
 
 from __future__ import annotations

@@ -8,18 +8,14 @@ surface by construction) with a fourth-order Runge-Kutta step and
 sign-continuity of the eigenvector choice.  Each leg is a plain loop over
 Python floats (``_leg``) that keeps every accepted sample as one row of
 numbers; the record's frames are then array expressions over those rows.
-A point whose jet differs from the last point's only in its height reuses
-that point's shape data (``_principal_at``): vertical translations are
-isometries, and on a cylinder ruling only the height changes.  Such a jet
-skips ``surfaces.check_jet`` too if its height is finite: the last one passed.
-On a ruling the cylinder chart reuses the last jet's footprint triple and
-derivative vectors, and ``_principal_at`` knows these objects again without
-packing their numbers.  Once a step's every stage has had the shape data of
-its start, the leg is a straight line in the chart, every later step the
-same increment: its next steps are predicted at once, their stage points
-evaluated by one ``Surface.jets`` call, and the steps whose jets all repeat
-the start's in their bits become rows without a scalar step
-(``_straight_block``).
+Every point the loop evaluates runs the whole chain (``_principal_at``):
+checked jet, forms, principal curvatures.  Once a step's every stage had
+the jet of its start in all but the height X.t (vertical translations are
+isometries, and on a cylinder ruling only the height changes), the leg is
+a straight line in the chart, every later step the same increment: its
+next steps are predicted at once, their stage points evaluated by one
+``Surface.jets`` call, and the steps whose jets all repeat the start's in
+their bits become rows without a scalar step (``_straight_block``).
 
 Per-sample diagnostics recorded along the trace:
 
@@ -40,7 +36,6 @@ the samples alone.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +49,7 @@ from .hyperbolic import _dists_raw
 from .minkowski import Triple, _mcomb, _mdot, _project_tangent
 from .numerics import _each, _sq, affine_fit
 from .product import AmbientVec, ProdGeodesic, _prod_inner
-from .surfaces import Surface, SurfaceJet, check_jet
+from .surfaces import Surface, SurfaceJet
 
 DOMAIN_EDGE = "DOMAIN_EDGE"
 MAX_LENGTH = "MAX_LENGTH"
@@ -141,43 +136,10 @@ class GeodesicDeviation:
 
 # -- tracing ----------------------------------------------------------------------
 
-_pack24 = struct.Struct("24d").pack
-# (the bits of the surface's orientation and of the last checked point's jet
-# but X.t; its forms, k1, k2, d1, d2, that jet and the orientation): one
-# tuple set in one statement, so no reader pairs a key with other data
-_shape_memo: tuple = (None, None)
-# the shape data of no point: a jet of objects that no chart returns
-_NO_SHAPE = (None,) * 5 + (SurfaceJet(*[AmbientVec(object(), math.nan)] * 6), None)
-
-
 def _principal_at(S: Surface, u: float, v: float):
-    """Jet, forms, k1, k2, d1, d2 at (u, v); the shape data are the last
-    point's where the two jets agree bit for bit in all but X.t, on surfaces
-    of the same orientation.
-
-    A jet whose footprint triple and derivative vectors are the very objects
-    of the last point's (a cylinder chart on a ruling) agrees without packing
-    its numbers: the same objects have the same bits.
-    """
-    global _shape_memo
-    last_key, shape = _shape_memo
-    forms, k1, k2, d1, d2, ((p0, _), a0, b0, c0, d0, e0), orientation = shape or _NO_SHAPE
-
-    def keyed(jet):
-        (p, pt), a, b, c, d, e = jet
-        # the memo's jet passed check_jet, which reads X.t only for finiteness
-        if (p is p0 and a is a0 and b is b0 and c is c0 and d is d0 and e is e0
-                and S.orientation == orientation and math.isfinite(pt)):
-            return jet, last_key
-        (p, pt), (a, at), (b, bt), (c, ct), (d, dt), (e, et) = jet
-        key = _pack24(S.orientation, *p, *a, at, *b, bt, *c, ct, *d, dt, *e, et)
-        if key != last_key or not math.isfinite(pt):
-            check_jet(jet)
-        return jet, key
-
-    jet, key = S.evaluate(u, v, keyed)
-    if key == last_key:
-        return jet, forms, k1, k2, d1, d2
+    """Jet, forms, k1, k2, d1, d2 at (u, v); NumericalError where the shape
+    operator overflows or is not finite."""
+    jet = S.jet(u, v)
     try:
         forms = forms_from_jet(jet, S.orientation)
         k1, k2, d1, d2 = principal_curvatures(forms)
@@ -187,7 +149,6 @@ def _principal_at(S: Surface, u: float, v: float):
     # one test for all six: a sum is finite only where every term is
     if not math.isfinite(k1 + k2 + d1[0] + d1[1] + d2[0] + d2[1]):
         raise NumericalError(f"non-finite principal curvatures or directions at ({u}, {v})")
-    _shape_memo = key, (forms, k1, k2, d1, d2, jet, S.orientation)
     return jet, forms, k1, k2, d1, d2
 
 
@@ -291,10 +252,11 @@ def _leg(S: Surface, u: float, v: float, here, ref, steps: int, step: float,
     A point of a step equal to an earlier one of the same step reuses the
     result of the first such: on cylinders the third stage is the second,
     and the next sample the fourth stage.  A step whose every stage had the
-    shape data of its start and walked ``ref`` is a straight line in the
-    chart; the steps after it are predicted in blocks (``_straight_block``)
-    on a chart with an array evaluator, and the scalar loop resumes at the
-    first step a block cannot certify, where a leg makes no further blocks.
+    jet of its start in all numbers but X.t, compared by value, and walked
+    ``ref`` is a straight line in the chart; the steps after it are
+    predicted in blocks (``_straight_block``) on a chart with an array
+    evaluator, and the scalar loop resumes at the first step a block cannot
+    certify, where a leg makes no further blocks.
     """
     rows, parts = [], []
     # without an array evaluator Surface.jets would call the chart point by
@@ -344,8 +306,11 @@ def _leg(S: Surface, u: float, v: float, here, ref, steps: int, step: float,
             break
         rows.append(_sample(u, v, here, ref))
         taken += 1
-        # one memo entry's forms at every stage: all walked m1 == ref
-        straight = blocks and start[1] is r2[1] is r3[1] is r4[1] is here[1] and m1 == ref
+        # every stage had the start's jet in all but X.t, so its shape data,
+        # and all walked m1 == ref
+        jet = start[0]
+        straight = blocks and m1 == ref and all(
+            r[0].X.htup == jet.X.htup and r[0][1:] == jet[1:] for r in (r2, r3, r4, here))
     parts.append(np.array(rows).reshape(-1, 24))
     return np.concatenate(parts), reason
 
@@ -361,10 +326,11 @@ def _straight_block(S: Surface, u: float, v: float, here, m, n: int, step: float
     the stage points are sums of a sample and a constant: the scalar loop's
     arithmetic, bit for bit.  All stage points go to one ``S.jets`` call.
     A step is certified where none of its points is bad, every point's jet
-    has the bits of ``here``'s in all but X.t (``_principal_at`` would hand
-    out ``here``'s shape data, without ``check_jet``) and the sample moved;
-    the rows of the certified prefix are ``here``'s row with u, v and X.t
-    filled in.
+    has the bits of ``here``'s in all but X.t and the sample moved.  Such a
+    jet passes ``check_jet`` as ``here``'s did (the check reads X.t only for
+    finiteness, which ``bad`` covers) and gives ``_principal_at`` the bits
+    of ``here``'s shape data, so the rows of the certified prefix are
+    ``here``'s row with u, v and X.t filled in.
     """
     mu, mv = m
     # the fourth stage and the increment of the scalar step, m1 = ... = m4 = m
@@ -418,11 +384,10 @@ def trace_asymptotic(S: Surface, u0: float, v0: float, length: float,
     needed: about 60% of a 1.0-long cylinder trace at step 1e-3, whose
     legs walk all steps after their first in one block of straight steps
     each, and a third on a chart whose trace points all differ (2-core VM).
-    Over
-    MAX_TRACE_HALF_STEPS steps per leg, or none, raise ConfigError before
-    the seed is evaluated.  Legs that both stop at their first step raise
-    OutOfDomain (at the domain edge) or NumericalError, naming the seed and
-    the stop reason.
+    Over MAX_TRACE_HALF_STEPS steps per leg, or none, raise ConfigError
+    before the seed is evaluated.  Legs that both stop at their first step
+    raise OutOfDomain (at the domain edge) or NumericalError, naming the
+    seed and the stop reason.
     """
     if step <= 0.0 or length <= 0.0:
         raise NumericalError("length and step must be positive")

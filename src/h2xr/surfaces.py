@@ -19,8 +19,7 @@ checks it once, where a chart's output enters the library (``Surface.jet``,
 the point-by-point fallback of bulk evaluation, and a derived chart's call
 of its base's chart): finite coordinates and heights, a footprint on the
 upper sheet, first derivatives tangent to it, and a Gram determinant that
-makes the chart an immersion.  ``flows._principal_at`` skips it for a jet
-equal to the last one it checked in all but a finite height.
+makes the chart an immersion.
 
 Bulk evaluation: ``Surface.jets`` evaluates many chart points at once into a
 ``JetBlock`` (struct of arrays) whose ``bad`` mask marks every point where
@@ -112,10 +111,9 @@ def check_jet(jet: SurfaceJet) -> SurfaceJet:
     """The jet, after checking it (NumericalError, or NotImmersed for a
     degenerate Gram determinant): finite coordinates and heights, a
     footprint on the upper sheet, first derivatives tangent to it, and a
-    Gram determinant that makes the chart an immersion.  ``flows._principal_at``
-    skips it for a repeat of its last checked jet but for a finite X.t: the
-    same bits, or that jet's own footprint triple and derivative vectors
-    (which the cylinder chart hands out along a ruling)."""
+    Gram determinant that makes the chart an immersion.  It reads X.t only
+    for its finiteness, so a jet with the bits of a checked one in all but
+    a finite X.t passes too (``flows._straight_block`` certifies by that)."""
     ((p0, p1, p2), pt), ((u0, u1, u2), ut), ((v0, v1, v2), vt), \
         ((a0, a1, a2), at), ((b0, b1, b2), bt), ((c0, c1, c2), ct) = jet
     # a non-finite number makes the sum non-finite (as, rarely, does an
@@ -226,15 +224,12 @@ class Surface:
                               f"more than MAX_CHART_COST = {MAX_CHART_COST}")
 
     def jet(self, u: float, v: float) -> SurfaceJet:
-        return self.evaluate(u, v, check_jet)
-
-    def evaluate(self, u: float, v: float, check):
-        """``check(jet)`` of the chart's jet at (u, v): OutOfDomain outside
-        the domain, NumericalError where the chart or ``check`` overflows."""
+        """The checked jet at (u, v) (:func:`check_jet`): OutOfDomain outside
+        the domain, NumericalError where the chart or the check overflows."""
         if not self.domain.contains(u, v):
             raise OutOfDomain(f"({u}, {v}) outside chart domain of {self.label}")
         try:
-            return check(self.chart(u, v))
+            return check_jet(self.chart(u, v))
         except OverflowError as exc:
             raise NumericalError(f"overflow evaluating {self.label} at ({u}, {v})") from exc
 
@@ -344,7 +339,6 @@ def _chart(body):
 
 _ZERO = AmbientVec((0.0, 0.0, 0.0), 0.0)
 _VERTICAL = AmbientVec((0.0, 0.0, 0.0), 1.0)
-_new = tuple.__new__
 
 
 def make_cylinder(alpha: H2Curve, v_range: tuple[float, float] = (-DEFAULT_CYLINDER_HEIGHT, DEFAULT_CYLINDER_HEIGHT),
@@ -355,13 +349,9 @@ def make_cylinder(alpha: H2Curve, v_range: tuple[float, float] = (-DEFAULT_CYLIN
     vertical field is a chart direction by construction and Xuv = Xvv = 0
     exactly.  Orientation -1: the normal Xv x Xu is the curve's Frenet
     normal (footprint x tangent), so the nonzero principal curvature is the
-    curve's signed geodesic curvature.
-
-    The scalar chart keeps the last frame ``frame_at`` returned with the jet
-    built on it.  Where ``frame_at`` returns that very frame object again (a
-    ruling: every point has the same u), the jet reuses the last jet's
-    footprint triple and derivative vectors and builds only X; the objects
-    tell ``flows._principal_at`` that its shape data still hold.
+    curve's signed geodesic curvature.  The scalar chart reads the
+    curve's memoized ``frame_at``, so the points of a ruling (one u) share
+    one frame; its jets differ only in X.t.
     """
     tt = -alpha.tangents[:, 0] ** 2 + alpha.tangents[:, 1] ** 2 + alpha.tangents[:, 2] ** 2
     if np.max(np.abs(tt - 1.0)) > 1e-8:
@@ -378,22 +368,11 @@ def make_cylinder(alpha: H2Curve, v_range: tuple[float, float] = (-DEFAULT_CYLIN
         return jet(AmbientVec(a, v), AmbientVec(t, 0.0), _VERTICAL, AmbientVec(acc, 0.0),
                    _ZERO, _ZERO)
 
-    # (frame, jet): set and read in one statement each, so that no thread
-    # pairs one frame with another's jet
-    last = (None, None)
-
     def chart(u: float, v: float) -> SurfaceJet:
-        nonlocal last
-        frame = curve.frame_at(u)
-        last_frame, jet = last
-        if frame is last_frame:  # tuple.__new__ skips the namedtuples' Python __new__
-            return _new(SurfaceJet, (_new(AmbientVec, (jet.X.htup, v)), *jet[1:]))
-        a, t, n, kg = frame
+        a, t, n, kg = curve.frame_at(u)
         if not math.isfinite(kg):
             raise NumericalError(f"no curvature data at u = {u}")
-        jet = body(a, t, n, kg, v, SurfaceJet)
-        last = frame, jet
-        return jet
+        return body(a, t, n, kg, v, SurfaceJet)
 
     chart.jets = lambda us, vs: body(*curve.frames_at(us), curve.kg_at(us), vs, _jet_block)
     dom = ChartDomain((curve.s_min, curve.s_max), v_range)

@@ -253,8 +253,9 @@ def scalar_recover_generating_curve(S: Surface, t0: float, n: int) -> H2Curve:
 
 
 def reference_principal_at(S: Surface, u: float, v: float):
-    """flows._principal_at without its memo of the last point's shape data:
-    every point runs the whole chain."""
+    """Jet, forms, k1, k2, d1, d2 at (u, v) by the whole chain, as
+    flows._principal_at computes them, kept apart from the library so that
+    the reference traces never call into the code they check."""
     jet = S.jet(u, v)
     try:
         forms = forms_from_jet(jet, S.orientation)

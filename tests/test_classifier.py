@@ -15,12 +15,13 @@ from h2xr.curvature import PARABOLIC, curvature_grid
 from h2xr.errors import EmptyIntersection, NotParabolic
 from h2xr.hyperbolic import ORIGIN_T, curvature_profile, curve_hausdorff, h2_dist
 from h2xr.product import ProdGeodesic
-from h2xr.surfaces import (CORPUS_CONFIGS, CYLINDER_PRESETS, finite_difference_surface,
-                           from_config, generating_curve_of_config, perturb, preset)
+from h2xr.surfaces import (CORPUS_CONFIGS, CYLINDER_PRESETS, ChartDomain,
+                           finite_difference_surface, from_config,
+                           generating_curve_of_config, perturb, preset)
 from h2xr.verification import parabolic_seeds
 
 from conftest import (COTH1, bent_chart, faulty_at_cell_centres, h2_covariant_deriv, lifted,
-                      measure_geodesic_curvature, tangent_norm)
+                      measure_geodesic_curvature, reparametrised, tangent_norm)
 
 
 class TestFlatnessScan:
@@ -238,6 +239,27 @@ class TestTheorem1Properties:
         assert (v.ruling_verticality, v.evidence.rulings) == (0.0, [])
         assert v.evidence.notes == ["chart too weakly curved to trace: no parabolic cell "
                                     "separates its principal curvatures by 10 planar_tol"]
+
+    def test_geodesic_cylinder_on_a_chart_off_arclength_is_recovered(self):
+        """On the chart u -> u + 0.3 u^3 of the geodesic cylinder the
+        recovered curve's samples are not uniform in arclength; the planar
+        branch reads their geodesic curvatures, so the verdict holds, over
+        the geodesic segment from u = -1.3 to 1.3 of the preset's chart."""
+        S = preset("cylinder_geodesic")
+
+        def phi(u, v):
+            return ((u + 0.3 * u ** 3, v), ((1.0 + 0.9 * u * u, 0.0), (0.0, 1.0)),
+                    ((1.8 * u, 0.0, 0.0), (0.0, 0.0, 0.0)))
+
+        D = reparametrised(S, phi, ChartDomain((-1.0, 1.0), S.domain.v_range), "cubic")
+        v = classify_surface(D, SMALL)
+        assert v.verdict == CYLINDER, v.evidence.notes
+        c = v.generating_curve
+        ends = [S.jet(u, 0.0).X.htup for u in (-1.3, 1.3)]
+        assert c.s[-1] - c.s[0] == pytest.approx(2.6, abs=1e-6)
+        assert h2_dist(*ends) == pytest.approx(2.6, abs=1e-12)
+        assert max(h2_dist(tuple(c.points[i]), p) for i, p in ((0, ends[0]), (-1, ends[1]))) \
+            < 1e-7
 
     @staticmethod
     def _check_recovered(curve):

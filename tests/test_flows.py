@@ -20,7 +20,7 @@ from h2xr.flows import (DOMAIN_EDGE, MAX_LENGTH, PLANAR_HIT, STEP_FAILURE,
                         frame_ode_residuals, geodesic_deviation, trace_asymptotic)
 from h2xr.hyperbolic import ORIGIN_T
 from h2xr.product import AmbientVec, _prod_inner
-from h2xr.surfaces import (CYLINDER_PRESETS, Surface, SurfaceJet, finite_difference_surface,
+from h2xr.surfaces import (CYLINDER_PRESETS, Surface, finite_difference_surface,
                            from_config, preset)
 
 from conftest import (kinked, lifted, loop_cov_norm, loop_geodesic_deviation,
@@ -78,13 +78,15 @@ class TestTraceAsymptotic:
         # Surface.jets in blocks of at most block_size(S, 3) = 936 steps,
         # two points each.  The long trace evaluates 100,001 points, as
         # when every step was scalar; a memo of all points, capped at
-        # 65,536 entries, evaluated 151,698.
-        calls = _counting(monkeypatch, "_principal_at")
+        # 65,536 entries, evaluated 151,698.  Only the scalar points compute
+        # shape data.
+        calls, forms = (_counting(monkeypatch, name) for name in (
+            "_principal_at", "forms_from_jet"))
         sizes = _block_sizes(monkeypatch)
         tr = trace_asymptotic(circle_cylinder, 1.0, 0.0, length, step, with_connection=False)
         steps = len(tr) - 1
         assert steps == round(length / step)
-        assert len(calls) == 5 and sizes == 2 * blocks
+        assert len(calls) == len(forms) == 5 and sizes == 2 * blocks
         assert len(calls) + sum(sizes) == 2 * steps + 1
 
     @pytest.mark.parametrize("scale", [1e300, 1.5e308], ids=["overflow", "nan"])
@@ -183,61 +185,13 @@ def _counting(monkeypatch, name):
     return calls
 
 
-class TestShapeMemo:
-    """_principal_at reuses the last point's shape data for a jet equal to
-    it in every number but the height, bit for bit, and nothing else."""
+class TestPrincipalAt:
+    """_principal_at runs the whole chain at every point: Surface.jet, forms,
+    principal curvatures."""
 
-    @pytest.fixture(autouse=True)
-    def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(flows, "_shape_memo", (None, None))
-
-    def test_ruling_computes_its_shape_once(self, circle_cylinder, monkeypatch):
-        """It checks its jet once too: every later jet repeats the seed's but
-        for a finite X.t, in the very objects of the seed's jet (the seed and
-        each leg's first step), or in its bits (the two blocks of the legs'
-        other 499 steps, two points each)."""
-        points, forms, checks = (_counting(monkeypatch, name) for name in (
-            "_principal_at", "forms_from_jet", "check_jet"))
-        sizes = _block_sizes(monkeypatch)
-        jets = []
-
-        def kept(*args, inner=flows._principal_at):
-            out = inner(*args)
-            jets.append(out[0])
-            return out
-
-        monkeypatch.setattr(flows, "_principal_at", kept)
-        trace_asymptotic(circle_cylinder, 1.0, 0.0, 1.0, 1e-3, with_connection=False)
-        assert (len(points), len(forms), len(checks), sizes) == (5, 1, 1, [998, 998])
-        assert len(jets) == 5 and all(jet.Xu is jets[0].Xu for jet in jets)
-
-    def test_bent_chart_misses_at_every_point(self, bent_cylinder, monkeypatch):
-        """And makes no block: its chart has no array evaluator, and no
-        step of its legs is straight in the chart."""
-        points, forms, checks = (_counting(monkeypatch, name) for name in (
-            "_principal_at", "forms_from_jet", "check_jet"))
-        sizes = _block_sizes(monkeypatch)
-        trace_asymptotic(bent_cylinder, 1.0, 0.0, 1.0, 1e-3, with_connection=False)
-        assert len(points) > 2900 and len(forms) == len(checks) == len(points)
-        assert sizes == []
-
-    def test_negative_zero_is_another_jet(self, circle_cylinder, monkeypatch):
-        def chart(u, v, base=circle_cylinder.chart):
-            jet = base(u, v)
-            (a0, a1, a2), at = jet.Xuv
-            return jet._replace(Xuv=AmbientVec((a0, -a1, a2), at))
-
-        negated = dataclasses.replace(circle_cylinder, chart=chart)
-        assert repr(circle_cylinder.jet(1.0, 0.0).Xuv.htup[1]) == "0.0"
-        forms = _counting(monkeypatch, "forms_from_jet")
-        for S, v in ((circle_cylinder, 0.0), (circle_cylinder, 0.5), (negated, 0.5),
-                     (negated, 0.0), (circle_cylinder, 0.0)):
-            flows._principal_at(S, 1.0, v)
-        assert len(forms) == 3
-
-    def test_orientation_is_part_of_the_key(self, circle_cylinder):
-        """The same jet on a surface of the other orientation is another
-        point: the memo hands it no shape data of the first."""
+    def test_orientation_twin_gets_the_opposite_shape(self, circle_cylinder):
+        """The same jet on a surface of the other orientation has the
+        opposite normal, nu and k2."""
         flipped = dataclasses.replace(circle_cylinder, orientation=-circle_cylinder.orientation)
         jet, forms, _, k2, _, _ = flows._principal_at(circle_cylinder, 1.0, 0.5)
         jet_f, forms_f, _, k2_f, _, _ = flows._principal_at(flipped, 1.0, 0.5)
@@ -246,7 +200,7 @@ class TestShapeMemo:
         assert forms_f.normal.t == -forms.normal.t
 
     @pytest.mark.parametrize("scale", [1e300, 1.5e308], ids=["overflow", "nan"])
-    def test_a_point_that_raises_is_not_stored(self, circle_cylinder, monkeypatch, scale):
+    def test_a_point_whose_shape_fails_raises_naming_it(self, circle_cylinder, scale):
         def chart(u, v, base=circle_cylinder.chart):  # the charts of the leg test above
             jet = base(u, v)
             if v <= 0.25:
@@ -255,15 +209,8 @@ class TestShapeMemo:
             return jet._replace(Xuu=AmbientVec((scale * a0, scale * a1, scale * a2), at))
 
         S = dataclasses.replace(circle_cylinder, chart=chart)
-        good = flows._principal_at(S, 1.0, 0.0)
-        stored = flows._shape_memo
-        forms = _counting(monkeypatch, "forms_from_jet")
-        for _ in range(2):
-            with pytest.raises(NumericalError, match=r"at \(1.0, 0.5\)"):
-                flows._principal_at(S, 1.0, 0.5)
-            assert flows._shape_memo is stored
-        assert len(forms) == 2
-        assert flows._principal_at(S, 1.0, 0.1)[1] is good[1] and len(forms) == 2
+        with pytest.raises(NumericalError, match=r"at \(1.0, 0.5\)"):
+            flows._principal_at(S, 1.0, 0.5)
 
     @pytest.mark.parametrize("spoil", [
         lambda jet: jet._replace(X=AmbientVec(jet.X.htup, math.nan)),
@@ -275,11 +222,10 @@ class TestShapeMemo:
                                                jet.Xu.t)),
     ], ids=["nan-height", "inf-height", "minus-inf-height", "overflow", "not-tangent"])
     def test_a_jet_that_fails_its_check_raises_as_surface_jet(self, circle_cylinder, spoil):
-        """Above v = 0.25 the chart's jet is spoiled: in its height alone, so
-        that the rest repeats the last checked jet, in a height derivative
-        whose square overflows, or in a first derivative off the tangent
-        plane.  _principal_at raises there what Surface.jet raises, every
-        time, and the failed jet's key never enters the memo."""
+        """Above v = 0.25 the chart's jet is spoiled: in its height alone, in
+        a height derivative whose square overflows, or in a first derivative
+        off the tangent plane.  _principal_at raises there what Surface.jet
+        raises."""
         def chart(u, v, base=circle_cylinder.chart):
             jet = base(u, v)
             return jet if v <= 0.25 else spoil(jet)
@@ -287,100 +233,16 @@ class TestShapeMemo:
         S = dataclasses.replace(circle_cylinder, chart=chart)
         with pytest.raises(NumericalError) as want:
             S.jet(1.0, 0.5)
-        good = flows._principal_at(S, 1.0, 0.0)
-        stored = flows._shape_memo
-        for _ in range(2):
-            with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
-                flows._principal_at(S, 1.0, 0.5)
-            assert flows._shape_memo is stored
-        assert flows._principal_at(S, 1.0, 0.1)[1] is good[1]
-
-    @pytest.mark.parametrize("height", [math.nan, math.inf, -math.inf],
-                             ids=["nan", "inf", "minus-inf"])
-    def test_memo_objects_with_a_non_finite_height_raise_as_surface_jet(
-            self, circle_cylinder, monkeypatch, height):
-        """Above v = 0.25 the chart returns the very objects of the memo's
-        jet with a height that is not finite: the objects alone never make
-        it a repeat, so it is checked, raises what Surface.jet raises, and
-        leaves the memo as it was.  With a finite height the same objects
-        are a repeat that is neither packed nor checked."""
-        good = []
-
-        def chart(u, v, base=circle_cylinder.chart):
-            if v <= 0.25:
-                return base(u, v)
-            jet = good[0][0]
-            return SurfaceJet(AmbientVec(jet.X.htup, height), *jet[1:])
-
-        S = dataclasses.replace(circle_cylinder, chart=chart)
-        good.append(flows._principal_at(S, 1.0, 0.0))
-        with pytest.raises(NumericalError) as want:
-            S.jet(1.0, 0.5)
-        stored = flows._shape_memo
-        for _ in range(2):
-            with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
-                flows._principal_at(S, 1.0, 0.5)
-            assert flows._shape_memo is stored
-        packs, checks = (_counting(monkeypatch, name) for name in ("_pack24", "check_jet"))
-        height = 0.75  # the chart reads it from here
-        jet, forms, *_ = flows._principal_at(S, 1.0, 0.5)
-        assert forms is good[0][1] and jet.X.t == 0.75 and jet.Xu is good[0][0].Xu
-        assert (len(packs), len(checks)) == (0, 0) and flows._shape_memo is stored
-
-    @pytest.mark.parametrize("field, new", [
-        ("X", lambda jet, S: AmbientVec(S.jet(1.0 + 1e-9, 0.0).X.htup, jet.X.t)),
-        ("Xu", lambda jet, S: AmbientVec(jet.Xu.htup, 1e-3)),
-        ("Xv", lambda jet, S: AmbientVec(jet.Xv.htup, 2.0)),
-        ("Xuu", lambda jet, S: AmbientVec(jet.Xuu.htup, 0.5)),
-        ("Xuv", lambda jet, S: AmbientVec(jet.Xuv.htup, 0.5)),
-        ("Xvv", lambda jet, S: AmbientVec(jet.Xvv.htup, 0.5)),
-    ])
-    def test_one_new_object_is_compared_by_its_numbers(self, circle_cylinder, monkeypatch,
-                                                       field, new):
-        """Above v = 0.25 the chart's jet keeps all of the last jet's objects
-        but one, replaced by another valid vector: that point is no repeat."""
-        def chart(u, v, base=circle_cylinder.chart):
-            jet = base(u, v)
-            return jet if v <= 0.25 else jet._replace(**{field: new(jet, circle_cylinder)})
-
-        S = dataclasses.replace(circle_cylinder, chart=chart)
-        first = flows._principal_at(S, 1.0, 0.0)
-        forms = _counting(monkeypatch, "forms_from_jet")
-        got = flows._principal_at(S, 1.0, 0.5)
-        assert repr(got) == repr(reference_principal_at(S, 1.0, 0.5))
-        assert len(forms) == 1 and getattr(got[0], field) is not getattr(first[0], field)
-
-    def test_reversed_twin_sharing_the_chart_gets_its_own_shape(self, circle_cylinder,
-                                                                 monkeypatch):
-        """A twin of the other orientation calls the same chart, which hands
-        it the objects of the first surface's jet: the twin still never gets
-        the first surface's shape data, nor the first the twin's."""
-        flipped = dataclasses.replace(circle_cylinder,
-                                      orientation=-circle_cylinder.orientation)
-        forms = _counting(monkeypatch, "forms_from_jet")
-        got = []
-        for k, v in enumerate((0.0, 0.5, 0.6, 0.7, 0.8)):
-            S = flipped if k % 2 else circle_cylinder
-            out = flows._principal_at(S, 1.0, v)
-            assert repr(out) == repr(reference_principal_at(S, 1.0, v))
-            got.append(out)
-            assert len(forms) == k + 1
-        assert all(out[0].Xu is got[0][0].Xu for out in got)  # one chart, one jet reused
-        for a, b in zip(got, got[1:]):
-            assert b[1].nu == -a[1].nu and b[3] == -a[3] != 0.0
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            flows._principal_at(S, 1.0, 0.5)
 
     def test_threads_never_mix_up_their_points(self):
         """Six threads walking rulings of four cylinders, with a short switch
         interval, each get the shape data of their own points; two of the
         cylinders have a second thread at another u, which shares the
-        first's chart and so its last frame and jet.
-
-        This checks only that threads on one chart get their own points.  It
-        cannot provoke a race inside the chart's ``(frame, jet)`` store: on a
-        2-core machine a thread switch almost never lands within one chart
-        call, so a store split over two statements passes as well.  What
-        keeps the shared chart safe is that it sets and reads that pair in
-        one statement each."""
+        first's chart.  What threads on one chart still share is its
+        generating curve's ``_frame_cache`` of ``frame_at`` results, one
+        dict entry per arclength, each set and read in one statement."""
         walks = [(preset(name), u) for name, u in (("cylinder_circle", 1.0),
                                                    ("cylinder_spline", 2.0),
                                                    ("cylinder_inflection", 1.0),
@@ -446,9 +308,11 @@ class TestReferenceTrace:
             return inner(S, u, v)
 
         monkeypatch.setattr(flows, "_principal_at", counted)
+        sizes = _block_sizes(monkeypatch)
         tr = trace_asymptotic(bent_cylinder, 1.0, 0.0, 1.0, 1e-3, with_connection=False)
         assert tr.stop_reason == MAX_LENGTH and len(tr) == 1001
-        assert len(calls) > 2.9 * (len(tr) - 1)
+        # no block: the chart has no array evaluator, and no step is straight
+        assert len(calls) > 2.9 * (len(tr) - 1) and sizes == []
         assert np.ptp(tr.uv[:, 0]) > 0.01  # the line bends in the chart
         assert _ruling_verticality(tr) < 1e-12  # but not in H2xR
         assert geodesic_deviation(tr).max_dev < 1e-10
@@ -599,21 +463,49 @@ class TestStraightBlocks:
         monkeypatch.undo()
         _assert_same(tr, scalar_leg_trace(S, 1.0, 0.0, 1.0, 1e-3, with_connection=False))
 
+    def test_a_signed_zero_costs_one_block(self, circle_cylinder, monkeypatch):
+        """At each leg's first sample, |v| = 1e-3, the chart's Xuv has -0.0
+        where it has 0.0 elsewhere.  That step's jets equal the seed's by
+        value, so the leg makes a block; the block certifies by bits against
+        that sample's jet, so it certifies no step, and the leg walks on
+        scalar, two points a step."""
+        def flipped(v):
+            return (0.0009 < abs(v)) & (abs(v) < 0.0011)
+
+        def chart(u, v, base=circle_cylinder.chart):
+            jet = base(u, v)
+            (a0, a1, a2), at = jet.Xuv
+            return jet._replace(Xuv=AmbientVec((a0, -a1 if flipped(v) else a1, a2), at))
+
+        def jets(us, vs, base=circle_cylinder.chart.jets):
+            blk = base(us, vs)
+            (a0, a1, a2), at = blk.Xuv
+            return blk._replace(Xuv=AmbientVec((a0, np.where(flipped(vs), -a1, a1), a2), at))
+
+        chart.jets = jets
+        S = dataclasses.replace(circle_cylinder, chart=chart)
+        assert repr(S.jet(1.0, -1e-3).Xuv.htup[1]) == "-0.0"
+        assert repr(S.jets([1.0], [1e-3]).Xuv.htup[1].item()) == "-0.0"
+        calls = _counting(monkeypatch, "_principal_at")
+        sizes = _block_sizes(monkeypatch)
+        tr = trace_asymptotic(S, 1.0, 0.0, 1.0, 1e-3, with_connection=False)
+        assert len(tr) == 1001 and (len(calls), sizes) == (2001, [998, 998])
+        monkeypatch.undo()
+        _assert_same(tr, scalar_leg_trace(S, 1.0, 0.0, 1.0, 1e-3, with_connection=False))
+
     def test_block_certifies_a_prefix_and_the_scalar_loop_resumes(self, blocked_surfaces,
                                                                    monkeypatch):
         """Above v = 0.25 the kinked chart's jet differs: the leg that
         crosses it certifies its block up to there and walks the rest
         scalar, two points a step, making no further block though its jets
-        repeat again; the other leg starts with the new shape data in the
-        memo, so it settles one step later."""
+        repeat again; both legs settle at their first step."""
         S = blocked_surfaces["cylinder_circle+kinked(0.25,2.0)"]
-        monkeypatch.setattr(flows, "_shape_memo", (None, None))
         calls = _counting(monkeypatch, "_principal_at")
         forms = _counting(monkeypatch, "forms_from_jet")
         sizes = _block_sizes(monkeypatch)
         tr = trace_asymptotic(S, 1.0, 0.0, 1.0, 1e-3, with_connection=False)
         assert tr.stop_reason == MAX_LENGTH and len(tr) == 1001
-        assert (len(calls), len(forms), sizes) == (509, 3, [998, 996])
+        assert (len(calls), len(forms), sizes) == (507, 507, [998, 998])
         above = tr.uv[:, 1] > 0.25
         assert above.sum() == 251 and (tr.k2[above] == 2.0 * tr.k2[0]).all()
         monkeypatch.undo()

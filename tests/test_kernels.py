@@ -2,8 +2,10 @@
 checks, unit normal, forms, principal curvatures) against the helper-based
 references kept in conftest: same bits, same exceptions, same messages."""
 
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import (h2_points, h2_unit_tangents, lifted, reference_curve, reference_forms,
                       reference_frames_at, reference_hermite_frame, reference_jet_checks,
                       reference_principal_curvatures, reference_unit_normal)
+import h2xr
 from h2xr.classifier import recover_generating_curve
 from h2xr.curvature import FundamentalForms, forms_from_jet, principal_curvatures
 from h2xr.errors import BadCurvatureFunction, GeometryError
@@ -338,3 +341,15 @@ class TestExceptionParity:
             assert _outcome(unit_normal, jet, o) == want
             assert _outcome(forms_from_jet, jet, o) == _outcome(reference_forms, jet, o) \
                 == ("NotImmersed", "degenerate jet")
+
+
+def test_no_library_function_rebinds_outer_state():
+    """No ``global`` or ``nonlocal`` statement in the library: no function
+    rebinds a module's or an enclosing function's variable, through which
+    one call could hand its result to another (another thread's, or one on
+    a surface of the other orientation)."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(h2xr.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Global, ast.Nonlocal))]
+    assert found == []

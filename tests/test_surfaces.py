@@ -97,8 +97,8 @@ def _numbers(jet):
 
 
 class TestCylinderChartReuse:
-    """The scalar cylinder chart rebuilds only X where ``frame_at`` returns
-    the frame of its last jet; the jet is the one it would build afresh."""
+    """A scalar cylinder jet built on a frame from ``frame_at``'s memo is the
+    one a fresh chart builds."""
 
     @pytest.mark.parametrize("name", CYLINDER_PRESETS)
     @pytest.mark.parametrize("first, then", [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0),
@@ -107,28 +107,28 @@ class TestCylinderChartReuse:
     def test_reused_jet_is_a_fresh_jet(self, name, first, then):
         """u = +-0.0, a domain end of the circle, horocycle and spline
         charts and the middle of the others: the frame memo keys -0.0 and
-        0.0 alike, so the second jet reuses the first's objects."""
+        0.0 alike, so the second jet is built on the first's frame."""
         cfg = CORPUS_CONFIGS[name]
         S = from_config(cfg)
         one = S.chart(first, 0.5)
         two = S.chart(then, -1.25)
         fresh = from_config(cfg).chart(then, -1.25)
-        assert two.Xu is one.Xu and two.Xuu is one.Xuu and two.X.htup is one.X.htup
         assert _numbers(two) == _numbers(fresh)
         assert _numbers(S.chart(first, 0.5)) == _numbers(one)
 
     @pytest.mark.parametrize("name", CYLINDER_PRESETS)
     def test_full_frame_memo_builds_every_jet(self, name):
         """Past the frame memo's limit every ``frame_at`` call returns a new
-        frame, so every jet is built afresh, with the same numbers."""
+        frame, with the same numbers."""
         alpha = generating_curve_of_config(CORPUS_CONFIGS[name])
         S = make_cylinder(alpha)
         u = 0.5 * (alpha.s_min + alpha.s_max)
         for k in range(65536 - len(alpha._frame_cache)):
             alpha._frame_cache[float(10 + k)] = None
         assert len(alpha._frame_cache) == 65536
-        one, two = S.chart(u, 0.5), S.chart(u, -1.25)
-        assert two.Xu is not one.Xu and u not in alpha._frame_cache
+        S.chart(u, 0.5)
+        two = S.chart(u, -1.25)
+        assert u not in alpha._frame_cache
         fresh = make_cylinder(generating_curve_of_config(CORPUS_CONFIGS[name])).chart(u, -1.25)
         assert _numbers(two) == _numbers(fresh)
 

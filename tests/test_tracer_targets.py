@@ -10,8 +10,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 import tracer  # noqa: E402
-from h2xr import product  # noqa: E402
+from h2xr import flows, product  # noqa: E402
 from h2xr.hyperbolic import ORIGIN_T  # noqa: E402
+from h2xr.surfaces import preset  # noqa: E402
 
 
 @pytest.mark.parametrize("name, owner, attr, hot", tracer.TARGETS,
@@ -34,3 +35,18 @@ def test_install_wraps_every_target_and_uninstall_restores():
     assert (t.calls["product.prod_dist"], t.calls["product.geodesic_point"]) == (1, 2)
     for (name, owner, attr, _), original in zip(tracer.TARGETS, originals):
         assert getattr(owner, attr) is original, name
+
+
+def test_scalar_trace_points_are_seen_as_jets():
+    """A cylinder trace evaluates five scalar points, each through
+    Surface.jet: the seed and each leg's first step.  The blocks of the
+    legs' other steps go to the array evaluator, which the tracer does not
+    see."""
+    S = preset("cylinder_circle")
+    t = tracer.Tracer()
+    t.install()
+    try:
+        flows.trace_asymptotic(S, 1.0, 0.0, 1.0, 1e-3)
+    finally:
+        t.uninstall()
+    assert (t.calls["surfaces.jet"], t.counts["flows.trace.jets"]) == (5, 5)
