@@ -20,7 +20,7 @@ from h2xr.flows import (DOMAIN_EDGE, MAX_LENGTH, PLANAR_HIT, STEP_FAILURE,
                         frame_ode_residuals, geodesic_deviation, trace_asymptotic)
 from h2xr.hyperbolic import ORIGIN_T
 from h2xr.product import AmbientVec, _prod_inner
-from h2xr.surfaces import (CYLINDER_PRESETS, Surface, finite_difference_surface,
+from h2xr.surfaces import (CYLINDER_PRESETS, Surface, SurfaceJet, finite_difference_surface,
                            from_config, preset)
 
 from conftest import (kinked, lifted, loop_cov_norm, loop_geodesic_deviation,
@@ -235,6 +235,101 @@ class TestPrincipalAt:
             S.jet(1.0, 0.5)
         with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
             flows._principal_at(S, 1.0, 0.5)
+
+    @pytest.mark.parametrize("height", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_an_earlier_jets_objects_with_a_non_finite_height_raise_as_surface_jet(
+            self, circle_cylinder, monkeypatch, height):
+        """Above v = 0.25 the chart returns the very objects of the jet at
+        v = 0 with a height that is not finite: _principal_at raises what
+        Surface.jet raises, every time.  With a finite height the same
+        objects get the whole chain again, and the reference's numbers."""
+        good = []
+
+        def chart(u, v, base=circle_cylinder.chart):
+            if v <= 0.25:
+                return base(u, v)
+            jet = good[0][0]
+            return SurfaceJet(AmbientVec(jet.X.htup, height), *jet[1:])
+
+        S = dataclasses.replace(circle_cylinder, chart=chart)
+        good.append(flows._principal_at(S, 1.0, 0.0))
+        with pytest.raises(NumericalError) as want:
+            S.jet(1.0, 0.5)
+        for _ in range(2):
+            with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+                flows._principal_at(S, 1.0, 0.5)
+        forms = _counting(monkeypatch, "forms_from_jet")
+        height = 0.75  # the chart reads it from here
+        got = flows._principal_at(S, 1.0, 0.5)
+        assert got[0].X.t == 0.75 and got[0].Xu is good[0][0].Xu and len(forms) == 1
+        monkeypatch.undo()
+        assert repr(got) == repr(reference_principal_at(S, 1.0, 0.5))
+
+    @pytest.mark.parametrize("field, new", [
+        ("X", lambda jet, S: AmbientVec(S.jet(1.0 + 1e-9, 0.0).X.htup, jet.X.t)),
+        ("Xu", lambda jet, S: AmbientVec(jet.Xu.htup, 1e-3)),
+        ("Xv", lambda jet, S: AmbientVec(jet.Xv.htup, 2.0)),
+        ("Xuu", lambda jet, S: AmbientVec(jet.Xuu.htup, 0.5)),
+        ("Xuv", lambda jet, S: AmbientVec(jet.Xuv.htup, 0.5)),
+        ("Xvv", lambda jet, S: AmbientVec(jet.Xvv.htup, 0.5)),
+    ])
+    def test_a_jet_new_in_one_object_gets_its_own_shape(self, circle_cylinder, monkeypatch,
+                                                        field, new):
+        """Above v = 0.25 the chart's jet differs from the one below in one
+        object, replaced by another valid vector: that point gets the shape
+        data of its own jet."""
+        def chart(u, v, base=circle_cylinder.chart):
+            jet = base(u, v)
+            return jet if v <= 0.25 else jet._replace(**{field: new(jet, circle_cylinder)})
+
+        S = dataclasses.replace(circle_cylinder, chart=chart)
+        first = flows._principal_at(S, 1.0, 0.0)
+        forms = _counting(monkeypatch, "forms_from_jet")
+        got = flows._principal_at(S, 1.0, 0.5)
+        assert len(forms) == 1 and getattr(got[0], field) != getattr(first[0], field)
+        monkeypatch.undo()
+        assert repr(got) == repr(reference_principal_at(S, 1.0, 0.5))
+
+    def test_negative_zero_is_another_jet(self, circle_cylinder, monkeypatch):
+        """A chart whose Xuv has -0.0 where the circle's has 0.0 gets the
+        reference's shape data at each point, bit for bit."""
+        def chart(u, v, base=circle_cylinder.chart):
+            jet = base(u, v)
+            (a0, a1, a2), at = jet.Xuv
+            return jet._replace(Xuv=AmbientVec((a0, -a1, a2), at))
+
+        negated = dataclasses.replace(circle_cylinder, chart=chart)
+        assert repr(circle_cylinder.jet(1.0, 0.0).Xuv.htup[1]) == "0.0"
+        assert repr(negated.jet(1.0, 0.0).Xuv.htup[1]) == "-0.0"
+        forms = _counting(monkeypatch, "forms_from_jet")
+        points = [(circle_cylinder, 0.0), (circle_cylinder, 0.5), (negated, 0.5),
+                  (negated, 0.0), (circle_cylinder, 0.0)]
+        got = [repr(flows._principal_at(S, 1.0, v)) for S, v in points]
+        assert len(forms) == len(points)
+        monkeypatch.undo()
+        assert got == [repr(reference_principal_at(S, 1.0, v)) for S, v in points]
+
+    def test_reversed_twin_sharing_the_chart_gets_its_own_shape(self, circle_cylinder,
+                                                                 monkeypatch):
+        """A twin of the other orientation calls the same chart: at points
+        taken in turn, each surface gets its own shape data, never the
+        other's."""
+        flipped = dataclasses.replace(circle_cylinder,
+                                      orientation=-circle_cylinder.orientation)
+        assert flipped.chart is circle_cylinder.chart
+        forms = _counting(monkeypatch, "forms_from_jet")
+        got = []
+        for k, v in enumerate((0.0, 0.5, 0.6, 0.7, 0.8)):
+            S = flipped if k % 2 else circle_cylinder
+            got.append(flows._principal_at(S, 1.0, v))
+            assert len(forms) == k + 1
+        for a, b in zip(got, got[1:]):
+            assert b[1].nu == -a[1].nu and b[3] == -a[3] != 0.0
+        monkeypatch.undo()
+        for k, (v, out) in enumerate(zip((0.0, 0.5, 0.6, 0.7, 0.8), got)):
+            S = flipped if k % 2 else circle_cylinder
+            assert repr(out) == repr(reference_principal_at(S, 1.0, v))
 
     def test_threads_never_mix_up_their_points(self):
         """Six threads walking rulings of four cylinders, with a short switch
