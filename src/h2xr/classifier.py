@@ -452,44 +452,26 @@ def classify_surface(S: Surface, config: ClassifierConfig = ClassifierConfig()) 
     parabolic_cells = [(r.u, r.v) for r in parabolic
                        if abs(r.k2) - abs(r.k1) >= 10.0 * config.planar_tol]
 
-    if not parabolic_cells:
-        # planar, or too weakly curved to trace: the curve must be a geodesic
-        t_center = S.jet(*S.domain.center).X.t
-        try:
-            curve = recover_generating_curve(S, t_center, config.recovery_samples)
-        except GeometryError as exc:
-            notes.append(f"recovery failed: {exc.code}")
-            return verdict(INCONSISTENT, pmap)
-        # each sample's geodesic curvature from the chart jets: chart-independent,
-        # where a curvature profile needs samples uniform in the chart's u
-        max_kg = float(np.max(np.abs(curve.kg)))
-        if max_kg >= config.planar_tol * 100.0:
-            notes.append(f"planar chart but recovered curvature reaches {max_kg}")
-            return verdict(INCONSISTENT, pmap)
-        notes.append("chart too weakly curved to trace: no parabolic cell separates its "
-                     "principal curvatures by 10 planar_tol" if parabolic else
-                     "totally geodesic chart; rulings degenerate to the vertical field")
-        return verdict(CYLINDER, pmap, verticality=0.0, curve=curve)
-
-    seeds = _farthest_point_seeds(parabolic_cells, RULING_SEEDS, S.domain.center)
     rulings: list[Ruling] = []
-    for (u, v) in seeds:
-        try:
-            rulings.extend(extract_rulings(S, [(u, v)], config.trace_length,
-                                           config.trace_step, config.planar_tol))
-        except GeometryError as exc:
-            notes.append(f"seed ({u:.6g}, {v:.6g}) failed: {exc.code}")
-    if not rulings:
-        notes.append("no ruling could be traced from any parabolic seed")
-        return verdict(INCONSISTENT, pmap, rulings)
-
-    verticality = max(r.verticality for r in rulings)
-    if any(r.trace.stop_reason == PLANAR_HIT for r in rulings):
-        notes.append("a ruling ran into the planar set")
-        return verdict(INCONSISTENT, pmap, rulings, verticality)
-    if verticality >= config.verticality_tol:
-        notes.append(f"flat chart with tilted rulings (drift {verticality})")
-        return verdict(INCONSISTENT, pmap, rulings, verticality)
+    verticality = None
+    if parabolic_cells:
+        seeds = _farthest_point_seeds(parabolic_cells, RULING_SEEDS, S.domain.center)
+        for (u, v) in seeds:
+            try:
+                rulings.extend(extract_rulings(S, [(u, v)], config.trace_length,
+                                               config.trace_step, config.planar_tol))
+            except GeometryError as exc:
+                notes.append(f"seed ({u:.6g}, {v:.6g}) failed: {exc.code}")
+        if not rulings:
+            notes.append("no ruling could be traced from any parabolic seed")
+            return verdict(INCONSISTENT, pmap, rulings)
+        verticality = max(r.verticality for r in rulings)
+        if any(r.trace.stop_reason == PLANAR_HIT for r in rulings):
+            notes.append("a ruling ran into the planar set")
+            return verdict(INCONSISTENT, pmap, rulings, verticality)
+        if verticality >= config.verticality_tol:
+            notes.append(f"flat chart with tilted rulings (drift {verticality})")
+            return verdict(INCONSISTENT, pmap, rulings, verticality)
 
     t_center = S.jet(*S.domain.center).X.t
     try:
@@ -497,6 +479,19 @@ def classify_surface(S: Surface, config: ClassifierConfig = ClassifierConfig()) 
     except GeometryError as exc:
         notes.append(f"recovery failed: {exc.code}")
         return verdict(INCONSISTENT, pmap, rulings, verticality)
+    if not parabolic_cells:
+        # planar, or too weakly curved to trace: the curve must be a geodesic;
+        # each sample's geodesic curvature from the chart jets is
+        # chart-independent, where a curvature profile needs samples uniform
+        # in the chart's u
+        max_kg = float(np.max(np.abs(curve.kg)))
+        if max_kg >= config.planar_tol * 100.0:
+            notes.append(f"planar chart but recovered curvature reaches {max_kg}")
+            return verdict(INCONSISTENT, pmap)
+        notes.append("chart too weakly curved to trace: no parabolic cell separates its "
+                     "principal curvatures by 10 planar_tol" if parabolic else
+                     "totally geodesic chart; rulings degenerate to the vertical field")
+        verticality = 0.0
     return verdict(CYLINDER, pmap, rulings, verticality, curve)
 
 

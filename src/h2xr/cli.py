@@ -53,10 +53,12 @@ Infinity), integral ones for ``grid.nu``/``grid.nv`` (20.0 is 20, 2.9 is not).
 ``--tol`` values, the ``trace`` seed and the ``geodesic`` numbers go through
 float() first; ``--seed`` is an integer >= 0.  To
 bound memory and time (a few hundred MB, about a minute) the work of one input
-is capped, before it starts, by ``curvature.MAX_GRID_CELLS`` (250,000 cells),
-``hyperbolic.MAX_CURVE_STEPS`` (1,000,000), ``flows.MAX_TRACE_HALF_STEPS``
-(50,000 RK4 steps per leg, length / (2 step)) and ``MAX_GEODESIC_SAMPLES``
-(1,000,000); each constant's comment gives its per-unit cost.  A surface
+is capped, before it starts, by ``curvature.MAX_GRID_CELLS`` (250,000 cells,
+each weighted by the chart's ``Surface.cost``, so a 56 x 56 grid of a slice
+perturbed twice, cost 81, is refused), ``hyperbolic.MAX_CURVE_STEPS``
+(1,000,000), ``flows.MAX_TRACE_HALF_STEPS`` (50,000 RK4 steps per leg,
+length / (2 step)) and ``MAX_GEODESIC_SAMPLES`` (1,000,000); each
+constant's comment gives its per-unit cost.  A surface
 whose jet costs more than ``surfaces.MAX_CHART_COST`` (112) evaluations of
 its innermost chart, such as a slice perturbed three times (729), is refused
 where it is built.  Every refused input exits 2 with one ``error:`` line, a

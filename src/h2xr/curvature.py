@@ -76,7 +76,8 @@ STENCIL_H = 1e-3       # spacing of the 5x5 Brioschi stencil (shrunk near the bo
 
 GRID_HEADER = "u,v,k1,k2,H,Kext,Kint_gauss,Kint_brioschi,nu,class,status"
 
-MAX_GRID_CELLS = 250_000  # 0.8 KB (row, CSV line) and 0.2 ms each (2-core VM)
+# cells times S.cost: 0.8 KB (row, CSV line) and 0.2 ms per cost-1 cell (2-core VM)
+MAX_GRID_CELLS = 250_000
 
 
 class FundamentalForms(namedtuple("FundamentalForms", "E F G L M2 N2 normal nu")):
@@ -480,13 +481,15 @@ def curvature_grid(S: Surface, nu_: int, nv_: int,
     One shape kernel call per block of ``block_size(S, 1)`` cells (module
     docstring); a flagged cell, or each cell of a block or stencil sub-block
     that raises, is evaluated alone, as one scalar row.  Under 2 cells per
-    axis, over MAX_GRID_CELLS cells or a tolerance <= 0 raise ConfigError.
+    axis, over MAX_GRID_CELLS cells weighted by the chart's cost
+    (``nu_ * nv_ * S.cost``) or a tolerance <= 0 raise ConfigError, before
+    any chart call.
     """
     if nu_ < 2 or nv_ < 2:
         raise ConfigError("grid needs at least 2 cells per axis")
-    if nu_ * nv_ > MAX_GRID_CELLS:
-        raise ConfigError(f"a {nu_} x {nv_} grid has more than MAX_GRID_CELLS = "
-                          f"{MAX_GRID_CELLS} cells")
+    if nu_ * nv_ * S.cost > MAX_GRID_CELLS:
+        raise ConfigError(f"a {nu_} x {nv_} grid of {S.label} (cost {S.cost}) weighs more "
+                          f"than MAX_GRID_CELLS = {MAX_GRID_CELLS} cells")
     if not tol > 0.0:
         raise ConfigError("classification tolerance must be positive")
 

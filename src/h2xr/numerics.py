@@ -207,9 +207,9 @@ def bracket_root_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 
 class CubicSpline1D:
-    """Natural cubic spline through (x, y) knots, with first derivative.
+    """Natural cubic spline through (x, y) knots.
 
-    Both evaluate at a float or elementwise at a numpy array of abscissae,
+    It evaluates at a float or elementwise at a numpy array of abscissae,
     with the same bits either way.
     """
 
@@ -264,14 +264,6 @@ class CubicSpline1D:
         return (m[i] * pw(dx1, 3) + m[i + 1] * pw(dx, 3)) / (6.0 * h[i]) \
             + (y[i] / h[i] - m[i] * h[i] / 6.0) * dx1 \
             + (y[i + 1] / h[i] - m[i + 1] * h[i] / 6.0) * dx
-
-    def deriv(self, t):
-        i, x, y, h, m, pw = self._segment(t)
-        dx = t - x[i]
-        dx1 = x[i + 1] - t
-        return (-m[i] * pw(dx1, 2) + m[i + 1] * pw(dx, 2)) / (2.0 * h[i]) \
-            - (y[i] / h[i] - m[i] * h[i] / 6.0) \
-            + (y[i + 1] / h[i] - m[i + 1] * h[i] / 6.0)
 
 
 def affine_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

@@ -206,7 +206,9 @@ class Surface:
     9 times the base's for finite differences of a base's positions;
     ConfigError above MAX_CHART_COST (two levels of finite differences are
     81, three 729), so one Brioschi stencil, or 8 trace steps, always fit in
-    a block of POINT_BLOCK evaluations.
+    a block of POINT_BLOCK evaluations.  ``curve`` is the generating curve
+    whose frames a cylinder's chart evaluates (set by :func:`make_cylinder`
+    only; None for every other surface, derived ones included).
     """
 
     chart: Callable[[float, float], SurfaceJet]
@@ -215,6 +217,7 @@ class Surface:
     label: str
     orientation: float
     cost: int = 1
+    curve: H2Curve | None = None
 
     def __post_init__(self):
         if self.orientation not in (1.0, -1.0):
@@ -351,7 +354,9 @@ def make_cylinder(alpha: H2Curve, v_range: tuple[float, float] = (-DEFAULT_CYLIN
     normal (footprint x tangent), so the nonzero principal curvature is the
     curve's signed geodesic curvature.  The scalar chart reads the
     curve's memoized ``frame_at``, so the points of a ruling (one u) share
-    one frame; its jets differ only in X.t.
+    one frame; its jets differ only in X.t.  The surface carries that curve
+    as ``curve``: ``alpha`` itself when it has ``kg``, else a copy with
+    ``kg`` interpolated from its curvature profile.
     """
     tt = -alpha.tangents[:, 0] ** 2 + alpha.tangents[:, 1] ** 2 + alpha.tangents[:, 2] ** 2
     if np.max(np.abs(tt - 1.0)) > 1e-8:
@@ -376,7 +381,7 @@ def make_cylinder(alpha: H2Curve, v_range: tuple[float, float] = (-DEFAULT_CYLIN
 
     chart.jets = lambda us, vs: body(*curve.frames_at(us), curve.kg_at(us), vs, _jet_block)
     dom = ChartDomain((curve.s_min, curve.s_max), v_range)
-    return Surface(chart, dom, "analytic", label, -1.0)
+    return Surface(chart, dom, "analytic", label, -1.0, curve=curve)
 
 
 # -- horizontal slices -----------------------------------------------------------
@@ -702,38 +707,10 @@ def _range_from_config(cfg, default: tuple[float, float], name: str) -> tuple[fl
     return config_number(cfg[0], name), config_number(cfg[1], name)
 
 
-def _domain_section(cfg: dict) -> dict:
-    domain = cfg.get("domain") or {}
-    if not isinstance(domain, dict):
-        raise ConfigError("'domain' must be an object")
-    return domain
-
-
 def _domain_from_config(domain: dict, u_default: tuple[float, float],
                         v_default: tuple[float, float]) -> ChartDomain:
     return ChartDomain(_range_from_config(domain.get("u"), u_default, "domain.u"),
                        _range_from_config(domain.get("v"), v_default, "domain.v"))
-
-
-_CYLINDER_RANGES = ((-1.5, 1.5), (-DEFAULT_CYLINDER_HEIGHT, DEFAULT_CYLINDER_HEIGHT))
-
-
-def _cylinder_curve_from_config(cfg: dict, u_range: tuple[float, float]) -> H2Curve:
-    curve_cfg = cfg.get("curve")
-    if not isinstance(curve_cfg, dict):
-        raise ConfigError("cylinder needs a 'curve' object")
-    step = config_number(cfg.get("curve_step", DEFAULT_CURVE_STEP), "curve_step")
-    if not 0.0 < step <= 0.1:
-        raise ConfigError(f"bad curve_step {step!r}")
-    return _curve_from_config(curve_cfg, u_range, step)
-
-
-def generating_curve_of_config(cfg: dict) -> H2Curve | None:
-    """The generating curve a cylinder config describes (None for other kinds)."""
-    if isinstance(cfg, dict) and cfg.get("kind") == "cylinder":
-        dom = _domain_from_config(_domain_section(cfg), *_CYLINDER_RANGES)
-        return _cylinder_curve_from_config(cfg, dom.u_range)
-    return None
 
 
 def from_config(cfg: dict) -> Surface:
@@ -745,11 +722,20 @@ def from_config(cfg: dict) -> Surface:
     if not isinstance(cfg, dict):
         raise ConfigError("surface config must be an object")
     kind = cfg.get("kind")
-    domain = _domain_section(cfg)
+    domain = cfg.get("domain") or {}
+    if not isinstance(domain, dict):
+        raise ConfigError("'domain' must be an object")
     if kind == "cylinder":
-        dom = _domain_from_config(domain, *_CYLINDER_RANGES)
-        alpha = _cylinder_curve_from_config(cfg, dom.u_range)
-        return make_cylinder(alpha, dom.v_range, label=cfg.get("label", "cylinder"))
+        dom = _domain_from_config(domain, (-1.5, 1.5),
+                                  (-DEFAULT_CYLINDER_HEIGHT, DEFAULT_CYLINDER_HEIGHT))
+        curve_cfg = cfg.get("curve")
+        if not isinstance(curve_cfg, dict):
+            raise ConfigError("cylinder needs a 'curve' object")
+        step = config_number(cfg.get("curve_step", DEFAULT_CURVE_STEP), "curve_step")
+        if not 0.0 < step <= 0.1:
+            raise ConfigError(f"bad curve_step {step!r}")
+        return make_cylinder(_curve_from_config(curve_cfg, dom.u_range, step), dom.v_range,
+                             label=cfg.get("label", "cylinder"))
     if kind == "slice":
         return make_slice(config_number(cfg.get("t0", 0.0), "t0"),
                           config_number(cfg.get("radius"), "radius"),
@@ -789,6 +775,13 @@ def from_config(cfg: dict) -> Surface:
                                  config_number(width, "bump.width"))
         return perturb(base, eps, bump, label=cfg.get("label", f"perturbed({base.label})"))
     raise ConfigError(f"unknown surface kind {kind!r}")
+
+
+def generating_curve_of_config(cfg: dict) -> H2Curve | None:
+    """``from_config(cfg).curve``: the generating curve of a cylinder
+    config, None for other kinds.  Kept only for the benchmark's compare
+    workload (``benchmarks/workloads.py``), which reads it by this name."""
+    return from_config(cfg).curve
 
 
 # -- preset corpus ---------------------------------------------------------------------

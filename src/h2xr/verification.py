@@ -15,12 +15,14 @@ self-auditing.  Check identifiers:
                    the closed-form geodesic, plus step-halving behaviour);
 * ``LEMMA2``     - 1/H is affine along traces and the frame ODE residuals
                    vanish;
-* ``PROP3``      - no trace from a parabolic seed reaches the planar set;
+* ``PROP3``      - no trace from a parabolic seed reaches the planar set
+                   (NaN, a failure, when there is no seed to trace from);
 * ``GEO_LEMMA``  - product geodesics project to hyperbolic geodesics with
                    affine height;
 * ``THEOREM1``   - the classifier labels the whole corpus correctly and
                    recovers generating curves faithfully (the Hausdorff
-                   distance to the true curve, and next to it the one-sided
+                   distance to the true curve, ``Surface.curve`` of the
+                   cylinder as built, and next to it the one-sided
                    recovered -> true distance, which the end trim of
                    recovery does not enter);
 * ``DIVERGENCE`` - distinct hyperbolic geodesics move apart beyond any bound.
@@ -57,8 +59,7 @@ from .numerics import affine_fit
 from .product import (H2Geodesic, ProdGeodesic, prod_geodesic_residual,
                       verify_geodesic_divergence)
 from .surfaces import (CORPUS_CONFIGS, CYLINDER_PRESETS, Surface, from_config,
-                       finite_difference_surface, generating_curve_of_config,
-                       preset)
+                       finite_difference_surface, preset)
 
 DEVIATION_FLOOR = 1e-6  # metric roundoff floor for exact vertical traces
 SEED_GRID = 21          # cells per axis of the scan parabolic seeds are drawn from
@@ -230,8 +231,10 @@ def check_prop3() -> CheckResult:
         tr = trace_asymptotic(s, u, v, 5.0, 1e-3, with_connection=False)
         if tr.stop_reason == PLANAR_HIT:
             hits += 1
+    # no trace is no evidence: NaN fails the check
     return CheckResult("PROP3", [
-        SubCheck(f"planar hits among {len(seeds)} traces", float(hits), 1.0, "<"),
+        SubCheck(f"planar hits among {len(seeds)} traces",
+                 float(hits) if seeds else math.nan, 1.0, "<"),
     ])
 
 
@@ -309,10 +312,8 @@ def check_theorem1(corpus: list[dict] | None = None,
     inconsistent = 0
     for entry in entries:
         label = entry.get("label", "surface")
-        scfg = entry["surface"]
-        surface = from_config(scfg)
-        if entry.get("fd"):
-            surface = finite_difference_surface(surface)
+        built = from_config(entry["surface"])
+        surface = finite_difference_surface(built) if entry.get("fd") else built
         expect = entry["expect"]
         verdict = classify_surface(surface, config)
         if verdict.verdict == INCONSISTENT:
@@ -324,9 +325,8 @@ def check_theorem1(corpus: list[dict] | None = None,
                 subs.append(SubCheck(f"{label} ruling verticality",
                                      verdict.ruling_verticality,
                                      config.verticality_tol, "<"))
-            true_curve = generating_curve_of_config(scfg)
-            if true_curve is not None and verdict.generating_curve is not None:
-                to_true, from_true = curve_distances(verdict.generating_curve, true_curve)
+            if built.curve is not None and verdict.generating_curve is not None:
+                to_true, from_true = curve_distances(verdict.generating_curve, built.curve)
                 subs.append(SubCheck(f"{label} recovered-curve Hausdorff",
                                      max(to_true, from_true), 1e-5, "<"))
                 subs.append(SubCheck(f"{label} recovered -> true distance",

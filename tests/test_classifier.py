@@ -16,8 +16,7 @@ from h2xr.errors import EmptyIntersection, NotParabolic
 from h2xr.hyperbolic import ORIGIN_T, curvature_profile, curve_hausdorff, h2_dist
 from h2xr.product import ProdGeodesic
 from h2xr.surfaces import (CORPUS_CONFIGS, CYLINDER_PRESETS, ChartDomain,
-                           finite_difference_surface, from_config,
-                           generating_curve_of_config, perturb, preset)
+                           finite_difference_surface, from_config, perturb, preset)
 from h2xr.verification import parabolic_seeds
 
 from conftest import (COTH1, bent_chart, faulty_at_cell_centres, h2_covariant_deriv, lifted,
@@ -194,11 +193,11 @@ class TestTheorem1Properties:
         """A flat vertical surface is a cylinder, and the classifier finds
         its generating curve; a vertical translation changes neither."""
         cfg = _spline_cylinder_config(knots_k)
-        S, true_curve = from_config(cfg), generating_curve_of_config(cfg)
+        S = from_config(cfg)
         for D in (S, lifted(S, c)):
             v = classify_surface(D, SMALL)
             assert v.verdict == CYLINDER, (D.label, knots_k, v.evidence.notes)
-            assert curve_hausdorff(v.generating_curve, true_curve) < 1e-5, (D.label, knots_k)
+            assert curve_hausdorff(v.generating_curve, S.curve) < 1e-5, (D.label, knots_k)
 
     @settings(max_examples=2, deadline=None)
     @given(knots_k=KNOT_CURVATURES)
@@ -212,7 +211,7 @@ class TestTheorem1Properties:
         for D in (finite_difference_surface(S), bent_chart(S)):
             v = classify_surface(D, SMALL)
             assert v.verdict == CYLINDER, (D.label, knots_k, v.evidence.notes)
-            true_curve = generating_curve_of_config(dict(cfg, domain={"u": D.domain.u_range}))
+            true_curve = from_config(dict(cfg, domain={"u": D.domain.u_range})).curve
             assert curve_hausdorff(v.generating_curve, true_curve) < 1e-5, (D.label, knots_k)
 
     @settings(max_examples=4, deadline=None)
@@ -265,10 +264,10 @@ class TestTheorem1Properties:
     def _check_recovered(curve):
         cfg = {"kind": "cylinder", "label": "random", "curve": curve,
                "domain": {"u": [-1.5, 1.5]}}
-        v = classify_surface(from_config(cfg), SMALL)
+        S = from_config(cfg)
+        v = classify_surface(S, SMALL)
         assert v.verdict == CYLINDER, (curve, v.evidence.notes)
-        true_curve = generating_curve_of_config(cfg)
-        assert curve_hausdorff(v.generating_curve, true_curve) < 1e-5, curve
+        assert curve_hausdorff(v.generating_curve, S.curve) < 1e-5, curve
         return v
 
     @settings(max_examples=5, deadline=None)

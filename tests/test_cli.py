@@ -252,6 +252,14 @@ def _grid(nu):
     return {"surface": SLICE_CFG["surface"], "grid": {"nu": nu, "nv": 3}}
 
 
+def _perturbed(depth: int) -> dict:
+    """A slice perturbed ``depth`` times: a chart of cost 9 ** depth."""
+    cfg = SLICE_CFG["surface"]
+    for _ in range(depth):
+        cfg = {"kind": "perturbed", "eps": 0.01, "base": cfg}
+    return cfg
+
+
 def _deep_cfg(tmp_path, depth=1500):
     """A config whose surface is ``depth`` perturbations of a slice: nested
     too deeply for the JSON reader (and for json.dumps, so written as text)."""
@@ -302,6 +310,8 @@ class TestRejectedInputs:
         ({}, ["geodesic", "--point", "1e200,0,0"]),
         ({}, ["geodesic", "--velocity", "1e200,0,0"]),
         ({}, ["geodesic", "--point", "1e150,0,0", "--velocity", "1e10,0,1"]),
+        # 3,136 cells, 254,016 at cost 81
+        ({"surface": _perturbed(2), "grid": {"nu": 56, "nv": 56}}, ["curvature"]),
         (None, ["curvature"]),
     ], ids=["nu_str", "nu_nan", "nu_inf", "nu_fraction", "nu_bool", "nu_null", "nu_1e9",
             "radius_bool", "t0_str", "seed_negative", "expect_not_a_verdict", "fd_not_bool",
@@ -311,7 +321,7 @@ class TestRejectedInputs:
             "curve_steps", "u_beyond_floats", "trace_u0_nan", "trace_v0_inf",
             "geodesic_point_nan", "geodesic_point_inf", "geodesic_velocity_inf",
             "geodesic_velocity_nan", "geodesic_point_overflows", "geodesic_velocity_overflows",
-            "geodesic_projection_overflows", "config_too_deep"])
+            "geodesic_projection_overflows", "grid_cells_times_cost", "config_too_deep"])
     def test_exits_2(self, tmp_path, capsys, cfg, argv):
         path = write_cfg(tmp_path, cfg) if cfg is not None else _deep_cfg(tmp_path)
         assert main(["--config", path, "--out", str(tmp_path / "out")] + argv) == 2
@@ -351,14 +361,6 @@ class TestRejectedInputs:
         assert main(["--config", cfg, "--out", str(tmp_path), "curvature"]) == 0
         summary = read_json(tmp_path / "curvature_summary.json")
         assert summary["grid"] == [4, 3]
-
-
-def _perturbed(depth: int) -> dict:
-    """A slice perturbed ``depth`` times: a chart of cost 9 ** depth."""
-    cfg = SLICE_CFG["surface"]
-    for _ in range(depth):
-        cfg = {"kind": "perturbed", "eps": 0.01, "base": cfg}
-    return cfg
 
 
 class TestChartCost:
@@ -532,6 +534,8 @@ class TestVerifyPaperCommand:
         assert details["fd_floor verdict == CYLINDER"]["passed"]
         assert details["fd_floor ruling verticality"]["passed"]
         assert details["fd_floor ruling verticality"]["threshold"] == 1e-12
+        # the curve is read off the cylinder before its finite-difference wrapping
+        assert details["fd_floor recovered-curve Hausdorff"]["passed"]
         for other in ("PROP1", "PROP2", "LEMMA2", "PROP3", "GEO_LEMMA",
                       "FOLIATION", "DIVERGENCE"):
             assert by_id[other]["status"] == "PASS"

@@ -222,6 +222,27 @@ class TestCurvatureGrid:
         with pytest.raises(ConfigError):
             curvature_grid(slice_surface, 1, 5)
 
+    @pytest.mark.parametrize("depth", [0, 1, 2], ids=["cost_1", "cost_9", "cost_81"])
+    def test_cells_are_weighed_by_chart_cost(self, slice_surface, monkeypatch, depth):
+        """MAX_GRID_CELLS bounds cells times S.cost: a grid at the limit
+        runs, one row more is refused before any chart call."""
+        calls = []
+
+        def chart(u, v):
+            calls.append((u, v))
+            return slice_surface.chart(u, v)
+
+        S = dataclasses.replace(slice_surface, chart=chart)
+        for _ in range(depth):
+            S = perturb(S, 0.01)
+        assert S.cost == 9 ** depth
+        monkeypatch.setattr(curvature, "MAX_GRID_CELLS", 6 * S.cost)
+        with pytest.raises(ConfigError, match="MAX_GRID_CELLS"):
+            curvature_grid(S, 3, 3, brioschi=False)
+        assert calls == []
+        grid = curvature_grid(S, 2, 3, brioschi=False)
+        assert len(grid.valid_rows()) == 6 and len(calls) == 6 * S.cost
+
     def test_brioschi_opt_out_changes_only_its_column(self, perturbed_cylinder):
         full = curvature_grid(perturbed_cylinder, 8, 8)
         lean = curvature_grid(perturbed_cylinder, 8, 8, brioschi=False)

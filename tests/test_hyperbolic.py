@@ -16,8 +16,7 @@ from h2xr.hyperbolic import (ORIGIN_T, H2Curve, _dists_raw, _exp_raw, check_poin
                              linear_curvature, points_to_curve_dist, spline_curvature)
 from h2xr.minkowski import (_mdot, _normalize_point, _normalize_points,
                             _normalize_spacelike, _normalize_spacelikes, _project_tangent)
-from h2xr.surfaces import (CORPUS_CONFIGS, CYLINDER_PRESETS, from_config,
-                           generating_curve_of_config)
+from h2xr.surfaces import CORPUS_CONFIGS, CYLINDER_PRESETS, from_config
 
 from conftest import (COTH1, h2_covariant_deriv, h2_points, h2_unit_tangents,
                       measure_geodesic_curvature, reference_points_to_curve_dist,
@@ -371,7 +370,7 @@ class TestDenseBatch:
         samples and the generating curve at curve_step 0.02."""
         cfg = CORPUS_CONFIGS[name]
         a = recover_generating_curve(from_config(cfg), t0, 201)
-        b = generating_curve_of_config(dict(cfg, curve_step=0.02))
+        b = from_config(dict(cfg, curve_step=0.02)).curve
         for x, y in ((a, b), (b, a)):
             assert np.array_equal(points_to_curve_dist(x.points, y),
                                   reference_points_to_curve_dist(x.points, y))

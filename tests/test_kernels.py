@@ -24,7 +24,7 @@ from h2xr.hyperbolic import (_frenet_rk4_step, _rk4_positions, constant_curvatur
 from h2xr.minkowski import _project_tangent
 from h2xr.product import AmbientVec
 from h2xr.surfaces import (CORPUS_CONFIGS, CYLINDER_PRESETS, SurfaceJet, check_jet,
-                           generating_curve_of_config, preset, rescale_chart, unit_normal)
+                           from_config, preset, rescale_chart, unit_normal)
 from test_bulk import SURFACES
 
 FIELDS = ("X", "Xu", "Xv", "Xuu", "Xuv", "Xvv")
@@ -148,7 +148,7 @@ class TestCurveBuild:
         keep the bits of the old expression (kg_fn called there), with two
         curvature calls per array evaluation and three per frame_at (the
         third is kg_at)."""
-        base = generating_curve_of_config(CORPUS_CONFIGS[name])
+        base = from_config(CORPUS_CONFIGS[name]).curve
         assert base.interpolation == "rk4"
         assert base.kg.tobytes() == np.broadcast_to(base.kg_fn(base.s), base.s.shape).tobytes()
         calls = []

@@ -13,15 +13,15 @@ from h2xr.curvature import (curvature_grid, fundamental_forms, grid_points,
                             shape_at)
 from h2xr.errors import (ConfigError, GeometryError, NonUnitCurve, NotImmersed,
                          NumericalError, OutOfDomain)
-from h2xr.hyperbolic import curve_from_curvature
+from h2xr.hyperbolic import (H2Curve, constant_curvature, curve_from_curvature,
+                             linear_curvature, spline_curvature)
 from h2xr.minkowski import _mdot
 from h2xr.product import AmbientVec
-from h2xr.surfaces import (CORPUS_CONFIGS, CYLINDER_PRESETS, ChartDomain, Surface,
-                           SurfaceJet, bilinear_height, check_jet,
+from h2xr.surfaces import (COTH1, CORPUS_CONFIGS, CYLINDER_PRESETS, ChartDomain,
+                           Surface, SurfaceJet, bilinear_height, check_jet,
                            finite_difference_surface, from_config, gaussian_bump,
-                           generating_curve_of_config, linear_height, make_cylinder,
-                           make_graph, make_slice, perturb, preset, rescale_chart,
-                           zero_height)
+                           linear_height, make_cylinder, make_graph, make_slice, perturb,
+                           preset, rescale_chart, zero_height)
 
 # A valid jet at the origin of the hyperboloid, height 0: horizontal u-line,
 # vertical v-line.  The check tests below spoil one entry at a time.
@@ -120,8 +120,8 @@ class TestCylinderChartReuse:
     def test_full_frame_memo_builds_every_jet(self, name):
         """Past the frame memo's limit every ``frame_at`` call returns a new
         frame, with the same numbers."""
-        alpha = generating_curve_of_config(CORPUS_CONFIGS[name])
-        S = make_cylinder(alpha)
+        S = from_config(CORPUS_CONFIGS[name])
+        alpha = S.curve
         u = 0.5 * (alpha.s_min + alpha.s_max)
         for k in range(65536 - len(alpha._frame_cache)):
             alpha._frame_cache[float(10 + k)] = None
@@ -129,8 +129,63 @@ class TestCylinderChartReuse:
         S.chart(u, 0.5)
         two = S.chart(u, -1.25)
         assert u not in alpha._frame_cache
-        fresh = make_cylinder(generating_curve_of_config(CORPUS_CONFIGS[name])).chart(u, -1.25)
+        fresh = from_config(CORPUS_CONFIGS[name]).chart(u, -1.25)
         assert _numbers(two) == _numbers(fresh)
+
+
+class TestCarriedCurve:
+    """A cylinder carries the generating curve its chart evaluates; no
+    other surface carries one."""
+
+    @pytest.mark.parametrize("name", CYLINDER_PRESETS)
+    def test_chart_evaluates_the_carried_curve(self, name):
+        S = from_config(CORPUS_CONFIGS[name])
+        c = S.curve
+        s = c.s[::97]
+        for u in s.tolist():
+            jet = S.chart(u, 0.7)
+            assert u in c._frame_cache  # the chart filled this curve's memo
+            a, t, n, kg = c.frame_at(u)
+            assert (jet.X.htup, jet.Xu.htup) == (a, t)
+            assert jet.Xuu.htup == (kg * n[0] + a[0], kg * n[1] + a[1], kg * n[2] + a[2])
+        block = S.jets(s, np.full(s.shape, 0.7))
+        pts, tans, _ = c.frames_at(s)
+        assert not block.bad.any()
+        assert all(np.array_equal(x, y) for x, y in zip(block.X.htup, pts))
+        assert all(np.array_equal(x, y) for x, y in zip(block.Xu.htup, tans))
+
+    @pytest.mark.parametrize("name, kg, u_range", [
+        ("cylinder_circle", constant_curvature(COTH1), (0.0, 2.0 * math.pi * math.sinh(1.0))),
+        ("cylinder_inflection", linear_curvature(1.0, 0.0), (-1.5, 1.5)),
+        ("cylinder_spline", spline_curvature([0.0, 0.75, 1.5, 2.25, 3.0],
+                                             [0.4, 1.1, -0.7, 0.9, 0.2]), (0.0, 3.0)),
+    ])
+    @pytest.mark.parametrize("step", [None, 0.02])
+    def test_curve_is_a_direct_build(self, name, kg, u_range, step):
+        cfg = CORPUS_CONFIGS[name] if step is None else dict(CORPUS_CONFIGS[name],
+                                                             curve_step=step)
+        carried = from_config(cfg).curve
+        direct = curve_from_curvature(kg, u_range, step or 1e-3)
+        assert carried.interpolation == direct.interpolation == "rk4"
+        for field in ("s", "points", "tangents", "normals", "kg"):
+            assert getattr(carried, field).tobytes() == getattr(direct, field).tobytes()
+
+    def test_curve_without_kg_is_carried_with_interpolated_kg(self, circle_curve):
+        assert make_cylinder(circle_curve).curve is circle_curve
+        bare = H2Curve.from_samples(circle_curve.s, circle_curve.points, circle_curve.tangents)
+        carried = make_cylinder(bare).curve
+        assert bare.kg is None and carried.points is bare.points
+        assert np.max(np.abs(carried.kg - COTH1)) < 1e-6
+
+    @pytest.mark.parametrize("make", [
+        lambda: from_config(CORPUS_CONFIGS["slice"]),
+        lambda: from_config({"kind": "graph", "f": {"kind": "bilinear", "coef": 0.3}}),
+        lambda: from_config(CORPUS_CONFIGS["perturbed_cylinder"]),
+        lambda: finite_difference_surface(preset("cylinder_circle")),
+        lambda: rescale_chart(preset("cylinder_circle"), 2.0, 1.0),
+    ], ids=["slice", "graph", "perturbed", "fd", "rescaled"])
+    def test_other_surfaces_carry_none(self, make):
+        assert make().curve is None
 
 
 class TestSlice:

@@ -1,13 +1,18 @@
-"""The benchmark's per-layer tracer (benchmarks/tracer.py) finds the library
-functions and methods it wraps by name; every one must still resolve, or
-traced benchmark runs break while the rest of the suite stays green."""
+"""The benchmark reaches the library by name: its per-layer tracer
+(benchmarks/tracer.py) finds the functions and methods it wraps, and its
+workloads (benchmarks/workloads.py) read module attributes such as
+``surfaces.generating_curve_of_config``.  Every one must still resolve, or
+benchmark runs break while the rest of the suite stays green."""
 
+import ast
+import importlib
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+sys.path.insert(0, str(BENCHMARKS))
 
 import tracer  # noqa: E402
 from h2xr import flows, product  # noqa: E402
@@ -19,6 +24,30 @@ from h2xr.surfaces import preset  # noqa: E402
                          ids=[t[0] for t in tracer.TARGETS])
 def test_target_resolves(name, owner, attr, hot):
     assert callable(getattr(owner, attr, None)), name
+
+
+WORKLOAD_MODULES = {"surfaces", "curvature", "flows", "classifier", "hyperbolic"}
+
+
+def _workload_reads() -> list[tuple[str, str]]:
+    """Every ``module.name`` read of a library module in workloads.py."""
+    tree = ast.parse((BENCHMARKS / "workloads.py").read_text(encoding="utf-8"))
+    return sorted({(node.value.id, node.attr) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in WORKLOAD_MODULES})
+
+
+WORKLOAD_READS = _workload_reads()
+
+
+def test_workloads_read_the_library():
+    assert ("surfaces", "from_config") in WORKLOAD_READS
+
+
+@pytest.mark.parametrize("module, name", WORKLOAD_READS,
+                         ids=[f"{m}.{n}" for m, n in WORKLOAD_READS])
+def test_workload_read_resolves(module, name):
+    assert hasattr(importlib.import_module(f"h2xr.{module}"), name), f"{module}.{name}"
 
 
 def test_install_wraps_every_target_and_uninstall_restores():

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from h2xr import surfaces, verification
 from h2xr.surfaces import CYLINDER_PRESETS
 from h2xr.verification import CheckResult, SubCheck, report_to_json, report_to_text
 
@@ -78,3 +79,34 @@ def test_theorem1_reports_recovered_to_true_next_to_the_hausdorff(verification_r
         assert one_sided.threshold == hausdorff.threshold == 1e-5
         assert one_sided.measured <= hausdorff.measured and one_sided.passed
     assert check.worst().name == "cylinder_geodesic verdict == CYLINDER"
+
+
+def test_theorem1_compares_with_the_curve_each_cylinder_carries(monkeypatch):
+    """One generating-curve build per cylinder config of the default corpus
+    (five cylinders and the perturbed cylinder's base), and each recovered
+    curve is compared with the very curve its cylinder was built on."""
+    builds, compared = [], []
+
+    def counted_build(*args, inner=surfaces.curve_from_curvature, **kwargs):
+        builds.append(inner(*args, **kwargs))
+        return builds[-1]
+
+    def recorded(recovered, true, inner=verification.curve_distances):
+        compared.append(true)
+        return inner(recovered, true)
+
+    monkeypatch.setattr(surfaces, "curve_from_curvature", counted_build)
+    monkeypatch.setattr(verification, "curve_distances", recorded)
+    assert verification.check_theorem1().passed
+    assert len(builds) == 6
+    assert [id(c) for c in compared] == [id(c) for c in builds[:5]]
+
+
+def test_prop3_without_a_seed_fails(monkeypatch):
+    """No parabolic seed means no trace, which is no evidence: the measured
+    value is NaN and the check fails, where a count of 0 hits would pass."""
+    monkeypatch.setattr(verification, "parabolic_seeds", lambda S, k: [])
+    check = verification.check_prop3()
+    (sub,) = check.subs
+    assert sub.name == "planar hits among 0 traces"
+    assert math.isnan(sub.measured) and not check.passed
