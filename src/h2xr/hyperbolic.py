@@ -35,7 +35,8 @@ operation several times dearer.
 Dense output between samples comes one arclength at a time, memoized, for
 chart jets and traces (``H2Curve.frame_at``); for a whole array of
 arclengths, for bulk chart jets and Hermite ``frame_at`` (``frames_at``:
-the RK4 step and the Hermite formula on triples of coordinate arrays); or
+the RK4 step and the Hermite formula on triples of coordinate arrays; a
+cylinder block hands it one arclength per run of equal u); or
 as positions alone, for the Hausdorff distance (``positions_at``: only the
 stages the RK4 position reads, on stacked (3, M) coordinates, with the bits
 and checks of ``frames_at``).  The rule is Hairer, Norsett and Wanner's

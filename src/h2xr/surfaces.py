@@ -29,7 +29,8 @@ formulas in the same order as the float chart, with cosh, sinh, cos, sin,
 squares and height functions taken elementwise from the scalar functions (a
 height function's array twin, such as the Gaussian bump's, does the same
 without a Python call per point), so every element has the bits of the float
-chart; any other chart (rescaled, wrapped, user-supplied) is called point by
+chart (a cylinder's evaluates each run of equal u once, see
+``make_cylinder``); any other chart (rescaled, wrapped, user-supplied) is called point by
 point.
 """
 
@@ -352,9 +353,13 @@ def make_cylinder(alpha: H2Curve, v_range: tuple[float, float] = (-DEFAULT_CYLIN
     vertical field is a chart direction by construction and Xuv = Xvv = 0
     exactly.  Orientation -1: the normal Xv x Xu is the curve's Frenet
     normal (footprint x tangent), so the nonzero principal curvature is the
-    curve's signed geodesic curvature.  The scalar chart reads the
-    curve's memoized ``frame_at``, so the points of a ruling (one u) share
-    one frame; its jets differ only in X.t.  The surface carries that curve
+    curve's signed geodesic curvature.  Vertical translations are
+    isometries, so the jets of a ruling (one u) differ only in X.t, which
+    :func:`check_jet` reads for finiteness alone.  The scalar chart reads
+    the curve's memoized ``frame_at``; the array evaluator takes each run of
+    consecutive equal arclengths (equal bits) as one point, paying one
+    ``frames_at`` arclength and one jet check per run, and fills in X.t and
+    its finiteness per point.  The surface carries that curve
     as ``curve``: ``alpha`` itself when it has ``kg``, else a copy with
     ``kg`` interpolated from its curvature profile.
     """
@@ -379,7 +384,26 @@ def make_cylinder(alpha: H2Curve, v_range: tuple[float, float] = (-DEFAULT_CYLIN
             raise NumericalError(f"no curvature data at u = {u}")
         return body(a, t, n, kg, v, SurfaceJet)
 
-    chart.jets = lambda us, vs: body(*curve.frames_at(us), curve.kg_at(us), vs, _jet_block)
+    def jets(us, vs):
+        us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
+        if us.shape != vs.shape:
+            us, vs = np.broadcast_arrays(us, vs)
+        # runs of equal bits (so -0.0 and 0.0 stay apart): one jet per run,
+        # at a finite placeholder height, which no check but finiteness reads
+        bits = us.view(np.int64)
+        new = np.empty(len(us), dtype=bool)
+        new[:1] = True
+        np.not_equal(bits[1:], bits[:-1], out=new[1:])
+        if new.all():  # every run one point long: nothing to expand
+            return body(*curve.frames_at(us), curve.kg_at(us), vs, _jet_block)
+        s = us[new]
+        X, *rest, bad = body(*curve.frames_at(s), curve.kg_at(s), 0.0, _jet_block)
+        run = np.cumsum(new) - 1
+        return JetBlock(AmbientVec(tuple(c[run] for c in X.htup), vs),
+                        *(AmbientVec(tuple(c[run] for c in w.htup), w.t[run]) for w in rest),
+                        bad[run] | ~np.isfinite(vs))
+
+    chart.jets = jets
     dom = ChartDomain((curve.s_min, curve.s_max), v_range)
     return Surface(chart, dom, "analytic", label, -1.0, curve=curve)
 

@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from h2xr import flows
-from h2xr.classifier import _ruling_verticality
+from h2xr.classifier import _ruling_verticality, recover_generating_curve
 from h2xr.errors import (DegenerateDirection, GeometryError, InsufficientSamples,
                          NotParabolic, NumericalError, OutOfDomain, PlanarSample)
 from h2xr.flows import (DOMAIN_EDGE, MAX_LENGTH, PLANAR_HIT, STEP_FAILURE,
                         TRACE_CSV_HEADER, TraceRecord, _vec, fit_inverse_H,
                         frame_ode_residuals, geodesic_deviation, trace_asymptotic)
-from h2xr.hyperbolic import ORIGIN_T
+from h2xr.hyperbolic import ORIGIN_T, H2Curve
 from h2xr.product import AmbientVec, _prod_inner
 from h2xr.surfaces import (CYLINDER_PRESETS, Surface, SurfaceJet, finite_difference_surface,
                            from_config, preset)
@@ -88,6 +88,25 @@ class TestTraceAsymptotic:
         assert steps == round(length / step)
         assert len(calls) == len(forms) == 5 and sizes == 2 * blocks
         assert len(calls) + sum(sizes) == 2 * steps + 1
+
+    def test_frames_evaluated_once_per_run_of_equal_arclengths(self, circle_cylinder,
+                                                                monkeypatch):
+        """A cylinder's array evaluator hands each run of equal arclengths
+        to ``frames_at`` once: a straight leg block lies on the seed's
+        ruling (one arclength), a connection block on the two rulings
+        beside it (two).  Recovery blocks have no repeats, so every
+        arclength goes through."""
+        sizes, handed = _block_sizes(monkeypatch), _frames_handed(monkeypatch)
+        trace_asymptotic(circle_cylinder, 1.0, 0.0, 1.0, 1e-3)
+        assert sizes == [998, 998, 2002]
+        assert [s.tolist() for s in handed[:2]] == [[1.0], [1.0]]
+        assert len(handed) == 3 and len(handed[2]) == 2
+        assert (handed[2] < 1.0).tolist() == [False, True]  # the u + h side first
+        sizes.clear()
+        handed.clear()
+        recover_generating_curve(circle_cylinder, 0.5, 201)
+        assert [len(s) for s in handed] == sizes and len(sizes) > 1
+        assert all((np.diff(s) != 0.0).all() for s in handed)
 
     @pytest.mark.parametrize("scale", [1e300, 1.5e308], ids=["overflow", "nan"])
     def test_non_finite_shape_data_ends_the_leg(self, circle_cylinder, scale):
@@ -171,6 +190,18 @@ def _block_sizes(monkeypatch):
 
     monkeypatch.setattr(Surface, "jets", counted)
     return sizes
+
+
+def _frames_handed(monkeypatch):
+    """The arclengths of every H2Curve.frames_at call from here on, into a list."""
+    handed = []
+
+    def counted(curve, s, inner=H2Curve.frames_at):
+        handed.append(np.array(s, dtype=float))
+        return inner(curve, s)
+
+    monkeypatch.setattr(H2Curve, "frames_at", counted)
+    return handed
 
 
 def _counting(monkeypatch, name):

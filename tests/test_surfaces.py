@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from h2xr import surfaces
 from h2xr.curvature import (curvature_grid, fundamental_forms, grid_points,
                             shape_at)
 from h2xr.errors import (ConfigError, GeometryError, NonUnitCurve, NotImmersed,
@@ -186,6 +187,99 @@ class TestCarriedCurve:
     ], ids=["slice", "graph", "perturbed", "fd", "rescaled"])
     def test_other_surfaces_carry_none(self, make):
         assert make().curve is None
+
+
+_SPLINE = preset("cylinder_spline").curve
+# an rk4 chart, a Hermite chart through the spline's samples and a
+# finite-difference twin, whose stencil puts runs of equal arclengths side
+# by side with single ones
+RUN_SURFACES = {"rk4": preset("cylinder_circle"),
+                "hermite": make_cylinder(H2Curve.from_samples(_SPLINE.s, _SPLINE.points,
+                                                              _SPLINE.tangents)),
+                "fd": finite_difference_surface(preset("cylinder_circle"))}
+# heights the scalar jet refuses: not finite, or above the v range (-3, 3)
+BAD_HEIGHTS = (math.nan, math.inf, -math.inf, 4.0)
+
+
+def _each_jet(jet_at, us, vs):
+    """``jet_at`` point by point: the jet's numbers as repr strings, or None
+    where it raises."""
+    out = []
+    for u, v in zip(us.tolist(), vs.tolist()):
+        try:
+            out.append(_numbers(jet_at(u, v)))
+        except (GeometryError, ArithmeticError):
+            out.append(None)
+    return out
+
+
+def _block_numbers(block, k):
+    return [repr(c[k].item()) for w in block[:6] for c in (*w.htup, w.t)]
+
+
+class TestRunsOfEqualArclengths:
+    """A cylinder's array evaluator evaluates a run of equal arclengths
+    once; each point keeps the bits and the ``bad`` flag of its scalar jet."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(RUN_SURFACES)), data=st.data())
+    def test_block_equals_scalar_jets(self, name, data):
+        S = RUN_SURFACES[name]
+        s = S.curve.s if S.curve is not None else RUN_SURFACES["rk4"].curve.s
+        (u0, u1), (v0, v1) = S.domain.u_range, S.domain.v_range
+        us, vs = [], []
+        for kind, length in data.draw(st.lists(st.tuples(
+                st.sampled_from(["sample", "mid", "zero", "-zero", "any"]),
+                st.integers(1, 6)), min_size=1, max_size=6)):
+            k = data.draw(st.integers(0, len(s) - 2))
+            u = {"sample": s[k], "mid": 0.5 * (s[k] + s[k + 1]), "zero": 0.0,
+                 "-zero": -0.0, "any": data.draw(st.floats(u0, u1))}[kind]
+            heights = data.draw(st.lists(st.floats(v0, v1), min_size=length,
+                                         max_size=length))
+            if length > 1 and data.draw(st.booleans()):
+                heights[data.draw(st.integers(0, length - 1))] = data.draw(
+                    st.sampled_from(BAD_HEIGHTS))
+            us += [float(u)] * length
+            vs += heights
+        us, vs = np.array(us), np.array(vs)
+        for block, scalar in ((S.jets(us, vs), _each_jet(S.jet, us, vs)),
+                              (surfaces._chart_jets(S.chart, us, vs),
+                               _each_jet(lambda u, v: check_jet(S.chart(u, v)), us, vs))):
+            assert block.bad.tolist() == [x is None for x in scalar]
+            for k, x in enumerate(scalar):
+                assert x is None or _block_numbers(block, k) == x, (us[k], vs[k])
+
+    @pytest.mark.parametrize("name", ["rk4", "hermite"])
+    @pytest.mark.parametrize("v", BAD_HEIGHTS[:3], ids=["nan", "inf", "-inf"])
+    def test_a_bad_height_flags_its_point_not_its_run(self, name, v):
+        """The chart's own evaluator (no domain check): a non-finite height
+        spoils X.t of its point alone, and the run's jets differ in X.t only."""
+        S = RUN_SURFACES[name]
+        us = np.array([1.0] * 5 + [-0.0, 0.0])
+        vs = np.array([0.5, -0.5, v, 1.0, 0.5, 0.5, 0.5])
+        block = surfaces._chart_jets(S.chart, us, vs)
+        assert block.bad.tolist() == [False, False, True, False, False, False, False]
+        assert block.X.t.tobytes() == vs.tobytes()
+        ruling = {tuple(_block_numbers(block, k)[4:]) for k in range(5)}
+        assert len(ruling) == 1
+
+    def test_signed_zeros_are_separate_runs(self):
+        """On a curve whose curvature has the sign of s, the rulings at 0.0
+        and -0.0 have different Xuu; each point of a block keeps its own."""
+        S = make_cylinder(curve_from_curvature(lambda s: np.copysign(1.0, s), (-1.0, 1.0), 0.25))
+        us = np.array([0.0, -0.0, -0.0, 0.0, 0.0, 0.5])
+        vs = np.linspace(-1.0, 1.0, 6)
+        block = S.jets(us, vs)
+        alone = [_block_numbers(S.jets(us[k:k + 1], vs[k:k + 1]), 0) for k in range(6)]
+        assert alone[0][12:16] != alone[1][12:16]  # Xuu
+        assert [_block_numbers(block, k) for k in range(6)] == alone
+
+    def test_one_arclength_broadcasts_to_every_height(self):
+        S = RUN_SURFACES["rk4"]
+        vs = np.array([0.5, -0.5, math.inf])
+        one, each = S.jets([1.0], vs), S.jets(np.full(3, 1.0), vs)
+        assert one.bad.tolist() == each.bad.tolist() == [False, False, True]
+        assert all(_block_numbers(one, k) == _block_numbers(each, k) for k in range(3))
 
 
 class TestSlice:
