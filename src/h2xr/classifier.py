@@ -224,6 +224,15 @@ def _farthest_point_seeds(cells: list[tuple[float, float]], k: int,
     return [tuple(pts[i].tolist()) for i in chosen]
 
 
+def ruling_seeds(grid: CurvatureGrid, k: int, min_gap: float,
+                 centre: tuple[float, float]) -> list[tuple[float, float]]:
+    """Up to ``k`` seeds for ruling traces: the PARABOLIC cells of ``grid``
+    with |k2| - |k1| >= ``min_gap``, farthest-point thinned from ``centre``."""
+    cells = [(r.u, r.v) for r in grid.rows
+             if r.cls == PARABOLIC and abs(r.k2) - abs(r.k1) >= min_gap]
+    return _farthest_point_seeds(cells, k, centre)
+
+
 def _slice_frenet(jets):
     """Footprints, unit tangents, normals, geodesic curvatures and speeds of
     the slice curve through chart jets (floats, or the arrays of a JetBlock,
@@ -447,15 +456,12 @@ def classify_surface(S: Surface, config: ClassifierConfig = ClassifierConfig()) 
         return verdict(NOT_FLAT)
 
     pmap = planar_set_map(S, rep.grid)
-    parabolic = [r for r in rep.grid.rows if r.cls == PARABOLIC]
     # only seeds the tracer accepts: principal curvatures 10 planar_tol apart
-    parabolic_cells = [(r.u, r.v) for r in parabolic
-                       if abs(r.k2) - abs(r.k1) >= 10.0 * config.planar_tol]
+    seeds = ruling_seeds(rep.grid, RULING_SEEDS, 10.0 * config.planar_tol, S.domain.center)
 
     rulings: list[Ruling] = []
     verticality = None
-    if parabolic_cells:
-        seeds = _farthest_point_seeds(parabolic_cells, RULING_SEEDS, S.domain.center)
+    if seeds:
         for (u, v) in seeds:
             try:
                 rulings.extend(extract_rulings(S, [(u, v)], config.trace_length,
@@ -479,7 +485,7 @@ def classify_surface(S: Surface, config: ClassifierConfig = ClassifierConfig()) 
     except GeometryError as exc:
         notes.append(f"recovery failed: {exc.code}")
         return verdict(INCONSISTENT, pmap, rulings, verticality)
-    if not parabolic_cells:
+    if not seeds:
         # planar, or too weakly curved to trace: the curve must be a geodesic;
         # each sample's geodesic curvature from the chart jets is
         # chart-independent, where a curvature profile needs samples uniform
@@ -489,7 +495,8 @@ def classify_surface(S: Surface, config: ClassifierConfig = ClassifierConfig()) 
             notes.append(f"planar chart but recovered curvature reaches {max_kg}")
             return verdict(INCONSISTENT, pmap)
         notes.append("chart too weakly curved to trace: no parabolic cell separates its "
-                     "principal curvatures by 10 planar_tol" if parabolic else
+                     "principal curvatures by 10 planar_tol"
+                     if any(r.cls == PARABOLIC for r in rep.grid.rows) else
                      "totally geodesic chart; rulings degenerate to the vertical field")
         verticality = 0.0
     return verdict(CYLINDER, pmap, rulings, verticality, curve)

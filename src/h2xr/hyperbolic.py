@@ -241,9 +241,10 @@ class H2Curve:
     def frame_at(self, s: float) -> tuple[Triple, Triple, Triple, float]:
         """Position, tangent, Frenet normal and curvature at arclength s.
 
-        Memoized per parameter value; dense consumers (chart jets, tracers)
-        hit the same arclength many times.  On ``hermite`` curves this is
-        :meth:`frames_at` at a one-element array.
+        Memoized per parameter value but zero (-0.0 and 0.0 would share an
+        entry, which a curvature function may tell apart); dense consumers
+        (chart jets, tracers) hit the same arclength many times.  On
+        ``hermite`` curves this is :meth:`frames_at` at a one-element array.
         """
         hit = self._frame_cache.get(s)
         if hit is not None:
@@ -261,7 +262,7 @@ class H2Curve:
         else:
             a, t, n = (tuple(c.item() for c in x) for x in self.frames_at(np.array([s])))
         out = (a, t, n, float(self.kg_at(s)))
-        if len(self._frame_cache) < 65536:
+        if s != 0.0 and len(self._frame_cache) < 65536:
             self._frame_cache[s] = out
         return out
 

@@ -16,22 +16,23 @@ built.  Presets:
 A jet is six plain ambient vectors (coordinate triple plus height), the
 first of them the point, in the plain tuple ``SurfaceJet``.  ``check_jet``
 checks it once, where a chart's output enters the library (``Surface.jet``,
-the point-by-point fallback of bulk evaluation, and a derived chart's call
-of its base's chart): finite coordinates and heights, a footprint on the
-upper sheet, first derivatives tangent to it, and a Gram determinant that
-makes the chart an immersion.
+which the point-by-point fallback of bulk evaluation calls, and a derived
+chart's call of its base's chart for one jet): finite coordinates and
+heights, a footprint on the upper sheet, first derivatives tangent to it,
+and a Gram determinant that makes the chart an immersion.
 
-Bulk evaluation: ``Surface.jets`` evaluates many chart points at once into a
-``JetBlock`` (struct of arrays) whose ``bad`` mask marks every point where
-the scalar path would raise.  The charts built here carry an array evaluator
-as the ``jets`` attribute of the chart function, written from the same
-formulas in the same order as the float chart, with cosh, sinh, cos, sin,
-squares and height functions taken elementwise from the scalar functions (a
-height function's array twin, such as the Gaussian bump's, does the same
-without a Python call per point), so every element has the bits of the float
-chart (a cylinder's evaluates each run of equal u once, see
-``make_cylinder``); any other chart (rescaled, wrapped, user-supplied) is called point by
-point.
+Bulk evaluation: ``Surface.jets``, the one caller of a chart's array
+evaluator (a derived surface's blocks of base jets included), evaluates many
+chart points at once into a ``JetBlock`` (struct of arrays) whose ``bad``
+mask marks every point where the scalar path would raise.  The charts built
+here carry an array evaluator as the ``jets`` attribute of the chart
+function, written from the same formulas in the same order as the float
+chart, with cosh, sinh, cos, sin, squares and height functions taken
+elementwise from the scalar functions (a height function's array twin, such
+as the Gaussian bump's, does the same without a Python call per point), so
+every element has the bits of the float chart (a cylinder's evaluates each
+run of equal u once, see ``make_cylinder``); any other chart (rescaled,
+wrapped, user-supplied) is called point by point.
 """
 
 from __future__ import annotations
@@ -77,9 +78,10 @@ class ChartDomain:
             if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
                 raise ConfigError(f"bad chart range [{lo}, {hi}]")
 
-    def contains(self, u: float, v: float) -> bool:
-        return (self.u_range[0] - DOMAIN_SLACK <= u <= self.u_range[1] + DOMAIN_SLACK
-                and self.v_range[0] - DOMAIN_SLACK <= v <= self.v_range[1] + DOMAIN_SLACK)
+    def contains(self, u, v):
+        """In the domain, to DOMAIN_SLACK: a bool for floats, a mask for arrays."""
+        return ((self.u_range[0] - DOMAIN_SLACK <= u) & (u <= self.u_range[1] + DOMAIN_SLACK)
+                & (self.v_range[0] - DOMAIN_SLACK <= v) & (v <= self.v_range[1] + DOMAIN_SLACK))
 
     @property
     def center(self) -> tuple[float, float]:
@@ -182,20 +184,6 @@ def _stack_jets(jet_at, us: np.ndarray, vs: np.ndarray) -> JetBlock:
                       for k in range(0, 24, 4)), bad)
 
 
-def _chart_jets(chart, us: np.ndarray, vs: np.ndarray) -> JetBlock:
-    """Block of jets of a chart function: through its array evaluator when it
-    has one, else (or when the evaluator fails for the whole array, say on
-    an overflow) point by point."""
-    bulk = getattr(chart, "jets", None)
-    if bulk is not None:
-        try:
-            with np.errstate(all="ignore"):
-                return bulk(us, vs)
-        except (GeometryError, ArithmeticError, ValueError):
-            pass
-    return _stack_jets(lambda u, v: check_jet(chart(u, v)), us, vs)
-
-
 @dataclass(frozen=True)
 class Surface:
     """Chart evaluator plus its domain, bookkeeping and orientation.
@@ -238,23 +226,30 @@ class Surface:
             raise NumericalError(f"overflow evaluating {self.label} at ({u}, {v})") from exc
 
     def jets(self, us, vs) -> JetBlock:
-        """Jets at arrays of chart points, as one block.
+        """Jets at arrays of chart points (or one of them a float), as one
+        block: the one caller of a chart's array evaluator.
 
         ``bad`` marks every point where :meth:`jet` would raise (outside the
         domain, a failed jet check, a curve or stencil that does not reach)
         or where a value is not finite; one bad point never makes the whole
-        call raise.  A chart without an array evaluator is evaluated point
-        by point through :meth:`jet`.
+        call raise.  A chart without an array evaluator, or one that fails
+        for the whole array, is evaluated point by point through :meth:`jet`.
         """
         us = np.asarray(us, dtype=float)
         vs = np.asarray(vs, dtype=float)
-        if getattr(self.chart, "jets", None) is None:
-            return _stack_jets(self.jet, us, vs)
-        (u0, u1), (v0, v1) = self.domain.u_range, self.domain.v_range
-        inside = ((u0 - DOMAIN_SLACK <= us) & (us <= u1 + DOMAIN_SLACK)
-                  & (v0 - DOMAIN_SLACK <= vs) & (vs <= v1 + DOMAIN_SLACK))
-        block = _chart_jets(self.chart, us, vs)
-        return block._replace(bad=block.bad | ~inside)
+        if us.shape != vs.shape:
+            us, vs = np.broadcast_arrays(us, vs)
+        block = None
+        bulk = getattr(self.chart, "jets", None)
+        if bulk is not None:
+            try:
+                with np.errstate(all="ignore"):
+                    block = bulk(us, vs)
+            except (GeometryError, ArithmeticError, ValueError):
+                pass
+        if block is None:
+            block = _stack_jets(self.jet, us, vs)
+        return block._replace(bad=block.bad | ~self.domain.contains(us, vs))
 
 
 def unit_normal(jet: SurfaceJet, orientation: float) -> AmbientVec:
@@ -385,9 +380,6 @@ def make_cylinder(alpha: H2Curve, v_range: tuple[float, float] = (-DEFAULT_CYLIN
         return body(a, t, n, kg, v, SurfaceJet)
 
     def jets(us, vs):
-        us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
-        if us.shape != vs.shape:
-            us, vs = np.broadcast_arrays(us, vs)
         # runs of equal bits (so -0.0 and 0.0 stay apart): one jet per run,
         # at a finite placeholder height, which no check but finiteness reads
         bits = us.view(np.int64)
@@ -607,7 +599,7 @@ def finite_difference_surface(base: Surface) -> Surface:
         return check_jet(base.chart(u, v)).X
 
     def pos_arrays(us: np.ndarray, vs: np.ndarray):
-        jets = _chart_jets(base.chart, us, vs)
+        jets = base.jets(us, vs)
         return jets.X.htup, jets.X.t, jets.bad
 
     return _fd_surface(pos, pos_arrays, base, f"{base.label}(fd)")
@@ -649,7 +641,7 @@ def perturb(base: Surface, eps: float, bump: HeightFunction | None = None,
         return _exp_raw(p, direction, d * a_h), jet.X.t + d * n.t
 
     def pos_arrays(us: np.ndarray, vs: np.ndarray):
-        jets = _chart_jets(base.chart, us, vs)
+        jets = base.jets(us, vs)
         n, bad = unit_normals(jets, base.orientation)
         d = eps * _call_arrays(bump.f, us, vs)
         p = jets.X.htup

@@ -46,10 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import (CYLINDER, ClassifierConfig, INCONSISTENT,
-                         _farthest_point_seeds, classify_surface,
-                         planar_set_map, recover_generating_curve)
-from .curvature import DEFAULT_CLASS_TOL, PARABOLIC, curvature_grid, shape_at
+from .classifier import (CYLINDER, ClassifierConfig, INCONSISTENT, classify_surface,
+                         planar_set_map, recover_generating_curve, ruling_seeds)
+from .curvature import DEFAULT_CLASS_TOL, curvature_grid, shape_at
 from .errors import DivergenceNotReached
 from .flows import (PLANAR_HIT, fit_inverse_H, frame_ode_residuals,
                     geodesic_deviation, trace_asymptotic)
@@ -129,9 +128,7 @@ def parabolic_seeds(S: Surface, k: int) -> list[tuple[float, float]]:
     SEED_GRID scan (forms only, fast) whose principal curvatures separate by
     20 times the class tolerance."""
     grid = curvature_grid(S, SEED_GRID, SEED_GRID, brioschi=False)
-    cells = [(r.u, r.v) for r in grid.rows
-             if r.cls == PARABOLIC and abs(r.k2) - abs(r.k1) >= 20.0 * DEFAULT_CLASS_TOL]
-    return _farthest_point_seeds(cells, k, S.domain.center)
+    return ruling_seeds(grid, k, 20.0 * DEFAULT_CLASS_TOL, S.domain.center)
 
 
 def _grid_maxima(S: Surface, n: int) -> tuple[float, float, float]:
@@ -312,7 +309,7 @@ def check_theorem1(corpus: list[dict] | None = None,
     inconsistent = 0
     for entry in entries:
         label = entry.get("label", "surface")
-        built = from_config(entry["surface"])
+        built = preset(label) if corpus is None else from_config(entry["surface"])
         surface = finite_difference_surface(built) if entry.get("fd") else built
         expect = entry["expect"]
         verdict = classify_surface(surface, config)

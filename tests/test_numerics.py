@@ -1,5 +1,6 @@
 """Golden-section search, one bracket and many in lockstep, and the spline."""
 
+import dataclasses
 import math
 import warnings
 
@@ -11,8 +12,7 @@ from hypothesis import strategies as st
 from h2xr.errors import NumericalError
 from h2xr.numerics import (CubicSpline1D, _array_pow, bracket_root, bracket_root_batch,
                            golden_min, golden_min_batch)
-from h2xr.surfaces import (HeightFunction, _chart_jets, _stack_jets, check_jet,
-                           make_graph)
+from h2xr.surfaces import HeightFunction, _stack_jets, check_jet, make_graph
 
 from conftest import scalar_golden_min
 
@@ -193,19 +193,19 @@ class TestArrayPow:
         # point by point, where that point is bad
         zero = lambda u, v: 0.0
         slope = lambda u, v: 2e154 if u > 0.5 else 0.3 * u
-        chart = make_graph(HeightFunction(zero, slope, zero, zero, zero, zero)).chart
-        spy = _Spy(chart)
+        S = make_graph(HeightFunction(zero, slope, zero, zero, zero, zero))
+        spy = _Spy(S.chart)
         us, vs = np.linspace(-0.9, 0.9, 7), np.linspace(0.2, -0.4, 7)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            block = _chart_jets(spy, us, vs)
+            block = dataclasses.replace(S, chart=spy).jets(us, vs)
         assert [type(e) for e in spy.raised] == [OverflowError]
-        scalar = _stack_jets(lambda u, v: check_jet(chart(u, v)), us, vs)
+        scalar = _stack_jets(lambda u, v: check_jet(S.chart(u, v)), us, vs)
         assert block.bad.tolist() == scalar.bad.tolist() == (us > 0.5).tolist()
         assert _block_bits(block) == _block_bits(scalar)
         # the points that stay good have the array evaluator's bits
         good = ~block.bad
-        alone = _chart_jets(chart, us[good], vs[good])
+        alone = S.jets(us[good], vs[good])
         assert not alone.bad.any()
         assert _block_bits(alone) == [[b for b, g in zip(col, good) if g]
                                       for col in _block_bits(block)]

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from h2xr import surfaces
 from h2xr.curvature import (curvature_grid, fundamental_forms, grid_points,
                             shape_at)
 from h2xr.errors import (ConfigError, GeometryError, NonUnitCurve, NotImmersed,
@@ -72,6 +71,8 @@ class TestChartDomain:
         d = ChartDomain((0.0, 1.0), (-1.0, 1.0))
         assert d.contains(0.5, 0.0)
         assert not d.contains(1.5, 0.0)
+        assert d.contains(np.array([0.5, 1.5, math.nan, 1.0 + 1e-10]),
+                          np.zeros(4)).tolist() == [True, False, False, True]
 
 
 class TestCylinder:
@@ -107,8 +108,8 @@ class TestCylinderChartReuse:
                              ids=["0,0", "0,-0", "-0,0", "-0,-0"])
     def test_reused_jet_is_a_fresh_jet(self, name, first, then):
         """u = +-0.0, a domain end of the circle, horocycle and spline
-        charts and the middle of the others: the frame memo keys -0.0 and
-        0.0 alike, so the second jet is built on the first's frame."""
+        charts and the middle of the others: the frame memo stores no entry
+        at zero, so each jet is built on a frame of its own."""
         cfg = CORPUS_CONFIGS[name]
         S = from_config(cfg)
         one = S.chart(first, 0.5)
@@ -116,6 +117,25 @@ class TestCylinderChartReuse:
         fresh = from_config(cfg).chart(then, -1.25)
         assert _numbers(two) == _numbers(fresh)
         assert _numbers(S.chart(first, 0.5)) == _numbers(one)
+
+    @settings(max_examples=40, deadline=None)
+    @given(us=st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0)),
+                       min_size=1, max_size=8),
+           data=st.data())
+    def test_jets_do_not_depend_on_call_history(self, us, data):
+        """On a curve whose curvature has the sign of s, one surface's jets,
+        taken in two random orders, are a fresh surface's, signed zeros
+        included."""
+        def build():
+            return make_cylinder(curve_from_curvature(lambda s: np.copysign(1.0, s),
+                                                      (-1.0, 1.0), 0.25))
+
+        S = build()
+        fresh = [_numbers(build().jet(u, 0.5)) for u in us]
+        for _ in range(2):
+            got = {k: _numbers(S.jet(us[k], 0.5))
+                   for k in data.draw(st.permutations(range(len(us))))}
+            assert [got[k] for k in range(len(us))] == fresh
 
     @pytest.mark.parametrize("name", CYLINDER_PRESETS)
     def test_full_frame_memo_builds_every_jet(self, name):
@@ -145,7 +165,8 @@ class TestCarriedCurve:
         s = c.s[::97]
         for u in s.tolist():
             jet = S.chart(u, 0.7)
-            assert u in c._frame_cache  # the chart filled this curve's memo
+            if u != 0.0:  # zero is never stored: -0.0 would share its entry
+                assert u in c._frame_cache  # the chart filled this curve's memo
             a, t, n, kg = c.frame_at(u)
             assert (jet.X.htup, jet.Xu.htup) == (a, t)
             assert jet.Xuu.htup == (kg * n[0] + a[0], kg * n[1] + a[1], kg * n[2] + a[2])
@@ -242,9 +263,10 @@ class TestRunsOfEqualArclengths:
             us += [float(u)] * length
             vs += heights
         us, vs = np.array(us), np.array(vs)
+        with np.errstate(all="ignore"):
+            raw = S.chart.jets(us, vs)
         for block, scalar in ((S.jets(us, vs), _each_jet(S.jet, us, vs)),
-                              (surfaces._chart_jets(S.chart, us, vs),
-                               _each_jet(lambda u, v: check_jet(S.chart(u, v)), us, vs))):
+                              (raw, _each_jet(lambda u, v: check_jet(S.chart(u, v)), us, vs))):
             assert block.bad.tolist() == [x is None for x in scalar]
             for k, x in enumerate(scalar):
                 assert x is None or _block_numbers(block, k) == x, (us[k], vs[k])
@@ -257,7 +279,8 @@ class TestRunsOfEqualArclengths:
         S = RUN_SURFACES[name]
         us = np.array([1.0] * 5 + [-0.0, 0.0])
         vs = np.array([0.5, -0.5, v, 1.0, 0.5, 0.5, 0.5])
-        block = surfaces._chart_jets(S.chart, us, vs)
+        with np.errstate(all="ignore"):
+            block = S.chart.jets(us, vs)
         assert block.bad.tolist() == [False, False, True, False, False, False, False]
         assert block.X.t.tobytes() == vs.tobytes()
         ruling = {tuple(_block_numbers(block, k)[4:]) for k in range(5)}
@@ -280,6 +303,42 @@ class TestRunsOfEqualArclengths:
         one, each = S.jets([1.0], vs), S.jets(np.full(3, 1.0), vs)
         assert one.bad.tolist() == each.bad.tolist() == [False, False, True]
         assert all(_block_numbers(one, k) == _block_numbers(each, k) for k in range(3))
+
+
+class TestOneDoor:
+    """Every block of jets, a derived surface's base blocks included, goes
+    through ``Surface.jets``, which broadcasts a float height to every
+    point."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: preset("cylinder_circle"),
+        lambda: preset("slice"),
+        lambda: from_config({"kind": "graph", "f": {"kind": "bilinear", "coef": 0.3}}),
+        lambda: finite_difference_surface(preset("cylinder_spline")),
+        lambda: preset("perturbed_slice"),
+        lambda: rescale_chart(preset("cylinder_circle"), 2.0, -0.5),
+    ], ids=["cylinder", "slice", "graph", "fd", "perturbed", "rescaled"])
+    def test_a_float_height_is_every_points_height(self, make):
+        S = make()
+        (u0, u1), (v0, v1) = S.domain.u_range, S.domain.v_range
+        us = np.linspace(u0 - 0.05 * (u1 - u0), u1 - 0.05 * (u1 - u0), 11)  # the first is outside
+        v = v0 + 0.3 * (v1 - v0)
+        one, each = S.jets(us, v), S.jets(us, np.full(us.shape, v))
+        assert one.bad.tolist() == each.bad.tolist() == [True] + [False] * 10
+        assert ([c.tobytes() for w in one[:6] for c in (*w.htup, w.t)]
+                == [c.tobytes() for w in each[:6] for c in (*w.htup, w.t)])
+
+    def test_a_derived_surface_reads_its_base_blocks_through_it(self, monkeypatch):
+        base = preset("cylinder_spline")
+        fd, seen, real = finite_difference_surface(base), [], Surface.jets
+
+        def jets(surface, us, vs):
+            seen.append((surface.label, len(us)))
+            return real(surface, us, vs)
+
+        monkeypatch.setattr(Surface, "jets", jets)
+        assert not fd.jets(np.array([1.0, 1.5]), 0.5).bad.any()
+        assert seen == [(fd.label, 2), (base.label, 18)]
 
 
 class TestSlice:

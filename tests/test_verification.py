@@ -95,11 +95,30 @@ def test_theorem1_compares_with_the_curve_each_cylinder_carries(monkeypatch):
         compared.append(true)
         return inner(recovered, true)
 
+    surfaces.preset.cache_clear()
     monkeypatch.setattr(surfaces, "curve_from_curvature", counted_build)
     monkeypatch.setattr(verification, "curve_distances", recorded)
     assert verification.check_theorem1().passed
     assert len(builds) == 6
     assert [id(c) for c in compared] == [id(c) for c in builds[:5]]
+
+
+def test_verify_paper_builds_each_corpus_curve_once(monkeypatch, verification_report):
+    """Every check, THEOREM1 included, takes the corpus surfaces from the
+    cached ``preset``: six generating-curve builds from a cold cache, and
+    the report of a warm run."""
+    builds = []
+
+    def counted_build(*args, inner=surfaces.curve_from_curvature, **kwargs):
+        builds.append(1)
+        return inner(*args, **kwargs)
+
+    surfaces.preset.cache_clear()
+    monkeypatch.setattr(surfaces, "curve_from_curvature", counted_build)
+    report = verification.run_verification(seed=0)
+    assert len(builds) == 6
+    assert report_to_text(report) == report_to_text(verification_report)
+    assert report_to_json(report) == report_to_json(verification_report)
 
 
 def test_prop3_without_a_seed_fails(monkeypatch):
