@@ -27,7 +27,7 @@ from .errors import (ConfigError, EmptyIntersection, GeometryError,
                      NumericalError)
 from .flows import (PLANAR_HIT, TraceRecord, geodesic_deviation, trace_asymptotic,
                     trace_half_steps)
-from .hyperbolic import H2Curve, _dists_raw
+from .hyperbolic import MAX_CURVE_STEPS, H2Curve, _dists_raw
 from .minkowski import _mcross, _mdot, _mscale, _normalize_spacelike, _project_tangent
 from .numerics import bracket_root, bracket_root_batch
 from .surfaces import Surface
@@ -42,7 +42,9 @@ RULING_SEEDS = 8  # parabolic seeds traced per classification, farthest apart fi
 @dataclass(frozen=True, slots=True)
 class ClassifierConfig:
     """Tolerances and sampling sizes for the whole pipeline, checked when
-    built (ConfigError), trace bound of ``flows.trace_half_steps`` included."""
+    built (ConfigError), trace bound of ``flows.trace_half_steps`` included;
+    ``recovery_samples`` is bounded by ``hyperbolic.MAX_CURVE_STEPS``, as a
+    built curve is, so a recovery never allocates beyond it."""
 
     grid_n: int = 21  # odd: a symmetric planar strip lands on a cell center
     flatness_tol: float = 1e-6
@@ -62,6 +64,9 @@ class ClassifierConfig:
             raise ConfigError("grid_n must be at least 8")
         if self.recovery_samples < 9:
             raise ConfigError("recovery_samples must be at least 9")
+        if self.recovery_samples > MAX_CURVE_STEPS:  # the bound of a built curve
+            raise ConfigError(f"recovery_samples must be at most MAX_CURVE_STEPS = "
+                              f"{MAX_CURVE_STEPS}")
 
 
 @dataclass(frozen=True)

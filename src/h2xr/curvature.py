@@ -31,10 +31,13 @@ Bulk evaluation: where the chart points are known up front (the cells of
 ``curvature_grid``, the transverse connection samples of a trace),
 ``shape_block`` takes a block of jets (``Surface.jets``; ``point_block``
 chains the two) to normals, forms and principal curvatures by the scalar
-formulas in the same order, so every value keeps the scalar bits.  A
-Brioschi grid takes a cell's centre jet from the middle of its 5x5 stencil
-(u + 0.0 h is u) and calls the shape kernel once per block of
-``block_size(S, 1)`` cells; the stencils go to ``S.jets`` in sub-blocks of
+formulas in the same order, so every value keeps the scalar bits; where
+the block names runs of jets equal in all but X.t (``JetBlock.run``, set by
+a cylinder's array evaluator: the transverse points of a ruling trace lie
+on two rulings), it runs the formulas once per run and expands the
+results, the same bits.  A Brioschi grid takes a cell's centre jet from
+the middle of its 5x5 stencil (u + 0.0 h is u) and calls the shape kernel
+once per block of ``block_size(S, 1)`` cells; the stencils go to ``S.jets`` in sub-blocks of
 at most ``POINT_BLOCK`` evaluations of the innermost chart (``S.cost`` per
 jet: 9 per level of finite differences, 81 for a perturbed perturbed
 chart, at most ``surfaces.MAX_CHART_COST``, so a stencil always fits),
@@ -291,13 +294,32 @@ class PointBlock(NamedTuple):
     bad: np.ndarray
 
 
+def _take(w: AmbientVec, idx: np.ndarray) -> AmbientVec:
+    return AmbientVec(tuple(c[idx] for c in w.htup), w.t[idx])
+
+
 def shape_block(jets: JetBlock, orientation: float) -> PointBlock:
     """The scalar ``forms_from_jet`` -> ``principal_curvatures`` chain for a
-    block of jets at once."""
+    block of jets at once.
+
+    Where ``jets.run`` is set, the chain runs on the first point of each run
+    only (it never reads X.t, the one number in which a run's jets differ)
+    and every array is expanded by ``run``, each point's own ``jets.bad``
+    or'ed in: the bits of the chain on every point."""
+    run = jets.run
+    if run is not None:
+        first = np.flatnonzero(np.diff(run, prepend=-1))
+        jets1 = JetBlock(*(_take(w, first) for w in jets[:6]), np.zeros(len(first), dtype=bool))
     with np.errstate(all="ignore"):
-        forms = forms_from_jets(jets, orientation)
+        forms = forms_from_jets(jets if run is None else jets1, orientation)
         k1, k2, d1, d2, bad = principal_curvature_arrays(forms)
-    return PointBlock(jets, forms, k1, k2, d1, d2, bad | forms.bad)
+    bad |= forms.bad
+    if run is None:
+        return PointBlock(jets, forms, k1, k2, d1, d2, bad)
+    forms = FormsBlock(*(c[run] for c in forms[:6]), _take(forms.normal, run),
+                       forms.bad[run] | jets.bad)
+    return PointBlock(jets, forms, k1[run], k2[run], (d1[0][run], d1[1][run]),
+                      (d2[0][run], d2[1][run]), bad[run] | jets.bad)
 
 
 def point_block(S: Surface, us, vs) -> PointBlock:

@@ -100,11 +100,16 @@ class TraceRecord:
         return tuple(self.h[i].tolist()), float(self.t[i])
 
     def to_csv(self) -> str:
-        cols = []
+        cols, seen = [], {}
         for c in (self.s, *self.uv.T, *self.h.T, self.t, self.k2, self.H, self.lam):
-            bits = c.view(np.int64)  # a column of one bit pattern is written once
-            cols.append([repr(c[0].item())] * len(c) if (bits == bits[0]).all()
-                        else list(map(repr, c.tolist())))
+            # strings once per distinct column (by bits, so -0.0 is not 0.0;
+            # on a cylinder t repeats v) and once for a column of one value
+            bits = c.view(np.int64)
+            key = bits.tobytes()
+            if key not in seen:
+                seen[key] = ([repr(c[0].item())] * len(c) if (bits == bits[0]).all()
+                             else list(map(repr, c.tolist())))
+            cols.append(seen[key])
         return "\n".join([TRACE_CSV_HEADER, *map(",".join, zip(*cols))]) + "\n"
 
 

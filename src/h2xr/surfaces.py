@@ -31,7 +31,8 @@ chart, with cosh, sinh, cos, sin, squares and height functions taken
 elementwise from the scalar functions (a height function's array twin, such
 as the Gaussian bump's, does the same without a Python call per point), so
 every element has the bits of the float chart (a cylinder's evaluates each
-run of equal u once, see ``make_cylinder``); any other chart (rescaled,
+run of equal u once and names the runs in ``JetBlock.run``, see
+``make_cylinder``); any other chart (rescaled,
 wrapped, user-supplied) is called point by point.
 """
 
@@ -101,13 +102,25 @@ class SurfaceJet(namedtuple("SurfaceJet", "X Xu Xv Xuu Xuv Xvv")):
     __slots__ = ()
 
 
-class JetBlock(namedtuple("JetBlock", (*SurfaceJet._fields, "bad"))):
+class JetBlock(namedtuple("JetBlock", (*SurfaceJet._fields, "bad", "run"),
+                          defaults=(None,))):
     """Jets of many chart points, struct of arrays: the six ambient vectors
     of ``SurfaceJet`` with float arrays for coordinates and heights, plus
     ``bad``, the points whose scalar evaluation raises (their entries are
-    meaningless)."""
+    meaningless).  ``run``, where not None, gives each point the index of
+    its run: consecutive points whose jets have equal bits in every number
+    but X.t, so that their shape data is the same (a cylinder's array
+    evaluator sets it, ``curvature.shape_block`` reads it); None says
+    nothing about repeats.  ``_replace`` of any field but ``bad`` drops
+    ``run``, so a wrapper that edits a block's jets never keeps a stale
+    one."""
 
     __slots__ = ()
+
+    def _replace(self, **fields) -> "JetBlock":
+        if not fields.keys() <= {"bad", "run"}:
+            fields.setdefault("run", None)
+        return super()._replace(**fields)
 
 
 def check_jet(jet: SurfaceJet) -> SurfaceJet:
@@ -226,8 +239,9 @@ class Surface:
             raise NumericalError(f"overflow evaluating {self.label} at ({u}, {v})") from exc
 
     def jets(self, us, vs) -> JetBlock:
-        """Jets at arrays of chart points (or one of them a float), as one
-        block: the one caller of a chart's array evaluator.
+        """Jets at arrays of chart points (a float is broadcast to the other
+        array's points; two floats give a one-point block), as one block:
+        the one caller of a chart's array evaluator.
 
         ``bad`` marks every point where :meth:`jet` would raise (outside the
         domain, a failed jet check, a curve or stencil that does not reach)
@@ -235,8 +249,8 @@ class Surface:
         call raise.  A chart without an array evaluator, or one that fails
         for the whole array, is evaluated point by point through :meth:`jet`.
         """
-        us = np.asarray(us, dtype=float)
-        vs = np.asarray(vs, dtype=float)
+        us = np.atleast_1d(np.asarray(us, dtype=float))
+        vs = np.atleast_1d(np.asarray(vs, dtype=float))
         if us.shape != vs.shape:
             us, vs = np.broadcast_arrays(us, vs)
         block = None
@@ -353,8 +367,11 @@ def make_cylinder(alpha: H2Curve, v_range: tuple[float, float] = (-DEFAULT_CYLIN
     :func:`check_jet` reads for finiteness alone.  The scalar chart reads
     the curve's memoized ``frame_at``; the array evaluator takes each run of
     consecutive equal arclengths (equal bits) as one point, paying one
-    ``frames_at`` arclength and one jet check per run, and fills in X.t and
-    its finiteness per point.  The surface carries that curve
+    ``frames_at`` arclength and one jet check per run, fills in X.t and
+    its finiteness per point, and hands on each point's run index as the
+    block's ``run``, so that ``curvature.shape_block`` also computes the
+    shape data once per run (a block whose runs are all one point long
+    keeps ``run`` None).  The surface carries that curve
     as ``curve``: ``alpha`` itself when it has ``kg``, else a copy with
     ``kg`` interpolated from its curvature profile.
     """
@@ -389,11 +406,11 @@ def make_cylinder(alpha: H2Curve, v_range: tuple[float, float] = (-DEFAULT_CYLIN
         if new.all():  # every run one point long: nothing to expand
             return body(*curve.frames_at(us), curve.kg_at(us), vs, _jet_block)
         s = us[new]
-        X, *rest, bad = body(*curve.frames_at(s), curve.kg_at(s), 0.0, _jet_block)
+        X, *rest, bad, _ = body(*curve.frames_at(s), curve.kg_at(s), 0.0, _jet_block)
         run = np.cumsum(new) - 1
         return JetBlock(AmbientVec(tuple(c[run] for c in X.htup), vs),
                         *(AmbientVec(tuple(c[run] for c in w.htup), w.t[run]) for w in rest),
-                        bad[run] | ~np.isfinite(vs))
+                        bad[run] | ~np.isfinite(vs), run)
 
     chart.jets = jets
     dom = ChartDomain((curve.s_min, curve.s_max), v_range)

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import faulty_at_cell_centres, scalar_grid, scalar_lambdas
+from conftest import faulty_at_cell_centres, kinked, scalar_grid, scalar_lambdas
 from h2xr import curvature, flows, surfaces
 from h2xr.classifier import (INCONSISTENT, ClassifierConfig, classify_surface,
                              recover_generating_curve)
 from h2xr.curvature import (POINT_BLOCK, curvature_grid, forms_from_jet,
-                            point_block, principal_curvatures)
+                            point_block, principal_curvatures, shape_block)
 from h2xr.errors import NumericalError
 from h2xr.flows import trace_asymptotic
 from h2xr.hyperbolic import (H2Curve, curve_from_curvature, linear_curvature,
@@ -116,6 +116,82 @@ class TestPointBlock:
         us, vs = np.linspace(0.5, 5.0, 7), np.linspace(-2.0, 2.0, 7)
         a, b = point_block(circle_cylinder, us, vs), point_block(plain, us, vs)
         assert np.array_equal(a.k2, b.k2) and np.array_equal(a.forms.normal.t, b.forms.normal.t)
+
+
+def _bits(pb) -> list[bytes]:
+    """Bytes of every array of a PointBlock, jets, forms and masks included."""
+    vecs = (*pb.jets[:6], pb.forms.normal)
+    return [np.asarray(a).tobytes() for a in (
+        *(c for w in vecs for c in (*w.htup, w.t)), pb.jets.bad, *pb.forms[:6],
+        pb.forms.bad, pb.k1, pb.k2, *pb.d1, *pb.d2, pb.bad)]
+
+
+_RUN_SURFACES = ("cylinder_circle", "cylinder_hermite")
+_ODD_HEIGHTS = (math.nan, math.inf, -math.inf, 7.5)  # 7.5: above every cylinder's domain
+
+
+class TestRuns:
+    """A cylinder's block of jets names its runs of equal u, and the shape
+    kernel computes each run once: bit for bit the kernel on every point."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(_RUN_SURFACES),
+           runs=st.lists(st.tuples(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0])),
+                                   st.integers(1, 5)), min_size=1, max_size=8),
+           data=st.data())
+    def test_runs_equal_every_point(self, name, runs, data):
+        S = SURFACES[name]
+        (u0, u1), (v0, v1) = S.domain.u_range, S.domain.v_range
+        us = np.array([u0 + f * (u1 - u0) if f else f for f, n in runs for _ in range(n)])
+        vs = np.array(data.draw(st.lists(
+            st.one_of(st.floats(v0, v1), st.sampled_from(_ODD_HEIGHTS)),
+            min_size=len(us), max_size=len(us))))
+        jets = S.jets(us, vs)
+        repeats = (us[1:].view(np.int64) == us[:-1].view(np.int64)).any()
+        assert (jets.run is not None) == bool(repeats)
+        assert _bits(shape_block(jets, S.orientation)) \
+            == _bits(shape_block(jets._replace(run=None), S.orientation))
+
+    @pytest.mark.parametrize("name", _RUN_SURFACES)
+    def test_signed_zeros_and_bad_heights_inside_runs(self, name):
+        S = SURFACES[name]
+        us = np.array([0.0, 0.0, -0.0, -0.0, -0.0, 0.0, 0.5, 0.5, 0.5, 0.5])
+        vs = np.array([math.nan, 0.1, 0.2, math.inf, 0.3, 0.4, 7.5, -0.5, -math.inf, 0.5])
+        jets = S.jets(us, vs)
+        assert jets.run.tolist() == [0, 0, 1, 1, 1, 2, 3, 3, 3, 3]
+        pb = shape_block(jets, S.orientation)
+        assert pb.bad.tolist() == [True, False, False, True, False, False, True, False, True,
+                                   False]
+        assert _bits(pb) == _bits(shape_block(jets._replace(run=None), S.orientation))
+
+    def test_an_edited_block_drops_its_runs(self):
+        """A chart whose array evaluator edits a cylinder's block (Xuu
+        scaled above v = 0.25) gets a block without runs, so each point
+        keeps its own shape data."""
+        S = kinked(SURFACES["cylinder_circle"], 0.25, 2.0)
+        us, vs = np.full(6, 1.0), np.linspace(0.0, 0.5, 6)
+        assert S.chart.jets(us, vs).run is None
+        pb = _block_equals_scalar(S, us, vs)
+        assert pb.k2[0] != pb.k2[-1]
+
+    def test_connection_block_runs_the_kernel_once_per_run(self, monkeypatch, circle_cylinder):
+        """A ruling trace's transverse points lie on two rulings: the kernel
+        sees 2 points, not 2,002, and the record keeps every bit."""
+        sizes, real_forms, real_jets = [], curvature.forms_from_jets, Surface.jets
+
+        def forms_from_jets(jets, orientation):
+            sizes.append(len(jets.bad))
+            return real_forms(jets, orientation)
+
+        monkeypatch.setattr(curvature, "forms_from_jets", forms_from_jets)
+        tr = trace_asymptotic(circle_cylinder, 1.0, 0.0, 1.0, 1e-3)
+        assert len(tr) == 1001 and sizes == [2]
+        sizes.clear()
+        monkeypatch.setattr(Surface, "jets",
+                            lambda S, us, vs: real_jets(S, us, vs)._replace(run=None))
+        plain = trace_asymptotic(circle_cylinder, 1.0, 0.0, 1.0, 1e-3)
+        assert sizes == [2002]
+        assert tr.lam.tobytes() == plain.lam.tobytes() and tr.to_csv() == plain.to_csv()
 
 
 def _nan_fuu_graph():

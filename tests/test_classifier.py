@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from h2xr import classifier
 from h2xr.classifier import (CYLINDER, INCONSISTENT, NOT_FLAT, ClassifierConfig,
                              classify_surface, extract_rulings, flatness_scan,
                              planar_set_map, recover_generating_curve, verdict_to_json)
 from h2xr.curvature import PARABOLIC, curvature_grid
-from h2xr.errors import EmptyIntersection, NotParabolic
-from h2xr.hyperbolic import ORIGIN_T, curvature_profile, curve_hausdorff, h2_dist
+from h2xr.errors import ConfigError, EmptyIntersection, NotParabolic
+from h2xr.hyperbolic import MAX_CURVE_STEPS, ORIGIN_T, curvature_profile, curve_hausdorff, h2_dist
 from h2xr.product import ProdGeodesic
 from h2xr.surfaces import (CORPUS_CONFIGS, CYLINDER_PRESETS, ChartDomain,
                            finite_difference_surface, from_config, perturb, preset)
@@ -107,6 +108,21 @@ class TestRecovery:
     def test_slice_misses_offset_height(self, slice_surface):
         with pytest.raises(EmptyIntersection):
             recover_generating_curve(slice_surface, 1.0, 301)
+
+
+class TestClassifierConfig:
+    def test_recovery_samples_bounded_by_curve_steps(self, monkeypatch):
+        """More recovery samples than a built curve may have steps is refused
+        where the config is built, before any recovery allocates; a patched
+        limit keeps the test from allocating anything of the real size."""
+        with pytest.raises(ConfigError, match=f"MAX_CURVE_STEPS = {MAX_CURVE_STEPS}"):
+            ClassifierConfig(recovery_samples=MAX_CURVE_STEPS + 1)
+        assert ClassifierConfig(recovery_samples=MAX_CURVE_STEPS).recovery_samples \
+            == MAX_CURVE_STEPS
+        monkeypatch.setattr(classifier, "MAX_CURVE_STEPS", 301)
+        with pytest.raises(ConfigError, match="MAX_CURVE_STEPS = 301"):
+            ClassifierConfig(recovery_samples=302)
+        assert classify_surface(preset("cylinder_circle"), SMALL).verdict == CYLINDER
 
 
 class TestClassifySurface:

@@ -157,6 +157,25 @@ class TestTraceAsymptotic:
             # lines, whose first difference pytest reports without diffing the texts
             assert tr.to_csv().split("\n") == reference_trace_csv(tr).split("\n")
 
+    @settings(max_examples=60, deadline=None)
+    @given(picks=st.lists(st.integers(0, 7), min_size=9, max_size=9),
+           n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1))
+    def test_csv_of_repeated_columns(self, picks, n, seed):
+        """Every row as a naive join of the reprs, where columns repeat
+        another's bits (a column's strings are reused), are a signed zero
+        beside the other, constant, or NaN."""
+        vals = np.random.default_rng(seed).normal(size=n)
+        pool = [vals, vals.copy(), np.where(vals > 0.0, 0.0, -0.0), np.where(vals > 0.0, -0.0, 0.0),
+                np.full(n, 0.0), np.full(n, -0.0), np.full(n, math.nan),
+                np.where(vals > 0.0, math.nan, vals)]
+        uv0, uv1, h0, h1, h2, t, k2, H, lam = (pool[k] for k in picks)
+        tr = control_record(np.arange(n) * 1e-3, np.column_stack([uv0, uv1]),
+                            np.column_stack([h0, h1, h2]), t, 1e-3, tol=math.inf)
+        tr = dataclasses.replace(tr, k2=k2, H=H, lam=lam)
+        rows = np.column_stack([tr.s, tr.uv, tr.h, tr.t, tr.k2, tr.H, tr.lam]).tolist()
+        assert tr.to_csv().split("\n") == [TRACE_CSV_HEADER,
+                                           *(",".join(map(repr, row)) for row in rows), ""]
+
     def test_seed_that_cannot_step_either_way_raises(self, bent_cylinder):
         """At the corner (u1, v1) of the bent chart both legs leave the domain
         at their first stage: a domain error that names the seed and the

@@ -310,7 +310,7 @@ class TestOneDoor:
     through ``Surface.jets``, which broadcasts a float height to every
     point."""
 
-    @pytest.mark.parametrize("make", [
+    DOORS = pytest.mark.parametrize("make", [
         lambda: preset("cylinder_circle"),
         lambda: preset("slice"),
         lambda: from_config({"kind": "graph", "f": {"kind": "bilinear", "coef": 0.3}}),
@@ -318,6 +318,8 @@ class TestOneDoor:
         lambda: preset("perturbed_slice"),
         lambda: rescale_chart(preset("cylinder_circle"), 2.0, -0.5),
     ], ids=["cylinder", "slice", "graph", "fd", "perturbed", "rescaled"])
+
+    @DOORS
     def test_a_float_height_is_every_points_height(self, make):
         S = make()
         (u0, u1), (v0, v1) = S.domain.u_range, S.domain.v_range
@@ -327,6 +329,16 @@ class TestOneDoor:
         assert one.bad.tolist() == each.bad.tolist() == [True] + [False] * 10
         assert ([c.tobytes() for w in one[:6] for c in (*w.htup, w.t)]
                 == [c.tobytes() for w in each[:6] for c in (*w.htup, w.t)])
+
+    @DOORS
+    def test_two_floats_give_a_one_point_block(self, make):
+        S = make()
+        (u0, u1), (v0, v1) = S.domain.u_range, S.domain.v_range
+        u, v = u0 + 0.4 * (u1 - u0), v0 + 0.3 * (v1 - v0)
+        one, arrays = S.jets(u, v), S.jets(np.array([u]), np.array([v]))
+        assert one.bad.tolist() == arrays.bad.tolist() == [False]
+        assert ([c.tobytes() for w in one[:6] for c in (*w.htup, w.t)]
+                == [c.tobytes() for w in arrays[:6] for c in (*w.htup, w.t)])
 
     def test_a_derived_surface_reads_its_base_blocks_through_it(self, monkeypatch):
         base = preset("cylinder_spline")
